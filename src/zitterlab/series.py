@@ -10,12 +10,23 @@ polynomials over Q in the kinematic quantities
 in c = d = 1 units.  Coefficients are fractions.Fraction throughout, so
 every identity check below is exact, never a float comparison.
 
-Two truncation axes exist and are tracked separately:
+Three truncation axes exist and are tracked separately:
 
 * order  -- powers of the expansion variable above `order` are dropped;
 * beta_order -- optional quotient by beta^(k+1).  First order in beta
   (k = 1) is the regime in which the advance/separation series invert
-  cleanly; k = 0 isolates the linearization about rest.
+  cleanly; k = 0 isolates the linearization about rest;
+* kin_order -- optional quotient by the monomials of total degree > k in
+  the kinematic variables {a, a1, a2, ...}; beta powers are untouched.
+  k = 1 keeps exactly the part linear in the acceleration derivatives,
+  which is all the linearized chain about rest reads.
+
+Both quotients are by monomial ideals, so reducing coefficients is a ring
+homomorphism.  Sums, products, inverses, square roots, composition and
+reversion are all built from ring operations, so they commute with the
+reduction: every coefficient computed in a quotient ring is *exactly* the
+image of the full-ring coefficient, never an approximation of it.  The
+cap only skips products whose image is zero anyway.
 
 The separation series sqrt(r^2 - l^2) needs sqrt(1 - z^2) with z = l/r,
 and z has constant term beta, so the binomial series in z must itself be
@@ -29,15 +40,13 @@ l^2 + d^2 = r^2 is exact to the working order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 Q = Fraction
 
 # Exponent tuples index the variables as: slot 0 -> beta, slot j >= 1 ->
 # the (j-1)-th time derivative of the acceleration (a, a1, a2, ...).
-_VAR_NAMES = ("beta", "a")
-
 
 def _var_name(slot: int) -> str:
     if slot == 0:
@@ -45,6 +54,11 @@ def _var_name(slot: int) -> str:
     if slot == 1:
         return "a"
     return f"a{slot - 1}"
+
+
+def _kin_degree(exps: tuple[int, ...]) -> int:
+    """Total degree of a monomial in the kinematic variables a, a1, ..."""
+    return sum(exps[1:])
 
 
 def _trim(exps: tuple[int, ...]) -> tuple[int, ...]:
@@ -104,14 +118,18 @@ class KinPoly:
     def __rsub__(self, other):
         return KinPoly.const(other) + (-self)
 
-    def mul(self, other: "KinPoly", beta_cap: int | None = None) -> "KinPoly":
+    def mul(self, other: "KinPoly", beta_cap: int | None = None,
+            kin_cap: int | None = None) -> "KinPoly":
         out: dict[tuple[int, ...], Fraction] = {}
         for e1, c1 in self.terms.items():
+            k1 = 0 if kin_cap is None else _kin_degree(e1)
             for e2, c2 in other.terms.items():
                 if beta_cap is not None:
                     b = (e1[0] if e1 else 0) + (e2[0] if e2 else 0)
                     if b > beta_cap:
                         continue
+                if kin_cap is not None and k1 + _kin_degree(e2) > kin_cap:
+                    continue
                 n = max(len(e1), len(e2))
                 e = _trim(tuple((e1[i] if i < len(e1) else 0) + (e2[i] if i < len(e2) else 0)
                                 for i in range(n)))
@@ -142,23 +160,20 @@ class KinPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def beta_truncate(self, cap: int) -> "KinPoly":
-        return KinPoly({e: c for e, c in self.terms.items() if (e[0] if e else 0) <= cap})
+    def truncate(self, beta_cap: int | None = None, kin_cap: int | None = None) -> "KinPoly":
+        """Image in the quotient by beta^(beta_cap+1) and kinematic degree > kin_cap."""
+        return KinPoly({e: c for e, c in self.terms.items()
+                        if (beta_cap is None or (e[0] if e else 0) <= beta_cap)
+                        and (kin_cap is None or _kin_degree(e) <= kin_cap)})
 
     def constant_part(self) -> Fraction:
         return self.terms.get((), Q(0))
-
-    def beta_degree(self, exps: tuple[int, ...]) -> int:
-        return exps[0] if exps else 0
-
-    def kinematic_degree(self, exps: tuple[int, ...]) -> int:
-        return sum(exps[1:])
 
     def linear_kinematic_part(self) -> "KinPoly":
         """Terms of total degree exactly 1 in {a, a1, ...} and 0 in beta."""
         out = {}
         for e, c in self.terms.items():
-            if (e[0] if e else 0) == 0 and sum(e[1:]) == 1:
+            if (e[0] if e else 0) == 0 and _kin_degree(e) == 1:
                 out[e] = c
         return KinPoly(out)
 
@@ -166,7 +181,7 @@ class KinPoly:
         return self.terms.get(_trim(tuple(exps)), Q(0))
 
     def is_pure_beta_plus_const(self) -> bool:
-        return all(sum(e[1:]) == 0 for e in self.terms)
+        return all(_kin_degree(e) == 0 for e in self.terms)
 
     def evaluate(self, beta: float = 0.0, derivs: tuple[float, ...] = ()) -> float:
         vals = (beta,) + tuple(derivs)
@@ -201,7 +216,7 @@ def kin_unit_inverse(p: KinPoly, beta_cap: int | None) -> KinPoly:
         return KinPoly.const(1 / c0)
     if beta_cap is None or not rest.is_pure_beta_plus_const():
         raise ValueError("not a unit: non-constant part is not nilpotent in this ring")
-    n = rest * Q(1, 1) * Q(1) * (1 / c0)
+    n = rest * (1 / c0)
     # geometric series 1 - n + n^2 - ... terminates: every monomial of n
     # carries beta, so n^k dies once k exceeds the beta cap
     acc = KinPoly.const(1)
@@ -218,24 +233,26 @@ def kin_unit_inverse(p: KinPoly, beta_cap: int | None) -> KinPoly:
 
 @dataclass(frozen=True)
 class TruncatedSeries:
-    """Power series in `tag` truncated above `order`, KinPoly coefficients."""
+    """Power series in `tag` truncated above `order`, KinPoly coefficients.
+
+    `beta_order` and `kin_order` name the coefficient quotient ring (see
+    the module notes); every ring operation stays inside it.
+    """
 
     coeffs: tuple[KinPoly, ...]
     order: int
     tag: str
     beta_order: int | None = None
+    kin_order: int | None = None
 
     @classmethod
-    def build(cls, coeffs, order: int, tag: str, beta_order: int | None = None) -> "TruncatedSeries":
+    def build(cls, coeffs, order: int, tag: str, beta_order: int | None = None,
+              kin_order: int | None = None) -> "TruncatedSeries":
         cs = list(coeffs)[: order + 1]
         cs += [KinPoly()] * (order + 1 - len(cs))
-        if beta_order is not None:
-            cs = [c.beta_truncate(beta_order) for c in cs]
-        return cls(tuple(cs), order, tag, beta_order)
-
-    @classmethod
-    def zeros(cls, order: int, tag: str, beta_order: int | None = None) -> "TruncatedSeries":
-        return cls.build([], order, tag, beta_order)
+        if beta_order is not None or kin_order is not None:
+            cs = [c.truncate(beta_order, kin_order) for c in cs]
+        return cls(tuple(cs), order, tag, beta_order, kin_order)
 
     @classmethod
     def identity(cls, order: int, tag: str, beta_order: int | None = None) -> "TruncatedSeries":
@@ -246,38 +263,42 @@ class TruncatedSeries:
                        beta_order: int | None = None) -> "TruncatedSeries":
         return cls.build([KinPoly.const(v) for v in values], order, tag, beta_order)
 
+    def _like(self, coeffs, tag: str | None = None) -> "TruncatedSeries":
+        """`coeffs` as a series of this order in this quotient ring."""
+        return TruncatedSeries.build(coeffs, self.order, tag or self.tag,
+                                     self.beta_order, self.kin_order)
+
+    def _cmul(self, a: KinPoly, b: KinPoly) -> KinPoly:
+        """Coefficient product in this series' quotient ring."""
+        return a.mul(b, self.beta_order, self.kin_order)
+
     # -- ring ---------------------------------------------------------
     def _check(self, other: "TruncatedSeries"):
-        if (self.tag, self.order, self.beta_order) != (other.tag, other.order, other.beta_order):
-            raise ValueError(
-                f"series mismatch: ({self.tag},{self.order},{self.beta_order}) "
-                f"vs ({other.tag},{other.order},{other.beta_order})")
+        mine = (self.tag, self.order, self.beta_order, self.kin_order)
+        theirs = (other.tag, other.order, other.beta_order, other.kin_order)
+        if mine != theirs:
+            raise ValueError(f"series mismatch: {mine} vs {theirs}")
 
     def __add__(self, other):
         self._check(other)
-        return TruncatedSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
-                               self.order, self.tag, self.beta_order)
+        return replace(self, coeffs=tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other):
         self._check(other)
-        return TruncatedSeries(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)),
-                               self.order, self.tag, self.beta_order)
+        return replace(self, coeffs=tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self):
-        return TruncatedSeries(tuple(-a for a in self.coeffs), self.order, self.tag, self.beta_order)
+        return replace(self, coeffs=tuple(-a for a in self.coeffs))
 
     def scale(self, factor) -> "TruncatedSeries":
         if not isinstance(factor, KinPoly):
             factor = KinPoly.const(factor)
-        cap = self.beta_order
-        cs = [c.mul(factor, beta_cap=cap) for c in self.coeffs]
-        return TruncatedSeries(tuple(cs), self.order, self.tag, cap)
+        return replace(self, coeffs=tuple(self._cmul(c, factor) for c in self.coeffs))
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
             return self.scale(other)
         self._check(other)
-        cap = self.beta_order
         out = [KinPoly() for _ in range(self.order + 1)]
         for i, a in enumerate(self.coeffs):
             if a.is_zero():
@@ -286,13 +307,13 @@ class TruncatedSeries:
                 b = other.coeffs[j]
                 if b.is_zero():
                     continue
-                out[i + j] = out[i + j] + a.mul(b, beta_cap=cap)
-        return TruncatedSeries(tuple(out), self.order, self.tag, cap)
+                out[i + j] = out[i + j] + self._cmul(a, b)
+        return replace(self, coeffs=tuple(out))
 
     def __pow__(self, n: int) -> "TruncatedSeries":
         if n < 0:
             raise ValueError("negative powers: use inverse()")
-        acc = TruncatedSeries.from_rationals([1], self.order, self.tag, self.beta_order)
+        acc = self._like([KinPoly.const(1)])
         base = self
         while n:
             if n & 1:
@@ -307,22 +328,22 @@ class TruncatedSeries:
     def truncate_to(self, order: int) -> "TruncatedSeries":
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
-        return TruncatedSeries(self.coeffs[: order + 1], order, self.tag, self.beta_order)
+        return replace(self, coeffs=self.coeffs[: order + 1], order=order)
 
     def shift_up(self, k: int = 1) -> "TruncatedSeries":
         """Multiply by tag^k (keeps order, drops overflowing coefficients)."""
         cs = (KinPoly(),) * k + self.coeffs[: self.order + 1 - k]
-        return TruncatedSeries(cs, self.order, self.tag, self.beta_order)
+        return replace(self, coeffs=cs)
 
     def shift_down(self, k: int = 1) -> "TruncatedSeries":
         """Divide by tag^k; the low k coefficients must vanish."""
         for i in range(k):
             if not self.coeffs[i].is_zero():
                 raise ValueError(f"cannot divide by {self.tag}^{k}: coefficient {i} is nonzero")
-        return TruncatedSeries(self.coeffs[k:], self.order - k, self.tag, self.beta_order)
+        return replace(self, coeffs=self.coeffs[k:], order=self.order - k)
 
     def retag(self, tag: str) -> "TruncatedSeries":
-        return TruncatedSeries(self.coeffs, self.order, tag, self.beta_order)
+        return replace(self, tag=tag)
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)
@@ -332,39 +353,36 @@ class TruncatedSeries:
         """Square root of a series with constant term exactly 1."""
         if self.coeffs[0] != KinPoly.const(1):
             raise ValueError("series sqrt needs constant term 1")
-        cap = self.beta_order
         t = [KinPoly.const(1)] + [KinPoly() for _ in range(self.order)]
         for n in range(1, self.order + 1):
             s = self.coeffs[n]
             for i in range(1, n):
-                s = s - t[i].mul(t[n - i], beta_cap=cap)
+                s = s - self._cmul(t[i], t[n - i])
             t[n] = s * Q(1, 2)
-        return TruncatedSeries(tuple(t), self.order, self.tag, cap)
+        return replace(self, coeffs=tuple(t))
 
     def inverse(self) -> "TruncatedSeries":
         """Multiplicative inverse; constant term must be a unit."""
-        cap = self.beta_order
-        inv0 = kin_unit_inverse(self.coeffs[0], cap)
+        inv0 = kin_unit_inverse(self.coeffs[0], self.beta_order)
         out = [inv0] + [KinPoly() for _ in range(self.order)]
         for n in range(1, self.order + 1):
             s = KinPoly()
             for k in range(1, n + 1):
-                s = s + self.coeffs[k].mul(out[n - k], beta_cap=cap)
-            out[n] = -s.mul(inv0, beta_cap=cap)
-        return TruncatedSeries(tuple(out), self.order, self.tag, cap)
+                s = s + self._cmul(self.coeffs[k], out[n - k])
+            out[n] = -self._cmul(s, inv0)
+        return replace(self, coeffs=tuple(out))
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
         """self(inner(w)); inner must have zero constant term."""
-        if inner.beta_order != self.beta_order:
-            raise ValueError("composition across different beta truncations")
+        if (inner.beta_order, inner.kin_order) != (self.beta_order, self.kin_order):
+            raise ValueError("composition across different quotient rings")
         if not inner.coeffs[0].is_zero():
             raise ValueError("composition needs zero constant term in the inner series")
         g = inner.truncate_to(min(self.order, inner.order))
-        acc = TruncatedSeries.zeros(g.order, g.tag, g.beta_order)
+        acc = g._like([])
         for k in range(self.order, -1, -1):
             acc = acc * g
-            acc = acc + TruncatedSeries.build(
-                [self.coeffs[k]], g.order, g.tag, g.beta_order)
+            acc = acc + g._like([self.coeffs[k]])
         return acc
 
     def revert(self, new_tag: str) -> "TruncatedSeries":
@@ -377,7 +395,7 @@ class TruncatedSeries:
         if not self.coeffs[0].is_zero():
             raise ValueError("reversion needs zero constant term")
         u_inv = kin_unit_inverse(self.coeffs[1], self.beta_order)
-        w = TruncatedSeries.identity(self.order, new_tag, self.beta_order)
+        w = self._like([KinPoly(), KinPoly.const(1)], tag=new_tag)
         g = w.scale(u_inv)
         for _ in range(2, self.order + 1):
             err = self.retag(new_tag).compose(g) - w
@@ -436,14 +454,17 @@ def d_series(order: int, beta_order: int | None = None,
     hold.  Under a beta cap the default grows with the order so that
     l^2 + d^2 = r^2 closes exactly in the quotient ring.
     """
+    return _separation(l_series(order, beta_order), z_order)
+
+
+def _separation(l: TruncatedSeries, z_order: int | None = None) -> TruncatedSeries:
+    """d_series built from the advance series `l`, in the quotient ring of `l`."""
     if z_order is None:
-        z_order = 4 if beta_order is None else 2 * order + 2
-    z = l_series(order, beta_order).shift_down(1)
-    # pad back to full order so products keep every needed power of r
-    z = TruncatedSeries.build(list(z.coeffs), order, "r", beta_order)
+        z_order = 4 if l.beta_order is None else 2 * l.order + 2
+    # pad z = l/r back to full order so products keep every needed power of r
+    z = l._like(l.shift_down(1).coeffs)
     z2 = z * z
-    acc = TruncatedSeries.from_rationals([1], order, "r", beta_order)
-    power = TruncatedSeries.from_rationals([1], order, "r", beta_order)
+    acc = power = l._like([KinPoly.const(1)])
     for m in range(1, z_order // 2 + 1):
         power = power * z2
         if power.is_zero():
@@ -506,22 +527,33 @@ def eom_expansion(order: int, beta_order: int) -> TruncatedSeries:
     Pipeline: build numerator and denominator as series in r, divide
     out r^3, then substitute the reverted series r(d).
     """
+    return _eom_from_advance(l_series(order, beta_order))
+
+
+def _linear_eom_expansion(order: int) -> TruncatedSeries:
+    """eom_expansion(order, 0) reduced modulo kinematic degree >= 2.
+
+    Exact, not approximate: the reduction is a ring homomorphism (module
+    notes), so every coefficient's linear kinematic part is the same
+    Fraction the full ring gives, at a small fraction of the cost.
+    """
+    l = l_series(order, beta_order=0)
+    return _eom_from_advance(TruncatedSeries.build(l.coeffs, order, l.tag, 0, kin_order=1))
+
+
+def _eom_from_advance(l: TruncatedSeries) -> TruncatedSeries:
+    """The eom_expansion pipeline in the quotient ring of the advance series `l`."""
     beta = KinPoly.beta()
-    one_minus_b2 = (KinPoly.const(1) - beta * beta)
-    if beta_order is not None:
-        one_minus_b2 = one_minus_b2.beta_truncate(beta_order)
-    r_ident = TruncatedSeries.identity(order, "r", beta_order)
-    l = l_series(order, beta_order)
-    dser = d_series(order, beta_order)
     a = KinPoly.deriv(0)
-    num = (l - r_ident.scale(beta)).scale(one_minus_b2) - (dser * dser).scale(a)
+    r_ident = l._like([KinPoly(), KinPoly.const(1)])
+    dser = _separation(l)
+    num = (l - r_ident.scale(beta)).scale(1 - beta * beta) - (dser * dser).scale(a)
     # the r^0 and r^1 coefficients cancel identically; r^2 starts at -a/2
     h = num.shift_down(2)
-    z = TruncatedSeries.build(list(l.shift_down(1).coeffs), order, "r", beta_order)
-    unit = TruncatedSeries.from_rationals([1], order, "r", beta_order)
-    den_unit = (unit - z.scale(beta)) ** 3
+    z = l._like(l.shift_down(1).coeffs)
+    den_unit = (l._like([KinPoly.const(1)]) - z.scale(beta)) ** 3
     p = h * den_unit.inverse().truncate_to(h.order)
-    rho = r_of_d_series(order, beta_order)
+    rho = dser.revert("d")
     k = p.compose(rho.truncate_to(p.order))
     lunit = rho.shift_down(1).truncate_to(p.order)
     return k * lunit.inverse()
@@ -553,9 +585,15 @@ def linear_chain_coeffs(n_max: int) -> list[Fraction]:
     Entry n multiplies the n-th derivative of the acceleration at
     d-power n-1; the mechanical expansion yields -1/2 for n = 0 and
     1/(n+2)! for n >= 1, i.e. the shifted-exponential chain.
+
+    Only the part linear in {a, a1, ...} is read, so the expansion runs
+    in the quotient by kinematic degree >= 2 (see _linear_eom_expansion).
+    That quotient is a ring homomorphism, so the coefficients are exactly
+    those of eom_expansion(n_max + 3, 0), and the check below that no
+    other linear term appears is the same check on the same Fractions.
     """
     order = n_max + 3
-    m = eom_expansion(order, beta_order=0)
+    m = _linear_eom_expansion(order)
     out: list[Fraction] = []
     for n in range(n_max + 1):
         poly = m.coefficient(n)  # d-power n-1

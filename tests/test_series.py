@@ -12,8 +12,10 @@ import pytest
 
 from zitterlab.series import (
     TruncatedSeries,
+    _linear_eom_expansion,
     characteristic_from_chain,
     d_series,
+    eom_expansion,
     exp_remainder_coeffs,
     l_series,
     linear_chain_coeffs,
@@ -46,24 +48,37 @@ def test_exp_remainder_against_sympy():
     import sympy
     mu = sympy.Symbol("mu")
     expansion = sympy.series(sympy.exp(mu) - 1 - mu - mu ** 2,
-                             mu, 0, 11).removeO()
-    ours = exp_remainder_coeffs(8)
-    assert len(ours) == 11
+                             mu, 0, 17).removeO()
+    ours = exp_remainder_coeffs(14)
+    assert len(ours) == 17
     for k, got in enumerate(ours):
         want = Fraction(str(expansion.coeff(mu, k)))
         assert got == want
 
 
-def test_linear_chain_coefficients():
+@pytest.mark.parametrize("n_max", [8, 14])
+def test_linear_chain_coefficients(n_max):
     # leading antidamping weight, then the factorial tail
-    coeffs = linear_chain_coeffs(8)
+    coeffs = linear_chain_coeffs(n_max)
+    assert len(coeffs) == n_max + 1
     assert coeffs[0] == Fraction(-1, 2)
-    for n in range(1, 9):
+    for n in range(1, n_max + 1):
         assert coeffs[n] == Fraction(1, math.factorial(n + 2))
 
 
 def test_characteristic_matches_chain():
-    assert characteristic_from_chain(10) == exp_remainder_coeffs(10)
+    assert characteristic_from_chain(14) == exp_remainder_coeffs(14)
+
+
+@pytest.mark.parametrize("order", range(4, 9))
+def test_linear_quotient_matches_full_ring(order):
+    # dropping kinematic degree >= 2 is a ring homomorphism, so the linear
+    # part of every coefficient must be the full ring's, Fraction for Fraction
+    full = eom_expansion(order, 0)
+    capped = _linear_eom_expansion(order)
+    assert capped.order == full.order
+    for k, (f, c) in enumerate(zip(full.coeffs, capped.coeffs)):
+        assert c.linear_kinematic_part() == f.linear_kinematic_part(), f"d^{k - 1}"
 
 
 def test_self_force_terms_frozen():
