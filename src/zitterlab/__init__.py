@@ -12,7 +12,8 @@ delay ~ 1):
 * roots      -- characteristic roots of the linearized delay equation,
                 argument-principle audits, domain-coloring renders
 * geometry   -- retarded-time solver and light-cone invariants
-* trajectory -- dense trajectories and seed histories
+* trajectory -- dense trajectories, seed histories and the numpy cubic
+                Hermite / PCHIP interpolant
 * dynamics   -- exact and band-limited delay marches, growth rates,
                 spectra, truncated low-order integrator
 * potential  -- self-potential decomposition U = gamma + Q and the

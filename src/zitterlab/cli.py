@@ -223,8 +223,7 @@ def cmd_simulate(args, _env) -> int:
     seed = _build_seed(args)
     drift = seed.drift
     if args.integrator == "exact":
-        traj = propagate_exact(seed, args.tend, args.dt,
-                               stencil=args.stencil, degree=args.degree)
+        traj = propagate_exact(seed, args.tend, args.dt)
     else:
         traj = propagate_filtered(seed, args.tend, args.dt,
                                   sigma=args.sigma,
@@ -340,10 +339,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=("filtered", "exact"),
                    help="filtered = band-limited long-horizon instrument; "
                         "exact = reference march (short horizons only)")
-    p.add_argument("--stencil", type=int, default=5,
-                   help="derivative-recovery stencil of the exact march")
-    p.add_argument("--degree", type=int, default=4,
-                   help="derivative-recovery degree of the exact march")
     p.add_argument("--sigma", type=_positive_arg, default=0.45,
                    help="filter width of the filtered march")
     p.add_argument("--kernel-span", type=_positive_arg, default=0.90,

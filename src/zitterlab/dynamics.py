@@ -30,20 +30,18 @@ Numerical notes on the exact integrator:
   lives in a 1e-6 neighborhood; the comoving frame keeps roundoff at
   the scale of the perturbation instead of the scale of x.
 * Arrival knots are non-uniform.  Velocity and acceleration at a knot
-  are recovered from a centered local polynomial fit of the positions:
-  stencil knots, fitting degree `degree` (both config knobs).  The
-  default (5, 4) is interpolatory and evaluates through the standard
-  divided-difference weights; any wider stencil is a least-squares
-  smoother.
+  are recovered from the quartic through the centered five-knot
+  stencil of positions, evaluated through the standard
+  divided-difference weights.
 * The exact march cannot run long.  The characteristic spectrum of the
   rest and drift states is unbounded above (Re z grows like twice the
   log of the mode frequency), so every delay crossing amplifies
   frequency-omega content by roughly omega^2 + 2: the equation itself
   is ill posed for rough data.  Any finite-precision history therefore
   seeds ultraviolet bands that overtake the signal after a few
-  crossings no matter how the derivatives are recovered; wide
-  least-squares stencils only slow the death.  propagate_exact is the
-  honest instrument for rate windows a couple of delays long.
+  crossings no matter how the derivatives are recovered; smoothing
+  the recovery only slows the death.  propagate_exact is the honest
+  instrument for rate windows a couple of delays long.
 * propagate_filtered is the long-horizon instrument.  Same emitter
   map, but each generation is resampled onto the uniform grid and
   convolved with a cosine-tapered Gaussian kernel before its states
@@ -62,8 +60,9 @@ Numerical notes on the exact integrator:
   factor per generation, so rate measurements belong on the exact
   path.  All choices land in the trajectory metadata.
 * The recovered stream is resampled onto a uniform grid with monotone
-  cubic (PCHIP) interpolation; the returned trajectory carries the
-  seed history so the delay audit has the past it needs.
+  cubic (PCHIP) interpolation, trajectory.pchip; the returned
+  trajectory carries the seed history so the delay audit has the past
+  it needs.
 * Arrival times must come out strictly increasing; if they do not, the
   run aborts with ArrivalOrderError rather than reordering anything.
   For a subluminal worldline the arrival map is provably monotone, so
@@ -76,11 +75,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
-from .geometry import solve_retarded_time, solve_retarded_time_many
+from .geometry import solve_retarded_time_many
 from .model import KinematicState
-from .trajectory import SeedHistory, SuperluminalError, Trajectory
+from .trajectory import SeedHistory, SuperluminalError, Trajectory, pchip
+
+# emitters re-emitted per pass of each marcher
+_EXACT_BLOCK = 2048
+_FILTERED_BLOCK = 8192
 
 
 class ArrivalOrderError(RuntimeError):
@@ -133,25 +135,6 @@ def _fd_weights_batch(ts: np.ndarray, t0: np.ndarray,
     return c
 
 
-def _poly_fit_batch(ts: np.ndarray, t0: np.ndarray, us: np.ndarray,
-                    degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """First and second derivatives at t0 from local least squares.
-
-    Fits a degree-`degree` polynomial to each row of (ts, us) and
-    differentiates it at t0.  Times are rescaled to [-1, 1] per row so
-    the Vandermonde basis stays conditioned; the solve runs through a
-    batched QR.  Zero data recovers exactly zero derivatives.
-    """
-    tau = ts - t0[:, None]
-    scale = np.max(np.abs(tau), axis=1)
-    w = tau / scale[:, None]
-    v = w[:, :, None] ** np.arange(degree + 1)
-    q, r = np.linalg.qr(v)
-    rhs = np.einsum("bkm,bk->bm", q, us)
-    c = np.linalg.solve(r, rhs[..., None])[..., 0]
-    return c[:, 1] / scale, 2.0 * c[:, 2] / (scale * scale)
-
-
 class _Stream:
     """Append-only growable arrays for the arrival stream."""
 
@@ -193,30 +176,20 @@ def _emit(t, u, b, a, drift):
     return t_a, u_a
 
 
-def propagate_exact(seed: SeedHistory, t_end: float, grid: float = 1e-3, *,
-                    stencil: int = 5, degree: int = 4,
-                    max_block: int = 2048) -> Trajectory:
+def propagate_exact(seed: SeedHistory, t_end: float,
+                    grid: float = 1e-3) -> Trajectory:
     """March the delay equation of motion forward to t_end.
 
     Returns a Trajectory on a uniform grid covering [-span, t_end]
     (seed history included, so residual audits can reach into the
     past).  grid is the output spacing and the seed sampling step; the
     interior arrival knots keep their own natural spacing.
-
-    stencil and degree set the derivative recovery: stencil == degree+1
-    is exact interpolation, stencil > degree+1 a least-squares smoother
-    (see the module notes on why long runs need one).
     """
     if not (t_end > 0 and math.isfinite(t_end)):
         raise ValueError(f"t_end must be positive and finite, got {t_end!r}")
     if not (grid > 0 and math.isfinite(grid)):
         raise ValueError(f"grid must be positive, got {grid!r}")
-    if stencil < 3 or stencil % 2 == 0:
-        raise ValueError(f"stencil must be an odd count >= 3, got {stencil}")
-    if not 2 <= degree < stencil:
-        raise ValueError(f"degree must satisfy 2 <= degree <= stencil - 1, "
-                         f"got degree={degree}, stencil={stencil}")
-    half = stencil // 2
+    half = 2                   # recovery on five-knot stencils
     drift = seed.drift
 
     # --- seed pass: emit from the prescribed history ------------------
@@ -233,12 +206,12 @@ def propagate_exact(seed: SeedHistory, t_end: float, grid: float = 1e-3, *,
     # pair would inflate the recovery weights across the history seam
     keep = t_a > 0.5 * grid
     t_a, u_a = t_a[keep], u_a[keep]
-    if t_a.size < stencil or np.any(np.diff(t_a) <= 0.0):
+    if t_a.size < 2 * half + 1 or np.any(np.diff(t_a) <= 0.0):
         raise ArrivalOrderError("seed emissions gave non-monotone arrivals")
 
     stream = _Stream(capacity=int((t_end + 2 * seed.span) / grid * 1.3) + 64)
     # ghost prefix: trailing seed knots give early stencils a past
-    n_ghost = stencil - 1
+    n_ghost = 2 * half
     g_times = s_times[-n_ghost:]
     stream.append_block(g_times, s_u[-n_ghost:])
     stream.b[:n_ghost] = s_b[-n_ghost:]
@@ -254,12 +227,9 @@ def propagate_exact(seed: SeedHistory, t_end: float, grid: float = 1e-3, *,
         stenc = idx[:, None] + offsets[None, :]
         ts = stream.t[stenc]
         us = stream.u[stenc]
-        if degree == stencil - 1:
-            w = _fd_weights_batch(ts, stream.t[idx], max_order=2)
-            du = np.einsum("bk,bk->b", w[:, 1, :], us)
-            d2u = np.einsum("bk,bk->b", w[:, 2, :], us)
-        else:
-            du, d2u = _poly_fit_batch(ts, stream.t[idx], us, degree)
+        w = _fd_weights_batch(ts, stream.t[idx], max_order=2)
+        du = np.einsum("bk,bk->b", w[:, 1, :], us)
+        d2u = np.einsum("bk,bk->b", w[:, 2, :], us)
         beta = drift + du
         if np.any(np.abs(beta) >= 1.0):
             raise SuperluminalError("recovered |beta| >= 1 during marching")
@@ -276,7 +246,7 @@ def propagate_exact(seed: SeedHistory, t_end: float, grid: float = 1e-3, *,
             n_ready = can_recover
         if n_ready > 0 and stream.t[n_ready - 1] >= t_end:
             break
-        block_end = min(n_ready, n_emit + max_block)
+        block_end = min(n_ready, n_emit + _EXACT_BLOCK)
         if block_end <= n_emit:
             raise RuntimeError("marching starved: no recovered emitters "
                                "ahead of the pointer")
@@ -312,16 +282,14 @@ def propagate_exact(seed: SeedHistory, t_end: float, grid: float = 1e-3, *,
     u_out[hist] = seed.offset_position(t_out[hist])
     b_out[hist] = seed.velocity(t_out[hist])
     a_out[hist] = seed.acceleration(t_out[hist])
-    u_out[fwd] = PchipInterpolator(kt, ku)(t_out[fwd])
-    b_out[fwd] = PchipInterpolator(kt, kb)(t_out[fwd])
-    a_out[fwd] = PchipInterpolator(kt, ka)(t_out[fwd])
+    u_out[fwd] = pchip(kt, ku)(t_out[fwd])
+    b_out[fwd] = pchip(kt, kb)(t_out[fwd])
+    a_out[fwd] = pchip(kt, ka)(t_out[fwd])
 
     x_out = u_out + drift * t_out
     return Trajectory(t_out, x_out, b_out, a_out, metadata={
         "integrator": "emitter-map",
         "grid": grid,
-        "stencil": stencil,
-        "degree": degree,
         "drift": drift,
         "seed": seed.describe(),
         "t_start": 0.0,
@@ -346,9 +314,18 @@ def _filter_kernel(grid: float, sigma: float,
     return w / w.sum(), k
 
 
+def _fd5(u: np.ndarray, i: np.ndarray,
+         grid: float) -> tuple[np.ndarray, np.ndarray]:
+    """Five-point centered first and second differences of u at i."""
+    du = (u[i - 2] - 8.0 * u[i - 1]
+          + 8.0 * u[i + 1] - u[i + 2]) / (12.0 * grid)
+    d2u = (-u[i - 2] + 16.0 * u[i - 1] - 30.0 * u[i]
+           + 16.0 * u[i + 1] - u[i + 2]) / (12.0 * grid * grid)
+    return du, d2u
+
+
 def propagate_filtered(seed: SeedHistory, t_end: float, grid: float = 1e-3, *,
                        sigma: float = 0.45, kernel_span: float = 0.90,
-                       max_block: int = 8192,
                        partial: bool = False) -> Trajectory:
     """March the delay equation with per-generation band limiting.
 
@@ -428,8 +405,7 @@ def propagate_filtered(seed: SeedHistory, t_end: float, grid: float = 1e-3, *,
                                       side="right")) - 1
         hi = min(hi, t_full.size - 1)
         if hi > cov:
-            u_raw[cov + 1:hi + 1] = PchipInterpolator(at, au)(
-                t_full[cov + 1:hi + 1])
+            u_raw[cov + 1:hi + 1] = pchip(at, au)(t_full[cov + 1:hi + 1])
             cov = hi
         return cov, at[-6:], au[-6:]
 
@@ -449,15 +425,12 @@ def propagate_filtered(seed: SeedHistory, t_end: float, grid: float = 1e-3, *,
                     u_raw[lo - half_k:new_smo + half_k + 1], w, mode="valid")
                 smo = new_smo
                 continue
-            block_end = min(smo - 1, e_ptr + max_block)
+            block_end = min(smo - 1, e_ptr + _FILTERED_BLOCK)
             if block_end <= e_ptr:
                 raise RuntimeError("filtered marching starved: smoothing lag "
                                    "caught up with the emit pointer")
             i = np.arange(e_ptr, block_end)
-            du = (u_s[i - 2] - 8.0 * u_s[i - 1]
-                  + 8.0 * u_s[i + 1] - u_s[i + 2]) / (12.0 * grid)
-            d2u = (-u_s[i - 2] + 16.0 * u_s[i - 1] - 30.0 * u_s[i]
-                   + 16.0 * u_s[i + 1] - u_s[i + 2]) / (12.0 * grid * grid)
+            du, d2u = _fd5(u_s, i, grid)
             beta = drift + du
             if np.any(np.abs(beta) >= 1.0):
                 raise SuperluminalError("recovered |beta| >= 1 during marching")
@@ -480,15 +453,9 @@ def propagate_filtered(seed: SeedHistory, t_end: float, grid: float = 1e-3, *,
     t_out = t_full[:last + 1]
     u_out = u_s[:last + 1].copy()
     u_out[:k0 + 1] = u_raw[:k0 + 1]  # history stays as prescribed
-    b_out = np.empty(last + 1)
-    a_out = np.empty(last + 1)
-    b_out[:k0 + 1] = s_b
-    a_out[:k0 + 1] = s_a
-    j = np.arange(k0 + 1, last + 1)
-    b_out[j] = drift + (u_s[j - 2] - 8.0 * u_s[j - 1]
-                        + 8.0 * u_s[j + 1] - u_s[j + 2]) / (12.0 * grid)
-    a_out[j] = (-u_s[j - 2] + 16.0 * u_s[j - 1] - 30.0 * u_s[j]
-                + 16.0 * u_s[j + 1] - u_s[j + 2]) / (12.0 * grid * grid)
+    du, d2u = _fd5(u_s, np.arange(k0 + 1, last + 1), grid)
+    b_out = np.concatenate([s_b, drift + du])
+    a_out = np.concatenate([s_a, d2u])
     # The marching check sees beta at emission times only; a run whose
     # coverage outpaces its emissions can finish with a superluminal
     # tail it never emitted from.  Trim on the assembled output, nan
@@ -525,22 +492,17 @@ def propagate_filtered(seed: SeedHistory, t_end: float, grid: float = 1e-3, *,
 
 
 def residual_eom(traj: Trajectory, t: float) -> float:
-    """Defect of the delay equation of motion at time t.
+    """residual_eom_many at the one time t."""
+    return float(residual_eom_many(traj, np.array([float(t)]))[0])
+
+
+def residual_eom_many(traj: Trajectory, ts: np.ndarray) -> np.ndarray:
+    """Defect of the delay equation of motion at each time in ts.
 
     (1 - beta^2(t_r)) (x(t) - x(t_r) - r beta(t_r)) - beta_dot(t_r),
     with t_r from the implicit light-cone solve: an audit route fully
     independent of the closed forms the integrator used.
     """
-    geo = solve_retarded_time(traj, t)
-    b = float(traj.velocity(geo.t_r))
-    a = float(traj.acceleration(geo.t_r))
-    x_t = float(traj.position(t))
-    x_r = float(traj.position(geo.t_r))
-    return (1.0 - b * b) * (x_t - x_r - geo.r * b) - a
-
-
-def residual_eom_many(traj: Trajectory, ts: np.ndarray) -> np.ndarray:
-    """Vectorized residual_eom over an array of times."""
     ts = np.asarray(ts, dtype=float)
     t_r = solve_retarded_time_many(traj, ts)
     b = traj.velocity(t_r)

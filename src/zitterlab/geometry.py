@@ -14,8 +14,9 @@ closes in the emitter's instantaneous state:
 These satisfy r^2 = l^2 + 1 identically and reduce to r = gamma at
 beta_dot = 0.  They hold on-shell only, so both carry an explicit
 on_shell flag; off-shell callers must solve the light-cone condition
-implicitly (solve_retarded_time), which is also the audit oracle for
-the closed forms.
+implicitly (solve_retarded_time_many, a bracketed fixed-count
+bisection, or its single-time form solve_retarded_time), which is also
+the audit oracle for the closed forms.
 
 Sign convention: the radical in the l closed form is unsigned; the
 signed version used here carries the sign of the longitudinal advance
@@ -29,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .model import KinematicState, lorentz_gamma
 from .trajectory import Trajectory
@@ -120,56 +120,24 @@ class RetardedGeometry:
 def solve_retarded_time(traj: Trajectory, t: float) -> RetardedGeometry:
     """The unique retarded time t_r with t - t_r = sqrt(dx^2 + 1).
 
-    g(s) = (t - s) - sqrt((x(t) - x(s))^2 + 1) is strictly decreasing in
-    s for subluminal histories, so the root is unique.  Bracketing
-    starts one light-crossing back and doubles until the sign flips;
-    Brent's method then polishes to |g| < 1e-12.
+    A one-element call into solve_retarded_time_many, with the delay r
+    and the longitudinal advance l read off the solved t_r.
     """
-    x_t = float(traj.position(t))
-
-    def g(s: float) -> float:
-        dx = x_t - float(traj.position(s))
-        return (t - s) - math.sqrt(dx * dx + 1.0)
-
-    hi = t - 1.0          # g(hi) <= 0 always: sqrt(dx^2+1) >= 1
-    if hi < traj.t0 - 1e-12:
-        raise HistoryTooShortError(
-            f"history starts at {traj.t0}, need at least one unit before {t}")
-    step = 1.0
-    lo = hi
-    for _ in range(60):
-        lo = t - 1.0 - step
-        if lo < traj.t0:
-            lo = traj.t0
-        if g(lo) > 0.0:
-            break
-        if lo <= traj.t0:
-            if abs(g(lo)) <= LIGHTCONE_TOL:
-                break
-            raise HistoryTooShortError(
-                f"no retarded bracket inside history for t = {t}")
-        step *= 2.0
-    g_lo = g(lo)
-    if g_lo <= 0.0:
-        s_star = lo if abs(g_lo) <= LIGHTCONE_TOL else None
-        if s_star is None:
-            raise HistoryTooShortError(
-                f"no retarded bracket inside history for t = {t}")
-    else:
-        s_star = brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
-    if abs(g(s_star)) > 1e-10:
-        raise RuntimeError(f"light-cone residual {g(s_star)!r} too large")
-    return RetardedGeometry(r=t - s_star, l=x_t - float(traj.position(s_star)),
-                            t_r=s_star)
+    (t_r,) = solve_retarded_time_many(traj, np.array([float(t)]))
+    return RetardedGeometry(r=float(t - t_r),
+                            l=float(traj.position(t) - traj.position(t_r)),
+                            t_r=float(t_r))
 
 
 def solve_retarded_time_many(traj: Trajectory, ts: np.ndarray,
                              iters: int = 90) -> np.ndarray:
-    """Vectorized retarded times for an array of observation times.
+    """Retarded times t_r for an array of observation times.
 
-    Same contract as solve_retarded_time; fixed-count bisection (the
-    iteration count, not the data, decides the work, keeping runs
-    deterministic).  Returns the t_r array.
+    g(s) = (t - s) - sqrt((x(t) - x(s))^2 + 1) is strictly decreasing in
+    s for subluminal histories, so each root is unique.  The bracket
+    reaches back from one light crossing, doubling until g > 0; a fixed
+    count of bisections follows, so the iteration count, not the data,
+    decides the work and runs stay deterministic.
     """
     ts = np.asarray(ts, dtype=float)
     x_t = np.asarray(traj.position(ts), dtype=float)
@@ -199,5 +167,5 @@ def solve_retarded_time_many(traj: Trajectory, ts: np.ndarray,
         hi = np.where(pos, hi, mid)
     s = 0.5 * (lo + hi)
     if np.max(np.abs(g(s))) > 1e-10:
-        raise RuntimeError("vectorized light-cone solve did not converge")
+        raise RuntimeError("light-cone solve did not converge")
     return s

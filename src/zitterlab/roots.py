@@ -96,10 +96,6 @@ class CharEq:
         return np.abs(self.scaled_value(z))
 
 
-def chareq_eval(z, beta: float = 0.0):
-    return CharEq(beta).value(z)
-
-
 def chareq_uniform_eval(lam, beta: float = 0.0):
     """Characteristic function in the lab-frame rate variable lambda.
 
@@ -292,11 +288,6 @@ def dominant_real_root(beta: float = 0.0) -> float:
         else:
             lo = mid
     return 0.5 * (lo + hi)
-
-
-def rest_instability_rate() -> float:
-    """The positive real root at rest (near 9/5)."""
-    return dominant_real_root(0.0)
 
 
 # ---------------------------------------------------------------------

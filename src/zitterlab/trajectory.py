@@ -1,10 +1,14 @@
-"""Trajectory containers and seed histories for the delay dynamics.
+"""Trajectory containers, seed histories and the cubic interpolant.
 
 A Trajectory is an immutable record of time-ordered knots (t, x, beta,
 beta_dot) plus dense evaluators.  Position uses cubic Hermite data
 (x, beta) so the interpolant's derivative at every knot equals the
 stored velocity by construction; velocity uses (beta, beta_dot) the
 same way, and acceleration is the derivative of the velocity channel.
+
+HermiteSpline is the package's one piecewise cubic; pchip builds it as
+the monotone PCHIP of Fritsch & Carlson (1980, SIAM J. Numer. Anal.
+17:238) that the marchers resample with.
 
 A SeedHistory prescribes the past of the particle on [-span, 0], which
 the delay equation needs before it can march forward.  Histories are
@@ -21,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 
 class TrajectoryDomainError(ValueError):
@@ -30,6 +33,71 @@ class TrajectoryDomainError(ValueError):
 
 class SuperluminalError(ValueError):
     """|beta| reached 1 where the model requires subluminal motion."""
+
+
+class HermiteSpline:
+    """Piecewise cubic through values y with slopes dydx at knots x.
+
+    Interval [x_i, x_i+1) holds the rows (c0, c1, c2, c3) of
+    c0 s^3 + c1 s^2 + c2 s + c3, s = t - x_i; the last interval is
+    closed and the end cubics extrapolate.  Values are power sums with
+    s^k built by repeated multiplication, not Horner: the reference
+    order, which the tests hold bit for bit.  x must increase strictly.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray, dydx: np.ndarray):
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
+        self.x = x
+        self.c = np.stack((t / dx, (slope - dydx[:-1]) / dx - t,
+                           dydx[:-1], y[:-1]))
+
+    def _locate(self, t):
+        t = np.asarray(t, dtype=float)
+        i = np.clip(np.searchsorted(self.x, t, side="right") - 1,
+                    0, self.x.size - 2)
+        return np.take(self.c, i, axis=1), t - self.x[i]
+
+    def __call__(self, t):
+        (c0, c1, c2, c3), s = self._locate(t)
+        s2 = s * s
+        # the sums start from +0.0, as the reference's do, so that a sum
+        # of -0.0 terms comes out +0.0 there too
+        return 0.0 + c3 + c2 * s + c1 * s2 + c0 * (s2 * s)
+
+    def derivative(self, t):
+        """First derivative: the rows (3 c0, 2 c1, c2), same power sum."""
+        (c0, c1, c2, _), s = self._locate(t)
+        return 0.0 + c2 + 2.0 * c1 * s + 3.0 * c0 * (s * s)
+
+
+def _pchip_end(h0, h1, m0, m1):
+    """Three-point end slope, clipped to keep the end segment's shape."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def pchip(x: np.ndarray, y: np.ndarray) -> HermiteSpline:
+    """Monotone cubic through (x, y), at least three knots.  Its knot
+    slopes are the weighted harmonic mean of the neighbouring secants,
+    or zero where they differ in sign or either is flat."""
+    h = np.diff(x)
+    m = np.diff(y) / h
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+    d = np.empty_like(y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+        d[1:-1] = np.where(flat, 0.0, 1.0 / whmean)
+    d[0] = _pchip_end(h[0], h[1], m[0], m[1])
+    d[-1] = _pchip_end(h[-1], h[-2], m[-1], m[-2])
+    return HermiteSpline(x, y, d)
 
 
 @dataclass(frozen=True)
@@ -59,10 +127,9 @@ class Trajectory:
         for arr in (self.t, self.x, self.beta, self.beta_dot):
             arr.setflags(write=False)
         object.__setattr__(self, "_x_spline",
-                           CubicHermiteSpline(self.t, self.x, self.beta))
+                           HermiteSpline(self.t, self.x, self.beta))
         object.__setattr__(self, "_b_spline",
-                           CubicHermiteSpline(self.t, self.beta, self.beta_dot))
-        object.__setattr__(self, "_a_spline", self._b_spline.derivative())
+                           HermiteSpline(self.t, self.beta, self.beta_dot))
 
     @property
     def t0(self) -> float:
@@ -86,7 +153,7 @@ class Trajectory:
         return self._b_spline(self._check_domain(t))
 
     def acceleration(self, t):
-        return self._a_spline(self._check_domain(t))
+        return self._b_spline.derivative(self._check_domain(t))
 
     def window(self, t_lo: float, t_hi: float) -> "Trajectory":
         """Knot subrange with t_lo <= t <= t_hi (metadata shared)."""

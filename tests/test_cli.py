@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import zitterlab
 from zitterlab.cli import main
 
 
@@ -194,3 +198,18 @@ def test_constants_env_var(tmp_path, capsys, monkeypatch):
     code, _, err = _run(capsys, "series-verify")
     assert code == 1
     assert "unknown key" in err
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the one runtime dependency; a fresh interpreter imports
+    # this checkout's package through an absolute source path
+    src = os.path.dirname(os.path.dirname(os.path.abspath(zitterlab.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    code = ("import sys, zitterlab.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]", proc.stdout[:300]

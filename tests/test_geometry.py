@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from zitterlab.geometry import (
     HistoryTooShortError,
@@ -88,12 +89,24 @@ def test_retarded_time_needs_history():
         solve_retarded_time(traj, 0.2)
 
 
+def _brent_retarded_time(traj, t):
+    # independent route: Brent's method on the light-cone condition,
+    # bracketed by the start of the history and one crossing back
+    x_t = float(traj.position(t))
+
+    def g(s):
+        return (t - s) - math.sqrt((x_t - float(traj.position(s))) ** 2 + 1.0)
+
+    return brentq(g, traj.t0, t - 1.0, xtol=1e-15, rtol=8.9e-16, maxiter=200)
+
+
 def test_vectorized_solver_matches_scalar(exact_run):
     ts = np.linspace(0.2, 1.2, 17)
     many = solve_retarded_time_many(exact_run, ts)
     for t, t_r in zip(ts, many):
-        assert t_r == pytest.approx(solve_retarded_time(exact_run, t).t_r,
+        assert t_r == pytest.approx(_brent_retarded_time(exact_run, t),
                                     abs=1e-9)
+        assert solve_retarded_time(exact_run, t).t_r == t_r
 
 
 def test_geometry_validation():

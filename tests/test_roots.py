@@ -11,7 +11,6 @@ from zitterlab.roots import (
     dominant_real_root,
     find_roots,
     render_domain_coloring,
-    rest_instability_rate,
     spectrum,
     write_ppm,
 )
@@ -40,7 +39,6 @@ def test_dominant_real_root_against_bisection():
     assert dominant_real_root() == pytest.approx(_bisect_oracle(),
                                                  abs=1e-12)
     assert dominant_real_root() == pytest.approx(LAMBDA_STAR, abs=1e-12)
-    assert rest_instability_rate() == dominant_real_root()
 
 
 def test_dominant_real_root_is_drift_free():

@@ -1,0 +1,78 @@
+"""The numpy cubic interpolant against scipy's, bit for bit.
+
+HermiteSpline replaces scipy's CubicHermiteSpline in Trajectory, and
+pchip its PchipInterpolator in the marchers.  Every march output
+depends on those values to the last bit, so the oracle is exact
+equality, signed zeros included.
+"""
+
+import numpy as np
+import pytest
+from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
+
+from zitterlab.trajectory import HermiteSpline, pchip
+
+
+def _knots():
+    rng = np.random.default_rng(11)
+    x = np.cumsum(rng.uniform(0.05, 1.5, 40)) - 10.0   # non-uniform
+    y = np.sin(1.3 * x) + 0.2 * rng.normal(size=x.size)  # sign changes
+    y[5:9] = 0.7                                         # flat run
+    y[20:23] = -0.0                                      # flat at zero
+    return x, y, rng.normal(size=x.size)
+
+
+# Small cases that reach each branch of the three-point end formula:
+# kept, clipped to zero (sign flip), and clipped to 3 m0 (steep turn).
+END_CASES = [
+    (np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 3.0])),
+    (np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 6.0])),
+    (np.array([0.0, 1.0, 2.0, 2.5]), np.array([0.0, 1.0, -9.0, -9.5])),
+    (np.array([0.0, 0.3, 2.0, 2.1]), np.array([2.0, -1.0, -1.0, 4.0])),
+]
+
+
+def _queries(x):
+    rng = np.random.default_rng(5)
+    span = x[-1] - x[0]
+    return np.concatenate([
+        x,                                         # at the knots
+        0.5 * (x[1:] + x[:-1]),                    # between knots
+        rng.uniform(x[0], x[-1], 300),
+        [x[0] - 0.5 * span, x[0] - 1e-9,           # beyond both ends
+         x[-1] + 1e-9, x[-1] + 0.5 * span],
+    ])
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a),
+                                                   np.signbit(b))
+
+
+# Every power-sum term is -0.0 at the first knot, where the reference
+# sum, started from +0.0, gives +0.0.
+SIGNED_ZERO_CASE = (np.array([0.0, 1.0, 2.0]), np.array([-0.0, -1.0, -1.5]),
+                    np.array([-0.0, -2.5, -0.5]))
+
+
+@pytest.mark.parametrize("case", range(2))
+def test_hermite_matches_scipy_bitwise(case):
+    x, y, dydx = _knots() if case == 0 else SIGNED_ZERO_CASE
+    q = _queries(x)
+    ours = HermiteSpline(x, y, dydx)
+    ref = CubicHermiteSpline(x, y, dydx)
+    assert _same_bits(ours.c, ref.c)
+    assert _same_bits(ours(q), ref(q))
+    assert _same_bits(ours.derivative(q), ref.derivative()(q))
+
+
+@pytest.mark.parametrize("case", range(1 + len(END_CASES)))
+def test_pchip_matches_scipy_bitwise(case):
+    x, y = _knots()[:2] if case == 0 else END_CASES[case - 1]
+    q = _queries(x)
+    ours = pchip(x, y)
+    ref = PchipInterpolator(x, y)
+    assert _same_bits(ours.c, ref.c)
+    assert _same_bits(ours(q), ref(q))
+    assert _same_bits(ours.derivative(q), ref.derivative()(q))
+
