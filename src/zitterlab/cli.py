@@ -105,6 +105,28 @@ def _write_text(path: str, text: str) -> None:
             fh.write(text)
 
 
+# Rows per % application in _csv: one application over a whole 100k-row
+# table costs more peak memory than the text it builds.
+_CSV_BLOCK = 4096
+
+
+def _csv(header: str, columns, non_finite: str) -> str:
+    """CSV text: the header row, then one row per index of the equal-
+    length float columns.  Every value prints as _fmt's
+    format(v, ".17g") would, and non-finite ones as non_finite."""
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    parts = [header + "\n"]
+    for a in range(0, columns[0].size, _CSV_BLOCK):
+        block = np.column_stack([c[a:a + _CSV_BLOCK] for c in columns])
+        block[~np.isfinite(block)] = np.nan
+        # "%.17g" spells a finite value without letters, so every "nan"
+        # in the text is a non-finite value
+        text = (row * len(block)) % tuple(block.ravel().tolist())
+        parts.append(text.replace("nan", non_finite))
+    return "".join(parts)
+
+
 def _load_constants(path: str | None) -> tuple[PhysicalConstants, float | None]:
     if path is None:
         path = os.environ.get("ZITTERLAB_CONSTANTS")
@@ -118,11 +140,10 @@ def _load_constants(path: str | None) -> tuple[PhysicalConstants, float | None]:
 def cmd_roots(args, _env) -> int:
     rs = find_roots(CharEq(args.beta), args.region, grid_density=args.grid)
     rows = sorted(rs.roots, key=lambda r: (r.value.real, r.value.imag))
-    lines = ["re,im,residual"]
-    for r in rows:
-        lines.append(f"{_fmt(r.value.real)},{_fmt(r.value.imag)},"
-                     f"{_fmt(r.residual)}")
-    _write_text(args.out, "\n".join(lines) + "\n")
+    _write_text(args.out, _csv("re,im,residual",
+                               [[r.value.real for r in rows],
+                                [r.value.imag for r in rows],
+                                [r.residual for r in rows]], "null"))
     return 0
 
 
@@ -167,13 +188,9 @@ def _residual_column(traj) -> np.ndarray:
 
 
 def _trajectory_csv(traj) -> str:
-    res = _residual_column(traj)
-    lines = ["t,x,beta,beta_dot,residual"]
-    for i in range(traj.t.size):
-        lines.append(f"{_fmt(traj.t[i])},{_fmt(traj.x[i])},"
-                     f"{_fmt(traj.beta[i])},{_fmt(traj.beta_dot[i])},"
-                     f"{_fmt(float(res[i])) if math.isfinite(res[i]) else 'nan'}")
-    return "\n".join(lines) + "\n"
+    return _csv("t,x,beta,beta_dot,residual",
+                [traj.t, traj.x, traj.beta, traj.beta_dot,
+                 _residual_column(traj)], "nan")
 
 
 def _simulate_report(args, traj, drift: float) -> str:
@@ -248,12 +265,9 @@ def cmd_potential(args, env) -> int:
     if args.duffing:
         a, b = args.range
         xs = np.linspace(a, b, args.samples)
-        lines = ["x,Qc,force"]
-        for x in xs:
-            lines.append(f"{_fmt(float(x))},"
-                         f"{_fmt(potmod.duffing_potential(float(x)))},"
-                         f"{_fmt(potmod.duffing_force(float(x)))}")
-        _write_text(args.out, "\n".join(lines) + "\n")
+        _write_text(args.out, _csv("x,Qc,force",
+                                   [xs, potmod.duffing_potential(xs),
+                                    potmod.duffing_force(xs)], "null"))
         return 0
 
     state = KinematicState(beta=args.beta, beta_dot=args.betadot)

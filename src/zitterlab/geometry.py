@@ -14,9 +14,10 @@ closes in the emitter's instantaneous state:
 These satisfy r^2 = l^2 + 1 identically and reduce to r = gamma at
 beta_dot = 0.  They hold on-shell only, so both carry an explicit
 on_shell flag; off-shell callers must solve the light-cone condition
-implicitly (solve_retarded_time_many, a bracketed fixed-count
-bisection, or its single-time form solve_retarded_time), which is also
-the audit oracle for the closed forms.
+implicitly (solve_retarded_time_many, a bracketed bisection whose
+result is bit for bit that of 90 halvings while each element stops at
+its own fixed point, or its single-time form solve_retarded_time),
+which is also the audit oracle for the closed forms.
 
 Sign convention: the radical in the l closed form is unsigned; the
 signed version used here carries the sign of the longitudinal advance
@@ -135,37 +136,66 @@ def solve_retarded_time_many(traj: Trajectory, ts: np.ndarray,
 
     g(s) = (t - s) - sqrt((x(t) - x(s))^2 + 1) is strictly decreasing in
     s for subluminal histories, so each root is unique.  The bracket
-    reaches back from one light crossing, doubling until g > 0; a fixed
-    count of bisections follows, so the iteration count, not the data,
-    decides the work and runs stay deterministic.
+    reaches back from one light crossing, doubling until g > 0; then
+    each element halves its bracket up to iters times.  A step moves an
+    element's bracket by that element's own state alone, so one that a
+    step leaves unchanged sits at a fixed point of every later step and
+    stops there: the result is bit for bit that of iters bisections, and
+    the work follows the brackets still moving.  Once both ends of a
+    bracket lie in one knot interval, every later midpoint does too, so
+    its interval lookup is skipped.
     """
     ts = np.asarray(ts, dtype=float)
+    shape = ts.shape
+    ts = ts.ravel()
+    if ts.size == 0:
+        return np.empty(shape)
     x_t = np.asarray(traj.position(ts), dtype=float)
 
-    def g(s):
-        dx = x_t - traj.position(s)
-        return (ts - s) - np.sqrt(dx * dx + 1.0)
+    def g(s, t=ts, x=x_t, i=None):
+        x_s = traj.position(s) if i is None else traj.position_in(s, i)
+        dx = x - x_s
+        return (t - s) - np.sqrt(dx * dx + 1.0)
 
     hi = ts - 1.0
     if np.any(hi < traj.t0 - 1e-12):
         raise HistoryTooShortError("history too short for some times")
     lo = np.maximum(ts - 2.0, traj.t0)
+    g_lo = g(lo)
     for _ in range(60):
-        need = g(lo) <= 0.0
-        at_edge = lo <= traj.t0
-        if not np.any(need & ~at_edge):
+        need = (g_lo <= 0.0) & (lo > traj.t0)
+        if not np.any(need):
             break
-        lo = np.where(need & ~at_edge,
-                      np.maximum(ts - 2.0 * (ts - lo), traj.t0), lo)
-    bad = (g(lo) <= 0.0) & (np.abs(g(lo)) > LIGHTCONE_TOL)
-    if np.any(bad):
+        lo = np.where(need, np.maximum(ts - 2.0 * (ts - lo), traj.t0), lo)
+        g_lo = g(lo)
+    if np.any((g_lo <= 0.0) & (np.abs(g_lo) > LIGHTCONE_TOL)):
         raise HistoryTooShortError("no retarded bracket for some times")
+
+    out_lo, out_hi = lo, hi
+    act = np.arange(ts.size)
+    t_a, x_a = ts, x_t
+    i_lo, i_hi = traj.interval(lo), traj.interval(hi)
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        pos = g(mid) > 0.0
+        i_mid = i_lo.copy()
+        split = i_lo != i_hi
+        if split.any():
+            i_mid[split] = traj.interval(mid[split])
+        pos = g(mid, t_a, x_a, i_mid) > 0.0
+        moved = np.where(pos, mid != lo, mid != hi)
         lo = np.where(pos, mid, lo)
         hi = np.where(pos, hi, mid)
-    s = 0.5 * (lo + hi)
+        i_lo = np.where(pos, i_mid, i_lo)
+        i_hi = np.where(pos, i_hi, i_mid)
+        if not moved.all():
+            still = ~moved
+            out_lo[act[still]], out_hi[act[still]] = lo[still], hi[still]
+            act, lo, hi, i_lo, i_hi, t_a, x_a = (
+                a[moved] for a in (act, lo, hi, i_lo, i_hi, t_a, x_a))
+            if act.size == 0:
+                break
+    out_lo[act], out_hi[act] = lo, hi
+    s = 0.5 * (out_lo + out_hi)
     if np.max(np.abs(g(s))) > 1e-10:
         raise RuntimeError("light-cone solve did not converge")
-    return s
+    return s.reshape(shape)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -53,22 +54,31 @@ class HermiteSpline:
         self.c = np.stack((t / dx, (slope - dydx[:-1]) / dx - t,
                            dydx[:-1], y[:-1]))
 
-    def _locate(self, t):
-        t = np.asarray(t, dtype=float)
-        i = np.clip(np.searchsorted(self.x, t, side="right") - 1,
-                    0, self.x.size - 2)
+    def interval(self, t):
+        """Index i of the interval [x_i, x_i+1) that holds each t, the end
+        intervals taking everything beyond them."""
+        return np.clip(np.searchsorted(self.x, t, side="right") - 1,
+                       0, self.x.size - 2)
+
+    def _local(self, t, i):
         return np.take(self.c, i, axis=1), t - self.x[i]
 
-    def __call__(self, t):
-        (c0, c1, c2, c3), s = self._locate(t)
+    def at(self, t, i):
+        """Values at times t already known to lie in intervals i."""
+        (c0, c1, c2, c3), s = self._local(t, i)
         s2 = s * s
         # the sums start from +0.0, as the reference's do, so that a sum
         # of -0.0 terms comes out +0.0 there too
         return 0.0 + c3 + c2 * s + c1 * s2 + c0 * (s2 * s)
 
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        return self.at(t, self.interval(t))
+
     def derivative(self, t):
         """First derivative: the rows (3 c0, 2 c1, c2), same power sum."""
-        (c0, c1, c2, _), s = self._locate(t)
+        t = np.asarray(t, dtype=float)
+        (c0, c1, c2, _), s = self._local(t, self.interval(t))
         return 0.0 + c2 + 2.0 * c1 * s + 3.0 * c0 * (s * s)
 
 
@@ -141,13 +151,22 @@ class Trajectory:
 
     def _check_domain(self, t):
         t = np.asarray(t, dtype=float)
-        if np.any(t < self.t0 - 1e-12) or np.any(t > self.t1 + 1e-12):
+        t0, t1 = self.t0, self.t1
+        if (t < t0 - 1e-12).any() or (t > t1 + 1e-12).any():
             raise TrajectoryDomainError(
-                f"time outside covered span [{self.t0}, {self.t1}]")
-        return np.clip(t, self.t0, self.t1)
+                f"time outside covered span [{t0}, {t1}]")
+        return t.clip(t0, t1)
 
     def position(self, t):
         return self._x_spline(self._check_domain(t))
+
+    def interval(self, t):
+        """Knot interval index of each t; every channel shares the knots."""
+        return self._x_spline.interval(self._check_domain(t))
+
+    def position_in(self, t, i):
+        """position(t) for times t already known to lie in intervals i."""
+        return self._x_spline.at(self._check_domain(t), i)
 
     def velocity(self, t):
         return self._b_spline(self._check_domain(t))
@@ -206,14 +225,13 @@ def _bump_d2(u: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=1)
 def _bump_accel_peak() -> float:
     """max |bump''| over the support, on a fixed fine grid (the
-    normalization convention for kick amplitudes; deterministic)."""
+    normalization convention for kick amplitudes; deterministic).
+    Computed on the first kick that needs it, not at import."""
     u = np.linspace(-1.0, 1.0, 8193)
     return float(np.max(np.abs(_bump_d2(u))))
-
-
-_BUMP_D2_PEAK = _bump_accel_peak()
 
 
 @dataclass(frozen=True)
@@ -296,7 +314,7 @@ class SeedHistory:
                    span=table.t1 - table.t0, beta=0.0, table=table)
 
     def _scale(self) -> float:
-        return self.amplitude * _BUMP_HALFWIDTH ** 2 / _BUMP_D2_PEAK
+        return self.amplitude * _BUMP_HALFWIDTH ** 2 / _bump_accel_peak()
 
     def _mode_amp(self) -> float:
         return self.amplitude / self.rate ** 2

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,7 +8,13 @@ import numpy as np
 import pytest
 
 import zitterlab
+from zitterlab import cli
+from zitterlab import potential as potmod
 from zitterlab.cli import main
+from zitterlab.dynamics import propagate_filtered
+from zitterlab.report import _fmt
+from zitterlab.roots import CharEq, Region, find_roots
+from zitterlab.trajectory import SeedHistory
 
 
 def _run(capsys, *argv):
@@ -111,6 +118,96 @@ def test_potential_duffing_csv(capsys):
     assert row["x"] == -1.0
     assert row["Qc"] == pytest.approx(-0.125)
     assert row["force"] == pytest.approx(0.5)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_potential_duffing_overflow_prints_null(capsys):
+    code, out, _ = _run(capsys, "potential", "--duffing",
+                        "--range", "-1e100,1e100", "--samples", "3")
+    assert code == 0
+    assert out == ("x,Qc,force\n"
+                   "-1e+100,null,1.5000000000000001e+300\n"
+                   "0,0,0\n"
+                   "1e+100,null,-1.5000000000000001e+300\n")
+
+
+def _assert_same_text(got, want):
+    # reports the first differing line: pytest's own diff of two texts
+    # this long takes minutes
+    if got != want:
+        a, b = got.splitlines(True), want.splitlines(True)
+        i = next((k for k, (u, v) in enumerate(zip(a, b)) if u != v),
+                 min(len(a), len(b)))
+        pytest.fail(f"line {i}: {a[i:i + 1]!r} != {b[i:i + 1]!r} "
+                    f"({len(a)} vs {len(b)} lines)")
+
+
+def _rowwise_csv(header, rows):
+    # the reference: one _fmt per value, one line per row
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(_fmt(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def test_duffing_csv_matches_rowwise_fmt(capsys):
+    code, out, _ = _run(capsys, "potential", "--duffing",
+                        "--range", "-3,2", "--samples", "9001")
+    assert code == 0
+    _assert_same_text(out, _rowwise_csv("x,Qc,force", (
+        (float(x), potmod.duffing_potential(float(x)),
+         potmod.duffing_force(float(x)))
+        for x in np.linspace(-3.0, 2.0, 9001))))
+
+
+def test_roots_csv_matches_rowwise_fmt(capsys):
+    code, out, _ = _run(capsys, "roots", "--region", "-10,10,-30,30",
+                        "--grid", "4")
+    assert code == 0
+    rs = find_roots(CharEq(0.0), Region(-10.0, 10.0, -30.0, 30.0),
+                    grid_density=4.0)
+    rows = sorted(rs.roots, key=lambda r: (r.value.real, r.value.imag))
+    assert len(rows) > 2
+    _assert_same_text(out, _rowwise_csv("re,im,residual", (
+        (r.value.real, r.value.imag, r.residual) for r in rows)))
+
+
+def _rowwise_trajectory_csv(traj, res):
+    # the reference: one f-string of five _fmt calls per row
+    lines = ["t,x,beta,beta_dot,residual"]
+    for i in range(traj.t.size):
+        lines.append(f"{_fmt(traj.t[i])},{_fmt(traj.x[i])},"
+                     f"{_fmt(traj.beta[i])},{_fmt(traj.beta_dot[i])},"
+                     f"{_fmt(float(res[i])) if math.isfinite(res[i]) else 'nan'}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def uniform_run():
+    traj = propagate_filtered(SeedHistory.uniform_motion(0.4), 10.0,
+                              partial=True)
+    assert traj.t.size > 2 * cli._CSV_BLOCK
+    return traj
+
+
+def test_trajectory_csv_matches_rowwise_fmt(uniform_run):
+    res = cli._residual_column(uniform_run)
+    assert np.isnan(res[0]) and np.isfinite(res[-1])
+    _assert_same_text(cli._trajectory_csv(uniform_run),
+                      _rowwise_trajectory_csv(uniform_run, res))
+
+
+def test_trajectory_csv_special_residuals(uniform_run, monkeypatch):
+    special = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308,
+               -1e308, 0.1, -2.5e-300]
+    res = np.resize(np.array(special), uniform_run.t.size)
+    monkeypatch.setattr(cli, "_residual_column", lambda traj: res)
+    text = cli._trajectory_csv(uniform_run)
+    _assert_same_text(text, _rowwise_trajectory_csv(uniform_run, res))
+    cells = [line.rsplit(",", 1)[1] for line in text.splitlines()[1:10]]
+    assert cells == ["nan", "nan", "nan", "-0", "4.9406564584124654e-324",
+                     "1e+308", "-1e+308", "0.10000000000000001",
+                     "-2.5e-300"]
 
 
 def test_simulate_exact_csv(tmp_path, capsys):

@@ -122,6 +122,10 @@ def test_residual_many_matches_scalar(exact_run):
     assert np.allclose(many, each, atol=1e-12)
 
 
+def test_residual_many_empty_input(exact_run):
+    assert residual_eom_many(exact_run, np.array([])).shape == (0,)
+
+
 def test_residual_audit_tightens_with_grid():
     # truncation-dominated regime: halving the grid must collapse the
     # residual (the march itself is exact; recovery error is high order)

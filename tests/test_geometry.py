@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from zitterlab.dynamics import propagate_filtered
 from zitterlab.geometry import (
     HistoryTooShortError,
     RetardedGeometry,
@@ -16,7 +17,7 @@ from zitterlab.geometry import (
     y_parameter,
 )
 from zitterlab.model import KinematicState, lorentz_gamma
-from zitterlab.trajectory import Trajectory
+from zitterlab.trajectory import SeedHistory, Trajectory
 
 
 def _hand_geometry(beta, beta_dot):
@@ -107,6 +108,72 @@ def test_vectorized_solver_matches_scalar(exact_run):
         assert t_r == pytest.approx(_brent_retarded_time(exact_run, t),
                                     abs=1e-9)
         assert solve_retarded_time(exact_run, t).t_r == t_r
+
+
+@pytest.mark.parametrize("beta, t, why", [(0.0, 0.2, "too short"),
+                                          (0.5, 0.6, "no retarded bracket")])
+def test_vector_solver_needs_history(beta, t, why):
+    traj = _uniform_traj(beta, t0=-0.5)
+    with pytest.raises(HistoryTooShortError, match=why):
+        solve_retarded_time_many(traj, np.array([4.0, t]))
+
+
+def test_vector_solver_empty_input():
+    out = solve_retarded_time_many(_uniform_traj(0.3), np.array([]))
+    assert out.shape == (0,)
+
+
+def _fixed_bisection(traj, ts, iters=90):
+    # the reference: every element takes all iters halvings, and every
+    # evaluation looks its knot interval up afresh
+    x_t = np.asarray(traj.position(ts), dtype=float)
+
+    def g(s):
+        dx = x_t - traj.position(s)
+        return (ts - s) - np.sqrt(dx * dx + 1.0)
+
+    hi = ts - 1.0
+    lo = np.maximum(ts - 2.0, traj.t0)
+    for _ in range(60):
+        need = g(lo) <= 0.0
+        at_edge = lo <= traj.t0
+        if not np.any(need & ~at_edge):
+            break
+        lo = np.where(need & ~at_edge,
+                      np.maximum(ts - 2.0 * (ts - lo), traj.t0), lo)
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        pos = g(mid) > 0.0
+        lo = np.where(pos, mid, lo)
+        hi = np.where(pos, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def _lightcone_times(traj):
+    # the knot times whose light cone fits in the data, as the
+    # simulate CSV's residual column picks them
+    reach = (traj.t - traj.t0) - np.sqrt(
+        (traj.x - traj.position(traj.t0)) ** 2 + 1.0)
+    return traj.t[(traj.t - 1.0 >= traj.t0) & (reach > 1e-6)]
+
+
+@pytest.fixture(scope="module")
+def filtered_uniform_run():
+    return propagate_filtered(SeedHistory.uniform_motion(0.4), 10.0,
+                              partial=True)
+
+
+@pytest.mark.parametrize("run", ["exact_run", "filtered_uniform_run",
+                                 "long_attempt"])
+def test_vector_solver_bit_identical_to_fixed_bisection(run, request):
+    traj = request.getfixturevalue(run)
+    ts = _lightcone_times(traj)
+    want = _fixed_bisection(traj, ts)
+    got = solve_retarded_time_many(traj, ts)
+    assert np.array_equal(got, want)
+    if run == "long_attempt":
+        # the rest kick's t_r ~ 0 element still moves at the last halving
+        assert not np.array_equal(_fixed_bisection(traj, ts, 89), want)
 
 
 def test_geometry_validation():
