@@ -10,7 +10,8 @@ delay ~ 1):
 * series     -- exact rational power-series identities (the algebra
                 behind every truncated expression used elsewhere)
 * roots      -- characteristic roots of the linearized delay equation,
-                argument-principle audits, domain-coloring renders
+                enumerated by branch and certified by argument-principle
+                counts, domain-coloring renders
 * geometry   -- retarded-time solver and light-cone invariants
 * trajectory -- dense trajectories, seed histories and the numpy cubic
                 Hermite / PCHIP interpolant

@@ -138,7 +138,7 @@ def _load_constants(path: str | None) -> tuple[PhysicalConstants, float | None]:
 # --- subcommand handlers ----------------------------------------------
 
 def cmd_roots(args, _env) -> int:
-    rs = find_roots(CharEq(args.beta), args.region, grid_density=args.grid)
+    rs = find_roots(CharEq(args.beta), args.region)
     rows = sorted(rs.roots, key=lambda r: (r.value.real, r.value.imag))
     _write_text(args.out, _csv("re,im,residual",
                                [[r.value.real for r in rows],
@@ -265,9 +265,10 @@ def cmd_potential(args, env) -> int:
     if args.duffing:
         a, b = args.range
         xs = np.linspace(a, b, args.samples)
-        _write_text(args.out, _csv("x,Qc,force",
-                                   [xs, potmod.duffing_potential(xs),
-                                    potmod.duffing_force(xs)], "null"))
+        # a power past the float range is printed as null, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            cols = [xs, potmod.duffing_potential(xs), potmod.duffing_force(xs)]
+        _write_text(args.out, _csv("x,Qc,force", cols, "null"))
         return 0
 
     state = KinematicState(beta=args.beta, beta_dot=args.betadot)
@@ -322,8 +323,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="drift speed the equation is linearized about")
     p.add_argument("--region", type=_region_arg, default="-1,3,-1,1",
                    help="x0,x1,y0,y1 rectangle in the complex plane")
-    p.add_argument("--grid", type=_positive_arg, default=10.0,
-                   help="Newton seeds per unit length")
+    p.add_argument("--grid", type=_positive_arg,
+                   help="accepted and ignored (the census has no seed "
+                        "grid)")
     p.add_argument("--out", default="-", help="CSV path ('-' = stdout)")
     p.set_defaults(func=cmd_roots)
     _allow_negative_tuples(p)

@@ -91,8 +91,7 @@ def _random_states():
 @lru_cache(maxsize=1)
 def _wide_rootset():
     return rootsmod.find_roots(rootsmod.CharEq(),
-                               rootsmod.Region(-10.0, 10.0, -100.0, 100.0),
-                               grid_density=4.0)
+                               rootsmod.Region(-10.0, 10.0, -100.0, 100.0))
 
 
 def _check_real_root():

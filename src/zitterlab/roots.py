@@ -18,10 +18,18 @@ measurable, and the delay integrator sides with the cancellation: a
 seeded mode e^{zt/gamma} continues across the history junction without
 a kink only for roots of the form above.)
 
-z = 0 is always a double root (position offsets and drift changes form
-the neutral family); there is one positive real root near 9/5 and
-conjugate pairs marching up the imaginary axis with real parts growing
-like 2*ln|Im z|.
+Every root solves z = Log(z^2 + z + 1) + 2 pi i k for exactly one
+integer branch k (Log the principal logarithm), so |Im z - 2 pi k| <= pi.
+Branch 0 holds z = 0, a double root (position offsets and drift changes
+form the neutral family), and one positive real root near 9/5.  Each
+branch k != 0 holds one simple root, where the fixed-point map
+contracts (|d/dz Log(z^2 + z + 1)| ~ 2/|z|); branch -k holds its
+conjugate, and Re z grows like 2*ln|Im z| up the ladder (Bellman &
+Cooke 1963, ch. 12-13; Corless et al. 1996 on branch indexing).  Only 0
+is a multiple root: f = f' = 0 forces z^2 = z, and f(1) != 0.  Censuses
+are enumerated branch by branch and certified: the total multiplicity
+must equal the argument-principle winding count (Delves & Lyness 1967)
+on a contour kept clear of every root, or they raise.
 
 Numerics notes:
 
@@ -37,15 +45,23 @@ Numerics notes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-NEWTON_MAX_ITER = 50
-RESIDUAL_TARGET = 1e-12     # polish goal
-RESIDUAL_ACCEPT = 1e-10     # hard ceiling for a stored root
-DEDUPE_RADIUS = 1e-6
-MULTIPLICITY_FPRIME_TOL = 1e-6
+RESIDUAL_TARGET = 1e-12     # every branch root must reach it
+
+_TWO_PI = 2.0 * math.pi
+# steps of z <- Log(z^2 + z + 1) + 2 pi i k, then of Newton, per branch
+_FIXED_POINT_STEPS = 40
+_NEWTON_STEPS = 3
+# The winding walk starts from 64 samples per edge.  A double zero
+# nearer an edge than a quarter of that spacing turns the phase by
+# almost a full turn within one step, which the walk reads as none, so
+# certification keeps every root 1/256 of the region's longer side off
+# the contour, growing the region by that much up to 3 times.
+_CLEARANCE = 1.0 / 256.0
+_CERT_GROWTHS = 3
 
 # Re z beyond which evaluation switches to the rescaled form
 _SCALE_SWITCH = 700.0
@@ -120,9 +136,13 @@ class Region:
         if not (self.x0 < self.x1 and self.y0 < self.y1):
             raise ValueError(f"degenerate region {self!r}")
 
-    def contains(self, z, pad: float = 0.0) -> bool:
-        return (self.x0 - pad <= z.real <= self.x1 + pad
-                and self.y0 - pad <= z.imag <= self.y1 + pad)
+    def contains(self, z) -> bool:
+        return self.x0 <= z.real <= self.x1 and self.y0 <= z.imag <= self.y1
+
+    def edge_distance(self, z) -> float:
+        """Distance from z to the boundary; a lower bound beyond a corner."""
+        return abs(max(self.x0 - z.real, z.real - self.x1,
+                       self.y0 - z.imag, z.imag - self.y1))
 
     @classmethod
     def parse(cls, text: str) -> "Region":
@@ -136,15 +156,16 @@ class Region:
 class Root:
     value: complex
     residual: float
-    iterations: int
     multiplicity: int = 1
 
 
 @dataclass(frozen=True)
 class RootSet:
+    """A certified census.  seeds_total counts the branches enumerated,
+    seeds_converged those with a root in the region."""
+
     eq: CharEq
     region: Region
-    grid_density: float
     roots: tuple[Root, ...]
     seeds_total: int
     seeds_converged: int
@@ -156,87 +177,105 @@ class RootSet:
         return sum(r.multiplicity for r in self.roots)
 
 
-def find_roots(eq: CharEq, region: Region, grid_density: float = 10.0,
-               max_iter: int = NEWTON_MAX_ITER) -> RootSet:
-    """All roots of eq inside region via Newton from a uniform seed grid.
+def find_roots(eq: CharEq, region: Region,
+               grid_density: float | None = None) -> RootSet:
+    """All roots of eq in the closed region, sorted by (Re, Im).
 
-    Seeds at `grid_density` per unit length each run `max_iter` damped-
-    free Newton steps; converged points are deduplicated within
-    DEDUPE_RADIUS keeping the smaller residual, polished, conjugate-
-    closed, and sorted by (Re, Im).  Multiplicity 2 is flagged where
-    |f'| collapses at the root (the origin's double root).
+    Only branches ceil((y0 - pi) / 2pi) .. floor((y1 + pi) / 2pi), with
+    y0 and y1 widened by the certification margin, can reach the
+    region; _census enumerates them.  _certify raises RuntimeError
+    unless the census matches the winding count; there is no fallback.
+    `grid_density` is accepted and ignored: there is no seed grid.
     """
-    nx = max(int(round((region.x1 - region.x0) * grid_density)), 2)
-    ny = max(int(round((region.y1 - region.y0) * grid_density)), 2)
-    xs = np.linspace(region.x0, region.x1, nx)
-    ys = np.linspace(region.y0, region.y1, ny)
-    z = (xs[None, :] + 1j * ys[:, None]).ravel().astype(complex)
-    seeds_total = z.size
+    clear = _CLEARANCE * max(region.x1 - region.x0, region.y1 - region.y0)
+    margin = _CERT_GROWTHS * clear
+    ks = range(math.ceil((region.y0 - margin - math.pi) / _TWO_PI),
+               math.floor((region.y1 + margin + math.pi) / _TWO_PI) + 1)
+    census = _census(eq, ks)
+    _certify(eq, region, [r for _, r in census], clear)
+    inside = [(k, r) for k, r in census if region.contains(r.value)]
+    roots = sorted((r for _, r in inside),
+                   key=lambda r: (r.value.real, r.value.imag))
+    return RootSet(eq=eq, region=region, roots=tuple(roots),
+                   seeds_total=len(ks),
+                   seeds_converged=len({k for k, _ in inside}))
 
-    iters = np.full(z.shape, -1, dtype=np.int32)
+
+def _census(eq: CharEq, ks) -> list[tuple[int, Root]]:
+    """(k, root) for every root on the branches ks.
+
+    Branch 0 gives the exact double root at 0 and dominant_real_root();
+    each branch k < 0 the conjugate of branch -k's root.
+    """
+    upper = _upper_branches(eq, {abs(k) for k in ks} - {0})
+    census = []
+    for k in ks:
+        if k == 0:
+            lam = dominant_real_root(eq.beta)
+            census += [(0, Root(0j, 0.0, 2)),     # f(0) = 0 exactly
+                       (0, Root(complex(lam), float(eq.residual(lam))))]
+        else:
+            r = upper[abs(k)]
+            census.append((k, r if k > 0 else
+                           Root(r.value.conjugate(), r.residual)))
+    return census
+
+
+def _upper_branches(eq: CharEq, ks) -> dict[int, Root]:
+    """{k: the root of branch k} for each k >= 1 in ks.
+
+    From x = ln(y^2 + 2), y = 2 pi k + 2.2, a fixed number of steps of
+    z <- Log(z^2 + z + 1) + 2 pi i k and of Newton on the rescaled f run
+    on all branches at once; _polish finishes each.  A branch that
+    misses RESIDUAL_TARGET raises RuntimeError.
+    """
+    ks = sorted(ks)
+    k = np.array(ks, dtype=float)
+    y = _TWO_PI * k + 2.2
+    z = np.log(y * y + 2.0) + 1j * y
     with np.errstate(all="ignore"):
-        for it in range(max_iter):
-            fz = eq.scaled_value(z)
+        for _ in range(_FIXED_POINT_STEPS):
+            z = np.log(z * z + z + 1.0) + 1j * _TWO_PI * k
+        for _ in range(_NEWTON_STEPS):
             x = np.maximum(z.real, 0.0)
-            fpz = (2.0 * z + 1.0) * np.exp(-x) - np.exp(z - x)
-            step = fz / fpz
-            bad = ~np.isfinite(step)
-            step = np.where(bad, 0.0, step)
-            z = z - step
-            hit = (np.abs(fz) < RESIDUAL_TARGET) & (iters < 0)
-            iters[hit] = it
+            z = z - eq.scaled_value(z) / (
+                (2.0 * z + 1.0) * np.exp(-x) - np.exp(z - x))
         res = eq.residual(z)
+    roots = {n: _polish(eq, complex(w), float(r))
+             for n, w, r in zip(ks, z, res)}
+    bad = [n for n, r in roots.items() if not r.residual < RESIDUAL_TARGET]
+    if bad:
+        raise RuntimeError(f"branches {bad} did not converge")
+    return roots
 
-    good = np.isfinite(z) & np.isfinite(res) & (res < RESIDUAL_ACCEPT)
-    zg, rg, ig = z[good], res[good], iters[good]
-    inside = np.array([region.contains(w, pad=1e-9) for w in zg]) if zg.size else \
-        np.zeros(0, dtype=bool)
-    zg, rg, ig = zg[inside], rg[inside], ig[inside]
-    seeds_converged = int(np.count_nonzero(good))
 
-    # compress near-identical converged values, then polish BEFORE the
-    # distance dedupe: near a double root Newton stalls in an annulus
-    # wider than DEDUPE_RADIUS while the residual is already tiny, so
-    # deduplicating raw endpoints would keep dozens of copies that all
-    # collapse onto the same zero once polished.
-    if zg.size:
-        key = np.round(zg.real, 8) + 1j * np.round(zg.imag, 8)
-        _, first = np.unique(key, return_index=True)
-        order = first[np.argsort(rg[first], kind="stable")]
-        coarse = []
-        for idx in order:
-            w = zg[idx]
-            if all(abs(w - u.value) > DEDUPE_RADIUS for u in coarse):
-                coarse.append(Root(complex(w), float(rg[idx]),
-                                   int(ig[idx]) if ig[idx] >= 0 else max_iter))
+def _certify(eq: CharEq, region: Region, roots: list[Root],
+             clear: float) -> None:
+    """Match the census to the winding count, or raise RuntimeError.
+
+    The contour is the region, grown in steps of `clear` until no
+    enumerated root lies within `clear` of it (a root on the region's
+    edge moves it out by one step).
+    """
+    for step in range(_CERT_GROWTHS + 1):
+        g = step * clear
+        box = Region(region.x0 - g, region.x1 + g,
+                     region.y0 - g, region.y1 + g)
+        if all(box.edge_distance(r.value) >= clear for r in roots):
+            break
     else:
-        coarse = []
-
-    candidates = sorted((_polish(eq, r) for r in coarse),
-                        key=lambda r: r.residual)
-    polished: list[Root] = []
-    for r in candidates:
-        if all(abs(r.value - u.value) > DEDUPE_RADIUS for u in polished):
-            polished.append(r)
-
-    # conjugate closure: real-coefficient f pairs complex roots
-    closed: list[Root] = list(polished)
-    for r in polished:
-        if abs(r.value.imag) > DEDUPE_RADIUS:
-            conj = r.value.conjugate()
-            if region.contains(conj, pad=1e-9) and \
-                    all(abs(conj - q.value) > DEDUPE_RADIUS for q in closed):
-                closed.append(Root(conj, r.residual, r.iterations, r.multiplicity))
-
-    closed.sort(key=lambda r: (r.value.real, r.value.imag))
-    return RootSet(eq=eq, region=region, grid_density=grid_density,
-                   roots=tuple(closed), seeds_total=seeds_total,
-                   seeds_converged=seeds_converged)
+        raise RuntimeError(f"no contour around {region} clears the roots")
+    try:
+        count = argument_principle_count(eq, box)
+    except ValueError as exc:
+        raise RuntimeError(f"census on {box} not certified: {exc}") from exc
+    found = sum(r.multiplicity for r in roots if box.contains(r.value))
+    if found != count:
+        raise RuntimeError(f"census found {found} roots on {box}, "
+                           f"the argument principle counts {count}")
 
 
-def _polish(eq: CharEq, root: Root) -> Root:
-    z = root.value
-    res = root.residual
+def _polish(eq: CharEq, z: complex, res: float) -> Root:
     for _ in range(8):
         with np.errstate(all="ignore"):
             f = complex(eq.scaled_value(z))
@@ -249,11 +288,7 @@ def _polish(eq: CharEq, root: Root) -> Root:
         if not math.isfinite(rnew) or rnew >= res:
             break
         z, res = znew, rnew
-    fp_mag = abs(complex(
-        (2.0 * z + 1.0) * math.exp(-max(z.real, 0.0))
-        - complex(np.exp(z - max(z.real, 0.0)))))
-    mult = 2 if fp_mag < MULTIPLICITY_FPRIME_TOL else 1
-    return Root(complex(z), float(res), root.iterations, mult)
+    return Root(complex(z), float(res))
 
 
 def dominant_real_root(beta: float = 0.0) -> float:
@@ -356,26 +391,17 @@ class Spectrum:
 def spectrum(beta: float, count: int = 10, audit: bool = True) -> Spectrum:
     """eta_n ladder: imaginary parts of the first `count` upper roots.
 
-    Each branch n sits near Im z = 2 pi n + O(1); Newton from the
-    asymptotic seed x = ln(|z|^2), y = 2 pi n + 2.2 converges in a
-    handful of steps.  An argument-principle audit confirms no branch
-    was skipped, and a least-squares line eta_n ~ slope*n + intercept
-    quantifies the (nearly exact) linear dependence on n.  The ladder
-    is a property of f alone, so it is identical for every beta.
+    The roots are those of branches 1..count of the census (see
+    find_roots), which sit near Im z = 2 pi n + O(1).  The gaps between
+    neighbours must lie in [3, 9.5]; an argument-principle audit of the
+    strip 0.5 <= Im z <= eta_count + pi confirms that no root was skipped,
+    and a least-squares line eta_n ~ slope*n + intercept quantifies the
+    (nearly exact) linear dependence on n.  The ladder is a property of
+    f alone, so it is identical for every beta.
     """
     eq = CharEq(beta)
-    found: list[complex] = []
-    for n in range(1, count + 1):
-        y = 2.0 * math.pi * n + 2.2
-        x = math.log(y * y + 2.0)
-        z = complex(x, y)
-        z = _branch_newton(eq, z)
-        if z is None or abs(z.imag - y) > math.pi:
-            z = _branch_rescue(eq, x, y)
-        if z is None:
-            raise RuntimeError(f"spectrum branch {n} did not converge (beta={beta})")
-        found.append(z)
-    found.sort(key=lambda w: w.imag)
+    upper = _upper_branches(eq, range(1, count + 1))
+    found = [upper[n].value for n in range(1, count + 1)]
     gaps = np.diff([w.imag for w in found])
     if np.any(gaps < 3.0) or np.any(gaps > 9.5):
         raise RuntimeError(f"spectrum branches misordered at beta={beta}")
@@ -397,37 +423,6 @@ def spectrum(beta: float, count: int = 10, audit: bool = True) -> Spectrum:
     return Spectrum(beta=beta, etas=tuple(float(e) for e in etas),
                     roots=tuple(found), slope=float(coef[0]),
                     intercept=float(coef[1]), r_squared=r2)
-
-
-def _branch_newton(eq: CharEq, z: complex, iters: int = 60) -> complex | None:
-    for _ in range(iters):
-        with np.errstate(all="ignore"):
-            f = complex(eq.scaled_value(z))
-            x = max(z.real, 0.0)
-            fp = (2.0 * z + 1.0) * math.exp(-x) - complex(np.exp(z - x))
-        if not (math.isfinite(fp.real) and math.isfinite(fp.imag)) or fp == 0:
-            return None
-        z = z - f / fp
-    return z if float(eq.residual(z)) < RESIDUAL_TARGET else None
-
-
-def _branch_rescue(eq: CharEq, x0: float, y0: float) -> complex | None:
-    xs = np.linspace(x0 - 2.5, x0 + 2.5, 26)
-    ys = np.linspace(y0 - math.pi, y0 + math.pi, 26)
-    z = (xs[None, :] + 1j * ys[:, None]).ravel()
-    with np.errstate(all="ignore"):
-        for _ in range(NEWTON_MAX_ITER):
-            f = eq.scaled_value(z)
-            x = np.maximum(z.real, 0.0)
-            fp = (2.0 * z + 1.0) * np.exp(-x) - np.exp(z - x)
-            step = f / fp
-            z = z - np.where(np.isfinite(step), step, 0.0)
-        res = eq.residual(z)
-    ok = np.isfinite(res) & (res < RESIDUAL_TARGET) & (np.abs(z.imag - y0) < math.pi)
-    if not np.any(ok):
-        return None
-    cand = z[ok]
-    return complex(cand[np.argmin(np.abs(cand - complex(x0, y0)))])
 
 
 # ---------------------------------------------------------------------

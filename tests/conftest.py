@@ -26,8 +26,7 @@ def rest_rootset():
 
 @pytest.fixture(scope="session")
 def wide_rootset():
-    return find_roots(CharEq(0.0), Region(-10.0, 10.0, -100.0, 100.0),
-                      grid_density=4.0)
+    return find_roots(CharEq(0.0), Region(-10.0, 10.0, -100.0, 100.0))
 
 
 @pytest.fixture(scope="session")

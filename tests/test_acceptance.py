@@ -87,8 +87,7 @@ def test_criterion_01_rest_instability_root():
 def test_criterion_02_right_half_plane():
     t0 = time.perf_counter()
     wide_rootset = find_roots(CharEq(0.0),
-                              Region(-10.0, 10.0, -100.0, 100.0),
-                              grid_density=4.0)
+                              Region(-10.0, 10.0, -100.0, 100.0))
     nonzero = [r for r in wide_rootset.roots if abs(r.value) > 1e-8]
     min_re = min(r.value.real for r in nonzero)
     rng = np.random.default_rng(20260814)

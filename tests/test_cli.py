@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from zitterlab import potential as potmod
 from zitterlab.cli import main
 from zitterlab.dynamics import propagate_filtered
 from zitterlab.report import _fmt
-from zitterlab.roots import CharEq, Region, find_roots
+from zitterlab.roots import CharEq, Region, dominant_real_root, find_roots
 from zitterlab.trajectory import SeedHistory
 
 
@@ -131,6 +132,42 @@ def test_potential_duffing_overflow_prints_null(capsys):
                    "1e+100,null,-1.5000000000000001e+300\n")
 
 
+@pytest.mark.parametrize("span", ["-1e100,1e100", "-1e200,1e200"])
+def test_potential_duffing_overflow_is_quiet(capsys, span):
+    # past the float range the CSV says null; nothing reaches stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, "potential", "--duffing",
+                              "--range", span, "--samples", "3")
+    assert code == 0 and err == ""
+    assert out.splitlines()[2] == "0,0,0"
+    assert [l.split(",")[1] for l in out.splitlines()[1::2]] == \
+        ["null", "null"]
+    if span == "-1e100,1e100":
+        assert out == ("x,Qc,force\n"
+                       "-1e+100,null,1.5000000000000001e+300\n"
+                       "0,0,0\n"
+                       "1e+100,null,-1.5000000000000001e+300\n")
+
+
+def test_roots_grid_is_ignored(capsys):
+    for region in ("-1,3,-1,1", "-10,10,-30,30"):
+        code, plain, _ = _run(capsys, "roots", "--region", region)
+        assert code == 0
+        code, gridded, _ = _run(capsys, "roots", "--region", region,
+                                "--grid", "4")
+        assert code == 0 and gridded == plain
+
+
+def test_roots_region_edge_through_double_root(capsys):
+    # the left edge of 0,3,-1,1 runs through the double root at 0
+    code, out, err = _run(capsys, "roots", "--region", "0,3,-1,1")
+    assert code == 0 and err == ""
+    assert out == ("re,im,residual\n0,0,0\n"
+                   f"{_fmt(dominant_real_root())},0,"
+                   f"{_fmt(float(CharEq().residual(dominant_real_root())))}\n")
+
+
 def _assert_same_text(got, want):
     # reports the first differing line: pytest's own diff of two texts
     # this long takes minutes
@@ -164,8 +201,7 @@ def test_roots_csv_matches_rowwise_fmt(capsys):
     code, out, _ = _run(capsys, "roots", "--region", "-10,10,-30,30",
                         "--grid", "4")
     assert code == 0
-    rs = find_roots(CharEq(0.0), Region(-10.0, 10.0, -30.0, 30.0),
-                    grid_density=4.0)
+    rs = find_roots(CharEq(0.0), Region(-10.0, 10.0, -30.0, 30.0))
     rows = sorted(rs.roots, key=lambda r: (r.value.real, r.value.imag))
     assert len(rows) > 2
     _assert_same_text(out, _rowwise_csv("re,im,residual", (

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from zitterlab import roots as rootsmod
 from zitterlab.roots import (
     CharEq,
     Region,
@@ -161,3 +162,198 @@ def test_write_ppm_layout(tmp_path):
     assert blob.startswith(b"P6\n3 2\n255\n")
     assert len(blob) == 11 + 18
     assert blob[11:14] == bytes((255, 0, 7))
+
+
+# --- independent census: Newton from a seed grid ----------------------
+#
+# The package enumerates the census branch by branch.  This oracle
+# knows nothing of branches: 50 Newton steps from every point of a
+# uniform seed grid, a two-stage dedupe around a polish, and a
+# conjugate closure, the census `roots` printed before the branch
+# enumeration, bit for bit at the same density.  It returns (value,
+# residual, multiplicity) rows sorted by (Re, Im).
+
+def _oracle_polish(eq, z, res):
+    for _ in range(8):
+        with np.errstate(all="ignore"):
+            f = complex(eq.scaled_value(z))
+            x = max(z.real, 0.0)
+            fp = (2.0 * z + 1.0) * math.exp(-x) - complex(np.exp(z - x))
+        if fp == 0:
+            break
+        znew = z - f / fp
+        rnew = float(eq.residual(znew))
+        if not math.isfinite(rnew) or rnew >= res:
+            break
+        z, res = znew, rnew
+    fp_mag = abs(complex(
+        (2.0 * z + 1.0) * math.exp(-max(z.real, 0.0))
+        - complex(np.exp(z - max(z.real, 0.0)))))
+    return complex(z), float(res), 2 if fp_mag < 1e-6 else 1
+
+
+def _seed_grid_census(eq, region, grid_density=10.0):
+    def inside(w):
+        return (region.x0 - 1e-9 <= w.real <= region.x1 + 1e-9
+                and region.y0 - 1e-9 <= w.imag <= region.y1 + 1e-9)
+
+    nx = max(int(round((region.x1 - region.x0) * grid_density)), 2)
+    ny = max(int(round((region.y1 - region.y0) * grid_density)), 2)
+    xs = np.linspace(region.x0, region.x1, nx)
+    ys = np.linspace(region.y0, region.y1, ny)
+    z = (xs[None, :] + 1j * ys[:, None]).ravel().astype(complex)
+    with np.errstate(all="ignore"):
+        for _ in range(50):
+            # eq.scaled_value(z) and the rescaled f', sharing exponentials
+            x = np.maximum(z.real, 0.0)
+            damp, ezx = np.exp(-x), np.exp(z - x)
+            fz = (z * z + z - np.expm1(z)) * damp
+            far = ~(z.real < 700.0)
+            zf = z[far]
+            fz[far] = (zf * zf + zf + 1.0) * damp[far] - ezx[far]
+            step = fz / ((2.0 * z + 1.0) * damp - ezx)
+            z = z - np.where(np.isfinite(step), step, 0.0)
+        res = eq.residual(z)
+    good = np.isfinite(z) & np.isfinite(res) & (res < 1e-10)
+    zg, rg = z[good], res[good]
+    keep = np.array([inside(w) for w in zg], dtype=bool)
+    zg, rg = zg[keep], rg[keep]
+    coarse = []
+    if zg.size:
+        key = np.round(zg.real, 8) + 1j * np.round(zg.imag, 8)
+        _, first = np.unique(key, return_index=True)
+        for idx in first[np.argsort(rg[first], kind="stable")]:
+            if all(abs(zg[idx] - u[0]) > 1e-6 for u in coarse):
+                coarse.append((complex(zg[idx]), float(rg[idx])))
+    polished = []
+    for r in sorted((_oracle_polish(eq, w, res) for w, res in coarse),
+                    key=lambda r: r[1]):
+        if all(abs(r[0] - u[0]) > 1e-6 for u in polished):
+            polished.append(r)
+    closed = list(polished)
+    for w, res, mult in polished:
+        conj = w.conjugate()
+        if abs(w.imag) > 1e-6 and inside(conj) and \
+                all(abs(conj - q[0]) > 1e-6 for q in closed):
+            closed.append((conj, res, mult))
+    return sorted(closed, key=lambda r: (r[0].real, r[0].imag))
+
+
+def _assert_census_matches_oracle(rs, oracle):
+    # branch k != 0 (|Im z| > pi): bit for bit; branch 0: the exact
+    # origin and dominant_real_root() against Newton's endpoints
+    got = [(r.value, r.residual, r.multiplicity) for r in rs.roots]
+    assert len(got) == len(oracle)
+    for (z, res, mult), (w, wres, wmult) in zip(got, oracle):
+        assert mult == wmult
+        if abs(w.imag) > math.pi:
+            assert (z, res) == (w, wres)
+        else:
+            assert abs(z - w) < 1e-15
+
+
+def _seam(k):
+    return (2 * k + 1) * math.pi
+
+
+ORACLE_REGIONS = {
+    "wide": ((-10.0, 10.0, -100.0, 100.0), 4.0),
+    "tall": ((-10.0, 10.0, -30.0, 30.0), 4.0),
+    "rest": ((-1.0, 3.0, -1.0, 1.0), 10.0),
+    "seam_1": ((-2.0, 8.0, _seam(0) - 1.0, _seam(1) + 1.0), 4.0),
+    "seam_3_4": ((2.0, 9.0, _seam(3) - 0.5, _seam(4) + 0.5), 4.0),
+    "seam_neg": ((-2.0, 8.0, -_seam(2) - 1.0, -_seam(0) + 1.0), 4.0),
+    "seam_across_axis": ((-2.0, 8.0, -_seam(1) - 0.3, _seam(0) + 0.3), 4.0),
+    "upper_only": ((-3.0, 9.0, 0.5, 60.0), 4.0),
+    "lower_only": ((-3.0, 9.0, -60.0, -0.5), 4.0),
+    "upper_from_axis": ((-1.0, 8.0, 0.0, 20.0), 4.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_REGIONS))
+def test_census_matches_seed_grid_oracle(name):
+    bounds, density = ORACLE_REGIONS[name]
+    reg = Region(*bounds)
+    rs = find_roots(CharEq(0.0), reg)
+    oracle = _seed_grid_census(CharEq(0.0), reg, density)
+    assert oracle
+    _assert_census_matches_oracle(rs, oracle)
+
+
+def test_census_matches_oracle_on_criterion_2_rectangles(wide_rootset):
+    # the five sub-rectangles criterion 2 draws, drawn the same way
+    rng = np.random.default_rng(20260814)
+    done = 0
+    while done < 5:
+        x0, y0 = rng.uniform(-9.0, 7.0), rng.uniform(-90.0, 70.0)
+        reg = Region(x0, x0 + rng.uniform(1.5, 3.0),
+                     y0, y0 + rng.uniform(8.0, 20.0))
+        edge = min(
+            min(abs(z.real - reg.x0), abs(z.real - reg.x1),
+                abs(z.imag - reg.y0), abs(z.imag - reg.y1))
+            for z in wide_rootset.values())
+        if edge < 0.05:
+            continue
+        done += 1
+        _assert_census_matches_oracle(
+            find_roots(CharEq(0.0), reg),
+            _seed_grid_census(CharEq(0.0), reg))
+
+
+def _frozen_branch_newton(eq, z, iters=60):
+    # per-branch reference: 60 plain Newton steps from the branch seed
+    for _ in range(iters):
+        with np.errstate(all="ignore"):
+            f = complex(eq.scaled_value(z))
+            x = max(z.real, 0.0)
+            fp = (2.0 * z + 1.0) * math.exp(-x) - complex(np.exp(z - x))
+        assert math.isfinite(fp.real) and math.isfinite(fp.imag) and fp != 0
+        z = z - f / fp
+    assert float(eq.residual(z)) < 1e-12
+    return z
+
+
+def test_spectrum_bit_identical_to_branch_newton():
+    eq = CharEq(0.0)
+    want = []
+    for n in range(1, 11):
+        y = 2.0 * math.pi * n + 2.2
+        seed = complex(math.log(y * y + 2.0), y)
+        want.append(_frozen_branch_newton(eq, seed))
+    assert spectrum(0.0).roots == tuple(want)
+
+
+# --- certification ----------------------------------------------------
+
+@pytest.mark.parametrize("drop", [0, 1, -2])
+def test_census_missing_a_root_raises(monkeypatch, drop):
+    full = rootsmod._census
+
+    def lossy(eq, ks):
+        census = full(eq, ks)
+        census.remove(next(e for e in census if e[0] == drop))
+        return census
+
+    monkeypatch.setattr(rootsmod, "_census", lossy)
+    with pytest.raises(RuntimeError, match="argument principle counts"):
+        find_roots(CharEq(0.0), Region(-10.0, 10.0, -30.0, 30.0))
+
+
+@pytest.mark.parametrize("bounds", [(0.0, 3.0, -1.0, 1.0),
+                                    (-1.0, 3.0, 0.0, 1.0),
+                                    (0.0, 3.0, -1.0, 1.5),
+                                    (-1.0, LAMBDA_STAR, -1.0, 0.0)])
+def test_roots_on_the_edge_belong_to_the_region(bounds):
+    # the winding walk cannot count a zero on its contour (on 0,3,-1,1.5
+    # it silently reads the double root at 0 as one); certification
+    # grows the contour off the roots instead
+    rs = find_roots(CharEq(0.0), Region(*bounds))
+    assert [(r.value, r.multiplicity) for r in rs.roots] == \
+        [(0j, 2), (complex(dominant_real_root()), 1)]
+    assert rs.seeds_total >= rs.seeds_converged == 1
+
+
+def test_census_counts_branches():
+    rs = find_roots(CharEq(0.0), Region(-10.0, 10.0, -100.0, 100.0))
+    assert (rs.seeds_total, rs.seeds_converged) == (33, 31)
+    assert rs.total_multiplicity() == 33
