@@ -55,13 +55,18 @@ _TWO_PI = 2.0 * math.pi
 # steps of z <- Log(z^2 + z + 1) + 2 pi i k, then of Newton, per branch
 _FIXED_POINT_STEPS = 40
 _NEWTON_STEPS = 3
-# The winding walk starts from 64 samples per edge.  A double zero
-# nearer an edge than a quarter of that spacing turns the phase by
-# almost a full turn within one step, which the walk reads as none, so
-# certification keeps every root 1/256 of the region's longer side off
-# the contour, growing the region by that much up to 3 times.
+# The winding walk's first steps are at most 1/64 of an edge and
+# _WALK_STEP long.  Within a quarter step of the contour the double root
+# at 0 turns the phase by nearly a full turn per step, which the walk
+# reads as none, and within ~1e-6 |f| ~ |z|^2 / 2 trips its 1e-12 guard;
+# so certification keeps 0 max(side / 256, 1e-5) off the contour.  A
+# simple root turns the phase by < pi and needs only a rounding margin.
 _CLEARANCE = 1.0 / 256.0
-_CERT_GROWTHS = 3
+_ORIGIN_CLEARANCE = 1e-5
+_SIMPLE_CLEARANCE = 1e-9
+# e^z turns the phase by 1 rad per unit of Im z; steps of at most 0.5
+# keep the walk from wrapping a full turn into a small jump.
+_WALK_STEP = 0.5
 
 # Re z beyond which evaluation switches to the rescaled form
 _SCALE_SWITCH = 700.0
@@ -87,10 +92,6 @@ class CharEq:
         """f(z); cancellation-safe near 0, may overflow for Re z >~ 709."""
         z = np.asarray(z, dtype=complex)
         return z * z + z - np.expm1(z)
-
-    def derivative(self, z):
-        z = np.asarray(z, dtype=complex)
-        return 2.0 * z + 1.0 - np.exp(z)
 
     def scaled_value(self, z):
         """e^(-max(Re z, 0)) * f(z), stable against overflow.
@@ -139,11 +140,6 @@ class Region:
     def contains(self, z) -> bool:
         return self.x0 <= z.real <= self.x1 and self.y0 <= z.imag <= self.y1
 
-    def edge_distance(self, z) -> float:
-        """Distance from z to the boundary; a lower bound beyond a corner."""
-        return abs(max(self.x0 - z.real, z.real - self.x1,
-                       self.y0 - z.imag, z.imag - self.y1))
-
     @classmethod
     def parse(cls, text: str) -> "Region":
         parts = [float(p) for p in text.split(",")]
@@ -182,15 +178,15 @@ def find_roots(eq: CharEq, region: Region,
     """All roots of eq in the closed region, sorted by (Re, Im).
 
     Only branches ceil((y0 - pi) / 2pi) .. floor((y1 + pi) / 2pi), with
-    y0 and y1 widened by the certification margin, can reach the
-    region; _census enumerates them.  _certify raises RuntimeError
-    unless the census matches the winding count; there is no fallback.
+    y0 and y1 widened to cover the contour _certify moves off 0, can
+    reach the region; _census enumerates them.  _certify raises
+    RuntimeError unless the census matches the winding count.
     `grid_density` is accepted and ignored: there is no seed grid.
     """
-    clear = _CLEARANCE * max(region.x1 - region.x0, region.y1 - region.y0)
-    margin = _CERT_GROWTHS * clear
-    ks = range(math.ceil((region.y0 - margin - math.pi) / _TWO_PI),
-               math.floor((region.y1 + margin + math.pi) / _TWO_PI) + 1)
+    clear = max(_CLEARANCE * max(region.x1 - region.x0, region.y1 - region.y0),
+                _ORIGIN_CLEARANCE)
+    ks = range(math.ceil((region.y0 - 3.0 * clear - math.pi) / _TWO_PI),
+               math.floor((region.y1 + 3.0 * clear + math.pi) / _TWO_PI) + 1)
     census = _census(eq, ks)
     _certify(eq, region, [r for _, r in census], clear)
     inside = [(k, r) for k, r in census if region.contains(r.value)]
@@ -227,7 +223,7 @@ def _upper_branches(eq: CharEq, ks) -> dict[int, Root]:
     From x = ln(y^2 + 2), y = 2 pi k + 2.2, a fixed number of steps of
     z <- Log(z^2 + z + 1) + 2 pi i k and of Newton on the rescaled f run
     on all branches at once; _polish finishes each.  A branch that
-    misses RESIDUAL_TARGET raises RuntimeError.
+    misses RESIDUAL_TARGET or its band |Im z - 2 pi k| <= pi raises.
     """
     ks = sorted(ks)
     k = np.array(ks, dtype=float)
@@ -243,9 +239,10 @@ def _upper_branches(eq: CharEq, ks) -> dict[int, Root]:
         res = eq.residual(z)
     roots = {n: _polish(eq, complex(w), float(r))
              for n, w, r in zip(ks, z, res)}
-    bad = [n for n, r in roots.items() if not r.residual < RESIDUAL_TARGET]
+    bad = [n for n, r in roots.items() if not (r.residual < RESIDUAL_TARGET
+           and abs(r.value.imag - _TWO_PI * n) <= math.pi + 1e-9)]
     if bad:
-        raise RuntimeError(f"branches {bad} did not converge")
+        raise RuntimeError(f"branches {bad} found no root in their band")
     return roots
 
 
@@ -253,18 +250,23 @@ def _certify(eq: CharEq, region: Region, roots: list[Root],
              clear: float) -> None:
     """Match the census to the winding count, or raise RuntimeError.
 
-    The contour is the region, grown in steps of `clear` until no
-    enumerated root lies within `clear` of it (a root on the region's
-    edge moves it out by one step).
+    The contour is the region, each edge moved outward past every root
+    nearer than `clear` (0) or _SIMPLE_CLEARANCE (any other root).
     """
-    for step in range(_CERT_GROWTHS + 1):
-        g = step * clear
-        box = Region(region.x0 - g, region.x1 + g,
-                     region.y0 - g, region.y1 + g)
-        if all(box.edge_distance(r.value) >= clear for r in roots):
-            break
-    else:
-        raise RuntimeError(f"no contour around {region} clears the roots")
+    x0, x1, y0, y1 = region.x0, region.x1, region.y0, region.y1
+    edges = None
+    while edges != (x0, x1, y0, y1):
+        edges = (x0, x1, y0, y1)
+        for r in roots:
+            z = r.value
+            d = clear if r.multiplicity > 1 else _SIMPLE_CLEARANCE
+            if y0 - d < z.imag < y1 + d:
+                x0 = z.real - d if abs(z.real - x0) < d else x0
+                x1 = z.real + d if abs(z.real - x1) < d else x1
+            if x0 - d < z.real < x1 + d:
+                y0 = z.imag - d if abs(z.imag - y0) < d else y0
+                y1 = z.imag + d if abs(z.imag - y1) < d else y1
+    box = Region(*edges)
     try:
         count = argument_principle_count(eq, box)
     except ValueError as exc:
@@ -336,7 +338,8 @@ def argument_principle_count(eq: CharEq, region: Region,
     Walks the rectangle boundary accumulating the wrapped phase change
     of the rescaled characteristic value (rescaling by a positive real
     factor leaves the phase untouched), adaptively bisecting any segment
-    whose phase jump exceeds ~0.8 rad.  Raises if the boundary runs too
+    whose phase jump exceeds ~0.8 rad, from at least base_samples steps
+    per edge of at most _WALK_STEP.  Raises if the boundary runs too
     close to a zero for the walk to be trustworthy.
     """
     corners = [complex(region.x0, region.y0), complex(region.x1, region.y0),
@@ -345,7 +348,7 @@ def argument_principle_count(eq: CharEq, region: Region,
     total = 0.0
     budget = 200000
     for a, b in zip(corners[:-1], corners[1:]):
-        n = max(base_samples, 8)
+        n = max(base_samples, 8, math.ceil(abs(b - a) / _WALK_STEP))
         ts = np.linspace(0.0, 1.0, n + 1)
         pts = a + (b - a) * ts
         vals = eq.scaled_value(pts)

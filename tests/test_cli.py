@@ -168,6 +168,16 @@ def test_roots_region_edge_through_double_root(capsys):
                    f"{_fmt(float(CharEq().residual(dominant_real_root())))}\n")
 
 
+@pytest.mark.parametrize("region, rows", [
+    ("-1e-6,1e-6,-1e-6,1e-6", 1),     # micro-region around the origin
+    ("-10,7,-100,100", 10),           # right edge across the ladder
+])
+def test_roots_region_certified(capsys, region, rows):
+    code, out, err = _run(capsys, "roots", "--region", region)
+    assert code == 0 and err == ""
+    assert len(out.splitlines()) == 1 + rows
+
+
 def _assert_same_text(got, want):
     # reports the first differing line: pytest's own diff of two texts
     # this long takes minutes

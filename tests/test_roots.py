@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -192,6 +193,7 @@ def _oracle_polish(eq, z, res):
     return complex(z), float(res), 2 if fp_mag < 1e-6 else 1
 
 
+@functools.lru_cache(maxsize=None)
 def _seed_grid_census(eq, region, grid_density=10.0):
     def inside(w):
         return (region.x0 - 1e-9 <= w.real <= region.x1 + 1e-9
@@ -236,18 +238,22 @@ def _seed_grid_census(eq, region, grid_density=10.0):
         if abs(w.imag) > 1e-6 and inside(conj) and \
                 all(abs(conj - q[0]) > 1e-6 for q in closed):
             closed.append((conj, res, mult))
-    return sorted(closed, key=lambda r: (r[0].real, r[0].imag))
+    return tuple(sorted(closed, key=lambda r: (r[0].real, r[0].imag)))
 
 
-def _assert_census_matches_oracle(rs, oracle):
-    # branch k != 0 (|Im z| > pi): bit for bit; branch 0: the exact
-    # origin and dominant_real_root() against Newton's endpoints
+def _assert_census_matches_oracle(rs, oracle, ulps=0):
+    # branch k != 0 (|Im z| > pi): bit for bit, or within `ulps` units
+    # in the last place; branch 0: the exact origin and
+    # dominant_real_root() against Newton's endpoints
     got = [(r.value, r.residual, r.multiplicity) for r in rs.roots]
     assert len(got) == len(oracle)
     for (z, res, mult), (w, wres, wmult) in zip(got, oracle):
         assert mult == wmult
-        if abs(w.imag) > math.pi:
+        if abs(w.imag) > math.pi and not ulps:
             assert (z, res) == (w, wres)
+        elif abs(w.imag) > math.pi:
+            for a, b in ((z.real, w.real), (z.imag, w.imag), (res, wres)):
+                assert abs(a - b) <= ulps * np.spacing(abs(b))
         else:
             assert abs(z - w) < 1e-15
 
@@ -267,6 +273,8 @@ ORACLE_REGIONS = {
     "upper_only": ((-3.0, 9.0, 0.5, 60.0), 4.0),
     "lower_only": ((-3.0, 9.0, -60.0, -0.5), 4.0),
     "upper_from_axis": ((-1.0, 8.0, 0.0, 20.0), 4.0),
+    # |f| ~ |z|^2 / 2 would trip the walk's guard on this contour
+    "micro_origin": ((-1e-6, 1e-6, -1e-6, 1e-6), 4e6),
 }
 
 
@@ -278,6 +286,37 @@ def test_census_matches_seed_grid_oracle(name):
     oracle = _seed_grid_census(CharEq(0.0), reg, density)
     assert oracle
     _assert_census_matches_oracle(rs, oracle)
+
+
+def test_census_matches_oracle_with_an_edge_across_the_ladder():
+    # x = 7 runs between ladder roots at Re 7.06 ... 9.16; the oracle is
+    # the (cached) wide census cut to the region
+    reg = Region(-10.0, 7.0, -100.0, 100.0)
+    bounds, density = ORACLE_REGIONS["wide"]
+    wide = _seed_grid_census(CharEq(0.0), Region(*bounds), density)
+    _assert_census_matches_oracle(find_roots(CharEq(0.0), reg),
+                                  [r for r in wide if reg.contains(r[0])])
+
+
+def test_census_matches_oracle_taller_than_800():
+    # both vertical edges cross the ladder (branches 24 ... 64); on so
+    # tall a contour 64 walk steps per edge would each turn e^z by ~13
+    # rad.  The root at 10.98 + 241.81i lies midway between two doubles
+    # in Im (mpmath: 1.42e-14 from each), and the two routes round it
+    # to different ones, so this region is compared to one ulp.
+    reg = Region(10.0, 12.0, -420.0, 420.0)
+    rs = find_roots(CharEq(0.0), reg)
+    assert len(rs.roots) == 80
+    _assert_census_matches_oracle(
+        rs, _seed_grid_census(CharEq(0.0), reg, 4.0), ulps=1)
+
+
+def test_branch_on_its_neighbours_root_raises(monkeypatch):
+    # a branch that converges onto branch 3's root leaves its band
+    third = rootsmod._upper_branches(CharEq(0.0), {3})[3]
+    monkeypatch.setattr(rootsmod, "_polish", lambda eq, z, res: third)
+    with pytest.raises(RuntimeError, match="band"):
+        find_roots(CharEq(0.0), Region(-3.0, 9.0, 10.0, 16.0))
 
 
 def test_census_matches_oracle_on_criterion_2_rectangles(wide_rootset):
