@@ -17,6 +17,7 @@ output is stable.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import re
@@ -38,6 +39,7 @@ from .model import (
     ConstantsError,
     KinematicState,
     PhysicalConstants,
+    lorentz_gamma,
     parse_constants_file,
 )
 from .report import _fmt, render_report, run_report
@@ -97,12 +99,16 @@ def _pair_arg(text: str) -> tuple[float, float]:
     return a, b
 
 
+# Characters per write in _write_text: handing a whole table to one
+# write makes the text layer encode a second full-size copy of it.
+_WRITE_SLICE = 1 << 16
+
+
 def _write_text(path: str, text: str) -> None:
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    with (contextlib.nullcontext(sys.stdout) if path == "-" else
+          open(path, "w", encoding="utf-8", newline="")) as fh:
+        for a in range(0, len(text), _WRITE_SLICE):
+            fh.write(text[a:a + _WRITE_SLICE])
 
 
 # Rows per % application in _csv: one application over a whole 100k-row
@@ -194,7 +200,7 @@ def _trajectory_csv(traj) -> str:
 
 
 def _simulate_report(args, traj, drift: float) -> str:
-    gamma = 1.0 / math.sqrt((1.0 - drift) * (1.0 + drift))
+    gamma = lorentz_gamma(drift)
     target = dominant_real_root(drift) / gamma
     kick = args.amp if args.seed != "uniform" else 1e-6
     rate = perturbed_uniform_run(drift, kick).rate

@@ -1,8 +1,8 @@
 """Motion integrators and signal diagnostics.
 
-Two integrators live here.  propagate_exact marches the full delay
-equation of motion with the emitter map: every known state (s, x, beta,
-beta_dot) fixes the particle's position at the later arrival time
+Two instruments march the full delay equation of motion with the
+emitter map: every known state (s, x, beta, beta_dot) fixes the
+particle's position at the later arrival time
 
     t_a = s + r(s),
     x(t_a) = x(s) + r(s) beta(s) + gamma^2(s) beta_dot(s),
@@ -11,6 +11,13 @@ with r from the geometry closed form (valid here because the map
 constructs a solution).  The map is causal and explicit; no implicit
 advanced-time solve is needed, and the implicit light-cone route stays
 available as an independent audit (residual_eom).
+
+Both run on one march core, _march, in the breaking-point view of
+state-dependent delay equations (Bellen & Zennaro 2003, Numerical
+Methods for Delay Differential Equations, ch. 4): each pass re-emits
+settled states, whose arrivals settle the stretch one delay ahead.
+Only the recovery step that turns arrivals into the next emitters'
+(beta, beta_dot) differs: _ExactRecovery or _FilteredRecovery.
 
 integrate_truncated runs the jerk ODE obtained by keeping only the
 leading terms of the small-separation expansion,
@@ -23,16 +30,12 @@ mass m = hbar alpha / (4 d c) is substituted.  Its linear growth rate
 is exactly 3, far from the full equation's 1.79..., which is the whole
 point of keeping it.
 
-Numerical notes on the exact integrator:
+Numerical notes on the march:
 
 * Marching happens in drift-comoving position u = x - beta0 t.  For
   near-uniform motion the absolute position grows while the physics
   lives in a 1e-6 neighborhood; the comoving frame keeps roundoff at
   the scale of the perturbation instead of the scale of x.
-* Arrival knots are non-uniform.  Velocity and acceleration at a knot
-  are recovered from the quartic through the centered five-knot
-  stencil of positions, evaluated through the standard
-  divided-difference weights.
 * The exact march cannot run long.  The characteristic spectrum of the
   rest and drift states is unbounded above (Re z grows like twice the
   log of the mode frequency), so every delay crossing amplifies
@@ -42,27 +45,24 @@ Numerical notes on the exact integrator:
   crossings no matter how the derivatives are recovered; smoothing
   the recovery only slows the death.  propagate_exact is the honest
   instrument for rate windows a couple of delays long.
-* propagate_filtered is the long-horizon instrument.  Same emitter
-  map, but each generation is resampled onto the uniform grid and
-  convolved with a cosine-tapered Gaussian kernel before its states
-  are re-emitted.  The passband keeps the real mode and the
-  fundamental oscillatory branch (both stay supercritical, so the
-  instability is preserved); everything from the second branch up is
-  damped below its per-crossing growth, which keeps the ultraviolet
-  tower from overtaking the signal.  That has not bought a bounded
-  saturated run: from a rest kick the real mode passes the unit-sum
-  kernel untouched and the march coasts into the light barrier
-  (acceptance criterion 9, README "The honest failure").  The kernel fits
-  inside the light cone: the emitter geometry forces r >= 1, so a
-  sub-unit kernel span never starves the march.  Within one delay
-  crossing the filter multiplies a growing mode by a constant, leaving
-  log-slopes unbiased; across crossings amplitudes gain a small known
-  factor per generation, so rate measurements belong on the exact
-  path.  All choices land in the trajectory metadata.
-* The recovered stream is resampled onto a uniform grid with monotone
-  cubic (PCHIP) interpolation, trajectory.pchip; the returned
-  trajectory carries the seed history so the delay audit has the past
-  it needs.
+* propagate_filtered is the long-horizon instrument: its recovery
+  smooths each generation with a cosine-tapered Gaussian kernel.  The
+  passband keeps the real mode and the fundamental oscillatory branch
+  (both stay supercritical, so the instability is preserved);
+  everything from the second branch up is damped below its
+  per-crossing growth, which keeps the ultraviolet tower from
+  overtaking the signal.  That has not bought a bounded saturated run:
+  from a rest kick the real mode passes the unit-sum kernel and the
+  march coasts into the light barrier (acceptance criterion 9, README
+  "The honest failure").  The kernel fits inside the light cone: the
+  emitter geometry forces r >= 1, so a sub-unit kernel span never
+  starves the march.  The filter is not rate-neutral: a positive
+  unit-sum kernel multiplies a real growing mode by a small known
+  factor per generation, so log-slopes come out steeper (the filtered
+  rest kick's estimate_growth_rate over (3, 5) reads 2.5494 against
+  the 1.7933 root); rate measurements belong on the exact path.
+* Both return the seed history on the output grid, so the delay audit
+  has the past it needs, and all choices land in the metadata.
 * Arrival times must come out strictly increasing; if they do not, the
   run aborts with ArrivalOrderError rather than reordering anything.
   For a subluminal worldline the arrival map is provably monotone, so
@@ -71,18 +71,18 @@ Numerical notes on the exact integrator:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import solve_retarded_time_many
-from .model import KinematicState
+from .model import KinematicState, lorentz_gamma
 from .trajectory import SeedHistory, SuperluminalError, Trajectory, pchip
 
-# emitters re-emitted per pass of each marcher
-_EXACT_BLOCK = 2048
-_FILTERED_BLOCK = 8192
+# emitters re-emitted per pass of the march
+_BLOCK = 8192
 
 
 class ArrivalOrderError(RuntimeError):
@@ -135,37 +135,6 @@ def _fd_weights_batch(ts: np.ndarray, t0: np.ndarray,
     return c
 
 
-class _Stream:
-    """Append-only growable arrays for the arrival stream."""
-
-    def __init__(self, capacity: int):
-        self.t = np.empty(capacity)
-        self.u = np.empty(capacity)
-        self.b = np.empty(capacity)
-        self.a = np.empty(capacity)
-        self.n = 0
-
-    def _grow(self, need: int):
-        cap = self.t.size
-        if self.n + need <= cap:
-            return
-        new = max(2 * cap, self.n + need)
-        for name in ("t", "u", "b", "a"):
-            arr = np.empty(new)
-            arr[:self.n] = getattr(self, name)[:self.n]
-            setattr(self, name, arr)
-
-    def append_block(self, t, u):
-        m = t.size
-        self._grow(m)
-        s = slice(self.n, self.n + m)
-        self.t[s] = t
-        self.u[s] = u
-        self.b[s] = np.nan
-        self.a[s] = np.nan
-        self.n += m
-
-
 def _emit(t, u, b, a, drift):
     """Arrival time and comoving position from emitter states."""
     g2 = 1.0 / ((1.0 - b) * (1.0 + b))
@@ -176,124 +145,273 @@ def _emit(t, u, b, a, drift):
     return t_a, u_a
 
 
-def propagate_exact(seed: SeedHistory, t_end: float,
-                    grid: float = 1e-3) -> Trajectory:
-    """March the delay equation of motion forward to t_end.
+def _velocity(drift: float, du: np.ndarray) -> np.ndarray:
+    """Lab velocity from a recovered comoving slope, refusing |beta| >= 1."""
+    beta = drift + du
+    if np.any(np.abs(beta) >= 1.0):
+        raise SuperluminalError("recovered |beta| >= 1 during marching")
+    return beta
 
-    Returns a Trajectory on a uniform grid covering [-span, t_end]
-    (seed history included, so residual audits can reach into the
-    past).  grid is the output spacing and the seed sampling step; the
-    interior arrival knots keep their own natural spacing.
+
+def _march(seed: SeedHistory, t_end: float, grid: float, recovery,
+           partial: bool, metadata: dict) -> Trajectory:
+    """The emitter-map march both instruments share.
+
+    recovery(seed, grid) checks the instrument's own parameters and
+    returns its recovery step: start() takes the seed pass, recover()
+    advances on the arrivals so far (False when nothing is new),
+    emitters() hands out ready emitter states, absorb() takes their
+    arrivals, done() says the output is covered, output() assembles
+    (u, beta, beta_dot) rows and, under partial=True only, settled()
+    gives the last row a cut-short march still supports.
     """
     if not (t_end > 0 and math.isfinite(t_end)):
         raise ValueError(f"t_end must be positive and finite, got {t_end!r}")
     if not (grid > 0 and math.isfinite(grid)):
         raise ValueError(f"grid must be positive, got {grid!r}")
-    half = 2                   # recovery on five-knot stencils
+    rec = recovery(seed, grid)
     drift = seed.drift
 
     # --- seed pass: emit from the prescribed history ------------------
-    n_seed = int(round(seed.span / grid))
-    s_times = np.linspace(-seed.span, 0.0, n_seed + 1)
-    s_b = np.asarray(seed.velocity(s_times), dtype=float)
+    k0 = int(round(seed.span / grid))         # output row of t = 0
+    s_t = np.linspace(-seed.span, 0.0, k0 + 1)
+    s_b = np.asarray(seed.velocity(s_t), dtype=float)
     if np.any(np.abs(s_b) >= 1.0):
         raise SuperluminalError("seed history reaches |beta| >= 1")
-    s_a = np.asarray(seed.acceleration(s_times), dtype=float)
-    s_u = np.asarray(seed.offset_position(s_times), dtype=float)
-
-    t_a, u_a = _emit(s_times, s_u, s_b, s_a, drift)
-    # clear the last ghost knot by half a step: a near-duplicate node
-    # pair would inflate the recovery weights across the history seam
-    keep = t_a > 0.5 * grid
-    t_a, u_a = t_a[keep], u_a[keep]
-    if t_a.size < 2 * half + 1 or np.any(np.diff(t_a) <= 0.0):
+    s_a = np.asarray(seed.acceleration(s_t), dtype=float)
+    s_u = np.asarray(seed.offset_position(s_t), dtype=float)
+    t_a, u_a = _emit(s_t, s_u, s_b, s_a, drift)
+    if np.any(np.diff(t_a) <= 0.0):
         raise ArrivalOrderError("seed emissions gave non-monotone arrivals")
-
-    stream = _Stream(capacity=int((t_end + 2 * seed.span) / grid * 1.3) + 64)
-    # ghost prefix: trailing seed knots give early stencils a past
-    n_ghost = 2 * half
-    g_times = s_times[-n_ghost:]
-    stream.append_block(g_times, s_u[-n_ghost:])
-    stream.b[:n_ghost] = s_b[-n_ghost:]
-    stream.a[:n_ghost] = s_a[-n_ghost:]
-    stream.append_block(t_a, u_a)
-
-    n_ready = n_ghost          # knots with recovered (beta, beta_dot)
-    n_emit = n_ghost           # next knot to use as an emitter
-
-    def recover(lo: int, hi: int):
-        idx = np.arange(lo, hi)
-        offsets = np.arange(-half, half + 1)
-        stenc = idx[:, None] + offsets[None, :]
-        ts = stream.t[stenc]
-        us = stream.u[stenc]
-        w = _fd_weights_batch(ts, stream.t[idx], max_order=2)
-        du = np.einsum("bk,bk->b", w[:, 1, :], us)
-        d2u = np.einsum("bk,bk->b", w[:, 2, :], us)
-        beta = drift + du
-        if np.any(np.abs(beta) >= 1.0):
-            raise SuperluminalError("recovered |beta| >= 1 during marching")
-        stream.b[lo:hi] = beta
-        stream.a[lo:hi] = d2u
-
-    # Emit only until the recovered knots cover t_end.  Marching any
-    # further would re-emit the latest (least settled) knots to arrival
-    # times beyond the requested horizon for nothing.
-    while True:
-        can_recover = stream.n - half
-        if can_recover > n_ready:
-            recover(n_ready, can_recover)
-            n_ready = can_recover
-        if n_ready > 0 and stream.t[n_ready - 1] >= t_end:
-            break
-        block_end = min(n_ready, n_emit + _EXACT_BLOCK)
-        if block_end <= n_emit:
-            raise RuntimeError("marching starved: no recovered emitters "
-                               "ahead of the pointer")
-        blk = slice(n_emit, block_end)
-        t_a, u_a = _emit(stream.t[blk], stream.u[blk],
-                         stream.b[blk], stream.a[blk], drift)
-        if t_a[0] <= stream.t[stream.n - 1] or np.any(np.diff(t_a) <= 0.0):
-            raise ArrivalOrderError("non-monotone arrival times; the run "
-                                    "is reported, not reordered")
-        stream.append_block(t_a, u_a)
-        n_emit = block_end
-
-    # --- resample onto the uniform output grid ------------------------
-    kt = stream.t[:n_ready]
-    ku = stream.u[:n_ready]
-    kb = stream.b[:n_ready]
-    ka = stream.a[:n_ready]
-    if kt[-1] < t_end:
-        raise RuntimeError("marching stopped short of t_end")
-
-    n_hist = int(round(seed.span / grid))
     n_fwd = int(round(t_end / grid))
-    t_out = np.concatenate([
-        np.linspace(-seed.span, 0.0, n_hist + 1)[:-1],
-        np.linspace(0.0, t_end, n_fwd + 1),
-    ])
-    hist = t_out < -1e-15
-    fwd = ~hist
+    n_out = k0 + n_fwd + 1
+    # the output grid, run on by the recovery's own pad of extra rows
+    t_grid = np.concatenate([s_t[:-1], np.linspace(0.0, t_end, n_fwd + 1),
+                             t_end + grid * np.arange(1, rec.pad + 1)])
+    rec.start(t_grid, s_u, s_b, s_a, t_a, u_a)
+    last_arrival = t_a[-1]
 
-    u_out = np.empty_like(t_out)
-    b_out = np.empty_like(t_out)
-    a_out = np.empty_like(t_out)
-    u_out[hist] = seed.offset_position(t_out[hist])
-    b_out[hist] = seed.velocity(t_out[hist])
-    a_out[hist] = seed.acceleration(t_out[hist])
-    u_out[fwd] = pchip(kt, ku)(t_out[fwd])
-    b_out[fwd] = pchip(kt, kb)(t_out[fwd])
-    a_out[fwd] = pchip(kt, ka)(t_out[fwd])
+    aborted: Exception | None = None
+    try:
+        while not rec.done():
+            if rec.recover():
+                continue
+            t, u, b, a = rec.emitters(_BLOCK)
+            if t.size == 0:
+                raise RuntimeError("marching starved: no recovered emitters "
+                                   "ahead of the pointer")
+            t_a, u_a = _emit(t, u, b, a, drift)
+            if t_a[0] <= last_arrival or np.any(np.diff(t_a) <= 0.0):
+                raise ArrivalOrderError("non-monotone arrival times; the run "
+                                        "is reported, not reordered")
+            rec.absorb(t_a, u_a)
+            last_arrival = t_a[-1]
+    except (SuperluminalError, ArrivalOrderError) as exc:
+        if not partial:
+            raise
+        aborted = exc
 
+    last = n_out - 1
+    if aborted is not None:
+        last = min(rec.settled(), last)
+        if last <= k0 + 4:
+            raise aborted
+    t_out = t_grid[:last + 1]
+    u_out, b_out, a_out = rec.output(t_out)
+    # The marching check sees beta where it is recovered only; a run
+    # whose coverage outpaces its emissions can finish with a
+    # superluminal tail it never emitted from.  Trim on the assembled
+    # output, nan included, whatever ended the march.
+    bad = np.flatnonzero(~(np.abs(b_out) < 1.0))
+    if bad.size:
+        exc = SuperluminalError("recovered |beta| >= 1 in the "
+                                "assembled output")
+        if not partial:
+            raise exc
+        cut = int(bad[0])
+        if cut <= k0 + 4:
+            raise aborted or exc
+        t_out, u_out = t_out[:cut], u_out[:cut]
+        b_out, a_out = b_out[:cut], a_out[:cut]
+        if aborted is None:
+            aborted = exc
+
+    metadata = {**metadata, "drift": drift, "seed": seed.describe(),
+                "t_start": 0.0}
+    if aborted is not None:
+        metadata["aborted"] = type(aborted).__name__
+        metadata["abort_reason"] = str(aborted)
+        metadata["t_reached"] = float(t_out[-1])
     x_out = u_out + drift * t_out
-    return Trajectory(t_out, x_out, b_out, a_out, metadata={
-        "integrator": "emitter-map",
-        "grid": grid,
-        "drift": drift,
-        "seed": seed.describe(),
-        "t_start": 0.0,
-    })
+    return Trajectory(t_out, x_out, b_out, a_out, metadata=metadata)
+
+
+class _ExactRecovery:
+    """Arrival knots kept where they land, in one growable array of
+    rows t, u, beta, beta_dot.  (beta, beta_dot) at a knot come from the
+    quartic through its centered five-knot stencil; monotone cubic
+    (PCHIP) interpolation resamples the knots onto the output grid."""
+
+    half = 2                   # recovery on five-knot stencils
+    pad = 0
+
+    def __init__(self, seed: SeedHistory, grid: float):
+        self.drift = seed.drift
+        self.grid = grid
+
+    def start(self, t_grid, s_u, s_b, s_a, t_a, u_a):
+        # clear the last ghost knot by half a step: a near-duplicate node
+        # pair would inflate the recovery weights across the history seam
+        keep = t_a > 0.5 * self.grid
+        if np.count_nonzero(keep) < 2 * self.half + 1:
+            raise ArrivalOrderError("seed emissions gave non-monotone arrivals")
+        self.t_end = t_grid[-1]
+        self.k0 = s_u.size - 1
+        self.seed_rows = s_u[:-1], s_b[:-1], s_a[:-1]
+        # t_grid.size + k0 rows span t_end plus twice the seed span
+        self.knots = np.empty((4, int((t_grid.size + self.k0) * 1.3) + 64))
+        self.n = 0
+        # ghost prefix: trailing seed knots give early stencils a past
+        n_ghost = 2 * self.half
+        self.absorb(t_grid[self.k0 + 1 - n_ghost:self.k0 + 1],
+                    s_u[-n_ghost:])
+        self.knots[2:, :n_ghost] = s_b[-n_ghost:], s_a[-n_ghost:]
+        self.absorb(t_a[keep], u_a[keep])
+        self.n_ready = n_ghost     # knots with recovered (beta, beta_dot)
+        self.n_emit = n_ghost      # next knot to use as an emitter
+
+    def absorb(self, t, u):
+        m = t.size
+        if self.n + m > self.knots.shape[1]:
+            grown = np.empty((4, max(2 * self.knots.shape[1], self.n + m)))
+            grown[:, :self.n] = self.knots[:, :self.n]
+            self.knots = grown
+        s = slice(self.n, self.n + m)
+        self.knots[0, s] = t
+        self.knots[1, s] = u
+        self.knots[2:, s] = np.nan
+        self.n += m
+
+    def done(self) -> bool:
+        # Emit only until the recovered knots cover t_end.  Marching any
+        # further would re-emit the latest (least settled) knots to
+        # arrival times beyond the requested horizon for nothing.
+        return self.knots[0, self.n_ready - 1] >= self.t_end
+
+    def recover(self) -> bool:
+        lo, hi = self.n_ready, self.n - self.half
+        if hi <= lo:
+            return False
+        kt, ku = self.knots[0], self.knots[1]
+        idx = np.arange(lo, hi)
+        stenc = idx[:, None] + np.arange(-self.half, self.half + 1)[None, :]
+        w = _fd_weights_batch(kt[stenc], kt[idx], max_order=2)
+        us = ku[stenc]
+        du = np.einsum("bk,bk->b", w[:, 1, :], us)
+        self.knots[3, lo:hi] = np.einsum("bk,bk->b", w[:, 2, :], us)
+        self.knots[2, lo:hi] = _velocity(self.drift, du)
+        self.n_ready = hi
+        return True
+
+    def emitters(self, block: int):
+        lo = self.n_emit
+        self.n_emit = min(self.n_ready, lo + block)
+        return self.knots[:, lo:self.n_emit]
+
+    def output(self, t_out):
+        k0 = self.k0
+        kt, ku, kb, ka = self.knots[:, :self.n_ready]
+        fwd = t_out[k0:]
+        return tuple(np.concatenate([hist, pchip(kt, k)(fwd)])
+                     for hist, k in zip(self.seed_rows, (ku, kb, ka)))
+
+
+class _FilteredRecovery:
+    """Arrivals carried onto the uniform grid by PCHIP (raw channel),
+    smoothed with _filter_kernel once the kernel's reach is covered,
+    and differentiated by _fd5 at each emitter."""
+
+    def __init__(self, seed: SeedHistory, grid: float, *,
+                 sigma: float, kernel_span: float):
+        if not 0.0 < kernel_span < 0.95:
+            raise ValueError("kernel_span must sit inside the minimum delay, "
+                             f"got {kernel_span!r}")
+        if not 0.0 < sigma:
+            raise ValueError(f"sigma must be positive, got {sigma!r}")
+        self.w, self.half_k = _filter_kernel(grid, sigma, kernel_span)
+        if seed.span < kernel_span + 8.0 * grid:
+            raise ValueError("seed history too short to prime the filter: "
+                             f"span {seed.span} vs kernel {kernel_span}")
+        self.pad = self.half_k + 4
+        self.drift = seed.drift
+        self.grid = grid
+
+    def start(self, t_grid, s_u, s_b, s_a, t_a, u_a):
+        half_k = self.half_k
+        k0 = self.k0 = s_u.size - 1
+        self.t = t_grid
+        self.u_raw = np.full(t_grid.size, np.nan)
+        self.u_s = np.full(t_grid.size, np.nan)
+        self.u_raw[:k0 + 1] = s_u
+        self.seed_rows = s_b, s_a
+        # the smoothed channel covers the seed region too (filled by the
+        # first pass), so no stencil ever straddles a raw/filtered
+        # amplitude seam; only the kernel-sized left edge stays raw, and
+        # emissions from there land before t = 0 and are discarded
+        self.u_s[:half_k] = s_u[:half_k]
+        self.cov = k0              # last grid index with raw coverage
+        # a few trailing arrivals are carried into the next interpolation
+        # so block boundaries do not degrade the pchip edge
+        self.tail_t = self.tail_u = np.empty(0)
+        self.absorb(t_a, u_a)
+        self.smo = half_k - 1      # last smoothed index
+        self.e_ptr = k0 + 1        # next emitter index
+        # smoothed coverage for the output stencils
+        self.need = t_grid.size - self.pad + 1
+
+    def absorb(self, t_a, u_a):
+        at = np.concatenate([self.tail_t, t_a])
+        au = np.concatenate([self.tail_u, u_a])
+        k0, t, cov = self.k0, self.t, self.cov
+        hi = k0 + int(np.searchsorted(t[k0:], at[-1] - 2.0 * self.grid,
+                                      side="right")) - 1
+        hi = min(hi, t.size - 1)
+        if hi > cov:
+            self.u_raw[cov + 1:hi + 1] = pchip(at, au)(t[cov + 1:hi + 1])
+            self.cov = hi
+        self.tail_t, self.tail_u = at[-6:], au[-6:]
+
+    def done(self) -> bool:
+        return self.smo >= self.need
+
+    def recover(self) -> bool:
+        half_k = self.half_k
+        new_smo = self.cov - half_k
+        if new_smo <= self.smo:
+            return False
+        lo = self.smo + 1
+        self.u_s[lo:new_smo + 1] = np.convolve(
+            self.u_raw[lo - half_k:new_smo + half_k + 1], self.w, mode="valid")
+        self.smo = new_smo
+        return True
+
+    def emitters(self, block: int):
+        i = np.arange(self.e_ptr, min(self.smo - 1, self.e_ptr + block))
+        self.e_ptr += i.size
+        du, d2u = _fd5(self.u_s, i, self.grid)
+        return self.t[i], self.u_s[i], _velocity(self.drift, du), d2u
+
+    def settled(self) -> int:
+        return self.smo - 3        # output stencils need u_s[last + 2]
+
+    def output(self, t_out):
+        k0, last = self.k0, t_out.size - 1
+        u_out = self.u_s[:last + 1].copy()
+        u_out[:k0 + 1] = self.u_raw[:k0 + 1]  # history stays as prescribed
+        du, d2u = _fd5(self.u_s, np.arange(k0 + 1, last + 1), self.grid)
+        s_b, s_a = self.seed_rows
+        return u_out, np.concatenate([s_b, self.drift + du]), \
+            np.concatenate([s_a, d2u])
 
 
 def _filter_kernel(grid: float, sigma: float,
@@ -324,22 +442,31 @@ def _fd5(u: np.ndarray, i: np.ndarray,
     return du, d2u
 
 
+def propagate_exact(seed: SeedHistory, t_end: float,
+                    grid: float = 1e-3) -> Trajectory:
+    """March the delay equation of motion forward to t_end.
+
+    Returns a Trajectory on a uniform grid covering [-span, t_end]
+    (seed history included, so residual audits can reach into the
+    past).  grid is the output spacing and the seed sampling step; the
+    interior arrival knots keep their own natural spacing.
+    """
+    return _march(seed, t_end, grid, _ExactRecovery, False,
+                  {"integrator": "emitter-map", "grid": grid})
+
+
 def propagate_filtered(seed: SeedHistory, t_end: float, grid: float = 1e-3, *,
                        sigma: float = 0.45, kernel_span: float = 0.90,
                        partial: bool = False) -> Trajectory:
     """March the delay equation with per-generation band limiting.
 
-    Same emitter map as propagate_exact, but arrivals are resampled
-    onto the uniform grid and smoothed with _filter_kernel before
-    their states are differentiated and re-emitted.  See the module
-    notes: the unfiltered equation amplifies frequency-omega content
-    by about omega^2 + 2 per delay crossing, and this deliberate
-    dissipation above the fundamental branch damps that ultraviolet
-    tower.  Defaults keep the real mode and the fundamental
-    supercritical and damp the second branch and everything above it.
-    No bounded run has been reached from a rest kick: the real mode
-    passes the filter and the march stops at the light barrier near
-    t = 9.7 (acceptance criterion 9, README "The honest failure").
+    Same emitter map as propagate_exact, with each generation smoothed
+    by _filter_kernel before it is re-emitted (see the module notes).
+    Defaults keep the real mode and the fundamental supercritical and
+    damp the second branch and everything above it.  No bounded run
+    has been reached from a rest kick: the real mode passes the filter
+    and the march stops at the light barrier near t = 9.7 (acceptance
+    criterion 9, README "The honest failure").
 
     kernel_span must stay below the minimum delay (1 in these units),
     or the march would need future data it cannot have yet.
@@ -348,147 +475,11 @@ def propagate_filtered(seed: SeedHistory, t_end: float, grid: float = 1e-3, *,
     mid-march (light-barrier approach or an arrival fold) instead of
     raising; the abort reason and reached time go into metadata.
     """
-    if not (t_end > 0 and math.isfinite(t_end)):
-        raise ValueError(f"t_end must be positive and finite, got {t_end!r}")
-    if not (grid > 0 and math.isfinite(grid)):
-        raise ValueError(f"grid must be positive, got {grid!r}")
-    if not 0.0 < kernel_span < 0.95:
-        raise ValueError("kernel_span must sit inside the minimum delay, "
-                         f"got {kernel_span!r}")
-    if not 0.0 < sigma:
-        raise ValueError(f"sigma must be positive, got {sigma!r}")
-    w, half_k = _filter_kernel(grid, sigma, kernel_span)
-    if seed.span < kernel_span + 8.0 * grid:
-        raise ValueError("seed history too short to prime the filter: "
-                         f"span {seed.span} vs kernel {kernel_span}")
-    drift = seed.drift
-
-    n_hist = int(round(seed.span / grid))
-    n_fwd = int(round(t_end / grid))
-    pad = half_k + 4
-    t_full = np.concatenate([
-        np.linspace(-seed.span, 0.0, n_hist + 1)[:-1],
-        np.linspace(0.0, t_end, n_fwd + 1),
-        t_end + grid * np.arange(1, pad + 1),
-    ])
-    n_out = n_hist + n_fwd + 1
-    k0 = n_hist                      # index of t = 0
-    u_raw = np.full(t_full.size, np.nan)
-    u_s = np.full(t_full.size, np.nan)
-
-    hist_t = t_full[:k0 + 1]
-    s_b = np.asarray(seed.velocity(hist_t), dtype=float)
-    if np.any(np.abs(s_b) >= 1.0):
-        raise SuperluminalError("seed history reaches |beta| >= 1")
-    s_a = np.asarray(seed.acceleration(hist_t), dtype=float)
-    u_raw[:k0 + 1] = seed.offset_position(hist_t)
-    # the smoothed channel covers the seed region too (filled by the
-    # first pass below), so no stencil ever straddles a raw/filtered
-    # amplitude seam; only the kernel-sized left edge stays raw, and
-    # emissions from there land before t = 0 and are discarded
-    u_s[:half_k] = u_raw[:half_k]
-
-    t_a, u_a = _emit(hist_t, u_raw[:k0 + 1], s_b, s_a, drift)
-    if np.any(np.diff(t_a) <= 0.0):
-        raise ArrivalOrderError("seed emissions gave non-monotone arrivals")
-
-    cov = k0                         # last grid index with raw coverage
-    # a few trailing arrivals are carried into the next interpolation so
-    # block boundaries do not degrade the pchip edge
-    tail_t = np.empty(0)
-    tail_u = np.empty(0)
-
-    def absorb(t_a, u_a, cov):
-        at = np.concatenate([tail_t, t_a])
-        au = np.concatenate([tail_u, u_a])
-        hi = k0 + int(np.searchsorted(t_full[k0:], at[-1] - 2.0 * grid,
-                                      side="right")) - 1
-        hi = min(hi, t_full.size - 1)
-        if hi > cov:
-            u_raw[cov + 1:hi + 1] = pchip(at, au)(t_full[cov + 1:hi + 1])
-            cov = hi
-        return cov, at[-6:], au[-6:]
-
-    cov, tail_t, tail_u = absorb(t_a, u_a, cov)
-
-    smo = half_k - 1                 # last smoothed index
-    e_ptr = k0 + 1                   # next emitter index
-    need = k0 + n_fwd + 2            # smoothed coverage for output stencils
-
-    aborted: Exception | None = None
-    try:
-        while smo < need:
-            new_smo = min(cov, t_full.size - 1) - half_k
-            if new_smo > smo:
-                lo = smo + 1
-                u_s[lo:new_smo + 1] = np.convolve(
-                    u_raw[lo - half_k:new_smo + half_k + 1], w, mode="valid")
-                smo = new_smo
-                continue
-            block_end = min(smo - 1, e_ptr + _FILTERED_BLOCK)
-            if block_end <= e_ptr:
-                raise RuntimeError("filtered marching starved: smoothing lag "
-                                   "caught up with the emit pointer")
-            i = np.arange(e_ptr, block_end)
-            du, d2u = _fd5(u_s, i, grid)
-            beta = drift + du
-            if np.any(np.abs(beta) >= 1.0):
-                raise SuperluminalError("recovered |beta| >= 1 during marching")
-            t_a, u_a = _emit(t_full[i], u_s[i], beta, d2u, drift)
-            if t_a[0] <= tail_t[-1] or np.any(np.diff(t_a) <= 0.0):
-                raise ArrivalOrderError("non-monotone arrival times; the run "
-                                        "is reported, not reordered")
-            cov, tail_t, tail_u = absorb(t_a, u_a, cov)
-            e_ptr = block_end
-    except (SuperluminalError, ArrivalOrderError) as exc:
-        if not partial:
-            raise
-        aborted = exc
-
-    last = n_out - 1
-    if aborted is not None:
-        last = min(smo - 3, last)   # output stencils need u_s[last + 2]
-        if last <= k0 + 4:
-            raise aborted
-    t_out = t_full[:last + 1]
-    u_out = u_s[:last + 1].copy()
-    u_out[:k0 + 1] = u_raw[:k0 + 1]  # history stays as prescribed
-    du, d2u = _fd5(u_s, np.arange(k0 + 1, last + 1), grid)
-    b_out = np.concatenate([s_b, drift + du])
-    a_out = np.concatenate([s_a, d2u])
-    # The marching check sees beta at emission times only; a run whose
-    # coverage outpaces its emissions can finish with a superluminal
-    # tail it never emitted from.  Trim on the assembled output, nan
-    # included, whatever ended the march.
-    bad = np.flatnonzero(~(np.abs(b_out) < 1.0))
-    if bad.size:
-        exc = SuperluminalError("recovered |beta| >= 1 in the "
-                                "assembled output")
-        if not partial:
-            raise exc
-        cut = int(bad[0])
-        if cut <= k0 + 4:
-            raise aborted or exc
-        t_out, u_out = t_out[:cut], u_out[:cut]
-        b_out, a_out = b_out[:cut], a_out[:cut]
-        if aborted is None:
-            aborted = exc
-
-    metadata = {
-        "integrator": "emitter-map-filtered",
-        "grid": grid,
-        "sigma": sigma,
-        "kernel_span": kernel_span,
-        "drift": drift,
-        "seed": seed.describe(),
-        "t_start": 0.0,
-    }
-    if aborted is not None:
-        metadata["aborted"] = type(aborted).__name__
-        metadata["abort_reason"] = str(aborted)
-        metadata["t_reached"] = float(t_out[-1])
-    x_out = u_out + drift * t_out
-    return Trajectory(t_out, x_out, b_out, a_out, metadata=metadata)
+    recovery = functools.partial(_FilteredRecovery, sigma=sigma,
+                                 kernel_span=kernel_span)
+    return _march(seed, t_end, grid, recovery, partial,
+                  {"integrator": "emitter-map-filtered", "grid": grid,
+                   "sigma": sigma, "kernel_span": kernel_span})
 
 
 def residual_eom(traj: Trajectory, t: float) -> float:
@@ -673,7 +664,7 @@ def perturbed_uniform_run(beta: float, kick: float = 1e-6,
     """
     if not 0.0 <= beta < 1.0:
         raise ValueError(f"beta must be in [0, 1), got {beta!r}")
-    gamma = 1.0 / math.sqrt((1.0 - beta) * (1.0 + beta))
+    gamma = lorentz_gamma(beta)
     if t_end is None:
         t_end = 1.3 * gamma
     if window is None:

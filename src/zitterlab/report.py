@@ -175,7 +175,7 @@ def _check_energy_decomposition():
 
 
 def _check_series_vs_closed():
-    gamma = 1.0 / math.sqrt(1.0 - 0.3 ** 2)
+    gamma = model.lorentz_gamma(0.3)
     state = KinematicState(beta=0.3, beta_dot=math.sqrt(0.5) / gamma ** 3)
     diff = abs(potential.self_potential_series(state, 30)
                - potential.self_potential_closed(state))
@@ -206,7 +206,7 @@ def _check_denominator():
     worst = 0.0
     for b, bd in zip(beta, beta_dot):
         s = KinematicState(beta=float(b), beta_dot=float(bd))
-        gamma = 1.0 / math.sqrt((1.0 - b) * (1.0 + b))
+        gamma = model.lorentz_gamma(b)
         lhs = potential_denominator(s) * gamma
         worst = max(worst, abs(lhs - math.sqrt(1.0 + y_parameter(s))))
     return 0.0, worst, 1e-12, worst <= 1e-12
@@ -216,7 +216,7 @@ def _check_retarded_delay():
     worst = 0.0
     for beta in (0.0, 0.5):
         traj = propagate_exact(SeedHistory.uniform_motion(beta), 4.0)
-        gamma = 1.0 / math.sqrt((1.0 - beta) * (1.0 + beta))
+        gamma = model.lorentz_gamma(beta)
         for t in np.linspace(1.5, 3.5, 9):
             geo = solve_retarded_time(traj, float(t))
             worst = max(worst, abs(geo.r - gamma))
@@ -239,7 +239,7 @@ def _check_rest_rate():
 
 
 def _drift_rate(beta: float):
-    gamma = 1.0 / math.sqrt((1.0 - beta) * (1.0 + beta))
+    gamma = model.lorentz_gamma(beta)
     target = rootsmod.dominant_real_root(beta) / gamma
     rate = perturbed_uniform_run(beta, 1e-6).rate
     tol = 0.15 * target

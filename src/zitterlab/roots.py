@@ -79,7 +79,7 @@ class CharEq:
     beta tags the physical state the equation was linearized about;
     the function itself is beta-independent in the dilated variable
     (see the module notes), so beta only matters when converting roots
-    to lab-frame rates, as chareq_uniform_eval does.
+    to lab-frame rates.
     """
 
     beta: float = 0.0
@@ -111,17 +111,6 @@ class CharEq:
 
     def residual(self, z):
         return np.abs(self.scaled_value(z))
-
-
-def chareq_uniform_eval(lam, beta: float = 0.0):
-    """Characteristic function in the lab-frame rate variable lambda.
-
-    gamma^2 lambda^2 + gamma lambda + 1 - e^(lambda gamma): identical
-    to f(lambda * gamma), which is how it is evaluated.  All drift
-    dependence is the time dilation of the argument.
-    """
-    gamma = 1.0 / math.sqrt((1.0 - beta) * (1.0 + beta))
-    return CharEq(beta).value(np.asarray(lam, dtype=complex) * gamma)
 
 
 @dataclass(frozen=True)
@@ -320,6 +309,8 @@ def dominant_real_root(beta: float = 0.0) -> float:
         raise RuntimeError("no sign change found for the real root")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break              # the bracket is a fixed point of halving
         if s(mid) < 0.0:
             hi = mid
         else:

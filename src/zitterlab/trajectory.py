@@ -20,12 +20,13 @@ acceleration is beta_dot.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+
+from .model import lorentz_gamma
 
 
 class TrajectoryDomainError(ValueError):
@@ -261,7 +262,7 @@ class SeedHistory:
     def __post_init__(self):
         if not abs(self.beta) < 1.0:
             raise SuperluminalError(f"seed drift beta = {self.beta!r}")
-        gamma = 1.0 / math.sqrt((1.0 - self.beta) * (1.0 + self.beta))
+        gamma = lorentz_gamma(self.beta)
         if self.span < 2.0 * gamma:
             raise ValueError(
                 f"span {self.span} shorter than twice the delay {gamma}")
@@ -272,7 +273,7 @@ class SeedHistory:
 
     @classmethod
     def uniform_motion(cls, beta: float, span: float | None = None) -> "SeedHistory":
-        gamma = 1.0 / math.sqrt((1.0 - beta) * (1.0 + beta))
+        gamma = lorentz_gamma(beta)
         if span is None:
             span = max(3.0, 2.5 * gamma)
         return cls(kind="uniform_motion", amplitude=0.0, span=span, beta=beta)
@@ -280,7 +281,7 @@ class SeedHistory:
     @classmethod
     def uniform_kick(cls, beta: float, amplitude: float,
                      span: float | None = None) -> "SeedHistory":
-        gamma = 1.0 / math.sqrt((1.0 - beta) * (1.0 + beta))
+        gamma = lorentz_gamma(beta)
         if span is None:
             span = max(3.0, 2.5 * gamma)
         return cls(kind="uniform_kick", amplitude=float(amplitude),
@@ -299,7 +300,7 @@ class SeedHistory:
         O(amplitude^2).
         """
         from .roots import dominant_real_root
-        gamma = 1.0 / math.sqrt((1.0 - beta) * (1.0 + beta))
+        gamma = lorentz_gamma(beta)
         if span is None:
             span = max(3.0, 2.5 * gamma)
         rate = dominant_real_root(beta) / gamma

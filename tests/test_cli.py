@@ -1,9 +1,11 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from zitterlab import cli
 from zitterlab import potential as potmod
 from zitterlab.cli import main
 from zitterlab.dynamics import propagate_filtered
-from zitterlab.report import _fmt
+from zitterlab.report import REGISTRY, _fmt
 from zitterlab.roots import CharEq, Region, dominant_real_root, find_roots
 from zitterlab.trajectory import SeedHistory
 
@@ -356,3 +358,22 @@ def test_cli_import_loads_no_scipy():
                           text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]", proc.stdout[:300]
+
+
+def _readme_tour_commands():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    tour = text.split("## Quick tour", 1)[1].split("```sh", 1)[1]
+    tour = tour.split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in tour.splitlines()
+            if line.startswith("zitterlab ")]
+
+
+def test_readme_quick_tour_parses():
+    commands = _readme_tour_commands()
+    assert len(commands) >= 8
+    parser = cli._build_parser()
+    for argv in commands:
+        args = parser.parse_args(argv)
+        if args.command == "report" and args.only is not None:
+            assert any(args.only in check.check_id for check in REGISTRY), \
+                f"report --only {args.only} selects no check"

@@ -1,9 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from zitterlab.dynamics import (
+    ArrivalOrderError,
     DegenerateSignalError,
     TooFewSamplesError,
     estimate_growth_rate,
@@ -71,6 +73,16 @@ def test_seed_histories():
     table = Trajectory(t, 0.0 * t, np.zeros(26), np.zeros(26))
     with pytest.raises(ValueError):
         SeedHistory.custom(table)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SeedHistory.uniform_motion(1.0),
+    lambda: SeedHistory.uniform_kick(-1.0, 1e-6),
+    lambda: SeedHistory.mode_kick(1.0, 1e-6),
+], ids=["uniform_motion", "uniform_kick", "mode_kick"])
+def test_seeds_reject_light_speed_drift(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_seed_describe_is_stable():
@@ -245,3 +257,102 @@ def test_filtered_partial_keeps_subluminal_prefix(long_attempt):
     assert np.all(np.abs(long_attempt.beta) < 1.0)
     assert long_attempt.metadata["sigma"] == pytest.approx(0.45)
     assert long_attempt.metadata["kernel_span"] == pytest.approx(0.90)
+
+
+# --- pinned march outputs ----------------------------------------------
+
+def _run_digest(traj):
+    h = hashlib.sha256()
+    for channel in (traj.t, traj.x, traj.beta, traj.beta_dot):
+        h.update(channel.tobytes())
+    return h.hexdigest()
+
+
+_EXACT_MD = {"integrator": "emitter-map", "grid": 1e-3, "t_start": 0.0}
+_FILTERED_MD = {"integrator": "emitter-map-filtered", "grid": 1e-3,
+                "sigma": 0.45, "kernel_span": 0.90, "t_start": 0.0}
+_MARCH_FLIGHT = "recovered |beta| >= 1 during marching"
+_OUTPUT_TRIM = "recovered |beta| >= 1 in the assembled output"
+_FOLD = "non-monotone arrival times; the run is reported, not reordered"
+
+# Every path of both marchers: clean finishes, both exact raises, the
+# three filtered abort reasons under partial=True and the strict raise.
+# Each expectation is the sha256 of t, x, beta, beta_dot (tobytes, in
+# that order) plus the metadata, or the exception type and message.
+PINNED_MARCHES = {
+    "exact-mode-b0": (
+        propagate_exact, lambda: SeedHistory.mode_kick(0.0, 1e-6), 1.3, {},
+        "9b4c3e873fc8b63f3c8829b0c59cf85dc27fe1d3781550d437eeefbf41d9f74a",
+        {**_EXACT_MD, "drift": 0.0,
+         "seed": "mode_kick(amp=1e-06,beta=0,rate=1.79328)"}),
+    "exact-mode-b09": (
+        propagate_exact, lambda: SeedHistory.mode_kick(0.9, 1e-6), 3.0, {},
+        "f9d102a4be46ee6af7242d054b98e99f57b81c63fe61af006f16eba467ec0c29",
+        {**_EXACT_MD, "drift": 0.9,
+         "seed": "mode_kick(amp=1e-06,beta=0.9,rate=0.781674)"}),
+    "exact-uniform-b05": (
+        propagate_exact, lambda: SeedHistory.uniform_motion(0.5), 50.0, {},
+        "3fd64d960108e6304287c47d1b4a505f6faa64e4f2f658944adb0524462fbb8e",
+        {**_EXACT_MD, "drift": 0.5, "seed": "uniform_motion(amp=0,beta=0.5)"}),
+    "exact-mode-coarse": (
+        propagate_exact, lambda: SeedHistory.mode_kick(0.0, 1e-3), 1.5,
+        {"grid": 8e-3},
+        "9d666413416619e390a766423f4b48ded154fa6279970494fccd8cf4595073be",
+        {**_EXACT_MD, "grid": 8e-3, "drift": 0.0,
+         "seed": "mode_kick(amp=0.001,beta=0,rate=1.79328)"}),
+    "exact-rest-kick-raises": (
+        propagate_exact, lambda: SeedHistory.rest_kick(1e-6), 4.0, {},
+        SuperluminalError, _MARCH_FLIGHT),
+    "exact-uniform-kick-raises": (
+        propagate_exact, lambda: SeedHistory.uniform_kick(0.4, 1e-4), 3.0, {},
+        ArrivalOrderError, _FOLD),
+    "filtered-uniform-b04": (
+        propagate_filtered, lambda: SeedHistory.uniform_motion(0.4), 10.0, {},
+        "2569586060344f485384ef64f2e5d7d0709b30a4aed1096d71ddaa117f0e2686",
+        {**_FILTERED_MD, "drift": 0.4, "seed": "uniform_motion(amp=0,beta=0.4)"}),
+    "filtered-rest-kick-partial": (
+        propagate_filtered, lambda: SeedHistory.rest_kick(1e-6), 100.0,
+        {"partial": True},
+        "e8303b128fb62926489635fc37e5464e7170056118609a2bb556b65dc0292c2a",
+        {**_FILTERED_MD, "drift": 0.0, "seed": "rest_kick(amp=1e-06,beta=0)",
+         "aborted": "SuperluminalError", "abort_reason": _MARCH_FLIGHT,
+         "t_reached": 9.676}),
+    "filtered-uniform-kick-partial": (
+        propagate_filtered, lambda: SeedHistory.uniform_kick(0.3, 1e-4), 20.0,
+        {"partial": True},
+        "39e73e17d7d706ee29e510fe8924d75b55df0a851ab04a40e17eab63169a1beb",
+        {**_FILTERED_MD, "drift": 0.3, "seed": "uniform_kick(amp=0.0001,beta=0.3)",
+         "aborted": "SuperluminalError", "abort_reason": _MARCH_FLIGHT,
+         "t_reached": 8.52}),
+    "filtered-mode-kick-fold": (
+        propagate_filtered, lambda: SeedHistory.mode_kick(0.2, 1e-6), 20.0,
+        {"sigma": 0.3, "kernel_span": 0.6, "partial": True},
+        "014b068bb9c4791430ac2ed430c36ea3671145fead7addbc97a9a79673d0f8a1",
+        {**_FILTERED_MD, "sigma": 0.3, "kernel_span": 0.6, "drift": 0.2,
+         "seed": "mode_kick(amp=1e-06,beta=0.2,rate=1.75705)",
+         "aborted": "ArrivalOrderError", "abort_reason": _FOLD,
+         "t_reached": 5.406}),
+    "filtered-rest-kick-output-trim": (
+        propagate_filtered, lambda: SeedHistory.rest_kick(1e-2), 30.0,
+        {"partial": True},
+        "bd7ca188c96d10da5cc4264228b448a83a88c53cd9dc7ebc50b1950a3e1ac3ff",
+        {**_FILTERED_MD, "drift": 0.0, "seed": "rest_kick(amp=0.01,beta=0)",
+         "aborted": "SuperluminalError", "abort_reason": _OUTPUT_TRIM,
+         "t_reached": 5.063}),
+    "filtered-rest-kick-strict-raises": (
+        propagate_filtered, lambda: SeedHistory.rest_kick(1e-6), 12.0, {},
+        SuperluminalError, _OUTPUT_TRIM),
+}
+
+
+@pytest.mark.parametrize("case", PINNED_MARCHES)
+def test_march_outputs_are_pinned(case):
+    march, seed, t_end, kwargs, want, detail = PINNED_MARCHES[case]
+    if isinstance(want, type):
+        with pytest.raises(want) as info:
+            march(seed(), t_end, **kwargs)
+        assert str(info.value) == detail
+        return
+    traj = march(seed(), t_end, **kwargs)
+    assert _run_digest(traj) == want
+    assert traj.metadata == detail

@@ -43,6 +43,30 @@ def test_dominant_real_root_against_bisection():
     assert dominant_real_root() == pytest.approx(LAMBDA_STAR, abs=1e-12)
 
 
+def _fixed_halving_root(beta: float) -> float:
+    """dominant_real_root's bracket and test with all 200 halvings run."""
+    eq = CharEq(beta)
+    s = lambda x: float(eq.scaled_value(x).real)
+    lo, hi = 0.5, 1.0
+    while True:
+        hi *= 2.0
+        if s(hi) < 0.0:
+            break
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if s(mid) < 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5, 0.9])
+def test_dominant_real_root_stops_at_its_fixed_point(beta):
+    assert dominant_real_root(beta) == _fixed_halving_root(beta)
+    assert dominant_real_root(beta) == 1.7932821329007615
+
+
 def test_dominant_real_root_is_drift_free():
     base = dominant_real_root(0.0)
     for beta in (0.3, 0.6, 0.9):
