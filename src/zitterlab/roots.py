@@ -40,6 +40,15 @@ Numerics notes:
   reported residual therefore use the rescaled value e^(-max(Re z, 0))
   * f(z), which shares f's zeros and phase and keeps |.| representable.
   Residuals quoted anywhere in this module are of the rescaled value.
+* The domain-coloring render evaluates f on a pixel grid whose real
+  part is set by the column and imaginary part by the row.  numpy's
+  complex expm1 is a product of libm's expm1/exp of Re z and cos/sin of
+  Im z, so the render takes those once per column and per row, from
+  libm through `math` (numpy's own float64 SIMD exp and expm1 differ
+  from libm in about 5% of last bits), and gets CharEq.value and
+  CharEq.scaled_value bit for bit with only multiplies and adds per
+  pixel.  It colors blocks of rows into one preallocated image, so its
+  memory stays bounded.
 """
 
 from __future__ import annotations
@@ -57,11 +66,14 @@ _FIXED_POINT_STEPS = 40
 _NEWTON_STEPS = 3
 # The winding walk's first steps are at most 1/64 of an edge and
 # _WALK_STEP long.  Within a quarter step of the contour the double root
-# at 0 turns the phase by nearly a full turn per step, which the walk
+# at 0 can turn the phase by nearly a full turn per step, which the walk
 # reads as none, and within ~1e-6 |f| ~ |z|^2 / 2 trips its 1e-12 guard;
-# so certification keeps 0 max(side / 256, 1e-5) off the contour.  A
-# simple root turns the phase by < pi and needs only a rounding margin.
-_CLEARANCE = 1.0 / 256.0
+# so the walk refuses 0 nearer than max(step / 4, 1e-5).  Certification
+# keeps 0 max(side / 240, 1e-5) off the contour: moving edges off the
+# roots lengthens a side by at most two clearances, and
+# (1 + 2 / 240) / 256 < 1 / 240.  A simple root turns the phase by < pi
+# and needs only a rounding margin.
+_CLEARANCE = 1.0 / 240.0
 _ORIGIN_CLEARANCE = 1e-5
 _SIMPLE_CLEARANCE = 1e-9
 # e^z turns the phase by 1 rad per unit of Im z; steps of at most 0.5
@@ -70,6 +82,10 @@ _WALK_STEP = 0.5
 
 # Re z beyond which evaluation switches to the rescaled form
 _SCALE_SWITCH = 700.0
+
+# rows per block of render_domain_coloring: a 1600-wide block's float
+# temporaries stay near the cache, and memory stays bounded
+_RENDER_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -330,8 +346,12 @@ def argument_principle_count(eq: CharEq, region: Region,
     of the rescaled characteristic value (rescaling by a positive real
     factor leaves the phase untouched), adaptively bisecting any segment
     whose phase jump exceeds ~0.8 rad, from at least base_samples steps
-    per edge of at most _WALK_STEP.  Raises if the boundary runs too
-    close to a zero for the walk to be trustworthy.
+    per edge of at most _WALK_STEP.  Raises ValueError if the boundary
+    runs too close to a zero for the walk to be trustworthy: if a sample
+    lands within |f| < 1e-12 of one, or if the double root at 0 lies
+    nearer an edge than a quarter of that edge's first step or
+    _ORIGIN_CLEARANCE, where one step can turn the phase by a full turn
+    unseen.
     """
     corners = [complex(region.x0, region.y0), complex(region.x1, region.y0),
                complex(region.x1, region.y1), complex(region.x0, region.y1),
@@ -340,6 +360,14 @@ def argument_principle_count(eq: CharEq, region: Region,
     budget = 200000
     for a, b in zip(corners[:-1], corners[1:]):
         n = max(base_samples, 8, math.ceil(abs(b - a) / _WALK_STEP))
+        # the point of the edge nearest 0
+        near = complex(min(max(0.0, min(a.real, b.real)), max(a.real, b.real)),
+                       min(max(0.0, min(a.imag, b.imag)), max(a.imag, b.imag)))
+        limit = max(abs(b - a) / n / 4.0, _ORIGIN_CLEARANCE)
+        if abs(near) < limit:
+            raise ValueError(f"the double root at 0 lies {abs(near):.3g} from "
+                             f"the contour, nearer than the walk resolves "
+                             f"({limit:.3g})")
         ts = np.linspace(0.0, 1.0, n + 1)
         pts = a + (b - a) * ts
         vals = eq.scaled_value(pts)
@@ -427,10 +455,20 @@ def render_domain_coloring(eq: CharEq, region: Region,
                            size: tuple[int, int]) -> np.ndarray:
     """Phase portrait of f over region as an (H, W, 3) uint8 image.
 
-    Hue encodes the phase of f; luminance ramps between integer-|f|
-    level curves so every unit-modulus band reads as one stripe and
-    zeros show as full hue fans.  Pixel centers sample the region with
-    row 0 at Im = y1 (image convention).  Pure elementwise float math:
+    Hue encodes the phase of the rescaled value e^(-max(Re z, 0)) f;
+    luminance ramps between integer-|f| level curves so every
+    unit-modulus band reads as one stripe and zeros show as full hue
+    fans.  Pixel centers sample the region with row 0 at Im = y1 (image
+    convention).  f is the same for every drift state (see CharEq), so
+    eq only tags it.
+
+    The grid is separable: numpy's complex expm1 is built from libm's
+    expm1(x), exp(x), cos(y), sin(y) and sin(y/2), so those are taken
+    once per column and per row (_grid_values) and f and its rescaled
+    value come out bit for bit as CharEq.value and CharEq.scaled_value
+    give them, without a complex exponential per pixel.  The coloring
+    then runs in blocks of _RENDER_ROWS rows written into one image, so
+    its float temporaries stay small.  Pure elementwise float math:
     byte-identical output for identical inputs.
     """
     w, h = size
@@ -438,33 +476,94 @@ def render_domain_coloring(eq: CharEq, region: Region,
         raise ValueError(f"bad image size {size!r}")
     xs = region.x0 + (np.arange(w) + 0.5) * (region.x1 - region.x0) / w
     ys = region.y1 - (np.arange(h) + 0.5) * (region.y1 - region.y0) / h
+    cols = _column_factors(xs)
+    image = np.empty((h, w, 3), dtype=np.uint8)
+    for r0 in range(0, h, _RENDER_ROWS):
+        rows = slice(r0, r0 + _RENDER_ROWS)
+        with np.errstate(all="ignore"):
+            v, f = _grid_values(cols, ys[rows])
+            hue = (np.angle(f) / (2.0 * math.pi)) % 1.0
+            mag = np.abs(v)
+            band = np.where(np.isfinite(mag) & (mag < 2.0 ** 52),
+                            mag - np.floor(mag), 1.0)
+        bad = ~np.isfinite(f)
+        hue = np.where(bad, 0.0, hue)
+        val = np.where(bad, 1.0, 0.55 + 0.40 * band)
+        sat = np.where(bad, 0.0, 0.88)
+        rgb = _hsv_to_rgb(hue, sat, val)
+        image[rows] = np.clip(np.floor(rgb * 256.0), 0.0, 255.0)
+    return image
+
+
+def _libm(fn, t: float) -> float:
+    """fn(t) from the C library, inf where math raises OverflowError."""
+    try:
+        return fn(t)
+    except OverflowError:
+        return math.inf
+
+
+def _column_factors(xs: np.ndarray):
+    """Per-column factors of f on the grid xs x ys: (xs, expm1(xs),
+    exp(xs), e^(-max(xs, 0)), Re z >= _SCALE_SWITCH).
+
+    The exponentials come from libm through `math`, as numpy's complex
+    expm1 takes them; numpy's own float64 exp and expm1 differ from libm
+    in last bits.  The damping factor is scaled_value's, so it is numpy's.
+    """
+    em1 = np.array([_libm(math.expm1, x) for x in xs.tolist()])
+    ex = np.array([_libm(math.exp, x) for x in xs.tolist()])
+    damp = np.exp(-np.maximum(xs, 0.0))
+    return xs, em1, ex, damp, ~(xs < _SCALE_SWITCH)
+
+
+def _grid_values(cols, ys: np.ndarray):
+    """(f(z), e^(-max(Re z, 0)) f(z)) on z = xs + i ys, one row per y.
+
+    Bit for bit CharEq.value(z) and CharEq.scaled_value(z).  numpy's
+    complex expm1(x + iy) is expm1(x) cos(y) - 2 sin(y/2)^2
+    + i exp(x) sin(y), each factor a libm call, so the factors are
+    taken once per column (_column_factors) and per row here, and only
+    the multiplies and adds run per pixel.  Columns past _SCALE_SWITCH
+    take scaled_value's split form, where exp(z - x) cannot overflow.
+    xs and ys hold no -0.0, as the render lays them out: the grid z
+    would turn it into +0.0.
+    """
+    xs, em1, ex, damp, far = cols
+    # libm, as for the columns: numpy's float64 sin and cos need not match
+    cos = np.array([math.cos(y) for y in ys.tolist()])[:, None]
+    sin = np.array([math.sin(y) for y in ys.tolist()])[:, None]
+    half = np.array([math.sin(y / 2) for y in ys.tolist()])[:, None]
     z = xs[None, :] + 1j * ys[:, None]
-    with np.errstate(all="ignore"):
-        f = eq.scaled_value(z)
-        hue = (np.angle(f) / (2.0 * math.pi)) % 1.0
-        mag = np.abs(eq.value(z))
-    band = np.where(np.isfinite(mag) & (mag < 2.0 ** 52), mag - np.floor(mag), 1.0)
-    val = 0.55 + 0.40 * band
-    sat = np.full_like(val, 0.88)
-    bad = ~np.isfinite(f)
-    hue = np.where(bad, 0.0, hue)
-    val = np.where(bad, 1.0, val)
-    sat = np.where(bad, 0.0, sat)
-    rgb = _hsv_to_rgb(hue, sat, val)
-    return np.clip(np.floor(rgb * 256.0), 0.0, 255.0).astype(np.uint8)
+    e = np.empty_like(z)
+    np.subtract(em1 * cos, 2.0 * half * half, out=e.real)
+    np.multiply(ex, sin, out=e.imag)
+    v = z * z
+    v += z
+    v -= e
+    f = v * damp
+    if far.any():
+        zf, x = z[:, far], xs[far]
+        f[:, far] = (zf * zf + zf + 1.0) * damp[far] - np.exp(zf - x)
+    return v, f
+
+
+# (r, g, b) of hue sector floor(6 h) mod 6, as indices into (v, p, q, t)
+_HSV_SECTORS = np.array([[0, 3, 1], [2, 0, 1], [1, 0, 3],
+                         [1, 2, 0], [3, 1, 0], [0, 1, 2]])
 
 
 def _hsv_to_rgb(h, s, v):
+    """(..., 3) RGB of same-shape h, s, v arrays, h in [0, 1]."""
     i = np.floor(h * 6.0)
     fr = h * 6.0 - i
     p = v * (1.0 - s)
     q = v * (1.0 - s * fr)
     t = v * (1.0 - s * (1.0 - fr))
-    i = i.astype(int) % 6
-    r = np.choose(i, [v, q, p, p, t, v])
-    g = np.choose(i, [t, v, v, q, p, p])
-    b = np.choose(i, [p, p, t, v, v, q])
-    return np.stack([r, g, b], axis=-1)
+    # one flat take: pixel k's candidates sit at 4k .. 4k + 3
+    pick = _HSV_SECTORS.take(i.astype(int) % 6, axis=0)
+    pick += np.arange(0, 4 * h.size, 4).reshape(h.shape + (1,))
+    return np.stack([v, p, q, t], axis=-1).take(pick)
 
 
 def write_ppm(path: str, image: np.ndarray) -> None:

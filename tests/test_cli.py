@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -316,6 +317,18 @@ def test_render_deterministic_ppm(tmp_path, capsys):
     blob = a.read_bytes()
     assert blob.startswith(b"P6\n40 30\n255\n")
     assert blob == b.read_bytes()
+
+
+def test_render_past_overflow_is_quiet(tmp_path, capsys):
+    # |f| overflows to inf past Re ~ 709; its band is still the flat 1.0
+    path = tmp_path / "x.ppm"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, "render", "--region", "650,760,-400,400",
+                              "--size", "30x20", "--out", str(path))
+    assert code == 0 and out == "" and err == ""
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "7eac677c0ff089bf2fa0351a87d03a4abd80f3b0ae393e7c05147df362e92ba8"
 
 
 def test_constants_file_flag(tmp_path, capsys):

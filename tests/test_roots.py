@@ -1,6 +1,8 @@
 import cmath
 import functools
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -176,6 +178,120 @@ def test_render_is_deterministic():
     assert a.shape == (36, 48, 3)
     assert a.dtype == np.uint8
     assert np.array_equal(a, b)
+
+
+# sha256 of render_domain_coloring(CharEq(), Region(*bounds), size).tobytes(),
+# recorded from the per-pixel complex evaluation the separable grid replaced
+_PIXEL = 2.0 ** -20   # the 9x9 micro window's centre pixel is exactly 0
+PINNED_RENDERS = {
+    "cli-default": ((-1.0, 3.0, -15.0, 15.0), (640, 480),
+                    "0d6eb5f347738726412ab34e0b24b271c67ac44be47a2c03778bb3694e77e440"),
+    "explore-like": ((-1.5395, 3.1174, -15.7157, 15.7157), (1600, 1200),
+                     "f1e5dbee83913041bb68037857a90b671b73941a5cd905dc50bb5599e25bd7b0"),
+    "wide": ((-10.0, 10.0, -100.0, 100.0), (400, 300),
+             "93a0ace67742014faf7bbecf8de850a4590810c030c3f148992d0017ace09e86"),
+    "scale-switch-overflow": ((650.0, 760.0, -400.0, 400.0), (330, 200),
+                              "1e144dbc4dafb3bb8403a9c480ffe162467a03203fbffec17a40fcde4cba210f"),
+    "huge": ((-800.0, 800.0, -500.0, 500.0), (320, 200),
+             "684b6c6b8ab249a1ce3b372f380f5704ef642279632a5fcec5b44e8c52006d7c"),
+    "micro-origin": ((-_PIXEL, _PIXEL, -_PIXEL, _PIXEL), (9, 9),
+                     "388059d77fc563d81cf02078fbdf049c8803202d7215ad75d4b0f0619dbcc946"),
+    "strip-7x1": ((-1.0, 3.0, -15.0, 15.0), (7, 1),
+                  "f268aa59126af5710b24d4c4310317e83095c6248c477757625edede574942b1"),
+}
+
+
+def _render_axes(bounds, size):
+    # the pixel centres render_domain_coloring lays out
+    (x0, x1, y0, y1), (w, h) = bounds, size
+    xs = x0 + (np.arange(w) + 0.5) * (x1 - x0) / w
+    ys = y1 - (np.arange(h) + 0.5) * (y1 - y0) / h
+    return xs, ys
+
+
+@pytest.mark.parametrize("case", PINNED_RENDERS)
+def test_render_outputs_are_pinned(case):
+    bounds, size, want = PINNED_RENDERS[case]
+    image = render_domain_coloring(CharEq(0.0), Region(*bounds), size)
+    assert image.shape == (size[1], size[0], 3)
+    assert hashlib.sha256(image.tobytes()).hexdigest() == want
+
+
+def _bit_mismatches(got, want):
+    # differing float64 bit patterns; any NaN matches any NaN
+    got, want = got.view(np.float64), want.view(np.float64)
+    same = (got.view(np.int64) == want.view(np.int64)) | (
+        np.isnan(got) & np.isnan(want))
+    return int(np.count_nonzero(~same))
+
+
+@pytest.mark.parametrize("case", PINNED_RENDERS)
+def test_grid_values_match_chareq_bit_for_bit(case):
+    # the per-axis libm factors against numpy's complex expm1 and exp on
+    # the full grid, plus rows at y = 0 and +-pi
+    bounds, (w, h), _ = PINNED_RENDERS[case]
+    xs, ys = _render_axes(bounds, (min(w, 640), min(h, 480)))
+    ys = np.concatenate([ys, [0.0, math.pi, -math.pi]])
+    eq = CharEq(0.0)
+    with np.errstate(all="ignore"):
+        v, f = rootsmod._grid_values(rootsmod._column_factors(xs), ys)
+        z = xs[None, :] + 1j * ys[:, None]
+        want_v, want_f = eq.value(z), eq.scaled_value(z)
+    assert _bit_mismatches(v, want_v) == 0
+    assert _bit_mismatches(f, want_f) == 0
+
+
+def test_grid_values_cover_the_special_cases():
+    # the scale switch, overflow to inf and NaN (inf * sin 0) all occur
+    xs, ys = _render_axes((650.0, 760.0, -400.0, 400.0), (330, 200))
+    ys = np.concatenate([ys, [0.0]])
+    with np.errstate(all="ignore"):
+        v, f = rootsmod._grid_values(rootsmod._column_factors(xs), ys)
+    assert xs.min() < rootsmod._SCALE_SWITCH < 709.8 < xs.max()
+    assert np.isinf(v).any() and np.isnan(v).any()
+    assert np.isfinite(f).all()
+
+
+def test_render_memory_is_bounded():
+    # one uint8 image (5.8 MB) and one block of float temporaries, not
+    # ~300 MB of full-image complex arrays
+    tracemalloc.start()
+    try:
+        render_domain_coloring(CharEq(0.0), Region(-1.0, 3.0, -15.0, 15.0),
+                               (1600, 1200))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
+
+
+def _choose_hsv_to_rgb(h, s, v):
+    # reference: the per-channel np.choose selection
+    i = np.floor(h * 6.0)
+    fr = h * 6.0 - i
+    p = v * (1.0 - s)
+    q = v * (1.0 - s * fr)
+    t = v * (1.0 - s * (1.0 - fr))
+    i = i.astype(int) % 6
+    r = np.choose(i, [v, q, p, p, t, v])
+    g = np.choose(i, [t, v, v, q, p, p])
+    b = np.choose(i, [p, p, t, v, v, q])
+    return np.stack([r, g, b], axis=-1)
+
+
+def test_hsv_selection_matches_choose():
+    # every sector, its edges and the hues just below them, a hue of 1.0
+    # (x % 1.0 of a tiny negative x), and the desaturated pixels of
+    # non-finite values
+    edges = np.arange(7) / 6.0
+    h = np.concatenate([np.linspace(0.0, 1.0, 997, endpoint=False), edges,
+                        np.nextafter(edges[1:], 0.0)])
+    h = np.tile(h, (2, 1))
+    s = np.where(np.arange(h.size).reshape(h.shape) % 5 == 0, 0.0, 0.88)
+    v = 0.55 + 0.40 * np.linspace(0.0, 1.0, h.size).reshape(h.shape)
+    got = rootsmod._hsv_to_rgb(h, s, v)
+    assert got.shape == h.shape + (3,)
+    assert np.array_equal(got, _choose_hsv_to_rgb(h, s, v))
 
 
 def test_write_ppm_layout(tmp_path):
@@ -405,15 +521,34 @@ def test_census_missing_a_root_raises(monkeypatch, drop):
 @pytest.mark.parametrize("bounds", [(0.0, 3.0, -1.0, 1.0),
                                     (-1.0, 3.0, 0.0, 1.0),
                                     (0.0, 3.0, -1.0, 1.5),
+                                    (0.0, 3.0, 0.0, 3.0),
                                     (-1.0, LAMBDA_STAR, -1.0, 0.0)])
 def test_roots_on_the_edge_belong_to_the_region(bounds):
-    # the winding walk cannot count a zero on its contour (on 0,3,-1,1.5
-    # it silently reads the double root at 0 as one); certification
-    # grows the contour off the roots instead
+    # the winding walk cannot count a zero on its contour; certification
+    # grows the contour off the roots instead, far enough for the walk
+    # (0,3,0,3 lengthens both edges at the corner through 0)
     rs = find_roots(CharEq(0.0), Region(*bounds))
     assert [(r.value, r.multiplicity) for r in rs.roots] == \
         [(0j, 2), (complex(dominant_real_root()), 1)]
     assert rs.seeds_total >= rs.seeds_converged == 1
+
+
+@pytest.mark.parametrize("bounds", [(0.0, 3.0, -1.0, 1.5),
+                                    (-1e-3, 3.0, -1.0, 1.5),
+                                    (1e-3, 3.0, -1.0, 1.5),
+                                    (-3.0, 3.0, -1.0, 0.0),
+                                    (-1e-6, 1e-6, -1e-6, 1e-6)])
+def test_winding_walk_refuses_the_origin_near_its_contour(bounds):
+    # with 0 on or beside an edge no sample need land on it, and the
+    # walk read 2 for 0,3,-1,1.5 and -1e-3,3,-1,1.5, which hold 3
+    with pytest.raises(ValueError, match="double root at 0"):
+        argument_principle_count(CharEq(0.0), Region(*bounds))
+
+
+def test_winding_walk_counts_the_origin_a_quarter_step_off():
+    # a quarter of the left edge's first step 2.5/64 keeps 0 resolvable
+    reg = Region(-2.5 / 64 / 4, 3.0, -1.0, 1.5)
+    assert argument_principle_count(CharEq(0.0), reg) == 3
 
 
 def test_census_counts_branches():
