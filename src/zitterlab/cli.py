@@ -291,8 +291,13 @@ def cmd_potential(args, env) -> int:
     return 0
 
 
+def _print_timing(check_id: str, seconds: float) -> None:
+    print(f"zitterlab: timing {check_id} {seconds:.6f}", file=sys.stderr)
+
+
 def cmd_report(args, _env) -> int:
-    records = run_report(args.only)
+    records = run_report(args.only,
+                         on_timing=_print_timing if args.timings else None)
     if not records:
         print(f"zitterlab: no check matches --only {args.only!r}",
               file=sys.stderr)
@@ -401,6 +406,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--only", default=None, metavar="SUBSTR",
                    help="run only checks whose id contains SUBSTR")
     p.add_argument("--out", default="-", help="output path ('-' = stdout)")
+    p.add_argument("--timings", action="store_true",
+                   help="write each check's wall time in seconds to stderr")
     p.set_defaults(func=cmd_report)
     return parser
 

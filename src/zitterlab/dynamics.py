@@ -506,18 +506,19 @@ def residual_eom_many(traj: Trajectory, ts: np.ndarray) -> np.ndarray:
 # Truncated jerk ODE
 # ---------------------------------------------------------------------
 
-def _truncated_rhs(state: np.ndarray) -> np.ndarray:
-    x, v, a = state
-    return np.array([v, a, 3.0 * a * (1.0 - 0.625 * a * a) - 3.0 * a * a * v])
+def _truncated_jerk(v: float, a: float) -> float:
+    return 3.0 * a * (1.0 - 0.625 * a * a) - 3.0 * a * a * v
 
 
 def integrate_truncated(state0: KinematicState, t_end: float,
                         step: float = 1e-3) -> Trajectory:
     """Fixed-step RK4 on the truncated third-order system.
 
-    The truncation does not respect the light barrier; reaching
-    |beta| >= 1 aborts with SuperluminalError (shrinking the step will
-    not help — the model itself diverges).
+    The state (x, beta, beta_dot) steps as three Python floats; stage k
+    has the slopes (v_k, a_k, j_k).  The truncation does not respect
+    the light barrier; reaching |beta| >= 1 aborts with
+    SuperluminalError (shrinking the step will not help — the model
+    itself diverges).
     """
     if not (t_end > 0 and math.isfinite(t_end)):
         raise ValueError(f"t_end must be positive, got {t_end!r}")
@@ -525,21 +526,28 @@ def integrate_truncated(state0: KinematicState, t_end: float,
         raise ValueError(f"bad step {step!r}")
     n = int(round(t_end / step))
     ts = np.linspace(0.0, n * step, n + 1)
-    out = np.empty((n + 1, 3))
-    y = np.array([state0.x, state0.beta, state0.beta_dot], dtype=float)
-    out[0] = y
+    x, v, a = float(state0.x), float(state0.beta), float(state0.beta_dot)
+    out = [(x, v, a)]
+    h = step
+    half, sixth = 0.5 * h, h / 6.0
+    isfinite = math.isfinite
     for i in range(n):
-        h = step
-        k1 = _truncated_rhs(y)
-        k2 = _truncated_rhs(y + 0.5 * h * k1)
-        k3 = _truncated_rhs(y + 0.5 * h * k2)
-        k4 = _truncated_rhs(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y)) or abs(y[1]) >= 1.0:
+        j1 = _truncated_jerk(v, a)
+        v2, a2 = v + half * a, a + half * j1
+        j2 = _truncated_jerk(v2, a2)
+        v3, a3 = v + half * a2, a + half * j2
+        j3 = _truncated_jerk(v3, a3)
+        v4, a4 = v + h * a3, a + h * j3
+        j4 = _truncated_jerk(v4, a4)
+        x = x + sixth * (v + 2.0 * v2 + 2.0 * v3 + v4)
+        v = v + sixth * (a + 2.0 * a2 + 2.0 * a3 + a4)
+        a = a + sixth * (j1 + 2.0 * j2 + 2.0 * j3 + j4)
+        if not (isfinite(x) and isfinite(v) and isfinite(a)) or abs(v) >= 1.0:
             raise SuperluminalError(
                 f"truncated model reached |beta| >= 1 near t = {ts[i + 1]:.6g}; "
                 "the truncation does not protect the light barrier")
-        out[i + 1] = y
+        out.append((x, v, a))
+    out = np.array(out)
     return Trajectory(ts, out[:, 0], out[:, 1], out[:, 2], metadata={
         "integrator": "rk4-truncated", "grid": step,
         "seed": f"state(x={state0.x:.6g},beta={state0.beta:.6g},"

@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 
+import numpy as np
+
 # CODATA 2018 defaults, SI units
 C_LIGHT = 299792458.0            # m / s (exact)
 HBAR = 1.054571817e-34           # J s
@@ -100,8 +102,14 @@ def zitter_period(r_e: float, constants: PhysicalConstants = PhysicalConstants()
     return 4.0 * math.pi * r_e / constants.c
 
 
-def lorentz_gamma(beta: float) -> float:
-    """Lorentz factor 1/sqrt(1-beta^2); beta must be strictly subluminal."""
+def lorentz_gamma(beta):
+    """Lorentz factor 1/sqrt(1-beta^2) of a float or of each element of
+    an array; every beta must be strictly subluminal."""
+    if isinstance(beta, np.ndarray):
+        if not (np.abs(beta) < 1.0).all():
+            raise ValueError("|beta| must be < 1, got max |beta| = "
+                             f"{float(np.max(np.abs(beta)))!r}")
+        return 1.0 / np.sqrt((1.0 - beta) * (1.0 + beta))
     if not abs(beta) < 1.0:
         raise ValueError(f"|beta| must be < 1, got {beta!r}")
     return 1.0 / math.sqrt((1.0 - beta) * (1.0 + beta))

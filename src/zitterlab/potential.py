@@ -16,6 +16,12 @@ which vanishes for uniform motion.  The alternating series in y with
 the q_n coefficients is the binomial expansion of 1/sqrt(1 + y); it is
 kept as a cross-check, never as the primary route, because it only
 converges for y < 1.
+
+U, Q, gamma and y are written once, over (beta, beta_dot) on top of
+geometry.delay_closed: decompose takes floats or arrays, and the
+KinematicState functions call the same body.  As there, array results
+match the float ones to a couple of ulp only, because numpy's power
+ufunc is not libm's pow.
 """
 
 from __future__ import annotations
@@ -27,8 +33,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geometry import potential_denominator, y_parameter
-from .model import KinematicState, PhysicalConstants, lorentz_gamma
+from .geometry import delay_closed
+from .model import KinematicState, PhysicalConstants
 
 
 def q_coeff(n: int) -> Fraction:
@@ -45,7 +51,8 @@ def q_coeff(n: int) -> Fraction:
 
 @dataclass(frozen=True)
 class PotentialSample:
-    """Energy decomposition at one kinematic state (rest-energy units)."""
+    """Energy decomposition at one kinematic state, or at each of an
+    array of them (rest-energy units)."""
 
     U: float
     Q: float
@@ -53,31 +60,44 @@ class PotentialSample:
     y: float
 
     def __post_init__(self):
-        if not self.U > 0:
-            raise ValueError(f"U must be positive, got {self.U!r}")
-        if self.Q > 1e-12:
-            raise ValueError(f"Q must be <= 0, got {self.Q!r}")
-        if self.y < 0:
-            raise ValueError(f"y must be >= 0, got {self.y!r}")
+        U, Q, y = self.U, self.Q, self.y
+        if isinstance(U, np.ndarray):
+            bad_U, bad_Q, bad_y = ((~(U > 0)).any(), (Q > 1e-12).any(),
+                                   (y < 0).any())
+        else:
+            bad_U, bad_Q, bad_y = not U > 0, Q > 1e-12, y < 0
+        if bad_U:
+            raise ValueError(f"U must be positive, got {U!r}")
+        if bad_Q:
+            raise ValueError(f"Q must be <= 0, got {Q!r}")
+        if bad_y:
+            raise ValueError(f"y must be >= 0, got {y!r}")
+
+
+def _energies(beta, beta_dot):
+    """U, Q, gamma and y of (beta, beta_dot), floats or arrays, unchecked."""
+    g, y, root, _, _, denominator = delay_closed(beta, beta_dot)
+    return 1.0 / denominator, -g * (1.0 - 1.0 / root), g, y
+
+
+def decompose(beta, beta_dot) -> PotentialSample:
+    """U = gamma + Q at the state (beta, beta_dot), or elementwise over
+    arrays of them."""
+    return PotentialSample(*_energies(beta, beta_dot))
 
 
 def self_potential_closed(state: KinematicState) -> float:
     """U in rest-energy units: d over the retarded denominator r - l*beta."""
-    return 1.0 / potential_denominator(state)
+    return _energies(state.beta, state.beta_dot)[0]
 
 
 def quantum_potential(state: KinematicState) -> float:
     """Q = -gamma (1 - 1/sqrt(1 + y)); zero for uniform motion."""
-    g = lorentz_gamma(state.beta)
-    y = y_parameter(state)
-    return -g * (1.0 - 1.0 / math.sqrt(1.0 + y))
+    return _energies(state.beta, state.beta_dot)[1]
 
 
 def sample(state: KinematicState) -> PotentialSample:
-    g = lorentz_gamma(state.beta)
-    return PotentialSample(U=self_potential_closed(state),
-                           Q=quantum_potential(state),
-                           gamma=g, y=y_parameter(state))
+    return decompose(state.beta, state.beta_dot)
 
 
 def self_potential_partial_sums(state: KinematicState,
@@ -89,8 +109,7 @@ def self_potential_partial_sums(state: KinematicState,
     """
     if n_terms < 1:
         raise ValueError(f"n_terms must be >= 1, got {n_terms}")
-    g = lorentz_gamma(state.beta)
-    y = y_parameter(state)
+    g, y = delay_closed(state.beta, state.beta_dot)[:2]
     if y >= 1.0:
         warnings.warn(f"series in y diverges for y = {y:.6g} >= 1",
                       RuntimeWarning, stacklevel=2)

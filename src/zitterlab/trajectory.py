@@ -61,26 +61,31 @@ class HermiteSpline:
         return np.clip(np.searchsorted(self.x, t, side="right") - 1,
                        0, self.x.size - 2)
 
-    def _local(self, t, i):
-        return np.take(self.c, i, axis=1), t - self.x[i]
-
-    def at(self, t, i):
-        """Values at times t already known to lie in intervals i."""
-        (c0, c1, c2, c3), s = self._local(t, i)
-        s2 = s * s
-        # the sums start from +0.0, as the reference's do, so that a sum
-        # of -0.0 terms comes out +0.0 there too
-        return 0.0 + c3 + c2 * s + c1 * s2 + c0 * (s2 * s)
+    def cubics(self, i):
+        """The rows (4, n) and left knots of intervals i, for cubic_value."""
+        return np.take(self.c, i, axis=1), self.x[i]
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        return self.at(t, self.interval(t))
+        return cubic_value(*self.cubics(self.interval(t)), t)
 
     def derivative(self, t):
         """First derivative: the rows (3 c0, 2 c1, c2), same power sum."""
         t = np.asarray(t, dtype=float)
-        (c0, c1, c2, _), s = self._local(t, self.interval(t))
+        (c0, c1, c2, _), knot = self.cubics(self.interval(t))
+        s = t - knot
         return 0.0 + c2 + 2.0 * c1 * s + 3.0 * c0 * (s * s)
+
+
+def cubic_value(c, knot, t):
+    """c0 s^3 + c1 s^2 + c2 s + c3 at s = t - knot, for rows c and left
+    knots gathered by HermiteSpline.cubics."""
+    c0, c1, c2, c3 = c
+    s = t - knot
+    s2 = s * s
+    # the sums start from +0.0, as the reference's do, so that a sum
+    # of -0.0 terms comes out +0.0 there too
+    return 0.0 + c3 + c2 * s + c1 * s2 + c0 * (s2 * s)
 
 
 def _pchip_end(h0, h1, m0, m1):
@@ -165,9 +170,10 @@ class Trajectory:
         """Knot interval index of each t; every channel shares the knots."""
         return self._x_spline.interval(self._check_domain(t))
 
-    def position_in(self, t, i):
-        """position(t) for times t already known to lie in intervals i."""
-        return self._x_spline.at(self._check_domain(t), i)
+    def position_cubics(self, i):
+        """The position cubics of knot intervals i and their left knots;
+        cubic_value evaluates them at times inside those intervals."""
+        return self._x_spline.cubics(i)
 
     def velocity(self, t):
         return self._b_spline(self._check_domain(t))

@@ -16,7 +16,7 @@ from zitterlab import cli
 from zitterlab import potential as potmod
 from zitterlab.cli import main
 from zitterlab.dynamics import propagate_filtered
-from zitterlab.report import REGISTRY, _fmt
+from zitterlab.report import REGISTRY, _fmt, render_report, run_report
 from zitterlab.roots import CharEq, Region, dominant_real_root, find_roots
 from zitterlab.trajectory import SeedHistory
 
@@ -81,6 +81,32 @@ def test_report_honest_failure_bubbles_into_exit_code(capsys):
     rec = json.loads(out.strip())
     assert rec["pass"] is False
     assert rec["measured"] < rec["expected"]
+
+
+# sha256 of the full report as the per-state sweeps, the numpy-array
+# truncated RK4 and the one-time light-cone solves printed it
+REPORT_SHA256 = \
+    "aa930e02d6641d46258e96d12f0d70d67cdc8a99cca342066ff2fed45a799eeb"
+
+
+def test_report_is_pinned():
+    text = render_report(run_report())
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256
+
+
+@pytest.mark.parametrize("only", [None, "lightcone"])
+def test_report_timings_go_to_stderr_only(capsys, only):
+    select = ("--only", only) if only else ()
+    code, plain, err = _run(capsys, "report", *select)
+    assert err == ""
+    timed_code, timed, timings = _run(capsys, "report", "--timings", *select)
+    assert (timed_code, timed) == (code, plain)
+    ran = [json.loads(line)["check_id"] for line in plain.splitlines()]
+    assert len(ran) == (len(REGISTRY) if only is None else 2)
+    lines = timings.splitlines()
+    assert [line.split()[:3] for line in lines] == \
+        [["zitterlab:", "timing", check_id] for check_id in ran]
+    assert all(float(line.split()[3]) >= 0.0 for line in lines)
 
 
 def test_series_verify_all_pass(capsys):

@@ -170,6 +170,28 @@ def test_truncated_integrator_metadata():
     assert "truncated" in traj.metadata["integrator"]
 
 
+def test_truncated_run_is_pinned():
+    # sha256 of t, x, beta, beta_dot as the numpy-array RK4 produced them
+    traj = integrate_truncated(KinematicState(beta_dot=1e-8), 5.0, 1e-3)
+    assert _run_digest(traj) == \
+        "92f361f838f6932b6c39d2f12e0536d565ae9169650d084bfd666049d09b4967"
+
+
+@pytest.mark.parametrize("state, t", [
+    (KinematicState(beta_dot=0.5), "1.183"),
+    (KinematicState(x=1.0, beta=0.2, beta_dot=-0.3), "1.453"),
+    # an overflow to inf on the first step
+    (KinematicState(beta=0.9, beta_dot=1e200), "0.001"),
+])
+def test_truncated_blowup_is_pinned(state, t):
+    with pytest.raises(SuperluminalError) as info:
+        integrate_truncated(state, 5.0, 1e-3)
+    assert type(info.value) is SuperluminalError
+    assert str(info.value) == (
+        f"truncated model reached |beta| >= 1 near t = {t}; "
+        "the truncation does not protect the light barrier")
+
+
 # --- growth-rate and spectrum estimators -------------------------------
 
 def _synthetic(rate, freq=None, t1=6.0, n=2401, amp=1e-9):

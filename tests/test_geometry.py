@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from zitterlab.dynamics import propagate_filtered
+from zitterlab import geometry
+from zitterlab.dynamics import propagate_exact, propagate_filtered
 from zitterlab.geometry import (
     HistoryTooShortError,
     RetardedGeometry,
+    delay_closed,
     potential_denominator,
     retarded_l_closed,
     retarded_r_closed,
@@ -68,6 +70,76 @@ def test_closed_forms_require_on_shell_pledge():
         potential_denominator(state, on_shell=False)
 
 
+# y, r, l and r - l beta of the per-state code before the closed forms
+# took arrays, as repr() printed them
+PINNED_CLOSED = {
+    (0.3, 0.2): (0.05308059890839746, 1.148201933551029,
+                 0.5642407998455283, 0.9789296935973705),
+    (-0.7, -1.3): (12.740197963076046, 8.689180794954108,
+                   -8.631446164311013, 2.6471684799363997),
+    (0.0, 0.0): (0.0, 1.0, 0.0, 1.0),
+    (0.95, 1e-3): (0.0010789123215158693, 3.3042245065213187,
+                   3.1492696914516625, 0.31241829964223955),
+    (-0.2, 2.5): (7.064254195601855, 2.3557863067677114,
+                  2.1330094053131248, 2.7823881878303363),
+}
+
+
+@pytest.mark.parametrize("beta, beta_dot", PINNED_CLOSED)
+def test_float_closed_forms_are_pinned(beta, beta_dot):
+    state = KinematicState(beta=beta, beta_dot=beta_dot)
+    want = PINNED_CLOSED[beta, beta_dot]
+    got = (y_parameter(state), retarded_r_closed(state),
+           retarded_l_closed(state), potential_denominator(state))
+    assert [type(v) for v in got] == [float] * 4
+    assert got == want
+    g, y, root, r, l, den = delay_closed(beta, beta_dot)
+    assert [type(v) for v in (g, y, root, r, l, den)] == [float] * 6
+    assert (y, r, l, den) == want
+    assert (g, root) == (lorentz_gamma(beta), math.sqrt(1.0 + y))
+
+
+def _sweeps():
+    rng = np.random.default_rng(7)
+    beta, beta_dot = _random_states()
+    yield beta, beta_dot
+    yield rng.uniform(-0.9999, 0.9999, 3000), rng.normal(0.0, 100.0, 3000)
+    yield rng.uniform(-0.5, 0.5, 3000), rng.normal(0.0, 1e-3, 3000)
+
+
+def test_array_closed_forms_match_float_calls():
+    # numpy's power ufunc is not libm's pow, so the array path may move
+    # a last bit: every form must stay within 2 ulp of the float call,
+    # an ulp here being eps times the sum of the form's term magnitudes
+    eps = np.finfo(float).eps
+    for beta, beta_dot in _sweeps():
+        got = delay_closed(beta, beta_dot)
+        want = np.array([delay_closed(float(b), float(bd))
+                         for b, bd in zip(beta, beta_dot)]).T
+        g, y, root, r, l, den = want
+        g4 = g ** 4
+        scale_r = g * root + np.abs(g4 * beta * beta_dot)
+        scale_l = np.abs(g * beta * root) + np.abs(g4 * beta_dot)
+        scales = (g, y, root, scale_r, scale_l,
+                  scale_r + np.abs(beta) * scale_l)
+        for a, b, scale in zip(got, want, scales):
+            assert isinstance(a, np.ndarray) and a.shape == beta.shape
+            assert np.all(np.abs(a - b) <= 2.0 * eps * scale)
+        assert np.array_equal(got[0], g)
+
+
+@pytest.mark.parametrize("beta", [np.array([0.2, 1.0]), np.array([-1.5]),
+                                  np.array([0.1, np.nan])])
+def test_array_closed_forms_refuse_light_speed(beta):
+    with pytest.raises(ValueError, match=r"\|beta\| must be < 1"):
+        delay_closed(beta, np.zeros_like(beta))
+
+
+def test_closed_forms_require_on_shell_pledge_on_arrays():
+    with pytest.raises(ValueError):
+        delay_closed(np.array([0.2]), np.array([0.1]), on_shell=False)
+
+
 def _uniform_traj(beta, t0=-8.0, t1=8.0, n=3201):
     t = np.linspace(t0, t1, n)
     return Trajectory(t, beta * t, np.full(n, beta), np.zeros(n))
@@ -108,6 +180,18 @@ def test_vectorized_solver_matches_scalar(exact_run):
         assert t_r == pytest.approx(_brent_retarded_time(exact_run, t),
                                     abs=1e-9)
         assert solve_retarded_time(exact_run, t).t_r == t_r
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5])
+def test_batched_solve_equals_scalar_solves(beta):
+    # the report's light-cone check: nine times in one call
+    traj = propagate_exact(SeedHistory.uniform_motion(beta), 4.0)
+    ts = np.linspace(1.5, 3.5, 9)
+    many = solve_retarded_time_many(traj, ts)
+    one_by_one = np.array([solve_retarded_time(traj, float(t)).t_r
+                           for t in ts])
+    assert many.view(np.uint64).tolist() == \
+        one_by_one.view(np.uint64).tolist()
 
 
 @pytest.mark.parametrize("beta, t, why", [(0.0, 0.2, "too short"),
@@ -174,6 +258,18 @@ def test_vector_solver_bit_identical_to_fixed_bisection(run, request):
     if run == "long_attempt":
         # the rest kick's t_r ~ 0 element still moves at the last halving
         assert not np.array_equal(_fixed_bisection(traj, ts, 89), want)
+
+
+@pytest.mark.parametrize("block", [1000, 4096])
+def test_vector_solver_blocks_leave_no_trace(block, filtered_uniform_run,
+                                             monkeypatch):
+    # several halving blocks and a short last one give the one-pass bits
+    ts = _lightcone_times(filtered_uniform_run)
+    assert ts.size > 2 * block and ts.size % block
+    want = _fixed_bisection(filtered_uniform_run, ts)
+    monkeypatch.setattr(geometry, "_HALVING_BLOCK", block)
+    assert np.array_equal(solve_retarded_time_many(filtered_uniform_run, ts),
+                          want)
 
 
 def test_geometry_validation():

@@ -7,6 +7,8 @@ from scipy.integrate import simpson
 
 from zitterlab.model import KinematicState, PhysicalConstants, lorentz_gamma
 from zitterlab.potential import (
+    PotentialSample,
+    decompose,
     duffing_force,
     duffing_potential,
     duffing_stationary_points,
@@ -61,6 +63,70 @@ def test_energy_decomposition_sweep():
     for state in _states():
         p = sample(state)
         assert abs(p.U - (p.gamma + p.Q)) < 1e-12 * max(1.0, p.gamma)
+
+
+# U, Q, gamma, y of the per-state code before the closed forms took
+# arrays, as repr() printed them
+PINNED_SAMPLES = {
+    (0.3, 0.2): (1.021523819882509, -0.026761016839409263,
+                 1.0482848367219182, 0.05308059890839746),
+    (-0.7, -1.3): (0.37776212869685794, -1.0225179553311519,
+                   1.4002800840280099, 12.740197963076046),
+    (0.0, 0.0): (1.0, -0.0, 1.0, 0.0),
+    (0.95, 1e-3): (3.2008368304453767, -0.0017262456563597649,
+                   3.2025630761017414, 0.0010789123215158693),
+    (-0.2, 2.5): (0.3594034809282973, -0.6612172452313602,
+                  1.0206207261596576, 7.064254195601855),
+}
+
+
+@pytest.mark.parametrize("beta, beta_dot", PINNED_SAMPLES)
+def test_float_potential_is_pinned(beta, beta_dot):
+    state = KinematicState(beta=beta, beta_dot=beta_dot)
+    want = PINNED_SAMPLES[beta, beta_dot]
+    p = sample(state)
+    got = (p.U, p.Q, p.gamma, p.y)
+    assert [type(v) for v in got] == [float] * 4
+    assert got == want
+    assert math.copysign(1.0, p.Q) == math.copysign(1.0, want[1])
+    assert self_potential_closed(state) == want[0]
+    assert quantum_potential(state) == want[1]
+    assert decompose(beta, beta_dot) == p
+
+
+def test_array_potential_matches_float_calls():
+    # within 2 ulp, an ulp being eps times U's condition scale (that of
+    # its denominator r - l beta) or, for Q, eps times gamma
+    rng = np.random.default_rng(11)
+    beta = rng.uniform(-0.999, 0.999, 3000)
+    beta_dot = rng.normal(0.0, 3.0, 3000)
+    got = decompose(beta, beta_dot)
+    want = np.array([[getattr(decompose(float(b), float(bd)), f)
+                      for f in ("U", "Q", "gamma", "y")]
+                     for b, bd in zip(beta, beta_dot)]).T
+    U, Q, g, y = want
+    root = np.sqrt(1.0 + y)
+    g4 = g ** 4
+    scale_den = (g * root + np.abs(g4 * beta * beta_dot)
+                 + np.abs(beta) * (np.abs(g * beta * root)
+                                   + np.abs(g4 * beta_dot)))
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(got.U - U) <= 2.0 * eps * U * U * scale_den)
+    assert np.all(np.abs(got.Q - Q) <= 2.0 * eps * g)
+    assert np.array_equal(got.gamma, g)
+    assert np.all(np.abs(got.y - y) <= 2.0 * eps * y)
+
+
+def test_array_potential_keeps_guards():
+    with pytest.raises(ValueError, match=r"\|beta\| must be < 1"):
+        decompose(np.array([0.3, -1.0]), np.zeros(2))
+    with pytest.raises(ValueError, match="U must be positive"):
+        decompose(np.array([0.3, 0.3]), np.array([0.1, np.nan]))
+    ok = np.ones(2)
+    with pytest.raises(ValueError, match="Q must be <= 0"):
+        PotentialSample(U=ok, Q=np.array([0.0, 1e-6]), gamma=ok, y=ok)
+    with pytest.raises(ValueError, match="y must be >= 0"):
+        PotentialSample(U=ok, Q=-ok, gamma=ok, y=np.array([1.0, -1e-9]))
 
 
 def test_closed_form_values():
