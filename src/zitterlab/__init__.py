@@ -32,7 +32,6 @@ with its bandwidth stated rather than hidden.
 
 from .model import (
     KinematicState,
-    ModelScales,
     PhysicalConstants,
     classical_radius,
     effective_radius,
@@ -61,7 +60,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CharEq",
     "KinematicState",
-    "ModelScales",
     "PhysicalConstants",
     "Region",
     "RetardedGeometry",

@@ -28,11 +28,11 @@ import numpy as np
 from . import potential as potmod
 from .dynamics import (
     estimate_spectrum,
-    integrate_truncated,
     perturbed_uniform_run,
     propagate_exact,
     propagate_filtered,
     residual_eom_many,
+    sign_changes,
     TooFewSamplesError,
 )
 from .model import (
@@ -99,7 +99,7 @@ def _pair_arg(text: str) -> tuple[float, float]:
     return a, b
 
 
-# Characters per write in _write_text: handing a whole table to one
+# Characters per write in _write_text: handing a whole CSV text to one
 # write makes the text layer encode a second full-size copy of it.
 _WRITE_SLICE = 1 << 16
 
@@ -111,8 +111,8 @@ def _write_text(path: str, text: str) -> None:
             fh.write(text[a:a + _WRITE_SLICE])
 
 
-# Rows per % application in _csv: one application over a whole 100k-row
-# table costs more peak memory than the text it builds.
+# Rows per % application in _csv: one application over all 100k rows
+# of a CSV costs more peak memory than the text it builds.
 _CSV_BLOCK = 4096
 
 
@@ -224,8 +224,7 @@ def _simulate_report(args, traj, drift: float) -> str:
         rec("saturation_amplitude", peak, None,
             f"peak |beta - drift| over the forward run; run {state}"),
     ]
-    signs = np.sign(b[b != 0.0])
-    flips = int(np.count_nonzero(np.diff(signs) != 0)) if signs.size else 0
+    flips = sign_changes(b)
     if flips >= 4:
         try:
             peaks = estimate_spectrum(traj, (0.0, reached))
@@ -244,7 +243,7 @@ def _simulate_report(args, traj, drift: float) -> str:
 
 def cmd_simulate(args, _env) -> int:
     seed = _build_seed(args)
-    drift = seed.drift
+    drift = seed.beta
     if args.integrator == "exact":
         traj = propagate_exact(seed, args.tend, args.dt)
     else:

@@ -67,6 +67,10 @@ Numerical notes on the march:
   run aborts with ArrivalOrderError rather than reordering anything.
   For a subluminal worldline the arrival map is provably monotone, so
   this abort can only ever flag numerical breakdown, not physics.
+  Arrivals past the end of the output grid are kept only as far as its
+  last rows' stencils reach, so knots the run never needs cannot abort
+  it, and the result does not depend on how many emitters one pass
+  re-emits.
 """
 
 from __future__ import annotations
@@ -101,22 +105,21 @@ class TooFewSamplesError(ValueError):
 # Finite-difference weights on arbitrary stencils
 # ---------------------------------------------------------------------
 
-def _fd_weights_batch(ts: np.ndarray, t0: np.ndarray,
-                      max_order: int = 2) -> np.ndarray:
+def _fd_weights_batch(ts: np.ndarray, t0: np.ndarray) -> np.ndarray:
     """Derivative weights for a batch of stencils (B, k) about t0 (B,).
 
-    Returns (B, max_order + 1, k): row m holds the weights whose dot
-    with the sampled values approximates the m-th derivative at t0.
+    Returns (B, 3, k): row m holds the weights whose dot with the
+    sampled values approximates the m-th derivative at t0, m = 0, 1, 2.
     Classic recurrence over divided differences, vectorized over the
     batch axis.
     """
     b, k = ts.shape
-    c = np.zeros((b, max_order + 1, k))
+    c = np.zeros((b, 3, k))
     c1 = np.ones(b)
     c4 = ts[:, 0] - t0
     c[:, 0, 0] = 1.0
     for i in range(1, k):
-        mn = min(i, max_order)
+        mn = min(i, 2)
         c2 = np.ones(b)
         c5 = c4
         c4 = ts[:, i] - t0
@@ -158,19 +161,20 @@ def _march(seed: SeedHistory, t_end: float, grid: float, recovery,
     """The emitter-map march both instruments share.
 
     recovery(seed, grid) checks the instrument's own parameters and
-    returns its recovery step: start() takes the seed pass, recover()
-    advances on the arrivals so far (False when nothing is new),
-    emitters() hands out ready emitter states, absorb() takes their
-    arrivals, done() says the output is covered, output() assembles
-    (u, beta, beta_dot) rows and, under partial=True only, settled()
-    gives the last row a cut-short march still supports.
+    returns its recovery step: half is its stencils' reach in points,
+    start() takes the seed pass, recover() advances on the arrivals so
+    far (False when nothing is new), emitters() hands out ready emitter
+    states, absorb() takes their arrivals, done() says the output is
+    covered, output() assembles (u, beta, beta_dot) rows and, under
+    partial=True only, settled() gives the last row a cut-short march
+    still supports.
     """
     if not (t_end > 0 and math.isfinite(t_end)):
         raise ValueError(f"t_end must be positive and finite, got {t_end!r}")
     if not (grid > 0 and math.isfinite(grid)):
         raise ValueError(f"grid must be positive, got {grid!r}")
     rec = recovery(seed, grid)
-    drift = seed.drift
+    drift = seed.beta
 
     # --- seed pass: emit from the prescribed history ------------------
     k0 = int(round(seed.span / grid))         # output row of t = 0
@@ -201,6 +205,16 @@ def _march(seed: SeedHistory, t_end: float, grid: float, recovery,
                 raise RuntimeError("marching starved: no recovered emitters "
                                    "ahead of the pointer")
             t_a, u_a = _emit(t, u, b, a, drift)
+            # Past the end of the output grid, arrivals serve only the
+            # stencils of its last rows: keep the first one there and
+            # the 2 * half after it.  Later ones come from knots t_end
+            # never needs, whose ultraviolet-fouled states can fold the
+            # arrival order; so how far one pass reaches (_BLOCK)
+            # cannot decide the run.
+            past = np.flatnonzero(t_a >= t_grid[-1])
+            if past.size:
+                keep = past[0] + 2 * rec.half + 1
+                t_a, u_a = t_a[:keep], u_a[:keep]
             if t_a[0] <= last_arrival or np.any(np.diff(t_a) <= 0.0):
                 raise ArrivalOrderError("non-monotone arrival times; the run "
                                         "is reported, not reordered")
@@ -256,7 +270,7 @@ class _ExactRecovery:
     pad = 0
 
     def __init__(self, seed: SeedHistory, grid: float):
-        self.drift = seed.drift
+        self.drift = seed.beta
         self.grid = grid
 
     def start(self, t_grid, s_u, s_b, s_a, t_a, u_a):
@@ -305,7 +319,7 @@ class _ExactRecovery:
         kt, ku = self.knots[0], self.knots[1]
         idx = np.arange(lo, hi)
         stenc = idx[:, None] + np.arange(-self.half, self.half + 1)[None, :]
-        w = _fd_weights_batch(kt[stenc], kt[idx], max_order=2)
+        w = _fd_weights_batch(kt[stenc], kt[idx])
         us = ku[stenc]
         du = np.einsum("bk,bk->b", w[:, 1, :], us)
         self.knots[3, lo:hi] = np.einsum("bk,bk->b", w[:, 2, :], us)
@@ -331,6 +345,8 @@ class _FilteredRecovery:
     smoothed with _filter_kernel once the kernel's reach is covered,
     and differentiated by _fd5 at each emitter."""
 
+    half = 2                   # _fd5 and pchip reach two points aside
+
     def __init__(self, seed: SeedHistory, grid: float, *,
                  sigma: float, kernel_span: float):
         if not 0.0 < kernel_span < 0.95:
@@ -343,7 +359,7 @@ class _FilteredRecovery:
             raise ValueError("seed history too short to prime the filter: "
                              f"span {seed.span} vs kernel {kernel_span}")
         self.pad = self.half_k + 4
-        self.drift = seed.drift
+        self.drift = seed.beta
         self.grid = grid
 
     def start(self, t_grid, s_u, s_b, s_a, t_a, u_a):
@@ -559,6 +575,11 @@ def integrate_truncated(state0: KinematicState, t_end: float,
 # Diagnostics
 # ---------------------------------------------------------------------
 
+def sign_changes(s: np.ndarray) -> int:
+    """How often the signal s changes sign, zeros skipped."""
+    return int(np.count_nonzero(np.diff(np.sign(s[s != 0.0])) != 0))
+
+
 @dataclass(frozen=True)
 class GrowthRate:
     rate: float
@@ -586,9 +607,8 @@ def estimate_growth_rate(traj: Trajectory, window: tuple[float, float], *,
     if top == 0.0 or (top - float(np.min(mag))) <= 1e-13 * top:
         raise DegenerateSignalError("constant or zero signal in the window")
 
-    sign_changes = int(np.count_nonzero(np.diff(np.sign(s[s != 0.0])) != 0))
     mode = "direct"
-    if sign_changes >= 4:
+    if sign_changes(s) >= 4:
         inner = (mag[1:-1] >= mag[:-2]) & (mag[1:-1] >= mag[2:]) & \
             (mag[1:-1] > 0.0)
         idx = np.flatnonzero(inner) + 1
@@ -618,9 +638,10 @@ class SpectralPeak:
     power: float
 
 
-def estimate_spectrum(traj: Trajectory, window: tuple[float, float],
-                      n_peaks: int = 4) -> list[SpectralPeak]:
-    """Dominant frequencies of beta over the window.
+def estimate_spectrum(traj: Trajectory,
+                      window: tuple[float, float]) -> list[SpectralPeak]:
+    """The four dominant frequencies of beta over the window, strongest
+    first.
 
     Hann-windowed, mean-removed FFT of the uniform knot samples; each
     local maximum of the power spectrum is refined by quadratic
@@ -652,31 +673,24 @@ def estimate_spectrum(traj: Trajectory, window: tuple[float, float],
                 frequency=float((k + shift) * freqs[1]),
                 power=float(power[k])))
     peaks.sort(key=lambda p: -p.power)
-    return peaks[:n_peaks]
+    return peaks[:4]
 
 
-def perturbed_uniform_run(beta: float, kick: float = 1e-6,
-                          t_end: float | None = None, grid: float = 1e-3,
-                          window: tuple[float, float] | None = None,
-                          ) -> GrowthRate:
+def perturbed_uniform_run(beta: float, kick: float = 1e-6) -> GrowthRate:
     """Growth rate of a mode-kicked drift state (lab-frame units c/d).
 
-    The defaults freeze the measurement inside the first junction-free
-    generation.  The seed solves the linearized equation, so the full
-    map's continuation differs by a smooth O(kick^2) term switching on
-    at t = 0; each delay crossing (gamma in lab time) differentiates
-    that kink twice more, and already its first image pollutes the
-    velocity channel at the default grid.  The window [0.4, 0.95] gamma
-    sits strictly before the first crossing, and t_end stays short of
-    1.5 gamma so the marcher never re-emits a polluted knot.
+    The run measures inside the first junction-free generation.  The
+    seed solves the linearized equation, so the full map's continuation
+    differs by a smooth O(kick^2) term switching on at t = 0; each delay
+    crossing (gamma in lab time) differentiates that kink twice more,
+    and already its first image pollutes the velocity channel on the
+    1e-3 grid.  The window [0.4, 0.95] gamma sits strictly before the
+    first crossing, and the march ends at 1.3 gamma, short of 1.5
+    gamma, so it never re-emits a polluted knot.
     """
     if not 0.0 <= beta < 1.0:
         raise ValueError(f"beta must be in [0, 1), got {beta!r}")
     gamma = lorentz_gamma(beta)
-    if t_end is None:
-        t_end = 1.3 * gamma
-    if window is None:
-        window = (0.4 * gamma, 0.95 * gamma)
-    seed = SeedHistory.mode_kick(beta, kick)
-    traj = propagate_exact(seed, t_end, grid)
-    return estimate_growth_rate(traj, window, reference=beta)
+    traj = propagate_exact(SeedHistory.mode_kick(beta, kick), 1.3 * gamma)
+    return estimate_growth_rate(traj, (0.4 * gamma, 0.95 * gamma),
+                                reference=beta)

@@ -12,12 +12,12 @@ closes in the emitter's instantaneous state:
     l = gamma beta sqrt(1 + y) + gamma^4 beta_dot
 
 These satisfy r^2 = l^2 + 1 identically and reduce to r = gamma at
-beta_dot = 0.  They hold on-shell only, so both carry an explicit
-on_shell flag; off-shell callers must solve the light-cone condition
-implicitly (solve_retarded_time_many, a bracketed bisection whose
-result is bit for bit that of 90 halvings while each element stops at
-its own fixed point, or its single-time form solve_retarded_time),
-which is also the audit oracle for the closed forms.
+beta_dot = 0.  They hold on-shell only; off-shell callers must solve
+the light-cone condition implicitly (solve_retarded_time_many, a
+bracketed bisection whose result is bit for bit that of 90 halvings
+while each element stops at its own fixed point, or its single-time
+form solve_retarded_time), which is also the audit oracle for the
+closed forms.
 
 The closed forms are written once, in delay_closed over (beta,
 beta_dot): floats give floats, arrays give arrays elementwise, and
@@ -50,19 +50,7 @@ class HistoryTooShortError(ValueError):
     """The trajectory does not reach far enough into the past."""
 
 
-class OffShellError(ValueError):
-    """A closed delay form was requested without the on-shell pledge."""
-
-
-def _require_on_shell(on_shell: bool):
-    if not on_shell:
-        raise OffShellError(
-            "closed delay forms hold only on solutions of the motion "
-            "equation; pass on_shell=True to assert that, or use "
-            "solve_retarded_time")
-
-
-def delay_closed(beta, beta_dot, *, on_shell: bool = True):
+def delay_closed(beta, beta_dot):
     """Closed forms of the emitter state (beta, beta_dot).
 
     Returns (gamma, y, sqrt(1 + y), r, l, r - l beta), as floats for
@@ -70,7 +58,6 @@ def delay_closed(beta, beta_dot, *, on_shell: bool = True):
     must be subluminal in every element.  Floats are never turned into
     arrays here (see the module notes on numpy's power).
     """
-    _require_on_shell(on_shell)
     g = lorentz_gamma(beta)
     y = g ** 6 * beta_dot ** 2
     root = (np.sqrt if isinstance(y, np.ndarray) else math.sqrt)(1.0 + y)
@@ -85,39 +72,23 @@ def y_parameter(state: KinematicState) -> float:
     return delay_closed(state.beta, state.beta_dot)[1]
 
 
-def retarded_r_closed(state: KinematicState, *, on_shell: bool = True) -> float:
+def retarded_r_closed(state: KinematicState) -> float:
     """Delay distance r (units d) from the emitter's state."""
-    return delay_closed(state.beta, state.beta_dot, on_shell=on_shell)[3]
+    return delay_closed(state.beta, state.beta_dot)[3]
 
 
-def retarded_l_closed(state: KinematicState, *, on_shell: bool = True) -> float:
+def retarded_l_closed(state: KinematicState) -> float:
     """Signed longitudinal advance l (units d) from the emitter's state."""
-    return delay_closed(state.beta, state.beta_dot, on_shell=on_shell)[4]
+    return delay_closed(state.beta, state.beta_dot)[4]
 
 
-def potential_denominator(state: KinematicState, *, on_shell: bool = True) -> float:
+def potential_denominator(state: KinematicState) -> float:
     """r - l*beta, the retarded potential's denominator (units d).
 
     Built from the two closed forms; algebraically equal to
     sqrt(1 + y)/gamma.
     """
-    return delay_closed(state.beta, state.beta_dot, on_shell=on_shell)[5]
-
-
-def variational_delay(state: KinematicState, delta_ydot: float,
-                      delta_gamma: float) -> float:
-    """First-order delay response about uniform motion.
-
-    delta_r = gamma^4 beta delta_ydot + delta_gamma (units d; the two
-    perturbations are the acceleration and Lorentz-factor variations).
-    Requires beta_dot = 0: the linearization is taken about a uniform
-    state.
-    """
-    if abs(state.beta_dot) > 1e-12:
-        raise ValueError("variational_delay is defined about uniform motion "
-                         f"(beta_dot = 0), got beta_dot = {state.beta_dot!r}")
-    g = lorentz_gamma(state.beta)
-    return g ** 4 * state.beta * delta_ydot + delta_gamma
+    return delay_closed(state.beta, state.beta_dot)[5]
 
 
 @dataclass(frozen=True)
@@ -172,15 +143,18 @@ def _reach_back(traj: Trajectory, ts: np.ndarray,
     return lo
 
 
+# Most halvings one element takes
+_HALVINGS = 90
+
 # Times halved together.  Halving 10^5 times at once keeps some twenty
 # full-length temporaries alive at its peak; in blocks they stay in
 # cache and out of the resident set.
 _HALVING_BLOCK = 16384
 
 
-def _halve(traj: Trajectory, lo, hi, ts, x_t, iters: int) -> np.ndarray:
-    """Bisect the brackets [lo, hi] of the times ts up to iters times and
-    return the midpoints of the final brackets; lo and hi are
+def _halve(traj: Trajectory, lo, hi, ts, x_t) -> np.ndarray:
+    """Bisect the brackets [lo, hi] of the times ts up to _HALVINGS times
+    and return the midpoints of the final brackets; lo and hi are
     overwritten with the final ends."""
     t0 = traj.t0
     out_lo, out_hi = lo, hi
@@ -189,7 +163,7 @@ def _halve(traj: Trajectory, lo, hi, ts, x_t, iters: int) -> np.ndarray:
     i_lo, i_hi = traj.interval(lo), traj.interval(hi)
     # the cubic of interval i_lo, or of i_mid for a bracket still split
     cubic, knot = traj.position_cubics(i_lo)
-    for _ in range(iters):
+    for _ in range(_HALVINGS):
         mid = 0.5 * (lo + hi)
         i_mid = i_lo
         split = i_lo != i_hi
@@ -217,23 +191,22 @@ def _halve(traj: Trajectory, lo, hi, ts, x_t, iters: int) -> np.ndarray:
     return 0.5 * (out_lo + out_hi)
 
 
-def solve_retarded_time_many(traj: Trajectory, ts: np.ndarray,
-                             iters: int = 90) -> np.ndarray:
+def solve_retarded_time_many(traj: Trajectory, ts: np.ndarray) -> np.ndarray:
     """Retarded times t_r for an array of observation times.
 
     g(s) = (t - s) - sqrt((x(t) - x(s))^2 + 1) is strictly decreasing in
     s for subluminal histories, so each root is unique.  The bracket
     reaches back from one light crossing, doubling until g > 0; then
-    each element halves its bracket up to iters times.  A step moves an
-    element's bracket by that element's own state alone, so one that a
-    step leaves unchanged sits at a fixed point of every later step and
-    stops there: the result is bit for bit that of iters bisections, and
-    the work follows the brackets still moving.  The same holds block by
-    block, so the halvings run on _HALVING_BLOCK times at a time.  Once
-    both ends of a bracket lie in one knot interval, every later
-    midpoint does too, so the element keeps that interval's cubic and
-    looks up nothing more.  The midpoints lie inside the checked
-    bracket, so they skip the domain check.
+    each element halves its bracket up to _HALVINGS times.  A step moves
+    an element's bracket by that element's own state alone, so one that
+    a step leaves unchanged sits at a fixed point of every later step
+    and stops there: the result is bit for bit that of _HALVINGS
+    bisections, and the work follows the brackets still moving.  The
+    same holds block by block, so the halvings run on _HALVING_BLOCK
+    times at a time.  Once both ends of a bracket lie in one knot
+    interval, every later midpoint does too, so the element keeps that
+    interval's cubic and looks up nothing more.  The midpoints lie
+    inside the checked bracket, so they skip the domain check.
     """
     ts = np.asarray(ts, dtype=float)
     shape = ts.shape
@@ -247,7 +220,7 @@ def solve_retarded_time_many(traj: Trajectory, ts: np.ndarray,
     lo = _reach_back(traj, ts, x_t)
     blocks = [slice(a, a + _HALVING_BLOCK)
               for a in range(0, ts.size, _HALVING_BLOCK)]
-    s = np.concatenate([_halve(traj, lo[k], hi[k], ts[k], x_t[k], iters)
+    s = np.concatenate([_halve(traj, lo[k], hi[k], ts[k], x_t[k])
                         for k in blocks])
     if np.max(np.abs(_gap(ts, x_t, s, traj.position(s)))) > 1e-10:
         raise RuntimeError("light-cone solve did not converge")

@@ -1,11 +1,11 @@
-"""Physical constants, model scales, and kinematic state for the dumbbell charge.
+"""Physical constants, length scales, and kinematic state for the dumbbell charge.
 
 The model is a pair of point charges -e/2 held at a fixed transverse
 separation d while the pair moves along a single axis.  Everything
 downstream works in nondimensional units c = d = 1: positions in units
 of d, times in units of d/c, velocities as beta = v/c, accelerations as
 beta_dot = a d/c^2.  This module owns the only dimensional quantities in
-the package and the conversions in and out of SI.
+the package.
 
 The separation that reproduces the electron mass as pure field energy is
 d = hbar*alpha/(4 m_e c), giving an effective radius r_e = d/2.  The
@@ -116,39 +116,16 @@ def lorentz_gamma(beta):
 
 
 @dataclass(frozen=True)
-class ModelScales:
-    """Length/time scale pair tying nondimensional units to SI.
-
-    length d in m, time d/c in s.  A d_override decouples the geometric
-    scale from the mass-derived one (used for what-if runs only).
-    """
-
-    d: float
-    time_unit: float
-
-    @classmethod
-    def from_constants(cls, constants: PhysicalConstants = PhysicalConstants(),
-                       d_override: float | None = None) -> "ModelScales":
-        d = float(d_override) if d_override is not None else electron_size(constants)
-        if not (d > 0 and math.isfinite(d)):
-            raise ConstantsError(f"model scale d must be finite and positive, got {d!r}")
-        return cls(d=d, time_unit=d / constants.c)
-
-
-@dataclass(frozen=True)
 class KinematicState:
     """One-axis kinematic sample in c = d = 1 units.
 
     t: time (d/c), x: position (d), beta: velocity/c, beta_dot: a*d/c^2.
-    Higher derivatives are optional; they only matter for series work.
     """
 
     t: float = 0.0
     x: float = 0.0
     beta: float = 0.0
     beta_dot: float = 0.0
-    beta_ddot: float | None = None
-    beta_dddot: float | None = None
 
     def __post_init__(self):
         if not abs(self.beta) < 1.0:
@@ -159,30 +136,12 @@ class KinematicState:
         return lorentz_gamma(self.beta)
 
 
-def state_to_si(state: KinematicState, scales: ModelScales) -> dict:
-    """Nondimensional state -> SI dict (t in s, x in m, v in m/s, a in m/s^2)."""
-    c = scales.d / scales.time_unit
-    return {
-        "t": state.t * scales.time_unit,
-        "x": state.x * scales.d,
-        "v": state.beta * c,
-        "a": state.beta_dot * c * c / scales.d,
-    }
-
-
-def state_from_si(t: float, x: float, v: float, a: float, scales: ModelScales) -> KinematicState:
-    """SI sample -> nondimensional KinematicState (inverse of state_to_si)."""
-    c = scales.d / scales.time_unit
-    return KinematicState(t=t / scales.time_unit, x=x / scales.d,
-                          beta=v / c, beta_dot=a * scales.d / (c * c))
-
-
 def parse_constants_file(path: str) -> tuple[PhysicalConstants, float | None]:
     """Read a flat `key = value` constants file.
 
-    Returns (constants, d_override).  Keys outside CONFIG_KEYS are an
-    error, as is any value Decimal refuses to parse.  Blank lines and
-    `#` comments are skipped.
+    Returns (constants, d_override); no output reads d_override.  Keys
+    outside CONFIG_KEYS are an error, as is any value Decimal refuses to
+    parse.  Blank lines and `#` comments are skipped.
     """
     values: dict[str, float] = {}
     with open(path, "r", encoding="utf-8") as fh:

@@ -125,39 +125,6 @@ def self_potential_series(state: KinematicState, n_terms: int) -> float:
     return self_potential_partial_sums(state, n_terms)[-1]
 
 
-def series_prefactor_ratio() -> Fraction:
-    """Exact ratio of the series prefactor to the rest energy.
-
-    The y-series carries the prefactor hbar^2 alpha^2 / (64 m r_eff^2).
-    With m = hbar alpha / (4 d c) and r_eff = d / 2 every symbol
-    cancels against m c^2; this evaluates the ratio symbolically
-    (exponent bookkeeping over hbar, alpha, c, d with exact rational
-    coefficients) and returns it, raising if any symbol survives.
-    """
-    # quantity = (coefficient, exponents of (hbar, alpha, c, d))
-    def mul(a, b, power=1):
-        coef = a[0] * b[0] ** power
-        exps = tuple(x + power * y for x, y in zip(a[1], b[1]))
-        return (coef, exps)
-
-    one = (Fraction(1), (0, 0, 0, 0))
-    hbar = (Fraction(1), (1, 0, 0, 0))
-    alpha = (Fraction(1), (0, 1, 0, 0))
-    c = (Fraction(1), (0, 0, 1, 0))
-    d = (Fraction(1), (0, 0, 0, 1))
-    m = mul(mul(mul((Fraction(1, 4), (0, 0, 0, 0)), hbar), alpha),
-            mul(c, d), power=-1)
-    r_eff = mul((Fraction(1, 2), (0, 0, 0, 0)), d)
-    num = mul(mul(one, hbar, 2), alpha, 2)
-    den = mul(mul((Fraction(64), (0, 0, 0, 0)), m), r_eff, 2)
-    prefactor = mul(num, den, power=-1)
-    rest_energy = mul(m, c, 2)
-    ratio = mul(prefactor, rest_energy, power=-1)
-    if any(e != 0 for e in ratio[1]):
-        raise ArithmeticError(f"symbols did not cancel: {ratio[1]}")
-    return ratio[0]
-
-
 # ---------------------------------------------------------------------
 # Conservative Duffing approximation
 # ---------------------------------------------------------------------

@@ -31,6 +31,7 @@ from .dynamics import (
     perturbed_uniform_run,
     propagate_exact,
     propagate_filtered,
+    sign_changes,
 )
 from .geometry import delay_closed, solve_retarded_time_many
 from .model import KinematicState
@@ -249,8 +250,7 @@ def _check_long_run_bounded():
     reached = float(traj.t[-1])
     bounded = "aborted" not in traj.metadata and bool(
         np.all(np.abs(fwd) < 1.0))
-    signs = np.sign(fwd[fwd != 0.0])
-    oscillates = int(np.count_nonzero(np.diff(signs) != 0)) >= 4
+    oscillates = sign_changes(fwd) >= 4
     return 100.0, reached, 0.0, bool(bounded and oscillates
                                      and reached >= 100.0)
 
@@ -263,9 +263,7 @@ def _check_saturation_amplitude():
 
 def _check_oscillation_fundamental():
     traj = _long_run_attempt()
-    fwd = traj.beta[traj.t >= 0.0]
-    signs = np.sign(fwd[fwd != 0.0])
-    if int(np.count_nonzero(np.diff(signs) != 0)) < 4:
+    if sign_changes(traj.beta[traj.t >= 0.0]) < 4:
         return _ETA_FIRST / (2.0 * math.pi), None, None, True
     got = estimate_spectrum(traj, (0.0, float(traj.t[-1])))
     return _ETA_FIRST / (2.0 * math.pi), got[0].frequency, None, True

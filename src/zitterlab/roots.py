@@ -64,7 +64,7 @@ _TWO_PI = 2.0 * math.pi
 # steps of z <- Log(z^2 + z + 1) + 2 pi i k, then of Newton, per branch
 _FIXED_POINT_STEPS = 40
 _NEWTON_STEPS = 3
-# The winding walk's first steps are at most 1/64 of an edge and
+# The winding walk's first steps are at most 1/_EDGE_STEPS of an edge and
 # _WALK_STEP long.  Within a quarter step of the contour the double root
 # at 0 can turn the phase by nearly a full turn per step, which the walk
 # reads as none, and within ~1e-6 |f| ~ |z|^2 / 2 trips its 1e-12 guard;
@@ -73,6 +73,7 @@ _NEWTON_STEPS = 3
 # roots lengthens a side by at most two clearances, and
 # (1 + 2 / 240) / 256 < 1 / 240.  A simple root turns the phase by < pi
 # and needs only a rounding margin.
+_EDGE_STEPS = 64
 _CLEARANCE = 1.0 / 240.0
 _ORIGIN_CLEARANCE = 1e-5
 _SIMPLE_CLEARANCE = 1e-9
@@ -338,14 +339,13 @@ def dominant_real_root(beta: float = 0.0) -> float:
 # Argument-principle audit
 # ---------------------------------------------------------------------
 
-def argument_principle_count(eq: CharEq, region: Region,
-                             base_samples: int = 64) -> int:
+def argument_principle_count(eq: CharEq, region: Region) -> int:
     """Zeros (with multiplicity) inside region by boundary phase walk.
 
     Walks the rectangle boundary accumulating the wrapped phase change
     of the rescaled characteristic value (rescaling by a positive real
     factor leaves the phase untouched), adaptively bisecting any segment
-    whose phase jump exceeds ~0.8 rad, from at least base_samples steps
+    whose phase jump exceeds ~0.8 rad, from at least _EDGE_STEPS steps
     per edge of at most _WALK_STEP.  Raises ValueError if the boundary
     runs too close to a zero for the walk to be trustworthy: if a sample
     lands within |f| < 1e-12 of one, or if the double root at 0 lies
@@ -359,7 +359,7 @@ def argument_principle_count(eq: CharEq, region: Region,
     total = 0.0
     budget = 200000
     for a, b in zip(corners[:-1], corners[1:]):
-        n = max(base_samples, 8, math.ceil(abs(b - a) / _WALK_STEP))
+        n = max(_EDGE_STEPS, math.ceil(abs(b - a) / _WALK_STEP))
         # the point of the edge nearest 0
         near = complex(min(max(0.0, min(a.real, b.real)), max(a.real, b.real)),
                        min(max(0.0, min(a.imag, b.imag)), max(a.imag, b.imag)))

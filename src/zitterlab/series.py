@@ -443,29 +443,27 @@ def _binomial_half(m: int) -> Fraction:
     return c * (-1) ** m
 
 
-def d_series(order: int, beta_order: int | None = None,
-             z_order: int | None = None) -> TruncatedSeries:
+def d_series(order: int, beta_order: int | None = None) -> TruncatedSeries:
     """Transverse separation d = sqrt(r^2 - l^2) as a series in r.
 
     d = r*sqrt(1 - z^2) with z = l/r.  z has constant term beta, so the
-    binomial series in z must be cut somewhere; z_order controls where.
-    The default without a beta cap is z_order = 4 (binomial kept through
-    z^4), the truncation under which the quoted full-beta coefficients
-    hold.  Under a beta cap the default grows with the order so that
-    l^2 + d^2 = r^2 closes exactly in the quotient ring.
+    binomial series in z must be cut somewhere.  Without a beta cap it
+    is kept through z^4, the truncation under which the quoted full-beta
+    coefficients hold.  Under a beta cap the cut grows with the order so
+    that l^2 + d^2 = r^2 closes exactly in the quotient ring.
     """
-    return _separation(l_series(order, beta_order), z_order)
+    return _separation(l_series(order, beta_order))
 
 
-def _separation(l: TruncatedSeries, z_order: int | None = None) -> TruncatedSeries:
+def _separation(l: TruncatedSeries) -> TruncatedSeries:
     """d_series built from the advance series `l`, in the quotient ring of `l`."""
-    if z_order is None:
-        z_order = 4 if l.beta_order is None else 2 * l.order + 2
+    # binomial terms kept: through z^4, or z^(2 order + 2) under a beta cap
+    terms = 2 if l.beta_order is None else l.order + 1
     # pad z = l/r back to full order so products keep every needed power of r
     z = l._like(l.shift_down(1).coeffs)
     z2 = z * z
     acc = power = l._like([KinPoly.const(1)])
-    for m in range(1, z_order // 2 + 1):
+    for m in range(1, terms + 1):
         power = power * z2
         if power.is_zero():
             break
@@ -607,20 +605,15 @@ def linear_chain_coeffs(n_max: int) -> list[Fraction]:
     return out
 
 
-def characteristic_from_chain(n_max: int) -> list[Fraction]:
+def _chain_characteristic(chain: list[Fraction]) -> list[Fraction]:
     """Characteristic polynomial of the linear chain in mu (c = d = 1).
 
     Substituting x ~ e^(mu t) maps the n-th acceleration derivative to
     mu^(n+2), giving sum_n c_n mu^(n+2).  Returned as coefficients of
-    mu^0 .. mu^(n_max+2); term by term this is the Maclaurin series of
+    mu^0 .. mu^(len(chain)+1); term by term this is the Maclaurin series of
     e^mu - 1 - mu - mu^2, whose vanishing is the quasi-polynomial
     mu^2 + mu + 1 - e^mu = 0 with the sign flipped.
     """
-    return _chain_characteristic(linear_chain_coeffs(n_max))
-
-
-def _chain_characteristic(chain: list[Fraction]) -> list[Fraction]:
-    """Shift chain coefficient n to the mu^(n+2) slot (see above)."""
     return [Q(0), Q(0)] + chain
 
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -245,10 +244,11 @@ def _bump_accel_peak() -> float:
 class SeedHistory:
     """Prescribed past motion on [-span, 0].
 
-    kind is one of rest_kick, uniform_motion, uniform_kick, mode_kick,
-    custom.  amplitude is the peak |beta_dot| of the kick (0 for none);
-    beta is the underlying drift.  Analytic channels x, beta, beta_dot
-    are exposed as vectorized callables of time.
+    kind is one of rest_kick, uniform_motion, uniform_kick, mode_kick.
+    amplitude is the peak |beta_dot| of the kick (0 for none); beta is
+    the underlying drift.  The history reaches back span = max(3, 2.5
+    gamma), past twice the delay gamma.  Analytic channels are exposed
+    as vectorized callables of time.
 
     The bump kinds perturb with a compactly supported C-infinity pulse.
     mode_kick instead perturbs along the dominant eigenfunction of the
@@ -260,42 +260,31 @@ class SeedHistory:
 
     kind: str
     amplitude: float
-    span: float
     beta: float = 0.0
     rate: float = 0.0
-    table: Trajectory | None = None
 
     def __post_init__(self):
         if not abs(self.beta) < 1.0:
             raise SuperluminalError(f"seed drift beta = {self.beta!r}")
-        gamma = lorentz_gamma(self.beta)
-        if self.span < 2.0 * gamma:
-            raise ValueError(
-                f"span {self.span} shorter than twice the delay {gamma}")
+
+    @property
+    def span(self) -> float:
+        return max(3.0, 2.5 * lorentz_gamma(self.beta))
 
     @classmethod
-    def rest_kick(cls, amplitude: float, span: float = 3.0) -> "SeedHistory":
-        return cls(kind="rest_kick", amplitude=float(amplitude), span=span)
+    def rest_kick(cls, amplitude: float) -> "SeedHistory":
+        return cls(kind="rest_kick", amplitude=float(amplitude))
 
     @classmethod
-    def uniform_motion(cls, beta: float, span: float | None = None) -> "SeedHistory":
-        gamma = lorentz_gamma(beta)
-        if span is None:
-            span = max(3.0, 2.5 * gamma)
-        return cls(kind="uniform_motion", amplitude=0.0, span=span, beta=beta)
+    def uniform_motion(cls, beta: float) -> "SeedHistory":
+        return cls(kind="uniform_motion", amplitude=0.0, beta=beta)
 
     @classmethod
-    def uniform_kick(cls, beta: float, amplitude: float,
-                     span: float | None = None) -> "SeedHistory":
-        gamma = lorentz_gamma(beta)
-        if span is None:
-            span = max(3.0, 2.5 * gamma)
-        return cls(kind="uniform_kick", amplitude=float(amplitude),
-                   span=span, beta=beta)
+    def uniform_kick(cls, beta: float, amplitude: float) -> "SeedHistory":
+        return cls(kind="uniform_kick", amplitude=float(amplitude), beta=beta)
 
     @classmethod
-    def mode_kick(cls, beta: float, amplitude: float,
-                  span: float | None = None) -> "SeedHistory":
+    def mode_kick(cls, beta: float, amplitude: float) -> "SeedHistory":
         """Kick along the dominant unstable mode of the drift state.
 
         The offset channels are A e^{rate t} with rate the positive
@@ -306,19 +295,9 @@ class SeedHistory:
         O(amplitude^2).
         """
         from .roots import dominant_real_root
-        gamma = lorentz_gamma(beta)
-        if span is None:
-            span = max(3.0, 2.5 * gamma)
-        rate = dominant_real_root(beta) / gamma
+        rate = dominant_real_root(beta) / lorentz_gamma(beta)
         return cls(kind="mode_kick", amplitude=float(amplitude),
-                   span=span, beta=beta, rate=rate)
-
-    @classmethod
-    def custom(cls, table: Trajectory) -> "SeedHistory":
-        if table.t1 > 1e-12:
-            raise ValueError("custom seed history must end at t <= 0")
-        return cls(kind="custom", amplitude=0.0,
-                   span=table.t1 - table.t0, beta=0.0, table=table)
+                   beta=beta, rate=rate)
 
     def _scale(self) -> float:
         return self.amplitude * _BUMP_HALFWIDTH ** 2 / _bump_accel_peak()
@@ -326,34 +305,18 @@ class SeedHistory:
     def _mode_amp(self) -> float:
         return self.amplitude / self.rate ** 2
 
-    def position(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.table is not None:
-            return self.table.position(t)
-        return self.beta * t + self.offset_position(t)
-
     def velocity(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.table is not None:
-            return self.table.velocity(t)
         return self.beta + self.offset_velocity(t)
 
     def acceleration(self, t):
         t = np.asarray(t, dtype=float)
-        if self.table is not None:
-            return self.table.acceleration(t)
         if self.kind == "mode_kick":
             return self._mode_amp() * self.rate ** 2 * np.exp(self.rate * t)
         u = (t - _BUMP_CENTER) / _BUMP_HALFWIDTH
         return self._scale() * _bump_d2(u) / _BUMP_HALFWIDTH ** 2
 
-    @property
-    def drift(self) -> float:
-        """Background drift velocity the kick rides on."""
-        return 0.0 if self.table is not None else self.beta
-
     def offset_position(self, t):
-        """x(t) - drift*t, computed without the drift term.
+        """x(t) - beta*t, computed without the drift term.
 
         The integrator marches in drift-comoving coordinates: absolute
         positions grow linearly and their floating-point granularity
@@ -361,8 +324,6 @@ class SeedHistory:
         scale for near-uniform motion.
         """
         t = np.asarray(t, dtype=float)
-        if self.table is not None:
-            return self.table.position(t)
         if self.kind == "mode_kick":
             return self._mode_amp() * np.exp(self.rate * t)
         u = (t - _BUMP_CENTER) / _BUMP_HALFWIDTH
@@ -370,16 +331,12 @@ class SeedHistory:
 
     def offset_velocity(self, t):
         t = np.asarray(t, dtype=float)
-        if self.table is not None:
-            return self.table.velocity(t)
         if self.kind == "mode_kick":
             return self._mode_amp() * self.rate * np.exp(self.rate * t)
         u = (t - _BUMP_CENTER) / _BUMP_HALFWIDTH
         return self._scale() * _bump_d1(u) / _BUMP_HALFWIDTH
 
     def describe(self) -> str:
-        if self.kind == "custom":
-            return f"custom[{self.table.t0:.6g},{self.table.t1:.6g}]"
         if self.kind == "mode_kick":
             return (f"mode_kick(amp={self.amplitude:.6g},"
                     f"beta={self.beta:.6g},rate={self.rate:.6g})")

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from zitterlab import dynamics
 from zitterlab.dynamics import (
     ArrivalOrderError,
     DegenerateSignalError,
@@ -56,23 +57,18 @@ def test_trajectory_window():
 
 def test_seed_histories():
     kick = SeedHistory.rest_kick(1e-6)
-    assert kick.drift == 0.0
+    assert kick.beta == 0.0
     assert kick.velocity(-3.0) == 0.0
     assert kick.acceleration(-0.5) != 0.0
 
     drift = SeedHistory.uniform_motion(0.5)
-    assert drift.drift == 0.5
+    assert drift.beta == 0.5
     assert drift.velocity(-1.0) == 0.5
     assert drift.acceleration(-0.7) == 0.0
 
     mode = SeedHistory.mode_kick(0.5, 1e-6)
-    assert mode.drift == 0.5
+    assert mode.beta == 0.5
     assert abs(mode.velocity(0.0) - 0.5) > 0.0
-
-    t = np.linspace(-2.0, 0.5, 26)
-    table = Trajectory(t, 0.0 * t, np.zeros(26), np.zeros(26))
-    with pytest.raises(ValueError):
-        SeedHistory.custom(table)
 
 
 @pytest.mark.parametrize("build", [
@@ -378,3 +374,26 @@ def test_march_outputs_are_pinned(case):
     traj = march(seed(), t_end, **kwargs)
     assert _run_digest(traj) == want
     assert traj.metadata == detail
+
+
+# Runs whose last pass, at 512 or 2048 emitters, reached knots past t_end
+# that fold the arrival order; with 8192 they finished with these digests.
+BLOCK_CASES = {
+    (0.5, 2.3, 5e-4):
+        "bc896b2a11fce70128ee48bb46c6093e78256785882d27151311e536d591e6ca",
+    (0.5, 2.3, 3e-4):
+        "ea1684a1633dec56fa50580c3d213209d1ff9ed56cf0103f036465d756026df5",
+    (0.9, 4.4, 1e-3):
+        "63b47f9bbceb8ace5bac6142cde2335204c26c860fdba15729a17e33f9082a0a",
+    (0.3, 2.0, 2e-4):
+        "90dc5bd5b0d48c640a1a02d38d1b7c23afdf1c99bb9a328f965597fbcf99cc84",
+}
+
+
+@pytest.mark.parametrize("case", BLOCK_CASES, ids=str)
+def test_exact_march_does_not_depend_on_block(case, monkeypatch):
+    beta, t_end, grid = case
+    for block in (512, 2048, 8192):
+        monkeypatch.setattr(dynamics, "_BLOCK", block)
+        traj = propagate_exact(SeedHistory.mode_kick(beta, 1e-6), t_end, grid)
+        assert _run_digest(traj) == BLOCK_CASES[case], block

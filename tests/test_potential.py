@@ -19,7 +19,6 @@ from zitterlab.potential import (
     self_potential_closed,
     self_potential_partial_sums,
     self_potential_series,
-    series_prefactor_ratio,
 )
 
 Q_FROZEN = (Fraction(1, 2), Fraction(3, 8), Fraction(5, 16),
@@ -199,6 +198,31 @@ def test_energy_scale():
     c = PhysicalConstants()
     assert energy_scale_joules(c) == pytest.approx(8.187105776823886e-14,
                                                    rel=1e-12)
+
+
+def series_prefactor_ratio():
+    # oracle: the y-series prefactor hbar^2 alpha^2 / (64 m r_eff^2) over
+    # the rest energy m c^2, with m = hbar alpha / (4 d c) and
+    # r_eff = d / 2, by exponent bookkeeping over (hbar, alpha, c, d)
+    def mul(a, b, power=1):
+        return (a[0] * b[0] ** power,
+                tuple(x + power * y for x, y in zip(a[1], b[1])))
+
+    def num(q):
+        return (Fraction(q), (0, 0, 0, 0))
+
+    hbar = (Fraction(1), (1, 0, 0, 0))
+    alpha = (Fraction(1), (0, 1, 0, 0))
+    c = (Fraction(1), (0, 0, 1, 0))
+    d = (Fraction(1), (0, 0, 0, 1))
+    m = mul(mul(mul(num(Fraction(1, 4)), hbar), alpha), mul(c, d), power=-1)
+    r_eff = mul(num(Fraction(1, 2)), d)
+    prefactor = mul(mul(mul(num(1), hbar, 2), alpha, 2),
+                    mul(mul(num(64), m), r_eff, 2), power=-1)
+    ratio = mul(prefactor, mul(m, c, 2), power=-1)
+    if any(e != 0 for e in ratio[1]):
+        raise ArithmeticError(f"symbols did not cancel: {ratio[1]}")
+    return ratio[0]
 
 
 def test_series_prefactor_cancels_exactly():
