@@ -30,60 +30,43 @@ posed, which is why the long-horizon march is a filtered instrument
 with its bandwidth stated rather than hidden.
 """
 
-from .model import (
-    KinematicState,
-    PhysicalConstants,
-    classical_radius,
-    effective_radius,
-    electron_size,
-    lorentz_gamma,
-    zitter_period,
-)
-from .roots import CharEq, Region, dominant_real_root, find_roots, spectrum
-from .geometry import RetardedGeometry, solve_retarded_time
-from .trajectory import SeedHistory, Trajectory
-from .dynamics import (
-    estimate_growth_rate,
-    estimate_spectrum,
-    integrate_truncated,
-    perturbed_uniform_run,
-    propagate_exact,
-    propagate_filtered,
-    residual_eom,
-)
-from .potential import quantum_potential, sample, self_potential_closed
-from .series import verify_identities
-from .report import run_report
+import importlib
+
+# Each public name and the module that defines it.  The package imports
+# nothing up front: __getattr__ (PEP 562) loads a module the first time
+# one of its names is asked for, so a caller pays only for the layers it
+# uses, and numpy only when one of those needs it.
+_LAYERS = {
+    "model": ("KinematicState", "PhysicalConstants", "classical_radius",
+              "effective_radius", "electron_size", "lorentz_gamma",
+              "zitter_period"),
+    "roots": ("CharEq", "Region", "dominant_real_root", "find_roots",
+              "spectrum"),
+    "geometry": ("RetardedGeometry", "solve_retarded_time"),
+    "trajectory": ("SeedHistory", "Trajectory"),
+    "dynamics": ("estimate_growth_rate", "estimate_spectrum",
+                 "integrate_truncated", "perturbed_uniform_run",
+                 "propagate_exact", "propagate_filtered", "residual_eom"),
+    "potential": ("quantum_potential", "sample", "self_potential_closed"),
+    "series": ("verify_identities",),
+    "report": ("run_report",),
+}
+_SOURCE = {name: module for module, names in _LAYERS.items()
+           for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CharEq",
-    "KinematicState",
-    "PhysicalConstants",
-    "Region",
-    "RetardedGeometry",
-    "SeedHistory",
-    "Trajectory",
-    "classical_radius",
-    "dominant_real_root",
-    "effective_radius",
-    "electron_size",
-    "estimate_growth_rate",
-    "estimate_spectrum",
-    "find_roots",
-    "integrate_truncated",
-    "lorentz_gamma",
-    "perturbed_uniform_run",
-    "propagate_exact",
-    "propagate_filtered",
-    "quantum_potential",
-    "residual_eom",
-    "run_report",
-    "sample",
-    "self_potential_closed",
-    "solve_retarded_time",
-    "spectrum",
-    "verify_identities",
-    "zitter_period",
-]
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name: str):
+    module = _SOURCE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -12,6 +12,10 @@ supplied with --constants or the ZITTERLAB_CONSTANTS variable; it is
 validated on every run but only outputs that touch SI units depend on
 it.  The report always uses the built-in constants so its golden
 output is stable.
+
+Each subcommand imports the layers it runs when it runs, and nothing
+else: `series-verify` loads only the series engine and never numpy,
+`roots` and `render` only the roots layer.
 """
 
 from __future__ import annotations
@@ -23,52 +27,52 @@ import os
 import re
 import sys
 
-import numpy as np
-
-from . import potential as potmod
-from .dynamics import (
-    estimate_spectrum,
-    perturbed_uniform_run,
-    propagate_exact,
-    propagate_filtered,
-    residual_eom_many,
-    sign_changes,
-    TooFewSamplesError,
-)
 from .model import (
     ConstantsError,
     KinematicState,
     PhysicalConstants,
+    _fmt,
     lorentz_gamma,
     parse_constants_file,
 )
-from .report import _fmt, render_report, run_report
-from .roots import CharEq, Region, dominant_real_root, find_roots, \
-    render_domain_coloring, write_ppm
-from .trajectory import SeedHistory
 
 
-def _beta_arg(text: str) -> float:
+def _finite_arg(text: str) -> float:
     try:
         v = float(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
+    if not math.isfinite(v):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return v
+
+
+def _beta_arg(text: str) -> float:
+    v = _finite_arg(text)
     if not abs(v) < 1.0:
         raise argparse.ArgumentTypeError(f"|beta| must be < 1, got {v}")
     return v
 
 
-def _positive_arg(text: str) -> float:
+def _count_arg(text: str) -> int:
     try:
-        v = float(text)
+        v = int(text)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
-    if not (v > 0 and math.isfinite(v)):
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+    if v < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    return v
+
+
+def _positive_arg(text: str) -> float:
+    v = _finite_arg(text)
+    if not v > 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
     return v
 
 
-def _region_arg(text: str) -> Region:
+def _region_arg(text: str):
+    from .roots import Region
     try:
         return Region.parse(text)
     except ValueError as exc:
@@ -120,6 +124,7 @@ def _csv(header: str, columns, non_finite: str) -> str:
     """CSV text: the header row, then one row per index of the equal-
     length float columns.  Every value prints as _fmt's
     format(v, ".17g") would, and non-finite ones as non_finite."""
+    import numpy as np
     columns = [np.asarray(c, dtype=float) for c in columns]
     row = ",".join(["%.17g"] * len(columns)) + "\n"
     parts = [header + "\n"]
@@ -144,6 +149,7 @@ def _load_constants(path: str | None) -> tuple[PhysicalConstants, float | None]:
 # --- subcommand handlers ----------------------------------------------
 
 def cmd_roots(args, _env) -> int:
+    from .roots import CharEq, find_roots
     rs = find_roots(CharEq(args.beta), args.region)
     rows = sorted(rs.roots, key=lambda r: (r.value.real, r.value.imag))
     _write_text(args.out, _csv("re,im,residual",
@@ -154,6 +160,7 @@ def cmd_roots(args, _env) -> int:
 
 
 def cmd_render(args, _env) -> int:
+    from .roots import CharEq, render_domain_coloring, write_ppm
     image = render_domain_coloring(CharEq(args.beta), args.region, args.size)
     write_ppm(args.out, image)
     return 0
@@ -168,7 +175,8 @@ def cmd_series_verify(args, _env) -> int:
     return 0 if all_ok else 1
 
 
-def _build_seed(args) -> SeedHistory:
+def _build_seed(args):
+    from .trajectory import SeedHistory
     if args.seed == "rest_kick":
         if args.beta != 0.0:
             raise ValueError("rest_kick does not take a drift; "
@@ -181,8 +189,10 @@ def _build_seed(args) -> SeedHistory:
     return SeedHistory.mode_kick(args.beta, args.amp)
 
 
-def _residual_column(traj) -> np.ndarray:
+def _residual_column(traj):
     """residual_eom where the light cone fits in the data, else nan."""
+    import numpy as np
+    from .dynamics import residual_eom_many
     ts = traj.t
     res = np.full(ts.size, np.nan)
     x0 = float(traj.position(traj.t0))
@@ -200,6 +210,10 @@ def _trajectory_csv(traj) -> str:
 
 
 def _simulate_report(args, traj, drift: float) -> str:
+    import numpy as np
+    from .dynamics import (TooFewSamplesError, estimate_spectrum,
+                           perturbed_uniform_run, sign_changes)
+    from .roots import dominant_real_root
     gamma = lorentz_gamma(drift)
     target = dominant_real_root(drift) / gamma
     kick = args.amp if args.seed != "uniform" else 1e-6
@@ -241,6 +255,18 @@ def _simulate_report(args, traj, drift: float) -> str:
     return "\n".join(lines) + "\n"
 
 
+# cmd_simulate calls the marches through these two module attributes, so
+# a caller can rebind them; perfbench's probe does, to time the march.
+def propagate_exact(*args, **kwargs):
+    from . import dynamics
+    return dynamics.propagate_exact(*args, **kwargs)
+
+
+def propagate_filtered(*args, **kwargs):
+    from . import dynamics
+    return dynamics.propagate_filtered(*args, **kwargs)
+
+
 def cmd_simulate(args, _env) -> int:
     seed = _build_seed(args)
     drift = seed.beta
@@ -266,8 +292,10 @@ def cmd_simulate(args, _env) -> int:
 
 
 def cmd_potential(args, env) -> int:
+    from . import potential as potmod
     constants, _ = env
     if args.duffing:
+        import numpy as np
         a, b = args.range
         xs = np.linspace(a, b, args.samples)
         # a power past the float range is printed as null, not warned about
@@ -295,6 +323,7 @@ def _print_timing(check_id: str, seconds: float) -> None:
 
 
 def cmd_report(args, _env) -> int:
+    from .report import render_report, run_report
     records = run_report(args.only,
                          on_timing=_print_timing if args.timings else None)
     if not records:
@@ -385,8 +414,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("potential", help="self-potential decomposition at "
                                          "a state, or the Duffing profile")
     p.add_argument("--beta", type=_beta_arg, default=0.0)
-    p.add_argument("--betadot", type=float, default=0.0)
-    p.add_argument("--series", type=int, default=0, metavar="N",
+    p.add_argument("--betadot", type=_finite_arg, default=0.0)
+    p.add_argument("--series", type=_count_arg, default=0, metavar="N",
                    help="also emit the first N series partial sums")
     p.add_argument("--si", action="store_true",
                    help="energies in joules instead of rest-energy units")
@@ -394,7 +423,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="emit the conservative double-well profile as CSV")
     p.add_argument("--range", type=_pair_arg, default="-1.5,1.5",
                    help="x range a,b for --duffing")
-    p.add_argument("--samples", type=int, default=301,
+    p.add_argument("--samples", type=_count_arg, default=301,
                    help="sample count for --duffing")
     p.add_argument("--out", default="-", help="output path ('-' = stdout)")
     p.set_defaults(func=cmd_potential)

@@ -13,15 +13,18 @@ trembling-motion period is T = 4*pi*r_e/c; it is reported for both the
 classical electron radius 2.818e-15 m and for r_e = d/2, which differ by
 a factor of ~8 (the literature quotes the former; this model's own
 length scale gives the latter).
+
+numpy is never imported here.  lorentz_gamma and _fmt take their numpy
+paths only once some other module has loaded numpy: until then no value
+can be a numpy array or scalar, so `series-verify` runs without it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
-
-import numpy as np
 
 # CODATA 2018 defaults, SI units
 C_LIGHT = 299792458.0            # m / s (exact)
@@ -105,7 +108,8 @@ def zitter_period(r_e: float, constants: PhysicalConstants = PhysicalConstants()
 def lorentz_gamma(beta):
     """Lorentz factor 1/sqrt(1-beta^2) of a float or of each element of
     an array; every beta must be strictly subluminal."""
-    if isinstance(beta, np.ndarray):
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(beta, np.ndarray):
         if not (np.abs(beta) < 1.0).all():
             raise ValueError("|beta| must be < 1, got max |beta| = "
                              f"{float(np.max(np.abs(beta)))!r}")
@@ -113,6 +117,26 @@ def lorentz_gamma(beta):
     if not abs(beta) < 1.0:
         raise ValueError(f"|beta| must be < 1, got {beta!r}")
     return 1.0 / math.sqrt((1.0 - beta) * (1.0 + beta))
+
+
+def _fmt(value) -> str:
+    """One JSON token: floats at 17 significant digits, rest literal."""
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    np = sys.modules.get("numpy")
+    if isinstance(value, int) or (np is not None
+                                  and isinstance(value, np.integer)):
+        return str(int(value))
+    if isinstance(value, float) or (np is not None
+                                    and isinstance(value, np.floating)):
+        v = float(value)
+        if not math.isfinite(v):
+            return "null"
+        return format(v, ".17g")
+    import json
+    return json.dumps(str(value), ensure_ascii=False)
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from .dynamics import (
     sign_changes,
 )
 from .geometry import delay_closed, solve_retarded_time_many
-from .model import KinematicState
+from .model import KinematicState, _fmt
 from .trajectory import SeedHistory
 
 SWEEP_SEED = 20260814
@@ -42,23 +42,6 @@ SWEEP_SIZE = 10_000
 
 _LSTAR_COARSE = 1.8     # quadratic-truncation estimate of the slow rate
 _ETA_FIRST = 8.327764   # first oscillatory branch, c/d units
-
-
-def _fmt(value) -> str:
-    """One JSON token: floats at 17 significant digits, rest literal."""
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        v = float(value)
-        if not math.isfinite(v):
-            return "null"
-        return format(v, ".17g")
-    import json
-    return json.dumps(str(value), ensure_ascii=False)
 
 
 def format_record(rec: dict) -> str:

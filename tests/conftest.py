@@ -18,6 +18,11 @@ from zitterlab.dynamics import (
 from zitterlab.roots import CharEq, Region, find_roots
 from zitterlab.trajectory import SeedHistory
 
+# The rest-instability rate: the real root of e^z = z^2 + z + 1, rounded
+# once to the nearest double (test_roots.py checks that rounding at 120
+# bits).
+LAMBDA_STAR = 1.793282132900761
+
 
 @pytest.fixture(scope="session")
 def rest_rootset():

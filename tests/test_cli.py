@@ -58,6 +58,24 @@ def test_usage_errors_exit_two(capsys):
         capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["potential", "--series", "-3"],
+    ["potential", "--duffing", "--samples", "-1"],
+    ["potential", "--betadot", "nan"],
+    ["potential", "--betadot", "inf"],
+], ids=" ".join)
+def test_potential_bad_numbers_exit_two(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_potential_duffing_zero_samples_prints_header(capsys):
+    assert _run(capsys, "potential", "--duffing", "--samples", "0") == \
+        (0, "x,Qc,force\n", "")
+
+
 def test_report_only_no_match_exits_two(capsys):
     code, _, err = _run(capsys, "report", "--only", "nonexistent_check")
     assert code == 2
@@ -384,19 +402,152 @@ def test_constants_env_var(tmp_path, capsys, monkeypatch):
     assert "unknown key" in err
 
 
-def test_cli_import_loads_no_scipy():
-    # numpy is the one runtime dependency; a fresh interpreter imports
-    # this checkout's package through an absolute source path
+def _fresh_python(code, *args):
+    # a fresh interpreter imports this checkout's package through an
+    # absolute source path
     src = os.path.dirname(os.path.dirname(os.path.abspath(zitterlab.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
-    code = ("import sys, zitterlab.cli; print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] == 'scipy'))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]", proc.stdout[:300]
+    return proc.stdout
+
+
+# prints, as a JSON list, which modules of numpy, scipy and the package
+# are loaded after main(argv) ran (stdout discarded), or after a bare
+# `import zitterlab.cli` when argv is empty
+_LOADED = """
+import contextlib, io, json, sys
+if len(sys.argv) > 1:
+    from zitterlab.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(sys.argv[1:]) == 0
+else:
+    import zitterlab.cli
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.split(".")[0] in ("numpy", "scipy")
+                        or m.startswith("zitterlab"))))
+"""
+
+
+def _loaded(*argv):
+    return set(json.loads(_fresh_python(_LOADED, *argv)))
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the one runtime dependency, and the bare front end needs
+    # not even that
+    assert _loaded() == {"zitterlab", "zitterlab.cli", "zitterlab.model"}
+
+
+_BASE = {"cli", "model"}
+_ROOTS = _BASE | {"roots"}
+_POTENTIAL = _BASE | {"potential", "geometry", "trajectory"}
+_MARCH = _BASE | {"dynamics", "geometry", "trajectory", "roots"}
+_EVERY = _MARCH | {"potential", "series", "report"}
+
+
+_LAYER_CASES = [
+    (["series-verify"], _BASE | {"series"}),
+    (["roots"], _ROOTS),
+    (["render", "--size", "8x6", "--out", "{tmp}"], _ROOTS),
+    (["potential"], _POTENTIAL),
+    (["potential", "--duffing"], _POTENTIAL),
+    (["simulate", "--seed", "mode_kick", "--integrator", "exact",
+      "--tend", "1.3", "--report"], _MARCH),
+    (["report", "--only", "branch_ladder"], _EVERY),
+]
+
+
+@pytest.mark.parametrize("argv, layers", _LAYER_CASES,
+                         ids=[" ".join(argv) for argv, _ in _LAYER_CASES])
+def test_command_loads_only_its_layers(tmp_path, argv, layers):
+    argv = [a.format(tmp=tmp_path / "x.ppm") for a in argv]
+    loaded = _loaded(*argv)
+    assert {m for m in loaded if m.startswith("zitterlab")} == \
+        {"zitterlab"} | {f"zitterlab.{layer}" for layer in layers}
+    assert not any(m.startswith("scipy") for m in loaded)
+    # series-verify is the one command that runs without numpy
+    assert ("numpy" in loaded) == (argv != ["series-verify"])
+
+
+def test_model_runs_without_numpy():
+    code = """
+import json, sys
+from zitterlab.model import _fmt, lorentz_gamma
+print(json.dumps([[_fmt(v) for v in (None, True, 3, 0.1, float("nan"), "a")],
+                  lorentz_gamma(0.6), "numpy" in sys.modules]))
+"""
+    assert json.loads(_fresh_python(code)) == \
+        [["null", "true", "3", "0.10000000000000001", "null", '"a"'], 1.25,
+         False]
+
+
+def test_package_resolves_every_public_name():
+    assert len(zitterlab.__all__) == 28
+    for name in zitterlab.__all__:
+        obj = getattr(zitterlab, name)
+        assert getattr(sys.modules[obj.__module__], name) is obj
+    namespace = {}
+    exec("from zitterlab import *", namespace)
+    assert set(zitterlab.__all__) <= set(namespace)
+    assert set(zitterlab.__all__) <= set(dir(zitterlab))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        zitterlab.no_such_name
+
+
+def test_package_import_is_lazy():
+    code = """
+import json, sys
+import zitterlab
+before = sorted(m for m in sys.modules if m.startswith(("zitterlab", "numpy")))
+zitterlab.verify_identities
+after = sorted(m for m in sys.modules if m.startswith(("zitterlab", "numpy")))
+print(json.dumps([before, after]))
+"""
+    assert json.loads(_fresh_python(code)) == \
+        [["zitterlab"], ["zitterlab", "zitterlab.series"]]
+
+
+# sha256 of the stdout of commands whose import path the lazy layers
+# changed, as the eagerly importing front end printed it
+_PINNED_STDOUT = [
+    (["series-verify"],
+     "5b067b1b6f7fdbd5159a01375ec7bed05d65a30e0e51593b7cdbe7d926fc5aa9"),
+    (["potential", "--beta", "0.3", "--betadot", "0.2", "--series", "5"],
+     "6c76a8f2a20dd64fe3a2129cd647dcd50b757eac3686a8c1c6fb5f8e620908b8"),
+    (["potential", "--duffing"],
+     "1ed7c177c9f9e7c634b6cb816d6da60a57b90566857a44208cf7792e4fecfee8"),
+    (["roots", "--region", "-10,10,-100,100"],
+     "4f079b047a541c475b14cc7ef9e56889300e50ac823b2e210488f725aa8422db"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", _PINNED_STDOUT,
+                         ids=[" ".join(argv) for argv, _ in _PINNED_STDOUT])
+def test_command_stdout_is_pinned(capsys, argv, digest):
+    code, out, err = _run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_simulate_marches_through_cli_globals(monkeypatch, capsys):
+    # cmd_simulate must look propagate_exact and propagate_filtered up
+    # in cli's namespace at call time, so a rebinding there takes effect
+    calls = []
+    for name in ("propagate_exact", "propagate_filtered"):
+        def counted(*args, _name=name, _march=getattr(cli, name), **kwargs):
+            calls.append(_name)
+            return _march(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counted)
+    for integrator in ("exact", "filtered"):
+        code, _, _ = _run(capsys, "simulate", "--seed", "uniform",
+                          "--integrator", integrator, "--tend", "0.5",
+                          "--out", "-")
+        assert code == 0
+    assert calls == ["propagate_exact", "propagate_filtered"]
 
 
 def _readme_tour_commands():

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import LAMBDA_STAR
 
 from zitterlab import dynamics
 from zitterlab.dynamics import (
@@ -22,7 +23,6 @@ from zitterlab.model import KinematicState, lorentz_gamma
 from zitterlab.roots import dominant_real_root
 from zitterlab.trajectory import SeedHistory, SuperluminalError, Trajectory
 
-LAMBDA_STAR = 1.793282132900762
 DRIFT_RATES = {0.5: 1.5530278832448012, 0.9: 0.78167355945714945}
 
 

@@ -1,12 +1,14 @@
 import math
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
 from zitterlab.model import (
     ConstantsError,
     KinematicState,
     PhysicalConstants,
+    _fmt,
     classical_radius,
     effective_radius,
     electron_size,
@@ -79,6 +81,14 @@ def test_lorentz_gamma():
     assert lorentz_gamma(0.0) == 1.0
     assert lorentz_gamma(0.6) == pytest.approx(1.25, rel=1e-15)
     assert lorentz_gamma(-0.6) == lorentz_gamma(0.6)
+
+
+def test_lorentz_gamma_arrays():
+    betas = np.array([0.0, 0.6, -0.3, 0.999])
+    assert lorentz_gamma(betas).tolist() == [lorentz_gamma(float(b))
+                                             for b in betas]
+    with pytest.raises(ValueError, match="max"):
+        lorentz_gamma(np.array([0.5, -1.0]))
 
 
 def test_kinematic_state_validation():
@@ -158,3 +168,11 @@ def test_zitter_period_formula():
     r = 2.0e-15
     assert zitter_period(r, c) == pytest.approx(4 * math.pi * r / c.c,
                                                 rel=1e-15)
+
+
+@pytest.mark.parametrize("value, token", [
+    (np.int64(-7), "-7"), (np.uint8(200), "200"), (np.float32(0.5), "0.5"),
+    (np.float64(0.1), "0.10000000000000001"), (np.float64("inf"), "null"),
+    (np.float16("nan"), "null")])
+def test_fmt_numpy_scalars(value, token):
+    assert _fmt(value) == token

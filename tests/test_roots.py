@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import LAMBDA_STAR
 
 from zitterlab import roots as rootsmod
 from zitterlab.roots import (
@@ -19,9 +20,7 @@ from zitterlab.roots import (
     write_ppm,
 )
 
-# frozen oracle values: plain bisection on x^2 + x + 1 - e^x over
-# [1.5, 2] and Newton ladders audited by contour counts
-LAMBDA_STAR = 1.793282132900762
+# frozen oracle values: Newton ladders audited by contour counts
 ETA_LADDER = (8.327764, 14.935308, 21.381435, 27.765624, 34.118482,
               40.453023, 46.775830, 53.090625, 59.399682, 65.704479)
 LADDER_SLOPE = 6.360922
@@ -37,6 +36,23 @@ def _bisect_oracle() -> float:
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def test_lambda_star_is_the_nearest_double():
+    # the root at 120 bits, then the closest of the three doubles around
+    # its float(): LAMBDA_STAR must be that one, and not by a tie
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workprec(120):
+        root = mpmath.findroot(lambda z: mpmath.exp(z) - z * z - z - 1,
+                               mpmath.mpf("1.79"))
+        near = float(root)
+        doubles = (math.nextafter(near, -math.inf), near,
+                   math.nextafter(near, math.inf))
+        gaps = sorted((abs(mpmath.mpf(d) - root), d) for d in doubles)
+        assert abs(mpmath.exp(root) - root * root - root - 1) < \
+            mpmath.mpf(2) ** -110
+    assert gaps[0][0] < gaps[1][0]
+    assert LAMBDA_STAR == gaps[0][1]
 
 
 def test_dominant_real_root_against_bisection():
@@ -522,11 +538,13 @@ def test_census_missing_a_root_raises(monkeypatch, drop):
                                     (-1.0, 3.0, 0.0, 1.0),
                                     (0.0, 3.0, -1.0, 1.5),
                                     (0.0, 3.0, 0.0, 3.0),
-                                    (-1.0, LAMBDA_STAR, -1.0, 0.0)])
+                                    (-1.0, dominant_real_root(), -1.0, 0.0)])
 def test_roots_on_the_edge_belong_to_the_region(bounds):
     # the winding walk cannot count a zero on its contour; certification
     # grows the contour off the roots instead, far enough for the walk
-    # (0,3,0,3 lengthens both edges at the corner through 0)
+    # (0,3,0,3 lengthens both edges at the corner through 0).  The last
+    # right edge is the root as the census reports it: the true root lies
+    # 7.6e-18 past LAMBDA_STAR, so an edge there leaves it outside
     rs = find_roots(CharEq(0.0), Region(*bounds))
     assert [(r.value, r.multiplicity) for r in rs.roots] == \
         [(0j, 2), (complex(dominant_real_root()), 1)]
