@@ -278,10 +278,11 @@ def cmd_simulate(args, _env) -> int:
                                   kernel_span=args.kernel_span,
                                   partial=True)
     if args.report:
-        _write_text(args.out if args.out != "traj.csv" else "-",
+        _write_text("-" if args.out is None else args.out,
                     _simulate_report(args, traj, drift))
     else:
-        _write_text(args.out, _trajectory_csv(traj))
+        _write_text("traj.csv" if args.out is None else args.out,
+                    _trajectory_csv(traj))
     aborted = traj.metadata.get("aborted")
     if aborted:
         print(f"zitterlab: simulate stopped early at t = "
@@ -400,8 +401,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    dest="kernel_span",
                    help="filter support half-length (must stay inside "
                         "the minimum delay)")
-    p.add_argument("--out", default="traj.csv",
-                   help="CSV path ('-' = stdout)")
+    p.add_argument("--out",
+                   help="output path ('-' = stdout); default traj.csv, "
+                        "or stdout with --report")
     p.add_argument("--report", action="store_true",
                    help="emit JSON-line summary records instead of the "
                         "trajectory CSV")

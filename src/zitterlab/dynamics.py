@@ -81,9 +81,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import solve_retarded_time_many
+from .geometry import _lightcone
 from .model import KinematicState, lorentz_gamma
-from .trajectory import SeedHistory, SuperluminalError, Trajectory, pchip
+from .trajectory import (SeedHistory, SuperluminalError, Trajectory,
+                         cubic_slope, cubic_value, pchip)
 
 # emitters re-emitted per pass of the march
 _BLOCK = 8192
@@ -508,14 +509,19 @@ def residual_eom_many(traj: Trajectory, ts: np.ndarray) -> np.ndarray:
 
     (1 - beta^2(t_r)) (x(t) - x(t_r) - r beta(t_r)) - beta_dot(t_r),
     with t_r from the implicit light-cone solve: an audit route fully
-    independent of the closed forms the integrator used.
+    independent of the closed forms the integrator used.  The solve
+    hands over x(t), x(t_r) and t_r's knot interval with t_r, so nothing
+    is looked up twice.
     """
     ts = np.asarray(ts, dtype=float)
-    t_r = solve_retarded_time_many(traj, ts)
-    b = traj.velocity(t_r)
-    a = traj.acceleration(t_r)
-    r = ts - t_r
-    return (1.0 - b * b) * (traj.position(ts) - traj.position(t_r) - r * b) - a
+    if ts.size == 0:
+        return np.empty(ts.shape)
+    t_r, x_t, x_r, i_r = _lightcone(traj, ts.ravel())
+    cubic, knot = traj.velocity_cubics(i_r)
+    b = cubic_value(cubic, knot, t_r)
+    a = cubic_slope(cubic, knot, t_r)
+    r = ts.ravel() - t_r
+    return ((1.0 - b * b) * (x_t - x_r - r * b) - a).reshape(ts.shape)
 
 
 # ---------------------------------------------------------------------

@@ -71,9 +71,7 @@ class HermiteSpline:
     def derivative(self, t):
         """First derivative: the rows (3 c0, 2 c1, c2), same power sum."""
         t = np.asarray(t, dtype=float)
-        (c0, c1, c2, _), knot = self.cubics(self.interval(t))
-        s = t - knot
-        return 0.0 + c2 + 2.0 * c1 * s + 3.0 * c0 * (s * s)
+        return cubic_slope(*self.cubics(self.interval(t)), t)
 
 
 def cubic_value(c, knot, t):
@@ -85,6 +83,13 @@ def cubic_value(c, knot, t):
     # the sums start from +0.0, as the reference's do, so that a sum
     # of -0.0 terms comes out +0.0 there too
     return 0.0 + c3 + c2 * s + c1 * s2 + c0 * (s2 * s)
+
+
+def cubic_slope(c, knot, t):
+    """The derivative 3 c0 s^2 + 2 c1 s + c2 of cubic_value's cubic."""
+    c0, c1, c2, _ = c
+    s = t - knot
+    return 0.0 + c2 + 2.0 * c1 * s + 3.0 * c0 * (s * s)
 
 
 def _pchip_end(h0, h1, m0, m1):
@@ -167,12 +172,24 @@ class Trajectory:
 
     def interval(self, t):
         """Knot interval index of each t; every channel shares the knots."""
-        return self._x_spline.interval(self._check_domain(t))
+        return self.locate(t)[1]
+
+    def locate(self, t):
+        """Each t clipped to the span, as the evaluators read it, and its
+        knot interval: with the cubics of those intervals, cubic_value
+        gives what position and velocity give."""
+        t = self._check_domain(t)
+        return t, self._x_spline.interval(t)
 
     def position_cubics(self, i):
         """The position cubics of knot intervals i and their left knots;
         cubic_value evaluates them at times inside those intervals."""
         return self._x_spline.cubics(i)
+
+    def velocity_cubics(self, i):
+        """The velocity cubics of knot intervals i and their left knots:
+        cubic_value gives beta and cubic_slope beta_dot there."""
+        return self._b_spline.cubics(i)
 
     def velocity(self, t):
         return self._b_spline(self._check_domain(t))

@@ -345,6 +345,53 @@ def test_simulate_report_records(capsys):
     assert first["value"] == pytest.approx(first["target"], rel=1e-4)
 
 
+_MODE_KICK_REPORT = ("simulate", "--seed", "mode_kick", "--integrator",
+                     "exact", "--tend", "1.3", "--report")
+
+
+def test_simulate_report_goes_to_out_or_stdout(tmp_path, capsys,
+                                               monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, printed, _ = _run(capsys, *_MODE_KICK_REPORT)
+    assert code == 0 and printed.startswith('{"record": "growth_rate"')
+    assert list(tmp_path.iterdir()) == []
+    path = tmp_path / "report.jsonl"
+    code, out, _ = _run(capsys, *_MODE_KICK_REPORT, "--out", str(path))
+    assert (code, out) == (0, "")
+    assert path.read_text() == printed
+
+
+def test_simulate_csv_defaults_to_traj_csv(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = _run(capsys, "simulate", "--seed", "uniform",
+                        "--tend", "0.5")
+    assert (code, out) == (0, "")
+    assert (tmp_path / "traj.csv").read_text().startswith(
+        "t,x,beta,beta_dot,residual\n")
+
+
+# exit code and sha256 of the simulate CSV, residual column included, as
+# the bisection-only light-cone solve printed them
+_PINNED_SIMULATE = [
+    (["--seed", "uniform", "--beta", "0.3", "--tend", "5"], 0,
+     "3d6e876755852c374e24425f12d30a8d7d511f1a6b278b8e40a1327ce89af420"),
+    (["--seed", "uniform", "--beta", "0.3", "--tend", "5",
+      "--integrator", "exact"], 0,
+     "3d6e876755852c374e24425f12d30a8d7d511f1a6b278b8e40a1327ce89af420"),
+    (["--tend", "12"], 1,
+     "9fc53f4ccda917c513a124d6dd324cf9266e1ab3ee2eca69cda5e11166fcaedf"),
+]
+
+
+@pytest.mark.parametrize("argv, want_code, digest", _PINNED_SIMULATE,
+                         ids=[" ".join(argv) for argv, _, _ in
+                              _PINNED_SIMULATE])
+def test_simulate_csv_is_pinned(capsys, argv, want_code, digest):
+    code, out, _ = _run(capsys, "simulate", *argv, "--out", "-")
+    assert code == want_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_simulate_rest_kick_rejects_drift(capsys):
     code, _, err = _run(capsys, "simulate", "--seed", "rest_kick",
                         "--beta", "0.4", "--tend", "1")

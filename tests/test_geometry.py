@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from zitterlab import geometry
@@ -256,6 +258,119 @@ def test_vector_solver_blocks_leave_no_trace(block, filtered_uniform_run,
     monkeypatch.setattr(geometry, "_HALVING_BLOCK", block)
     assert np.array_equal(solve_retarded_time_many(filtered_uniform_run, ts),
                           want)
+
+
+def _smooth_traj(t_end, drift, wiggle, omega, kick, h, jitter, seed):
+    # x = drift t + a sin(omega t) + k exp(-((t - t_k) / w)^2) on knots
+    # of spacing h (jittered by up to a third of h), with exact beta and
+    # beta_dot; |beta| <= 0.95 everywhere
+    rng = np.random.default_rng(seed)
+    span = 8.0
+    n = int(span / h) + 1
+    t = np.linspace(t_end - span, t_end, n)
+    if jitter:
+        t[1:-1] += rng.uniform(-h / 3, h / 3, n - 2)
+    room = 0.95 - abs(drift)
+    amp = wiggle * room / omega
+    width = 0.3
+    t_k = rng.uniform(t[0], t_end)
+    height = kick * (1.0 - wiggle) * room * width / math.sqrt(2.0 / math.e)
+    u = (t - t_k) / width
+    bump = height * np.exp(-u * u)
+    x = drift * t + amp * np.sin(omega * t) + bump
+    beta = drift + amp * omega * np.cos(omega * t) - 2.0 * u / width * bump
+    beta_dot = (-amp * omega ** 2 * np.sin(omega * t)
+                + (4.0 * u * u - 2.0) / width ** 2 * bump)
+    return Trajectory(t, x, beta, beta_dot)
+
+
+def _random_lightcone_times(traj, seed):
+    # random times and a sprinkle of knots whose light cone fits
+    rng = np.random.default_rng(seed)
+    ts = np.sort(np.concatenate([rng.uniform(traj.t0 + 1.0, traj.t1, 400),
+                                 traj.t[::37]]))
+    reach = (ts - traj.t0) - np.sqrt(
+        (traj.position(ts) - traj.position(traj.t0)) ** 2 + 1.0)
+    return ts[(ts - 1.0 >= traj.t0) & (reach > 1e-6)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(t_end=st.floats(-20.0, 1000.0), drift=st.floats(-0.9, 0.9),
+       wiggle=st.floats(0.0, 1.0), omega=st.floats(0.2, 3.0),
+       kick=st.floats(0.0, 1.0), h=st.sampled_from([2e-3, 1e-2, 5e-2]),
+       jitter=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_solver_bit_identical_on_random_histories(t_end, drift, wiggle, omega,
+                                                  kick, h, jitter, seed):
+    traj = _smooth_traj(t_end, drift, wiggle, omega, kick, h, jitter, seed)
+    ts = _random_lightcone_times(traj, seed)
+    assert np.array_equal(solve_retarded_time_many(traj, ts),
+                          _fixed_bisection(traj, ts))
+
+
+def _kinked_traj():
+    # drift 0.5 until t = 0, then -0.3: the velocity jumps at one knot
+    t = np.linspace(-6.0, 6.0, 1201)
+    beta = np.where(t < 0.0, 0.5, -0.3)
+    return Trajectory(t, beta * t, beta, np.zeros_like(t))
+
+
+def _jumps(traj, ts):
+    x_t = traj.position(ts)
+    lo = geometry._reach_back(traj, ts, x_t)
+    return x_t, geometry._enclose(traj, lo, ts - 1.0, ts, x_t,
+                                  traj.velocity(ts))
+
+
+@pytest.mark.parametrize("case", ["rest", "kink", "long_attempt"])
+def test_solver_edge_cases_bit_identical(case, request):
+    # rest: every root sits at t - 1, the bracket's upper end, where the
+    # enclosure is clipped; kink: the light cones of t in [0, 3] cross a
+    # velocity jump; long_attempt: the rest kick, whose t_r ~ 0 element
+    # takes all 90 halvings and whose late roots defeat 3 Newton steps.
+    # Each has times that jump and times that take the whole bisection
+    # (the bracket [t0, t - 1] spans an odd number of grid units).
+    traj = {"rest": lambda: _uniform_traj(0.0),
+            "kink": _kinked_traj,
+            "long_attempt": lambda: request.getfixturevalue(case)}[case]()
+    ts = _lightcone_times(traj)
+    assert np.array_equal(solve_retarded_time_many(traj, ts),
+                          _fixed_bisection(traj, ts))
+    _, (*_, levels) = _jumps(traj, ts)
+    assert 0.5 < np.mean(levels > 0) < 1.0
+
+
+@pytest.mark.parametrize("run", ["exact_run", "long_attempt"])
+def test_jump_charges_its_halvings(run, request):
+    # the t = 1 element (t_r ~ -1.2e-12 on the exact run, ~ -4.5e-14 on
+    # the filtered one) still moves at the 90th reference halving, and
+    # comes out right only when the jump's K halvings count against its
+    # budget
+    traj = request.getfixturevalue(run)
+    ts = _lightcone_times(traj)
+    want = _fixed_bisection(traj, ts)
+    late = _fixed_bisection(traj, ts, 89) != want
+    ts, want = ts[late], want[late]
+    assert ts.tolist() == [1.0]
+    x_t, (lo, hi, i_lo, i_hi, levels) = _jumps(traj, ts)
+    assert np.all(levels > 0)
+
+    def finish(budget):
+        return geometry._halve(traj, lo.copy(), hi.copy(), i_lo, i_hi,
+                               ts, x_t, budget)
+
+    assert np.array_equal(finish(geometry._HALVINGS - levels), want)
+    assert not np.array_equal(finish(np.full(ts.size, geometry._HALVINGS)),
+                              want)
+
+
+def test_most_light_cone_times_take_the_jump():
+    # the filtered beta = 0.3 march of `simulate --tend 100`: a slide into
+    # the fallback bisection would keep the bits and lose the speed
+    traj = propagate_filtered(SeedHistory.uniform_motion(0.3), 100.0,
+                              partial=True)
+    ts = _lightcone_times(traj)
+    _, (*_, levels) = _jumps(traj, ts)
+    assert np.mean(levels > 0) >= 0.95
 
 
 def test_geometry_validation():
