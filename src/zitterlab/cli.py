@@ -9,9 +9,12 @@ not pass, 2 bad usage.
 
 A constants file (flat `key = value`, see model.CONFIG_KEYS) can be
 supplied with --constants or the ZITTERLAB_CONSTANTS variable; it is
-validated on every run but only outputs that touch SI units depend on
-it.  The report always uses the built-in constants so its golden
-output is stable.
+validated on every run and handed to every subcommand, but only
+`potential --si` reads it.  The report always uses the built-in
+constants so its golden output is stable.
+
+The characteristic roots are the same for every drift (see roots), so
+`roots --beta` is validated and otherwise ignored, as `roots --grid` is.
 
 Each subcommand imports the layers it runs when it runs, and nothing
 else: `series-verify` loads only the series engine and never numpy,
@@ -32,6 +35,7 @@ from .model import (
     KinematicState,
     PhysicalConstants,
     _fmt,
+    _json_line,
     lorentz_gamma,
     parse_constants_file,
 )
@@ -138,19 +142,19 @@ def _csv(header: str, columns, non_finite: str) -> str:
     return "".join(parts)
 
 
-def _load_constants(path: str | None) -> tuple[PhysicalConstants, float | None]:
+def _load_constants(path: str | None) -> PhysicalConstants:
     if path is None:
         path = os.environ.get("ZITTERLAB_CONSTANTS")
     if path is None:
-        return PhysicalConstants(), None
+        return PhysicalConstants()
     return parse_constants_file(path)
 
 
 # --- subcommand handlers ----------------------------------------------
 
-def cmd_roots(args, _env) -> int:
+def cmd_roots(args, _constants) -> int:
     from .roots import CharEq, find_roots
-    rs = find_roots(CharEq(args.beta), args.region)
+    rs = find_roots(CharEq(), args.region)
     rows = sorted(rs.roots, key=lambda r: (r.value.real, r.value.imag))
     _write_text(args.out, _csv("re,im,residual",
                                [[r.value.real for r in rows],
@@ -159,14 +163,14 @@ def cmd_roots(args, _env) -> int:
     return 0
 
 
-def cmd_render(args, _env) -> int:
+def cmd_render(args, _constants) -> int:
     from .roots import CharEq, render_domain_coloring, write_ppm
-    image = render_domain_coloring(CharEq(args.beta), args.region, args.size)
+    image = render_domain_coloring(CharEq(), args.region, args.size)
     write_ppm(args.out, image)
     return 0
 
 
-def cmd_series_verify(args, _env) -> int:
+def cmd_series_verify(args, _constants) -> int:
     from .series import verify_identities
     all_ok = True
     for check_id, ok, detail in verify_identities():
@@ -215,7 +219,7 @@ def _simulate_report(args, traj, drift: float) -> str:
                            perturbed_uniform_run, sign_changes)
     from .roots import dominant_real_root
     gamma = lorentz_gamma(drift)
-    target = dominant_real_root(drift) / gamma
+    target = dominant_real_root() / gamma
     kick = args.amp if args.seed != "uniform" else 1e-6
     rate = perturbed_uniform_run(drift, kick).rate
 
@@ -228,8 +232,8 @@ def _simulate_report(args, traj, drift: float) -> str:
              if aborted else f"completed to t = {_fmt(reached)}")
 
     def rec(name, value, target_, detail):
-        return ("{" + f'"record": {_fmt(name)}, "value": {_fmt(value)}, '
-                f'"target": {_fmt(target_)}, "detail": {_fmt(detail)}' + "}")
+        return _json_line({"record": name, "value": value,
+                           "target": target_, "detail": detail})
 
     lines = [
         rec("growth_rate", rate, target,
@@ -267,7 +271,7 @@ def propagate_filtered(*args, **kwargs):
     return dynamics.propagate_filtered(*args, **kwargs)
 
 
-def cmd_simulate(args, _env) -> int:
+def cmd_simulate(args, _constants) -> int:
     seed = _build_seed(args)
     drift = seed.beta
     if args.integrator == "exact":
@@ -292,9 +296,8 @@ def cmd_simulate(args, _env) -> int:
     return 0
 
 
-def cmd_potential(args, env) -> int:
+def cmd_potential(args, constants) -> int:
     from . import potential as potmod
-    constants, _ = env
     if args.duffing:
         import numpy as np
         a, b = args.range
@@ -311,10 +314,9 @@ def cmd_potential(args, env) -> int:
     unit = "J" if args.si else "m_e c^2"
     sums = (potmod.self_potential_partial_sums(state, args.series)
             if args.series else [])
-    sums_text = ", ".join(_fmt(s * scale) for s in sums)
-    line = ("{" + f'"U": {_fmt(p.U * scale)}, "Q": {_fmt(p.Q * scale)}, '
-            f'"gamma": {_fmt(p.gamma)}, "y": {_fmt(p.y)}, '
-            f'"unit": {_fmt(unit)}, "partial_sums": [{sums_text}]' + "}")
+    line = _json_line({"U": p.U * scale, "Q": p.Q * scale, "gamma": p.gamma,
+                       "y": p.y, "unit": unit,
+                       "partial_sums": [s * scale for s in sums]})
     _write_text(args.out, line + "\n")
     return 0
 
@@ -323,7 +325,7 @@ def _print_timing(check_id: str, seconds: float) -> None:
     print(f"zitterlab: timing {check_id} {seconds:.6f}", file=sys.stderr)
 
 
-def cmd_report(args, _env) -> int:
+def cmd_report(args, _constants) -> int:
     from .report import render_report, run_report
     records = run_report(args.only,
                          on_timing=_print_timing if args.timings else None)
@@ -360,7 +362,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("roots", help="root census of the characteristic "
                                      "function over a rectangle")
     p.add_argument("--beta", type=_beta_arg, default=0.0,
-                   help="drift speed the equation is linearized about")
+                   help="accepted and ignored (the roots are the same "
+                        "for every drift)")
     p.add_argument("--region", type=_region_arg, default="-1,3,-1,1",
                    help="x0,x1,y0,y1 rectangle in the complex plane")
     p.add_argument("--grid", type=_positive_arg,
@@ -372,7 +375,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("render", help="domain-coloring phase portrait "
                                       "as binary PPM")
-    p.add_argument("--beta", type=_beta_arg, default=0.0)
     p.add_argument("--region", type=_region_arg, default="-1,3,-15,15")
     p.add_argument("--size", type=_size_arg, default="640x480",
                    help="image size WxH")
@@ -446,12 +448,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        env = _load_constants(args.constants)
+        constants = _load_constants(args.constants)
     except (ConstantsError, OSError) as exc:
         print(f"zitterlab: {exc}", file=sys.stderr)
         return 1
     try:
-        return args.func(args, env)
+        return args.func(args, constants)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"zitterlab: {exc}", file=sys.stderr)
         return 1

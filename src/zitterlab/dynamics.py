@@ -161,8 +161,8 @@ def _march(seed: SeedHistory, t_end: float, grid: float, recovery,
            partial: bool, metadata: dict) -> Trajectory:
     """The emitter-map march both instruments share.
 
-    recovery(seed, grid) checks the instrument's own parameters and
-    returns its recovery step: half is its stencils' reach in points,
+    recovery(seed, t_end, grid) checks the instrument's own parameters
+    and returns its recovery step: half is its stencils' reach in points,
     start() takes the seed pass, recover() advances on the arrivals so
     far (False when nothing is new), emitters() hands out ready emitter
     states, absorb() takes their arrivals, done() says the output is
@@ -174,7 +174,10 @@ def _march(seed: SeedHistory, t_end: float, grid: float, recovery,
         raise ValueError(f"t_end must be positive and finite, got {t_end!r}")
     if not (grid > 0 and math.isfinite(grid)):
         raise ValueError(f"grid must be positive, got {grid!r}")
-    rec = recovery(seed, grid)
+    if t_end < 0.5 * grid:
+        raise ValueError(f"t_end {t_end!r} is shorter than half the grid "
+                         f"step {grid!r}")
+    rec = recovery(seed, t_end, grid)
     drift = seed.beta
 
     # --- seed pass: emit from the prescribed history ------------------
@@ -270,8 +273,9 @@ class _ExactRecovery:
     half = 2                   # recovery on five-knot stencils
     pad = 0
 
-    def __init__(self, seed: SeedHistory, grid: float):
+    def __init__(self, seed: SeedHistory, t_end: float, grid: float):
         self.drift = seed.beta
+        self.t_end = t_end
         self.grid = grid
 
     def start(self, t_grid, s_u, s_b, s_a, t_a, u_a):
@@ -280,7 +284,6 @@ class _ExactRecovery:
         keep = t_a > 0.5 * self.grid
         if np.count_nonzero(keep) < 2 * self.half + 1:
             raise ArrivalOrderError("seed emissions gave non-monotone arrivals")
-        self.t_end = t_grid[-1]
         self.k0 = s_u.size - 1
         self.seed_rows = s_u[:-1], s_b[:-1], s_a[:-1]
         # t_grid.size + k0 rows span t_end plus twice the seed span
@@ -348,8 +351,13 @@ class _FilteredRecovery:
 
     half = 2                   # _fd5 and pchip reach two points aside
 
-    def __init__(self, seed: SeedHistory, grid: float, *,
+    def __init__(self, seed: SeedHistory, t_end: float, grid: float, *,
                  sigma: float, kernel_span: float):
+        # the forward rows are t_end / round(t_end / grid) apart, and
+        # _fd5 differentiates them as grid apart
+        if abs(round(t_end / grid) * grid - t_end) > 1e-9 * t_end:
+            raise ValueError(f"t_end {t_end!r} is not a whole number of "
+                             f"grid steps {grid!r}")
         if not 0.0 < kernel_span < 0.95:
             raise ValueError("kernel_span must sit inside the minimum delay, "
                              f"got {kernel_span!r}")
@@ -486,7 +494,9 @@ def propagate_filtered(seed: SeedHistory, t_end: float, grid: float = 1e-3, *,
     criterion 9, README "The honest failure").
 
     kernel_span must stay below the minimum delay (1 in these units),
-    or the march would need future data it cannot have yet.
+    or the march would need future data it cannot have yet.  t_end must
+    be a whole number of grid steps (to 1e-9 relative), because the
+    differences are taken on the grid step.
 
     partial=True returns the healthy prefix of a run that aborts
     mid-march (light-barrier approach or an arrival fold) instead of

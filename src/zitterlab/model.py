@@ -38,7 +38,7 @@ M_ELECTRON = 9.1093837015e-31    # kg
 # relative tolerance for a constants set to be accepted.
 SOMMERFELD_RTOL = 1e-3
 
-CONFIG_KEYS = ("c", "hbar", "alpha", "eps0", "m_electron", "d_override")
+CONFIG_KEYS = ("c", "hbar", "alpha", "eps0", "m_electron")
 
 
 class ConstantsError(ValueError):
@@ -49,26 +49,23 @@ class ConstantsError(ValueError):
 class PhysicalConstants:
     """SI constants used to anchor the model scale.
 
-    e_charge is not independently configurable: it is pinned by the
-    Sommerfeld relation up to the consistency tolerance, and the default
-    CODATA value is kept unless the caller constructs the dataclass
-    directly.
+    The elementary charge is not among them: it is the exact SI value
+    E_CHARGE, against which the Sommerfeld relation checks the rest.
     """
 
     c: float = C_LIGHT
     hbar: float = HBAR
     alpha: float = ALPHA
     eps0: float = EPS0
-    e_charge: float = E_CHARGE
     m_electron: float = M_ELECTRON
 
     def __post_init__(self):
-        for name in ("c", "hbar", "alpha", "eps0", "e_charge", "m_electron"):
+        for name in CONFIG_KEYS:
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
                 raise ConstantsError(f"constant {name!r} must be finite and positive, got {v!r}")
         lhs = self.hbar * self.alpha * self.c
-        rhs = self.e_charge ** 2 / (4.0 * math.pi * self.eps0)
+        rhs = E_CHARGE ** 2 / (4.0 * math.pi * self.eps0)
         if abs(lhs - rhs) > SOMMERFELD_RTOL * abs(rhs):
             raise ConstantsError(
                 "constants violate hbar*alpha*c = e^2/(4 pi eps0) "
@@ -120,9 +117,12 @@ def lorentz_gamma(beta):
 
 
 def _fmt(value) -> str:
-    """One JSON token: floats at 17 significant digits, rest literal."""
+    """One JSON token: floats at 17 significant digits, lists as
+    [a, b], rest literal."""
     if value is None:
         return "null"
+    if isinstance(value, list):
+        return "[" + ", ".join(_fmt(v) for v in value) + "]"
     if isinstance(value, bool):
         return "true" if value else "false"
     np = sys.modules.get("numpy")
@@ -137,6 +137,12 @@ def _fmt(value) -> str:
         return format(v, ".17g")
     import json
     return json.dumps(str(value), ensure_ascii=False)
+
+
+def _json_line(fields: dict) -> str:
+    """One JSON object on one line, keys in order, values by _fmt."""
+    return "{" + ", ".join(f"{_fmt(k)}: {_fmt(v)}"
+                           for k, v in fields.items()) + "}"
 
 
 @dataclass(frozen=True)
@@ -160,12 +166,11 @@ class KinematicState:
         return lorentz_gamma(self.beta)
 
 
-def parse_constants_file(path: str) -> tuple[PhysicalConstants, float | None]:
+def parse_constants_file(path: str) -> PhysicalConstants:
     """Read a flat `key = value` constants file.
 
-    Returns (constants, d_override); no output reads d_override.  Keys
-    outside CONFIG_KEYS are an error, as is any value Decimal refuses to
-    parse.  Blank lines and `#` comments are skipped.
+    Keys outside CONFIG_KEYS are an error, as is any value Decimal
+    refuses to parse.  Blank lines and `#` comments are skipped.
     """
     values: dict[str, float] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -186,12 +191,4 @@ def parse_constants_file(path: str) -> tuple[PhysicalConstants, float | None]:
                 values[key] = float(Decimal(text))
             except InvalidOperation as exc:
                 raise ConstantsError(f"{path}:{lineno}: bad numeric value {text!r}") from exc
-    d_override = values.pop("d_override", None)
-    constants = PhysicalConstants(
-        c=values.get("c", C_LIGHT),
-        hbar=values.get("hbar", HBAR),
-        alpha=values.get("alpha", ALPHA),
-        eps0=values.get("eps0", EPS0),
-        m_electron=values.get("m_electron", M_ELECTRON),
-    )
-    return constants, d_override
+    return PhysicalConstants(**values)

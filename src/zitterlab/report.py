@@ -34,7 +34,7 @@ from .dynamics import (
     sign_changes,
 )
 from .geometry import delay_closed, solve_retarded_time_many
-from .model import KinematicState, _fmt
+from .model import KinematicState, _json_line
 from .trajectory import SeedHistory
 
 SWEEP_SEED = 20260814
@@ -42,16 +42,6 @@ SWEEP_SIZE = 10_000
 
 _LSTAR_COARSE = 1.8     # quadratic-truncation estimate of the slow rate
 _ETA_FIRST = 8.327764   # first oscillatory branch, c/d units
-
-
-def format_record(rec: dict) -> str:
-    parts = [f'"check_id": {_fmt(rec["check_id"])}',
-             f'"detail": {_fmt(rec["detail"])}',
-             f'"expected": {_fmt(rec["expected"])}',
-             f'"measured": {_fmt(rec["measured"])}',
-             f'"tolerance": {_fmt(rec["tolerance"])}',
-             f'"pass": {_fmt(rec["pass"])}']
-    return "{" + ", ".join(parts) + "}"
 
 
 @lru_cache(maxsize=1)
@@ -209,7 +199,7 @@ def _check_rest_rate():
 
 def _drift_rate(beta: float):
     gamma = model.lorentz_gamma(beta)
-    target = rootsmod.dominant_real_root(beta) / gamma
+    target = rootsmod.dominant_real_root() / gamma
     rate = perturbed_uniform_run(beta, 1e-6).rate
     tol = 0.15 * target
     return target, rate, tol, abs(rate - target) <= tol
@@ -402,4 +392,4 @@ def run_report(only: str | None = None,
 
 
 def render_report(records: list[dict]) -> str:
-    return "".join(format_record(rec) + "\n" for rec in records)
+    return "".join(_json_line(rec) + "\n" for rec in records)

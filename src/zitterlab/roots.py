@@ -91,19 +91,12 @@ _RENDER_ROWS = 16
 
 @dataclass(frozen=True)
 class CharEq:
-    """Characteristic quasi-polynomial of a drift state.
+    """The characteristic quasi-polynomial f.
 
-    beta tags the physical state the equation was linearized about;
-    the function itself is beta-independent in the dilated variable
-    (see the module notes), so beta only matters when converting roots
-    to lab-frame rates.
+    f is the same for every drift state in the dilated variable (see
+    the module notes); callers turn a root z into the lab-frame rate
+    z / gamma of their drift.
     """
-
-    beta: float = 0.0
-
-    def __post_init__(self):
-        if not abs(self.beta) < 1.0:
-            raise ValueError(f"|beta| must be < 1, got {self.beta!r}")
 
     def value(self, z):
         """f(z); cancellation-safe near 0, may overflow for Re z >~ 709."""
@@ -166,7 +159,6 @@ class RootSet:
     """A certified census.  seeds_total counts the branches enumerated,
     seeds_converged those with a root in the region."""
 
-    eq: CharEq
     region: Region
     roots: tuple[Root, ...]
     seeds_total: int
@@ -198,7 +190,7 @@ def find_roots(eq: CharEq, region: Region,
     inside = [(k, r) for k, r in census if region.contains(r.value)]
     roots = sorted((r for _, r in inside),
                    key=lambda r: (r.value.real, r.value.imag))
-    return RootSet(eq=eq, region=region, roots=tuple(roots),
+    return RootSet(region=region, roots=tuple(roots),
                    seeds_total=len(ks),
                    seeds_converged=len({k for k, _ in inside}))
 
@@ -213,7 +205,7 @@ def _census(eq: CharEq, ks) -> list[tuple[int, Root]]:
     census = []
     for k in ks:
         if k == 0:
-            lam = dominant_real_root(eq.beta)
+            lam = dominant_real_root()
             census += [(0, Root(0j, 0.0, 2)),     # f(0) = 0 exactly
                        (0, Root(complex(lam), float(eq.residual(lam))))]
         else:
@@ -299,16 +291,16 @@ def _polish(eq: CharEq, z: complex, res: float) -> Root:
     return Root(complex(z), float(res))
 
 
-def dominant_real_root(beta: float = 0.0) -> float:
+def dominant_real_root() -> float:
     """The unique positive real root of the characteristic function.
 
     f rises quadratically from its double zero at the origin and stays
     positive until the exponential overtakes the parabola, so there is
     exactly one sign change on (0, inf).  Bisection from a doubling
-    bracket; ~1e-16 accurate.  The argument only tags the physical
-    state: the root itself is the same for every beta.
+    bracket; ~1e-16 accurate.  The root is the same for every drift;
+    its lab-frame rate on drift beta is the root over gamma(beta).
     """
-    eq = CharEq(beta)
+    eq = CharEq()
 
     def s(x: float) -> float:
         # rescaled f has the same sign as f on the real axis
@@ -402,7 +394,6 @@ def argument_principle_count(eq: CharEq, region: Region) -> int:
 class Spectrum:
     """First `count` positive imaginary parts eta_n with their roots."""
 
-    beta: float
     etas: tuple[float, ...]
     roots: tuple[complex, ...]
     slope: float
@@ -415,25 +406,23 @@ def spectrum(beta: float, count: int = 10, audit: bool = True) -> Spectrum:
 
     The roots are those of branches 1..count of the census (see
     find_roots), which sit near Im z = 2 pi n + O(1).  The gaps between
-    neighbours must lie in [3, 9.5]; an argument-principle audit of the
-    strip 0.5 <= Im z <= eta_count + pi confirms that no root was skipped,
-    and a least-squares line eta_n ~ slope*n + intercept quantifies the
-    (nearly exact) linear dependence on n.  The ladder is a property of
-    f alone, so it is identical for every beta.
+    neighbours must lie in [3, 9.5]; _certify on the strip
+    [-3, max Re + 3] x [0.5, eta_count + pi] confirms that no root was
+    skipped, and a least-squares line eta_n ~ slope*n + intercept
+    quantifies the (nearly exact) linear dependence on n.  The ladder is
+    a property of f alone, the same for every drift, so `beta` is
+    accepted and ignored.
     """
-    eq = CharEq(beta)
+    eq = CharEq()
     upper = _upper_branches(eq, range(1, count + 1))
     found = [upper[n].value for n in range(1, count + 1)]
     gaps = np.diff([w.imag for w in found])
     if np.any(gaps < 3.0) or np.any(gaps > 9.5):
-        raise RuntimeError(f"spectrum branches misordered at beta={beta}")
+        raise RuntimeError("spectrum branches misordered")
     if audit:
-        lo, hi = 0.5, found[-1].imag + math.pi
-        xmax = max(w.real for w in found) + 3.0
-        n_box = argument_principle_count(eq, Region(-3.0, xmax, lo, hi))
-        if n_box != count:
-            raise RuntimeError(
-                f"audit mismatch: {n_box} roots in the strip, expected {count}")
+        strip = Region(-3.0, max(w.real for w in found) + 3.0,
+                       0.5, found[-1].imag + math.pi)
+        _certify(eq, strip, list(upper.values()), _ORIGIN_CLEARANCE)
     etas = np.array([w.imag for w in found])
     ns = np.arange(1, count + 1, dtype=float)
     a = np.vstack([ns, np.ones_like(ns)]).T
@@ -442,7 +431,7 @@ def spectrum(beta: float, count: int = 10, audit: bool = True) -> Spectrum:
     ss_res = float(np.sum((etas - pred) ** 2))
     ss_tot = float(np.sum((etas - etas.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return Spectrum(beta=beta, etas=tuple(float(e) for e in etas),
+    return Spectrum(etas=tuple(float(e) for e in etas),
                     roots=tuple(found), slope=float(coef[0]),
                     intercept=float(coef[1]), r_squared=r2)
 
@@ -459,8 +448,7 @@ def render_domain_coloring(eq: CharEq, region: Region,
     luminance ramps between integer-|f| level curves so every
     unit-modulus band reads as one stripe and zeros show as full hue
     fans.  Pixel centers sample the region with row 0 at Im = y1 (image
-    convention).  f is the same for every drift state (see CharEq), so
-    eq only tags it.
+    convention).
 
     The grid is separable: numpy's complex expm1 is built from libm's
     expm1(x), exp(x), cos(y), sin(y) and sin(y/2), so those are taken

@@ -183,18 +183,6 @@ class KinPoly:
     def is_pure_beta_plus_const(self) -> bool:
         return all(_kin_degree(e) == 0 for e in self.terms)
 
-    def evaluate(self, beta: float = 0.0, derivs: tuple[float, ...] = ()) -> float:
-        vals = (beta,) + tuple(derivs)
-        total = 0.0
-        for e, c in self.terms.items():
-            term = float(c)
-            for slot, p in enumerate(e):
-                if p:
-                    v = vals[slot] if slot < len(vals) else 0.0
-                    term *= v ** p
-            total += term
-        return total
-
     def __repr__(self):
         if not self.terms:
             return "0"

@@ -197,15 +197,6 @@ class Trajectory:
     def acceleration(self, t):
         return self._b_spline.derivative(self._check_domain(t))
 
-    def window(self, t_lo: float, t_hi: float) -> "Trajectory":
-        """Knot subrange with t_lo <= t <= t_hi (metadata shared)."""
-        sel = (self.t >= t_lo - 1e-12) & (self.t <= t_hi + 1e-12)
-        if np.count_nonzero(sel) < 2:
-            raise ValueError("window contains fewer than two knots")
-        return Trajectory(self.t[sel].copy(), self.x[sel].copy(),
-                          self.beta[sel].copy(), self.beta_dot[sel].copy(),
-                          dict(self.metadata))
-
 
 # ---------------------------------------------------------------------
 # Seed histories
@@ -312,7 +303,7 @@ class SeedHistory:
         O(amplitude^2).
         """
         from .roots import dominant_real_root
-        rate = dominant_real_root(beta) / lorentz_gamma(beta)
+        rate = dominant_real_root() / lorentz_gamma(beta)
         return cls(kind="mode_kick", amplitude=float(amplitude),
                    beta=beta, rate=rate)
 

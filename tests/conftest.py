@@ -26,12 +26,12 @@ LAMBDA_STAR = 1.793282132900761
 
 @pytest.fixture(scope="session")
 def rest_rootset():
-    return find_roots(CharEq(0.0), Region(-1.0, 3.0, -1.0, 1.0))
+    return find_roots(CharEq(), Region(-1.0, 3.0, -1.0, 1.0))
 
 
 @pytest.fixture(scope="session")
 def wide_rootset():
-    return find_roots(CharEq(0.0), Region(-10.0, 10.0, -100.0, 100.0))
+    return find_roots(CharEq(), Region(-10.0, 10.0, -100.0, 100.0))
 
 
 @pytest.fixture(scope="session")

@@ -69,7 +69,7 @@ def _verdict(num: int, passed: bool, detail: str) -> None:
 
 def test_criterion_01_rest_instability_root():
     t0 = time.perf_counter()
-    rs = find_roots(CharEq(0.0), Region(-1.0, 3.0, -1.0, 1.0))
+    rs = find_roots(CharEq(), Region(-1.0, 3.0, -1.0, 1.0))
     elapsed = time.perf_counter() - t0
     roots = sorted(rs.roots, key=lambda r: abs(r.value))
     ok = len(roots) == 2
@@ -86,7 +86,7 @@ def test_criterion_01_rest_instability_root():
 
 def test_criterion_02_right_half_plane():
     t0 = time.perf_counter()
-    wide_rootset = find_roots(CharEq(0.0),
+    wide_rootset = find_roots(CharEq(),
                               Region(-10.0, 10.0, -100.0, 100.0))
     nonzero = [r for r in wide_rootset.roots if abs(r.value) > 1e-8]
     min_re = min(r.value.real for r in nonzero)
@@ -107,7 +107,7 @@ def test_criterion_02_right_half_plane():
         trials += 1
         inside = sum(r.multiplicity for r in wide_rootset.roots
                      if reg.contains(r.value))
-        counted = argument_principle_count(CharEq(0.0), reg)
+        counted = argument_principle_count(CharEq(), reg)
         matches += int(counted == inside)
     elapsed = time.perf_counter() - t0
     ok = min_re > 0.0 and matches == 5 and elapsed < 10.0
@@ -357,9 +357,9 @@ def test_criterion_12_determinism(tmp_path):
         images.append(path.read_bytes())
     renders_equal = images[0] == images[1]
 
-    a = render_domain_coloring(CharEq(0.0), Region(-1.0, 3.0, -8.0, 8.0),
+    a = render_domain_coloring(CharEq(), Region(-1.0, 3.0, -8.0, 8.0),
                                (80, 60))
-    b = render_domain_coloring(CharEq(0.0), Region(-1.0, 3.0, -8.0, 8.0),
+    b = render_domain_coloring(CharEq(), Region(-1.0, 3.0, -8.0, 8.0),
                                (80, 60))
     ok = reports_equal and renders_equal and np.array_equal(a, b)
     _verdict(12, ok,

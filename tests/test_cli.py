@@ -16,7 +16,8 @@ from zitterlab import cli
 from zitterlab import potential as potmod
 from zitterlab.cli import main
 from zitterlab.dynamics import propagate_filtered
-from zitterlab.report import REGISTRY, _fmt, render_report, run_report
+from zitterlab.model import _fmt
+from zitterlab.report import REGISTRY, render_report, run_report
 from zitterlab.roots import CharEq, Region, dominant_real_root, find_roots
 from zitterlab.trajectory import SeedHistory
 
@@ -206,6 +207,24 @@ def test_roots_grid_is_ignored(capsys):
         assert code == 0 and gridded == plain
 
 
+def test_roots_beta_is_ignored(capsys):
+    for region in ("-1,3,-1,1", "-10,10,-30,30"):
+        code, plain, _ = _run(capsys, "roots", "--region", region)
+        assert code == 0
+        for beta in ("0.3", "-0.9"):
+            code, drifted, _ = _run(capsys, "roots", "--region", region,
+                                    "--beta", beta)
+            assert code == 0 and drifted == plain
+
+
+def test_render_takes_no_beta(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["render", "--beta", "0", "--out", str(tmp_path / "x.ppm")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "x.ppm").exists()
+    capsys.readouterr()
+
+
 def test_roots_region_edge_through_double_root(capsys):
     # the left edge of 0,3,-1,1 runs through the double root at 0
     code, out, err = _run(capsys, "roots", "--region", "0,3,-1,1")
@@ -258,7 +277,7 @@ def test_roots_csv_matches_rowwise_fmt(capsys):
     code, out, _ = _run(capsys, "roots", "--region", "-10,10,-30,30",
                         "--grid", "4")
     assert code == 0
-    rs = find_roots(CharEq(0.0), Region(-10.0, 10.0, -30.0, 30.0))
+    rs = find_roots(CharEq(), Region(-10.0, 10.0, -30.0, 30.0))
     rows = sorted(rs.roots, key=lambda r: (r.value.real, r.value.imag))
     assert len(rows) > 2
     _assert_same_text(out, _rowwise_csv("re,im,residual", (
@@ -317,6 +336,18 @@ def test_simulate_exact_csv(tmp_path, capsys):
     assert first[4] == "nan"
     last = lines[-1].split(",")
     assert abs(float(last[4])) < 1e-8
+
+
+@pytest.mark.parametrize("tend, message", [
+    ("3.045", "not a whole number of grid steps"),
+    ("1e-4", "shorter than half the grid step")])
+def test_simulate_refuses_off_grid_ends(tmp_path, capsys, tend, message):
+    path = tmp_path / "run.csv"
+    code, _, err = _run(capsys, "simulate", "--seed", "uniform_kick",
+                        "--beta", "0.3", "--amp", "1e-3", "--tend", tend,
+                        "--dt", "0.01", "--out", str(path))
+    assert code == 1 and message in err
+    assert not path.exists()
 
 
 def test_simulate_abort_writes_prefix_and_fails(tmp_path, capsys):
@@ -438,6 +469,14 @@ def test_constants_file_error_exits_one(tmp_path, capsys):
     code, _, err = _run(capsys, "--constants", str(cfg), "series-verify")
     assert code == 1
     assert "unknown key" in err
+
+
+def test_constants_file_refuses_d_override(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("d_override = 7.0e-16\n")
+    code, out, err = _run(capsys, "--constants", str(cfg), "potential")
+    assert code == 1 and out == ""
+    assert "unknown key 'd_override'" in err
 
 
 def test_constants_env_var(tmp_path, capsys, monkeypatch):

@@ -47,14 +47,6 @@ def test_trajectory_rejects_bad_knots():
         Trajectory(t[::-1], t, np.zeros(11), np.zeros(11))
 
 
-def test_trajectory_window():
-    t = np.linspace(-2.0, 2.0, 41)
-    traj = Trajectory(t, 0.1 * t, np.full(41, 0.1), np.zeros(41))
-    w = traj.window(-1.0, 1.0)
-    assert w.t0 >= -1.0 - 1e-12 and w.t1 <= 1.0 + 1e-12
-    assert w.position(0.5) == pytest.approx(0.05, rel=1e-12)
-
-
 def test_seed_histories():
     kick = SeedHistory.rest_kick(1e-6)
     assert kick.beta == 0.0
@@ -275,6 +267,38 @@ def test_filtered_partial_keeps_subluminal_prefix(long_attempt):
     assert np.all(np.abs(long_attempt.beta) < 1.0)
     assert long_attempt.metadata["sigma"] == pytest.approx(0.45)
     assert long_attempt.metadata["kernel_span"] == pytest.approx(0.90)
+
+
+def _fd_velocity_ratio(traj, drift):
+    """Median of the recovered beta - drift over the centered difference
+    of the comoving position, on the forward rows."""
+    u = traj.x - drift * traj.t
+    i = np.flatnonzero(traj.t > 0.05)[:-1]
+    dudt = (u[i + 1] - u[i - 1]) / (traj.t[i + 1] - traj.t[i - 1])
+    return float(np.median((traj.beta[i] - drift) / dudt))
+
+
+@pytest.mark.parametrize("t_end", [3.0, 3.4])
+def test_filtered_velocity_matches_position_on_grid(t_end):
+    traj = propagate_filtered(SeedHistory.uniform_kick(0.3, 1e-3), t_end,
+                              0.01)
+    assert traj.t[-1] == t_end
+    assert _fd_velocity_ratio(traj, 0.3) == pytest.approx(1.0, abs=5e-4)
+
+
+def test_filtered_refuses_an_off_grid_end():
+    # 3.045 is 304.5 steps of 0.01: the forward rows would sit 0.0100164
+    # apart while _fd5 differentiates them as 0.01 apart, and beta would
+    # run 0.15% above dx/dt
+    with pytest.raises(ValueError, match="whole number of grid steps"):
+        propagate_filtered(SeedHistory.uniform_kick(0.3, 1e-3), 3.045, 0.01)
+
+
+@pytest.mark.parametrize("march", [propagate_exact, propagate_filtered],
+                         ids=["exact", "filtered"])
+def test_march_refuses_an_end_inside_half_a_step(march):
+    with pytest.raises(ValueError, match="shorter than half the grid step"):
+        march(SeedHistory.rest_kick(1e-6), 1e-4)
 
 
 # --- pinned march outputs ----------------------------------------------

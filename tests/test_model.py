@@ -9,6 +9,7 @@ from zitterlab.model import (
     KinematicState,
     PhysicalConstants,
     _fmt,
+    _json_line,
     classical_radius,
     effective_radius,
     electron_size,
@@ -130,11 +131,9 @@ def test_parse_constants_file(tmp_path):
 # comment line
 c = 299792458
 hbar = 1.054571817e-34
-d_override = 7.0e-16
 """)
-    constants, d = parse_constants_file(path)
+    constants = parse_constants_file(path)
     assert constants.c == 299792458.0
-    assert d == 7.0e-16
 
 
 def test_parse_constants_file_rejects_unknown_key(tmp_path):
@@ -176,3 +175,11 @@ def test_zitter_period_formula():
     (np.float16("nan"), "null")])
 def test_fmt_numpy_scalars(value, token):
     assert _fmt(value) == token
+
+
+def test_json_line_and_lists():
+    assert _fmt([]) == "[]"
+    assert _fmt([0.1, None, np.float64(2.0)]) == \
+        "[0.10000000000000001, null, 2]"
+    assert _json_line({"a": "x", "pass": True, "s": [1.5]}) == \
+        '{"a": "x", "pass": true, "s": [1.5]}'

@@ -9,6 +9,7 @@ import pytest
 from conftest import LAMBDA_STAR
 
 from zitterlab import roots as rootsmod
+from zitterlab.model import lorentz_gamma
 from zitterlab.roots import (
     CharEq,
     Region,
@@ -19,6 +20,7 @@ from zitterlab.roots import (
     spectrum,
     write_ppm,
 )
+from zitterlab.trajectory import SeedHistory
 
 # frozen oracle values: Newton ladders audited by contour counts
 ETA_LADDER = (8.327764, 14.935308, 21.381435, 27.765624, 34.118482,
@@ -61,9 +63,9 @@ def test_dominant_real_root_against_bisection():
     assert dominant_real_root() == pytest.approx(LAMBDA_STAR, abs=1e-12)
 
 
-def _fixed_halving_root(beta: float) -> float:
+def _fixed_halving_root() -> float:
     """dominant_real_root's bracket and test with all 200 halvings run."""
-    eq = CharEq(beta)
+    eq = CharEq()
     s = lambda x: float(eq.scaled_value(x).real)
     lo, hi = 0.5, 1.0
     while True:
@@ -81,26 +83,23 @@ def _fixed_halving_root(beta: float) -> float:
 
 @pytest.mark.parametrize("beta", [0.0, 0.5, 0.9])
 def test_dominant_real_root_stops_at_its_fixed_point(beta):
-    assert dominant_real_root(beta) == _fixed_halving_root(beta)
-    assert dominant_real_root(beta) == 1.7932821329007615
-
-
-def test_dominant_real_root_is_drift_free():
-    base = dominant_real_root(0.0)
-    for beta in (0.3, 0.6, 0.9):
-        assert dominant_real_root(beta) == base
+    assert dominant_real_root() == _fixed_halving_root()
+    assert dominant_real_root() == 1.7932821329007615
+    # the lab-frame rate on drift beta is the root over gamma
+    assert SeedHistory.mode_kick(beta, 1e-6).rate == \
+        _fixed_halving_root() / lorentz_gamma(beta)
 
 
 def test_chareq_small_z_cancellation():
     # f(z) = z^2/2 - z^3/6 + O(z^4); naive evaluation loses everything
-    eq = CharEq(0.0)
+    eq = CharEq()
     for z in (1e-5, 1e-6 + 1e-6j, -2e-7):
         want = z * z / 2 - z ** 3 / 6 + z ** 4 / 24
         assert eq.value(z) == pytest.approx(want, rel=1e-6)
 
 
 def test_chareq_scaled_value_stays_finite():
-    eq = CharEq(0.0)
+    eq = CharEq()
     z = 800.0 + 10.0j
     with np.errstate(over="ignore"):
         assert not np.isfinite(abs(eq.value(z)))
@@ -120,7 +119,7 @@ def test_rest_census(rest_rootset):
 
 
 def test_rest_census_matches_contour_count(rest_rootset):
-    n = argument_principle_count(CharEq(0.0),
+    n = argument_principle_count(CharEq(),
                                  Region(-1.0, 3.0, -1.0, 1.0))
     assert n == rest_rootset.total_multiplicity() == 3
 
@@ -159,6 +158,15 @@ def test_spectrum_is_beta_independent():
         assert np.allclose(sp.etas, base.etas, rtol=0, atol=1e-12)
 
 
+def test_spectrum_audit_is_the_census_certificate(monkeypatch):
+    # the strip count must equal the branches found, or spectrum raises
+    monkeypatch.setattr(rootsmod, "argument_principle_count",
+                        lambda eq, region: 11)
+    with pytest.raises(RuntimeError, match="argument principle counts 11"):
+        spectrum(0.0, count=10)
+    assert len(spectrum(0.0, count=10, audit=False).etas) == 10
+
+
 def test_spectrum_real_parts_grow():
     # branch n sits near Re z = ln(eta_n^2 + 2): the instability rate
     # of the oscillatory tower increases with frequency
@@ -187,7 +195,7 @@ def test_find_roots_rejects_empty_region():
 
 
 def test_render_is_deterministic():
-    eq = CharEq(0.0)
+    eq = CharEq()
     reg = Region(-1.0, 3.0, -5.0, 5.0)
     a = render_domain_coloring(eq, reg, (48, 36))
     b = render_domain_coloring(eq, reg, (48, 36))
@@ -228,7 +236,7 @@ def _render_axes(bounds, size):
 @pytest.mark.parametrize("case", PINNED_RENDERS)
 def test_render_outputs_are_pinned(case):
     bounds, size, want = PINNED_RENDERS[case]
-    image = render_domain_coloring(CharEq(0.0), Region(*bounds), size)
+    image = render_domain_coloring(CharEq(), Region(*bounds), size)
     assert image.shape == (size[1], size[0], 3)
     assert hashlib.sha256(image.tobytes()).hexdigest() == want
 
@@ -248,7 +256,7 @@ def test_grid_values_match_chareq_bit_for_bit(case):
     bounds, (w, h), _ = PINNED_RENDERS[case]
     xs, ys = _render_axes(bounds, (min(w, 640), min(h, 480)))
     ys = np.concatenate([ys, [0.0, math.pi, -math.pi]])
-    eq = CharEq(0.0)
+    eq = CharEq()
     with np.errstate(all="ignore"):
         v, f = rootsmod._grid_values(rootsmod._column_factors(xs), ys)
         z = xs[None, :] + 1j * ys[:, None]
@@ -273,7 +281,7 @@ def test_render_memory_is_bounded():
     # ~300 MB of full-image complex arrays
     tracemalloc.start()
     try:
-        render_domain_coloring(CharEq(0.0), Region(-1.0, 3.0, -15.0, 15.0),
+        render_domain_coloring(CharEq(), Region(-1.0, 3.0, -15.0, 15.0),
                                (1600, 1200))
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -438,8 +446,8 @@ ORACLE_REGIONS = {
 def test_census_matches_seed_grid_oracle(name):
     bounds, density = ORACLE_REGIONS[name]
     reg = Region(*bounds)
-    rs = find_roots(CharEq(0.0), reg)
-    oracle = _seed_grid_census(CharEq(0.0), reg, density)
+    rs = find_roots(CharEq(), reg)
+    oracle = _seed_grid_census(CharEq(), reg, density)
     assert oracle
     _assert_census_matches_oracle(rs, oracle)
 
@@ -449,8 +457,8 @@ def test_census_matches_oracle_with_an_edge_across_the_ladder():
     # the (cached) wide census cut to the region
     reg = Region(-10.0, 7.0, -100.0, 100.0)
     bounds, density = ORACLE_REGIONS["wide"]
-    wide = _seed_grid_census(CharEq(0.0), Region(*bounds), density)
-    _assert_census_matches_oracle(find_roots(CharEq(0.0), reg),
+    wide = _seed_grid_census(CharEq(), Region(*bounds), density)
+    _assert_census_matches_oracle(find_roots(CharEq(), reg),
                                   [r for r in wide if reg.contains(r[0])])
 
 
@@ -461,18 +469,18 @@ def test_census_matches_oracle_taller_than_800():
     # in Im (mpmath: 1.42e-14 from each), and the two routes round it
     # to different ones, so this region is compared to one ulp.
     reg = Region(10.0, 12.0, -420.0, 420.0)
-    rs = find_roots(CharEq(0.0), reg)
+    rs = find_roots(CharEq(), reg)
     assert len(rs.roots) == 80
     _assert_census_matches_oracle(
-        rs, _seed_grid_census(CharEq(0.0), reg, 4.0), ulps=1)
+        rs, _seed_grid_census(CharEq(), reg, 4.0), ulps=1)
 
 
 def test_branch_on_its_neighbours_root_raises(monkeypatch):
     # a branch that converges onto branch 3's root leaves its band
-    third = rootsmod._upper_branches(CharEq(0.0), {3})[3]
+    third = rootsmod._upper_branches(CharEq(), {3})[3]
     monkeypatch.setattr(rootsmod, "_polish", lambda eq, z, res: third)
     with pytest.raises(RuntimeError, match="band"):
-        find_roots(CharEq(0.0), Region(-3.0, 9.0, 10.0, 16.0))
+        find_roots(CharEq(), Region(-3.0, 9.0, 10.0, 16.0))
 
 
 def test_census_matches_oracle_on_criterion_2_rectangles(wide_rootset):
@@ -491,8 +499,8 @@ def test_census_matches_oracle_on_criterion_2_rectangles(wide_rootset):
             continue
         done += 1
         _assert_census_matches_oracle(
-            find_roots(CharEq(0.0), reg),
-            _seed_grid_census(CharEq(0.0), reg))
+            find_roots(CharEq(), reg),
+            _seed_grid_census(CharEq(), reg))
 
 
 def _frozen_branch_newton(eq, z, iters=60):
@@ -509,7 +517,7 @@ def _frozen_branch_newton(eq, z, iters=60):
 
 
 def test_spectrum_bit_identical_to_branch_newton():
-    eq = CharEq(0.0)
+    eq = CharEq()
     want = []
     for n in range(1, 11):
         y = 2.0 * math.pi * n + 2.2
@@ -531,7 +539,7 @@ def test_census_missing_a_root_raises(monkeypatch, drop):
 
     monkeypatch.setattr(rootsmod, "_census", lossy)
     with pytest.raises(RuntimeError, match="argument principle counts"):
-        find_roots(CharEq(0.0), Region(-10.0, 10.0, -30.0, 30.0))
+        find_roots(CharEq(), Region(-10.0, 10.0, -30.0, 30.0))
 
 
 @pytest.mark.parametrize("bounds", [(0.0, 3.0, -1.0, 1.0),
@@ -545,7 +553,7 @@ def test_roots_on_the_edge_belong_to_the_region(bounds):
     # (0,3,0,3 lengthens both edges at the corner through 0).  The last
     # right edge is the root as the census reports it: the true root lies
     # 7.6e-18 past LAMBDA_STAR, so an edge there leaves it outside
-    rs = find_roots(CharEq(0.0), Region(*bounds))
+    rs = find_roots(CharEq(), Region(*bounds))
     assert [(r.value, r.multiplicity) for r in rs.roots] == \
         [(0j, 2), (complex(dominant_real_root()), 1)]
     assert rs.seeds_total >= rs.seeds_converged == 1
@@ -560,16 +568,16 @@ def test_winding_walk_refuses_the_origin_near_its_contour(bounds):
     # with 0 on or beside an edge no sample need land on it, and the
     # walk read 2 for 0,3,-1,1.5 and -1e-3,3,-1,1.5, which hold 3
     with pytest.raises(ValueError, match="double root at 0"):
-        argument_principle_count(CharEq(0.0), Region(*bounds))
+        argument_principle_count(CharEq(), Region(*bounds))
 
 
 def test_winding_walk_counts_the_origin_a_quarter_step_off():
     # a quarter of the left edge's first step 2.5/64 keeps 0 resolvable
     reg = Region(-2.5 / 64 / 4, 3.0, -1.0, 1.5)
-    assert argument_principle_count(CharEq(0.0), reg) == 3
+    assert argument_principle_count(CharEq(), reg) == 3
 
 
 def test_census_counts_branches():
-    rs = find_roots(CharEq(0.0), Region(-10.0, 10.0, -100.0, 100.0))
+    rs = find_roots(CharEq(), Region(-10.0, 10.0, -100.0, 100.0))
     assert (rs.seeds_total, rs.seeds_converged) == (33, 31)
     assert rs.total_multiplicity() == 33
