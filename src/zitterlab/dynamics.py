@@ -183,11 +183,10 @@ def _march(seed: SeedHistory, t_end: float, grid: float, recovery,
     # --- seed pass: emit from the prescribed history ------------------
     k0 = int(round(seed.span / grid))         # output row of t = 0
     s_t = np.linspace(-seed.span, 0.0, k0 + 1)
-    s_b = np.asarray(seed.velocity(s_t), dtype=float)
+    s_u, s_v, s_a = seed.offsets(s_t)
+    s_b = drift + s_v
     if np.any(np.abs(s_b) >= 1.0):
         raise SuperluminalError("seed history reaches |beta| >= 1")
-    s_a = np.asarray(seed.acceleration(s_t), dtype=float)
-    s_u = np.asarray(seed.offset_position(s_t), dtype=float)
     t_a, u_a = _emit(s_t, s_u, s_b, s_a, drift)
     if np.any(np.diff(t_a) <= 0.0):
         raise ArrivalOrderError("seed emissions gave non-monotone arrivals")

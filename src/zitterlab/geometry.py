@@ -15,16 +15,12 @@ These satisfy r^2 = l^2 + 1 identically and reduce to r = gamma at
 beta_dot = 0.  They hold on-shell only; off-shell callers must solve
 the light-cone condition implicitly (solve_retarded_time_many, or its
 single-time form solve_retarded_time), which is also the audit oracle
-for the closed forms.  That solve returns, bit for bit, the last
-midpoint of a 90-halving bisection.  Newton steps pin each root
-inside a window [a, b] a few hundred ulps wide, and a rounding bound
-on the computed gap certifies the sign the bisection will see at every
-midpoint outside it.  While the bracket's width is an even multiple of
-its grid unit every midpoint is exact, so the bracket jumps straight
-to the deepest cell the bisection reaches that still holds [a, b],
-and those K halvings count against the 90.  The remaining halvings
-run as the bisection's own, and a time the certificate does not cover
-takes the whole bisection.
+for the closed forms.  That solve is a 90-halving bisection and
+returns its last midpoint.  Newton steps pin each root inside a window
+[a, b] a few hundred ulps wide, and a rounding bound on the computed
+gap certifies the sign the bisection sees at every midpoint outside
+it, so the gap is evaluated only at midpoints inside the window.  A
+time the certificate does not cover evaluates it at every midpoint.
 
 The closed forms are written once, in delay_closed over (beta,
 beta_dot): floats give floats, arrays give arrays elementwise, and
@@ -179,10 +175,11 @@ def _relocate(traj: Trajectory, i, s):
 
 
 def _enclose(traj: Trajectory, lo, hi, ts, x_t, beta):
-    """Certified jumps for the brackets [lo, hi] of the times ts, with
-    x(t) and beta(t) given: the brackets the reference bisection holds
-    after K halvings, their ends' knot intervals, and K.  K is 0, and
-    the bracket unchanged, wherever the certificate fails."""
+    """Certified windows (a, b) for the brackets [lo, hi] of the times
+    ts, with x(t) and beta(t) given, and the knot intervals of a: every
+    midpoint below a has computed g > 0 and every one above b computed
+    g < 0.  Wherever the certificate fails the window is (-inf, inf),
+    which decides no midpoint."""
     with np.errstate(divide="ignore", invalid="ignore"):
         s = np.fmin(np.fmax(
             ts - 1.0 / np.sqrt((1.0 - beta) * (1.0 + beta)), lo), hi)
@@ -199,88 +196,55 @@ def _enclose(traj: Trajectory, lo, hi, ts, x_t, beta):
             np.abs(x_t) + (ts - lo) + (1.0 + 16.0 * h))
         m = 2.0 * tau / np.abs(slope)
         a, b = np.fmax(s - m, lo), np.fmin(s + m, hi)
-    # no midpoint reaches lo or hi, so an end clipped there needs no test
+    # an end clipped to lo or hi decides no midpoint of [lo, hi] under
+    # _halve's strict comparisons, so it needs no test
     i_a, i_b = _relocate(traj, i, a), _relocate(traj, i, b)
     ok = (a < b) & ((a == lo) | (_gap(ts, x_t, a, cubic_value(
         *traj.position_cubics(i_a), a)) > tau))
     ok &= (b == hi) | (_gap(ts, x_t, b, cubic_value(
         *traj.position_cubics(i_b), b)) < -tau)
-    # the grid unit q: a power of two with q >= (2|a| + hi - lo) / 2^54
-    # (the factor lifts the computed sum above the exact one)
-    q = np.ldexp(1.0, np.frexp((2.0 * np.abs(a) + (hi - lo))
-                               * (1.0 + 2.0 ** -50))[1] - 54)
-    lo_q, hi_q = lo / q, hi / q
-    ok &= (lo_q == np.floor(lo_q)) & (hi_q == np.floor(hi_q))
-    low = np.where(ok, lo_q, 0.0).astype(np.int64)
-    span = np.where(ok, hi_q, 1.0).astype(np.int64) - low
-    d = np.frexp((span & -span).astype(float))[1] - 1
-    odd = span >> d
-    # a and b in grid units from lo, and their level-d cells as d-bit
-    # numbers, a tie at b sent left
-    a_q = np.floor(np.where(ok, a / q, 0.0)).astype(np.int64) - low
-    b_q = np.ceil(np.where(ok, b / q, 1.0)).astype(np.int64) - low
-    cell_a, cell_b = a_q // odd, (b_q - 1) // odd
-    levels = np.where(ok, d - np.frexp((cell_a ^ cell_b).astype(float))[1], 0)
-    width = odd << (d - levels)
-    start = low + (cell_a >> (d - levels)) * width
-    lo = np.where(ok, start.astype(float) * q, lo)
-    hi = np.where(ok, (start + width).astype(float) * q, hi)
-    return lo, hi, _relocate(traj, i_a, lo), _relocate(traj, i_b, hi), levels
+    return np.where(ok, a, -np.inf), np.where(ok, b, np.inf), i_a
 
 
-def _halve(traj: Trajectory, lo, hi, i_lo, i_hi, ts, x_t,
-           budget) -> np.ndarray:
-    """Bisect the brackets [lo, hi] of the times ts, whose ends lie in
-    the knot intervals i_lo and i_hi, each up to its budget of halvings,
-    and return the midpoints of the final brackets; lo and hi are
-    overwritten with the final ends."""
+def _halve(traj: Trajectory, lo, hi, a, b, i, ts, x_t) -> np.ndarray:
+    """The last midpoints of the reference bisection of the brackets
+    [lo, hi] of the times ts.  A midpoint outside the certified window
+    (a, b) takes its sign from the window, and only one in [a, b]
+    evaluates g; i holds the knot interval of each a, then of the
+    element's last evaluated midpoint."""
     t0 = traj.t0
-    out_lo, out_hi = lo, hi
+    out = np.empty_like(ts)
     act = np.arange(ts.size)
-    t_a, x_a = ts, x_t
-    # the cubic of interval i_lo, or of i_mid for a bracket still split;
-    # once none is split, none will be
-    cubic, knot = traj.position_cubics(i_lo)
-    split_any = True
-    first_stop = budget.min()
-    for step in range(1, _HALVINGS + 1):
+    for _ in range(_HALVINGS):
         mid = 0.5 * (lo + hi)
-        if split_any:
-            split = i_lo != i_hi
-            split_any = split.any()
-            i_mid = i_lo
-            if split_any:
-                i_mid = i_lo.copy()
-                i_mid[split] = traj.interval(mid[split])
-                cubic[:, split], knot[split] = traj.position_cubics(
-                    i_mid[split])
-        # position()'s clip to t0 acts only where hi starts below t0
-        x_mid = cubic_value(cubic, knot, np.maximum(mid, t0))
-        pos = _gap(t_a, x_a, mid, x_mid) > 0.0
-        moved = np.where(pos, mid != lo, mid != hi)
-        if step >= first_stop:
-            moved &= budget > step
+        pos = mid < a
+        test = (mid <= b) & ~pos
+        stop = None
+        if test.any():
+            k = slice(None) if test.all() else np.flatnonzero(test)
+            m = mid[k]
+            i[k] = _relocate(traj, i[k], m)
+            # position()'s clip to t0 acts only where hi starts below t0
+            x_m = cubic_value(*traj.position_cubics(i[k]), np.maximum(m, t0))
+            pos[k] = p = _gap(ts[k], x_t[k], m, x_m) > 0.0
+            stop = np.zeros(act.size, dtype=bool)
+            stop[k] = np.where(p, m == lo[k], m == hi[k])
         lo = np.where(pos, mid, lo)
         hi = np.where(pos, hi, mid)
-        if split_any:
-            i_lo = np.where(pos, i_mid, i_lo)
-            i_hi = np.where(pos, i_hi, i_mid)
-        if not moved.all():
-            still = ~moved
-            out_lo[act[still]], out_hi[act[still]] = lo[still], hi[still]
-            act, lo, hi, i_lo, i_hi, t_a, x_a, knot, budget = (
-                a[moved] for a in (act, lo, hi, i_lo, i_hi, t_a, x_a, knot,
-                                   budget))
-            cubic = cubic[:, moved]
+        if stop is not None and stop.any():
+            out[act[stop]] = mid[stop]
+            go = ~stop
+            act, lo, hi, a, b, i, ts, x_t = (
+                v[go] for v in (act, lo, hi, a, b, i, ts, x_t))
             if act.size == 0:
-                break
-    out_lo[act], out_hi[act] = lo, hi
-    return 0.5 * (out_lo + out_hi)
+                return out
+    out[act] = 0.5 * (lo + hi)
+    return out
 
 
 def _solve_block(traj: Trajectory, lo, hi, ts, x_t, beta) -> np.ndarray:
-    lo, hi, i_lo, i_hi, levels = _enclose(traj, lo, hi, ts, x_t, beta)
-    return _halve(traj, lo, hi, i_lo, i_hi, ts, x_t, _HALVINGS - levels)
+    a, b, i = _enclose(traj, lo, hi, ts, x_t, beta)
+    return _halve(traj, lo, hi, a, b, i, ts, x_t)
 
 
 def _lightcone(traj: Trajectory, ts: np.ndarray):
@@ -315,7 +279,7 @@ def solve_retarded_time_many(traj: Trajectory, ts: np.ndarray) -> np.ndarray:
     hi = t - 1, lo = max(t - 2, t0) reaching back twice as far until
     g(lo) > 0, then _HALVINGS halvings at mid = 0.5 (lo + hi) that keep
     lo = mid where the computed g(mid) > 0, and t_r the last midpoint.
-    Most of those halvings are decided before any is taken:
+    Most of those signs are known without evaluating g:
 
     Enclose.  _NEWTON_STEPS Newton steps on g from t - gamma(beta(t)),
     kept in [lo, hi], give s; a = s - m and b = s + m, m = 2 tau/|g'|,
@@ -335,31 +299,30 @@ def solve_retarded_time_many(traj: Trajectory, ts: np.ndarray) -> np.ndarray:
     delta <= 3.5 eps S with S = 1 + |x(t)| + (t - lo) + 16 h, and tau =
     _TAU_EPS eps S = 16 eps S exceeds delta more than four times over.
     Where the computed g(a) > tau and g(b) < -tau, g's monotonicity
-    puts every reference midpoint <= a at computed g > 0 and every one
-    >= b at computed g < 0.  No midpoint reaches lo or hi, so an end
-    clipped there needs no test.
+    puts every midpoint below a at computed g > 0 and every one above b
+    at computed g < 0.  An end clipped to lo or hi is not tested.
 
-    Jump.  Take q a power of two with q >= (2|a| + hi - lo) / 2^54,
-    lo and hi multiples of q, and hi - lo = n q with n = odd 2^d.  Each
-    bracket [l, h] of the reference that holds [a, b] has |l + h| <=
-    2|a| + (hi - lo) <= 2^54 q, so while its width is an even multiple
-    of q the sum l + h and the midpoint are exact: after k <= d
-    halvings the bracket is exactly lo + j n 2^-k q.  K is the deepest
-    such level whose cell holds all of [a, b], the common leading bits
-    of the level-d cell numbers of a and of b (a tie at b sent left).
-    The element starts from that cell with _HALVINGS - K halvings left.
-    Without the charge, an element that moves at every one of the 90
-    comes out wrong.  The t_r ~ -1.2e-12 one of the exact rest mode-kick
-    run is off by 2 ulp, and the t_r ~ -4.5e-14 one of the filtered rest
-    kick by 64.  An element the certificate does not cover keeps K = 0
-    and the whole bisection.
+    Decide.  Each halving takes the reference's own midpoint mid.  A
+    mid < a keeps lo = mid and a mid > b keeps hi = mid, as the
+    certificate says the computed g would; only a mid in [a, b]
+    evaluates g.  The comparisons are strict: a midpoint of [lo, hi]
+    lies in [lo, hi], so an end clipped there decides nothing, and a
+    mid equal to a tested end evaluates g.  An element the certificate
+    does not cover gets the window (-inf, inf) and the plain bisection.
+    The whole bracket would not do: where t - 1 lies below t0, by less
+    than the 1e-12 the bracket check allows, lo = t0 > hi and midpoints
+    fall below lo.
 
     Finish.  A halving moves an element's bracket by that element's own
     state alone, so one that a halving leaves unchanged sits at a fixed
-    point of every later one and stops there; everything runs on
-    _HALVING_BLOCK times at a time.  Once both ends of a bracket lie in
-    one knot interval, every later midpoint does too, so the element
-    keeps that interval's cubic and looks up nothing more.
+    point of every later one and stops there.  A halving the window
+    decides always moves: hi stays above a tested a (the computed
+    g(a) > tau) and lo below a tested b, so the bracket then holds the
+    tested end strictly inside and spans more than one float.  Only
+    halvings that evaluate g are tested for a stop.  g reads the cubic
+    of the element's last evaluated knot interval, looked up afresh only
+    where mid has left it, and everything runs on _HALVING_BLOCK times
+    at a time.
     """
     ts = np.asarray(ts, dtype=float)
     if ts.size == 0:

@@ -58,7 +58,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-RESIDUAL_TARGET = 1e-12     # every branch root must reach it
+# every branch root must reach it, or 4 eps |z| where a correctly
+# rounded root leaves more (|z| > ~1100)
+RESIDUAL_TARGET = 1e-12
 
 _TWO_PI = 2.0 * math.pi
 # steps of z <- Log(z^2 + z + 1) + 2 pi i k, then of Newton, per branch
@@ -80,6 +82,10 @@ _SIMPLE_CLEARANCE = 1e-9
 # e^z turns the phase by 1 rad per unit of Im z; steps of at most 0.5
 # keep the walk from wrapping a full turn into a small jump.
 _WALK_STEP = 0.5
+# Segments the winding walk pops before it gives up.  It pops each first
+# step once, so find_roots refuses a region whose edges need this many
+# (a perimeter of about 100,000) before it enumerates a branch.
+_WALK_BUDGET = 200000
 
 # Re z beyond which evaluation switches to the rescaled form
 _SCALE_SWITCH = 700.0
@@ -135,6 +141,9 @@ class Region:
     def __post_init__(self):
         if not (self.x0 < self.x1 and self.y0 < self.y1):
             raise ValueError(f"degenerate region {self!r}")
+        if not (math.isfinite(self.x1 - self.x0)
+                and math.isfinite(self.y1 - self.y0)):
+            raise ValueError(f"region {self!r} needs finite edges and sides")
 
     def contains(self, z) -> bool:
         return self.x0 <= z.real <= self.x1 and self.y0 <= z.imag <= self.y1
@@ -178,9 +187,19 @@ def find_roots(eq: CharEq, region: Region,
     Only branches ceil((y0 - pi) / 2pi) .. floor((y1 + pi) / 2pi), with
     y0 and y1 widened to cover the contour _certify moves off 0, can
     reach the region; _census enumerates them.  _certify raises
-    RuntimeError unless the census matches the winding count.
-    `grid_density` is accepted and ignored: there is no seed grid.
+    RuntimeError unless the census matches the winding count.  A region
+    whose edges need _WALK_BUDGET first steps of the walk, which could
+    never finish, raises ValueError first.  `grid_density` is accepted
+    and ignored: there is no seed grid.
     """
+    # a side the length of the whole budget decides alone, and the clip
+    # keeps a side near the float limit countable
+    cap = _WALK_BUDGET * _WALK_STEP
+    if 2 * sum(_edge_steps(min(side, cap)) for side in (
+            region.x1 - region.x0, region.y1 - region.y0)) >= _WALK_BUDGET:
+        raise ValueError(f"region {region} is too large to certify: its "
+                         f"edges need {_WALK_BUDGET} or more winding-walk "
+                         f"steps (a perimeter of about {cap:g})")
     clear = max(_CLEARANCE * max(region.x1 - region.x0, region.y1 - region.y0),
                 _ORIGIN_CLEARANCE)
     ks = range(math.ceil((region.y0 - 3.0 * clear - math.pi) / _TWO_PI),
@@ -220,8 +239,9 @@ def _upper_branches(eq: CharEq, ks) -> dict[int, Root]:
 
     From x = ln(y^2 + 2), y = 2 pi k + 2.2, a fixed number of steps of
     z <- Log(z^2 + z + 1) + 2 pi i k and of Newton on the rescaled f run
-    on all branches at once; _polish finishes each.  A branch that
-    misses RESIDUAL_TARGET or its band |Im z - 2 pi k| <= pi raises.
+    on all branches at once; _polish finishes each.  A branch whose
+    residual reaches max(RESIDUAL_TARGET, 4 eps |z|), or whose root
+    leaves its band |Im z - 2 pi k| <= pi, raises.
     """
     ks = sorted(ks)
     k = np.array(ks, dtype=float)
@@ -237,11 +257,20 @@ def _upper_branches(eq: CharEq, ks) -> dict[int, Root]:
         res = eq.residual(z)
     roots = {n: _polish(eq, complex(w), float(r))
              for n, w, r in zip(ks, z, res)}
-    bad = [n for n, r in roots.items() if not (r.residual < RESIDUAL_TARGET
-           and abs(r.value.imag - _TWO_PI * n) <= math.pi + 1e-9)]
+    eps = np.finfo(float).eps
+    bad = [n for n, r in roots.items() if not (
+        r.residual < max(RESIDUAL_TARGET, 4.0 * eps * abs(r.value))
+        and abs(r.value.imag - _TWO_PI * n) <= math.pi + 1e-9)]
     if bad:
-        raise RuntimeError(f"branches {bad} found no root in their band")
+        first = ", ".join(map(str, bad[:5])) + (", ..." if bad[5:] else "")
+        raise RuntimeError(f"{len(bad)} branches ({first}) found no root "
+                           f"in their band")
     return roots
+
+
+def _edge_steps(length: float) -> int:
+    """The winding walk's first steps along an edge of this length."""
+    return max(_EDGE_STEPS, math.ceil(length / _WALK_STEP))
 
 
 def _certify(eq: CharEq, region: Region, roots: list[Root],
@@ -349,9 +378,9 @@ def argument_principle_count(eq: CharEq, region: Region) -> int:
                complex(region.x1, region.y1), complex(region.x0, region.y1),
                complex(region.x0, region.y0)]
     total = 0.0
-    budget = 200000
+    budget = _WALK_BUDGET
     for a, b in zip(corners[:-1], corners[1:]):
-        n = max(_EDGE_STEPS, math.ceil(abs(b - a) / _WALK_STEP))
+        n = _edge_steps(abs(b - a))
         # the point of the edge nearest 0
         near = complex(min(max(0.0, min(a.real, b.real)), max(a.real, b.real)),
                        min(max(0.0, min(a.imag, b.imag)), max(a.imag, b.imag)))

@@ -212,30 +212,16 @@ _BUMP_CENTER = -0.5
 _BUMP_HALFWIDTH = 0.4
 
 
-def _bump_raw(u: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(u)
-    inside = np.abs(u) < 1.0
-    ui = u[inside]
-    out[inside] = np.exp(-1.0 / ((1.0 - ui) * (1.0 + ui)))
-    return out
-
-
-def _bump_d1(u: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(u)
+def _bump(u: np.ndarray) -> np.ndarray:
+    """The bump exp(-1 / (1 - u^2)), zero where |u| >= 1, and its first
+    two derivatives, stacked, from one exp."""
+    out = np.zeros((3,) + u.shape)
     inside = np.abs(u) < 1.0
     ui = u[inside]
     w = (1.0 - ui) * (1.0 + ui)
-    out[inside] = np.exp(-1.0 / w) * (-2.0 * ui / (w * w))
-    return out
-
-
-def _bump_d2(u: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(u)
-    inside = np.abs(u) < 1.0
-    ui = u[inside]
-    w = (1.0 - ui) * (1.0 + ui)
-    out[inside] = np.exp(-1.0 / w) * (
-        4.0 * ui * ui / w ** 4 - 2.0 * (1.0 + 3.0 * ui * ui) / w ** 3)
+    e = np.exp(-1.0 / w)
+    out[:, inside] = (e, e * (-2.0 * ui / (w * w)), e * (
+        4.0 * ui * ui / w ** 4 - 2.0 * (1.0 + 3.0 * ui * ui) / w ** 3))
     return out
 
 
@@ -245,7 +231,7 @@ def _bump_accel_peak() -> float:
     normalization convention for kick amplitudes; deterministic).
     Computed on the first kick that needs it, not at import."""
     u = np.linspace(-1.0, 1.0, 8193)
-    return float(np.max(np.abs(_bump_d2(u))))
+    return float(np.max(np.abs(_bump(u)[2])))
 
 
 @dataclass(frozen=True)
@@ -307,24 +293,9 @@ class SeedHistory:
         return cls(kind="mode_kick", amplitude=float(amplitude),
                    beta=beta, rate=rate)
 
-    def _scale(self) -> float:
-        return self.amplitude * _BUMP_HALFWIDTH ** 2 / _bump_accel_peak()
-
-    def _mode_amp(self) -> float:
-        return self.amplitude / self.rate ** 2
-
-    def velocity(self, t):
-        return self.beta + self.offset_velocity(t)
-
-    def acceleration(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.kind == "mode_kick":
-            return self._mode_amp() * self.rate ** 2 * np.exp(self.rate * t)
-        u = (t - _BUMP_CENTER) / _BUMP_HALFWIDTH
-        return self._scale() * _bump_d2(u) / _BUMP_HALFWIDTH ** 2
-
-    def offset_position(self, t):
-        """x(t) - beta*t, computed without the drift term.
+    def offsets(self, t):
+        """x(t) - beta t and its first two derivatives, computed without
+        the drift term.
 
         The integrator marches in drift-comoving coordinates: absolute
         positions grow linearly and their floating-point granularity
@@ -333,16 +304,19 @@ class SeedHistory:
         """
         t = np.asarray(t, dtype=float)
         if self.kind == "mode_kick":
-            return self._mode_amp() * np.exp(self.rate * t)
-        u = (t - _BUMP_CENTER) / _BUMP_HALFWIDTH
-        return self._scale() * _bump_raw(u)
+            amp = self.amplitude / self.rate ** 2
+            e = np.exp(self.rate * t)
+            return amp * e, amp * self.rate * e, amp * self.rate ** 2 * e
+        scale = self.amplitude * _BUMP_HALFWIDTH ** 2 / _bump_accel_peak()
+        b, b1, b2 = _bump((t - _BUMP_CENTER) / _BUMP_HALFWIDTH)
+        return (scale * b, scale * b1 / _BUMP_HALFWIDTH,
+                scale * b2 / _BUMP_HALFWIDTH ** 2)
 
-    def offset_velocity(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.kind == "mode_kick":
-            return self._mode_amp() * self.rate * np.exp(self.rate * t)
-        u = (t - _BUMP_CENTER) / _BUMP_HALFWIDTH
-        return self._scale() * _bump_d1(u) / _BUMP_HALFWIDTH
+    def velocity(self, t):
+        return self.beta + self.offsets(t)[1]
+
+    def acceleration(self, t):
+        return self.offsets(t)[2]
 
     def describe(self) -> str:
         if self.kind == "mode_kick":

@@ -5,6 +5,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -237,11 +238,47 @@ def test_roots_region_edge_through_double_root(capsys):
 @pytest.mark.parametrize("region, rows", [
     ("-1e-6,1e-6,-1e-6,1e-6", 1),     # micro-region around the origin
     ("-10,7,-100,100", 10),           # right edge across the ladder
+    ("19,21,16400,16500", 16),        # residuals past 1e-12, up to 1.7e-12
+    ("-1,3,-1,1.7e4", 2),             # 2,706 branches, none inside
 ])
 def test_roots_region_certified(capsys, region, rows):
     code, out, err = _run(capsys, "roots", "--region", region)
     assert code == 0 and err == ""
     assert len(out.splitlines()) == 1 + rows
+
+
+def test_tall_region_prints_the_rest_census(capsys):
+    assert _run(capsys, "roots", "--region", "-1,3,-1,1.7e4") == \
+        _run(capsys, "roots", "--region", "-1,3,-1,1")
+
+
+@pytest.mark.parametrize("argv", [
+    ["roots", "--region", "-1,3,1e10,1e10000"],
+    ["roots", "--region", "-1e308,1e308,0,1"],
+    ["render", "--region", "-1,3,-1e999,1", "--size", "8x6"],
+])
+def test_non_finite_region_exits_two(capsys, tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + (["--out", str(tmp_path / "x.ppm")]
+                     if argv[0] == "render" else []))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "needs finite edges and sides" in err
+    assert not (tmp_path / "x.ppm").exists()
+
+
+@pytest.mark.parametrize("region", ["-1,3,-1,1e300", "-1,3,-1,9e4",
+                                    "-1e307,1e307,0,1"])
+def test_region_too_large_to_certify_exits_one(capsys, region):
+    # the winding walk pops each of its first steps once, so a contour
+    # that needs its whole budget of them can never be certified; the
+    # census refuses it before enumerating a branch
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "roots", "--region", region)
+    assert time.perf_counter() - start < 0.5
+    assert code == 1 and out == ""
+    assert err.startswith("zitterlab: region ") and len(err) < 300
+    assert "too large to certify" in err and "200000" in err
 
 
 def _assert_same_text(got, want):

@@ -314,63 +314,100 @@ def _kinked_traj():
     return Trajectory(t, beta * t, beta, np.zeros_like(t))
 
 
-def _jumps(traj, ts):
+def _window_share(traj, ts):
+    # the share of times whose certified window (a, b) is narrower than
+    # their bracket [lo, t - 1]
     x_t = traj.position(ts)
     lo = geometry._reach_back(traj, ts, x_t)
-    return x_t, geometry._enclose(traj, lo, ts - 1.0, ts, x_t,
-                                  traj.velocity(ts))
+    a, b, _ = geometry._enclose(traj, lo, ts - 1.0, ts, x_t,
+                                traj.velocity(ts))
+    return np.mean((a > lo) | (b < ts - 1.0))
 
 
 @pytest.mark.parametrize("case", ["rest", "kink", "long_attempt"])
 def test_solver_edge_cases_bit_identical(case, request):
     # rest: every root sits at t - 1, the bracket's upper end, where the
-    # enclosure is clipped; kink: the light cones of t in [0, 3] cross a
+    # window is clipped; kink: the light cones of t in [0, 3] cross a
     # velocity jump; long_attempt: the rest kick, whose t_r ~ 0 element
-    # takes all 90 halvings and whose late roots defeat 3 Newton steps.
-    # Each has times that jump and times that take the whole bisection
-    # (the bracket [t0, t - 1] spans an odd number of grid units).
+    # takes all 90 halvings and whose late roots defeat 3 Newton steps,
+    # so that some of its times take the plain bisection
     traj = {"rest": lambda: _uniform_traj(0.0),
             "kink": _kinked_traj,
             "long_attempt": lambda: request.getfixturevalue(case)}[case]()
     ts = _lightcone_times(traj)
     assert np.array_equal(solve_retarded_time_many(traj, ts),
                           _fixed_bisection(traj, ts))
-    _, (*_, levels) = _jumps(traj, ts)
-    assert 0.5 < np.mean(levels > 0) < 1.0
+    share = _window_share(traj, ts)
+    assert share > 0.5
+    if case == "long_attempt":
+        assert share < 1.0
 
 
 @pytest.mark.parametrize("run", ["exact_run", "long_attempt"])
-def test_jump_charges_its_halvings(run, request):
+def test_last_halving_counts(run, request):
     # the t = 1 element (t_r ~ -1.2e-12 on the exact run, ~ -4.5e-14 on
-    # the filtered one) still moves at the 90th reference halving, and
-    # comes out right only when the jump's K halvings count against its
-    # budget
+    # the filtered one) still moves at the 90th reference halving, so a
+    # solve that stopped a halving short would come out wrong there
     traj = request.getfixturevalue(run)
     ts = _lightcone_times(traj)
     want = _fixed_bisection(traj, ts)
     late = _fixed_bisection(traj, ts, 89) != want
     ts, want = ts[late], want[late]
     assert ts.tolist() == [1.0]
-    x_t, (lo, hi, i_lo, i_hi, levels) = _jumps(traj, ts)
-    assert np.all(levels > 0)
-
-    def finish(budget):
-        return geometry._halve(traj, lo.copy(), hi.copy(), i_lo, i_hi,
-                               ts, x_t, budget)
-
-    assert np.array_equal(finish(geometry._HALVINGS - levels), want)
-    assert not np.array_equal(finish(np.full(ts.size, geometry._HALVINGS)),
-                              want)
+    assert _window_share(traj, ts) == 1.0
+    assert np.array_equal(solve_retarded_time_many(traj, ts), want)
 
 
 def test_most_light_cone_times_take_the_jump():
     # the filtered beta = 0.3 march of `simulate --tend 100`: a slide into
-    # the fallback bisection would keep the bits and lose the speed
+    # the plain bisection would keep the bits and lose the speed
     traj = propagate_filtered(SeedHistory.uniform_motion(0.3), 100.0,
                               partial=True)
-    ts = _lightcone_times(traj)
-    _, (*_, levels) = _jumps(traj, ts)
-    assert np.mean(levels > 0) >= 0.95
+    assert _window_share(traj, _lightcone_times(traj)) >= 0.95
+
+
+def test_rest_kick_early_times_have_windows(long_attempt):
+    # the rest kick's times t < 1 have brackets whose midpoints round
+    # from the first halving; the window decides them all the same
+    ts = _lightcone_times(long_attempt)
+    early = ts[ts < 1.0]
+    assert early.size > 2000
+    assert _window_share(long_attempt, early) == 1.0
+    assert _window_share(long_attempt, ts) >= 0.74
+
+
+def _grazing_times(traj):
+    # times whose past light cone just reaches the history's first
+    # point, reach in (-1e-12, 1e-9], with lo = t0: the root sits at lo,
+    # and where the history starts at rest hi = t - 1 can lie below t0
+    t0, x0 = traj.t0, float(traj.position(traj.t0))
+
+    def reach(t):
+        return (t - t0) - np.sqrt((traj.position(t) - x0) ** 2 + 1.0)
+
+    t_star = brentq(lambda t: float(reach(t)), t0 + 1.0, t0 + 2.0,
+                    xtol=1e-15, rtol=8.9e-16)
+    d = np.logspace(-16.0, -8.5, 300)
+    ts = t_star + np.concatenate([-d, [0.0], d])
+    r = reach(ts)
+    return ts[(r > -1e-12) & (r <= 1e-9) & (ts - 2.0 < t0)]
+
+
+@pytest.mark.parametrize("case", ["rest", "uniform", "kink", "exact_run",
+                                  "long_attempt", "smooth"])
+def test_grazing_light_cones_bit_identical(case, request):
+    traj = {"rest": lambda: _uniform_traj(0.0),
+            "uniform": lambda: _uniform_traj(-0.6),
+            "kink": _kinked_traj,
+            "smooth": lambda: _smooth_traj(40.0, 0.5, 0.6, 1.7, 0.8, 1e-2,
+                                           True, 3)}.get(
+        case, lambda: request.getfixturevalue(case))()
+    ts = _grazing_times(traj)
+    assert ts.size > 400
+    if case in ("rest", "exact_run", "long_attempt"):
+        assert np.any(ts - 1.0 < traj.t0)
+    assert np.array_equal(solve_retarded_time_many(traj, ts),
+                          _fixed_bisection(traj, ts))
 
 
 def test_geometry_validation():

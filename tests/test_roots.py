@@ -187,6 +187,9 @@ def test_region_parse_and_contains():
         Region.parse("1,2,3")
     with pytest.raises(ValueError):
         Region.parse("3,1,-1,1")
+    for text in ("-1,3,1e10,1e10000", "nan,1,0,1", "-1e308,1e308,0,1"):
+        with pytest.raises(ValueError):
+            Region.parse(text)
 
 
 def test_find_roots_rejects_empty_region():
@@ -481,6 +484,30 @@ def test_branch_on_its_neighbours_root_raises(monkeypatch):
     monkeypatch.setattr(rootsmod, "_polish", lambda eq, z, res: third)
     with pytest.raises(RuntimeError, match="band"):
         find_roots(CharEq(), Region(-3.0, 9.0, 10.0, 16.0))
+
+
+def test_high_branch_roots_are_correctly_rounded():
+    # at |z| ~ 16,400 a correctly rounded root leaves a residual of up
+    # to ~eps |z| = 3.6e-12, past RESIDUAL_TARGET; the census accepts
+    # 4 eps |z|, and each root lies within that of the 200-bit root
+    mpmath = pytest.importorskip("mpmath")
+    rs = find_roots(CharEq(), Region(19.0, 21.0, 16400.0, 16500.0))
+    assert len(rs.roots) == 16
+    assert max(r.residual for r in rs.roots) > rootsmod.RESIDUAL_TARGET
+    eps = np.finfo(float).eps
+    with mpmath.workprec(200):
+        for r in rs.roots:
+            z = mpmath.mpc(r.value.real, r.value.imag)
+            w = mpmath.findroot(lambda u: mpmath.exp(u) - u * u - u - 1, z)
+            assert abs(w - z) < 4 * eps * abs(r.value)
+
+
+def test_branch_failures_name_the_count_and_the_first_five(monkeypatch):
+    monkeypatch.setattr(rootsmod, "_polish",
+                        lambda eq, z, res: rootsmod.Root(z, 1.0))
+    with pytest.raises(RuntimeError, match=r"^16 branches \(1, 2, 3, 4, 5, "
+                       r"\.\.\.\) found no root in their band$"):
+        find_roots(CharEq(), Region(-10.0, 10.0, -100.0, 100.0))
 
 
 def test_census_matches_oracle_on_criterion_2_rectangles(wide_rootset):
