@@ -4,8 +4,10 @@ One dispatcher, six subcommands: roots, render, simulate,
 series-verify, potential, report.  Machine outputs are CSV with a
 header row, JSON lines, or binary PPM; every float is printed at 17
 significant digits so identical invocations produce byte-identical
-files.  Exit codes: 0 success, 1 a computation failed or a check did
-not pass, 2 bad usage.
+files.  A CSV streams in row blocks, each computed (the simulate
+residual audit included), formatted and written in one pass.  Exit
+codes: 0 success, 1 a computation failed or a check did not pass, 2
+bad usage.
 
 A constants file (flat `key = value`, see model.CONFIG_KEYS) can be
 supplied with --constants or the ZITTERLAB_CONSTANTS variable; it is
@@ -107,39 +109,39 @@ def _pair_arg(text: str) -> tuple[float, float]:
     return a, b
 
 
-# Characters per write in _write_text: handing a whole CSV text to one
-# write makes the text layer encode a second full-size copy of it.
-_WRITE_SLICE = 1 << 16
+def _open_out(path: str):
+    return (contextlib.nullcontext(sys.stdout) if path == "-" else
+            open(path, "w", encoding="utf-8", newline=""))
 
 
 def _write_text(path: str, text: str) -> None:
-    with (contextlib.nullcontext(sys.stdout) if path == "-" else
-          open(path, "w", encoding="utf-8", newline="")) as fh:
-        for a in range(0, len(text), _WRITE_SLICE):
-            fh.write(text[a:a + _WRITE_SLICE])
+    with _open_out(path) as fh:
+        fh.write(text)
 
 
-# Rows per % application in _csv: one application over all 100k rows
-# of a CSV costs more peak memory than the text it builds.
-_CSV_BLOCK = 4096
+# Rows per pass of _write_csv: each computes, formats and writes this
+# many rows, so no full-length column or whole-file text is held.  Fewer
+# would spread the light-cone solve's numpy calls over fewer times.
+_CSV_BLOCK = 16384
 
 
-def _csv(header: str, columns, non_finite: str) -> str:
-    """CSV text: the header row, then one row per index of the equal-
-    length float columns.  Every value prints as _fmt's
-    format(v, ".17g") would, and non-finite ones as non_finite."""
+def _write_csv(path: str, header: str, n: int, columns,
+               non_finite: str) -> None:
+    """Write a CSV to path ('-' = stdout): the header row, then n rows,
+    columns(k) giving the float columns of the rows in the slice k.
+    Every value prints as _fmt's format(v, ".17g") would, and
+    non-finite ones as non_finite."""
     import numpy as np
-    columns = [np.asarray(c, dtype=float) for c in columns]
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
-    parts = [header + "\n"]
-    for a in range(0, columns[0].size, _CSV_BLOCK):
-        block = np.column_stack([c[a:a + _CSV_BLOCK] for c in columns])
-        block[~np.isfinite(block)] = np.nan
-        # "%.17g" spells a finite value without letters, so every "nan"
-        # in the text is a non-finite value
-        text = (row * len(block)) % tuple(block.ravel().tolist())
-        parts.append(text.replace("nan", non_finite))
-    return "".join(parts)
+    row = ",".join(["%.17g"] * (header.count(",") + 1)) + "\n"
+    with _open_out(path) as fh:
+        fh.write(header + "\n")
+        for a in range(0, n, _CSV_BLOCK):
+            block = np.array(columns(slice(a, a + _CSV_BLOCK)), dtype=float).T
+            block[~np.isfinite(block)] = np.nan
+            # "%.17g" spells a finite value without letters, so every
+            # "nan" in the text is a non-finite value
+            text = (row * len(block)) % tuple(block.ravel().tolist())
+            fh.write(text.replace("nan", non_finite))
 
 
 def _load_constants(path: str | None) -> PhysicalConstants:
@@ -154,12 +156,10 @@ def _load_constants(path: str | None) -> PhysicalConstants:
 
 def cmd_roots(args, _constants) -> int:
     from .roots import CharEq, find_roots
-    rs = find_roots(CharEq(), args.region)
-    rows = sorted(rs.roots, key=lambda r: (r.value.real, r.value.imag))
-    _write_text(args.out, _csv("re,im,residual",
-                               [[r.value.real for r in rows],
-                                [r.value.imag for r in rows],
-                                [r.residual for r in rows]], "null"))
+    roots = find_roots(CharEq(), args.region).roots
+    _write_csv(args.out, "re,im,residual", len(roots), lambda k: [
+        [r.value.real for r in roots[k]], [r.value.imag for r in roots[k]],
+        [r.residual for r in roots[k]]], "null")
     return 0
 
 
@@ -193,24 +193,24 @@ def _build_seed(args):
     return SeedHistory.mode_kick(args.beta, args.amp)
 
 
-def _residual_column(traj):
-    """residual_eom where the light cone fits in the data, else nan."""
+def _residuals(traj, k):
+    """residual_eom at the samples k where the light cone fits, else nan."""
     import numpy as np
     from .dynamics import residual_eom_many
-    ts = traj.t
+    ts = traj.t[k]
     res = np.full(ts.size, np.nan)
     x0 = float(traj.position(traj.t0))
-    reach = (ts - traj.t0) - np.sqrt((traj.x - x0) ** 2 + 1.0)
+    reach = (ts - traj.t0) - np.sqrt((traj.x[k] - x0) ** 2 + 1.0)
     ok = (ts - 1.0 >= traj.t0) & (reach > 1e-6)
     if np.any(ok):
         res[ok] = residual_eom_many(traj, ts[ok])
     return res
 
 
-def _trajectory_csv(traj) -> str:
-    return _csv("t,x,beta,beta_dot,residual",
-                [traj.t, traj.x, traj.beta, traj.beta_dot,
-                 _residual_column(traj)], "nan")
+def _write_trajectory_csv(path: str, traj) -> None:
+    _write_csv(path, "t,x,beta,beta_dot,residual", traj.t.size, lambda k: [
+        traj.t[k], traj.x[k], traj.beta[k], traj.beta_dot[k],
+        _residuals(traj, k)], "nan")
 
 
 def _simulate_report(args, traj, drift: float) -> str:
@@ -285,8 +285,8 @@ def cmd_simulate(args, _constants) -> int:
         _write_text("-" if args.out is None else args.out,
                     _simulate_report(args, traj, drift))
     else:
-        _write_text("traj.csv" if args.out is None else args.out,
-                    _trajectory_csv(traj))
+        _write_trajectory_csv("traj.csv" if args.out is None else args.out,
+                              traj)
     aborted = traj.metadata.get("aborted")
     if aborted:
         print(f"zitterlab: simulate stopped early at t = "
@@ -304,8 +304,9 @@ def cmd_potential(args, constants) -> int:
         xs = np.linspace(a, b, args.samples)
         # a power past the float range is printed as null, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
-            cols = [xs, potmod.duffing_potential(xs), potmod.duffing_force(xs)]
-        _write_text(args.out, _csv("x,Qc,force", cols, "null"))
+            _write_csv(args.out, "x,Qc,force", xs.size, lambda k: [
+                xs[k], potmod.duffing_potential(xs[k]),
+                potmod.duffing_force(xs[k])], "null")
         return 0
 
     state = KinematicState(beta=args.beta, beta_dot=args.betadot)
@@ -456,6 +457,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args, constants)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"zitterlab: {exc}", file=sys.stderr)
+        return 1
+    except (ArithmeticError, MemoryError) as exc:
+        print(f"zitterlab: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -21,6 +21,8 @@ returns its last midpoint.  Newton steps pin each root inside a window
 gap certifies the sign the bisection sees at every midpoint outside
 it, so the gap is evaluated only at midpoints inside the window.  A
 time the certificate does not cover evaluates it at every midpoint.
+The solve takes every time it is given in one pass; the CLI's residual
+audit hands it one CSV row block at a time.
 
 The closed forms are written once, in delay_closed over (beta,
 beta_dot): floats give floats, arrays give arrays elementwise, and
@@ -148,11 +150,6 @@ def _reach_back(traj: Trajectory, ts: np.ndarray,
 # Most halvings one element takes
 _HALVINGS = 90
 
-# Times halved together.  Halving 10^5 times at once keeps some twenty
-# full-length temporaries alive at its peak; in blocks they stay in
-# cache and out of the resident set.
-_HALVING_BLOCK = 16384
-
 # Newton steps from t - gamma(beta(t)) before the enclosure is tested:
 # on the mode-kick run the start is off by ~1e-6 and the two steps after
 # it by ~1e-13 and ~4e-16; the third serves starts further off, as on
@@ -242,11 +239,6 @@ def _halve(traj: Trajectory, lo, hi, a, b, i, ts, x_t) -> np.ndarray:
     return out
 
 
-def _solve_block(traj: Trajectory, lo, hi, ts, x_t, beta) -> np.ndarray:
-    a, b, i = _enclose(traj, lo, hi, ts, x_t, beta)
-    return _halve(traj, lo, hi, a, b, i, ts, x_t)
-
-
 def _lightcone(traj: Trajectory, ts: np.ndarray):
     """The light-cone solve of the flat times ts: t_r, x(t), x(t_r) and
     the knot interval of t_r, the last two as position() and
@@ -257,12 +249,9 @@ def _lightcone(traj: Trajectory, ts: np.ndarray):
     if np.any(hi < traj.t0 - 1e-12):
         raise HistoryTooShortError("history too short for some times")
     lo = _reach_back(traj, ts, x_t)
-    blocks = [slice(a, a + _HALVING_BLOCK)
-              for a in range(0, ts.size, _HALVING_BLOCK)]
-    s = np.concatenate([
-        _solve_block(traj, lo[k], hi[k], ts[k], x_t[k],
-                     cubic_value(*traj.velocity_cubics(i_t[k]), tc[k]))
-        for k in blocks])
+    a, b, i = _enclose(traj, lo, hi, ts, x_t,
+                       cubic_value(*traj.velocity_cubics(i_t), tc))
+    s = _halve(traj, lo, hi, a, b, i, ts, x_t)
     i_r = traj.interval(s)
     x_r = cubic_value(*traj.position_cubics(i_r), s)
     if np.max(np.abs(_gap(ts, x_t, s, x_r))) > 1e-10:
@@ -321,8 +310,8 @@ def solve_retarded_time_many(traj: Trajectory, ts: np.ndarray) -> np.ndarray:
     tested end strictly inside and spans more than one float.  Only
     halvings that evaluate g are tested for a stop.  g reads the cubic
     of the element's last evaluated knot interval, looked up afresh only
-    where mid has left it, and everything runs on _HALVING_BLOCK times
-    at a time.
+    where mid has left it.  All of ts is solved in one pass; the CLI
+    streams its residual audit in row blocks.
     """
     ts = np.asarray(ts, dtype=float)
     if ts.size == 0:

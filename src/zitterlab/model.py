@@ -170,25 +170,30 @@ def parse_constants_file(path: str) -> PhysicalConstants:
     """Read a flat `key = value` constants file.
 
     Keys outside CONFIG_KEYS are an error, as is any value Decimal
-    refuses to parse.  Blank lines and `#` comments are skipped.
+    refuses to parse or float refuses to take, and any text that is not
+    UTF-8.  Blank lines and `#` comments are skipped.
     """
     values: dict[str, float] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConstantsError(f"{path}:{lineno}: expected `key = value`, got {raw.rstrip()!r}")
-            key, _, text = line.partition("=")
-            key = key.strip()
-            text = text.strip()
-            if key not in CONFIG_KEYS:
-                raise ConstantsError(f"{path}:{lineno}: unknown key {key!r} (allowed: {', '.join(CONFIG_KEYS)})")
-            if key in values:
-                raise ConstantsError(f"{path}:{lineno}: duplicate key {key!r}")
-            try:
-                values[key] = float(Decimal(text))
-            except InvalidOperation as exc:
-                raise ConstantsError(f"{path}:{lineno}: bad numeric value {text!r}") from exc
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConstantsError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConstantsError(f"{path}:{lineno}: expected `key = value`, got {raw.rstrip()!r}")
+        key, _, text = line.partition("=")
+        key = key.strip()
+        text = text.strip()
+        if key not in CONFIG_KEYS:
+            raise ConstantsError(f"{path}:{lineno}: unknown key {key!r} (allowed: {', '.join(CONFIG_KEYS)})")
+        if key in values:
+            raise ConstantsError(f"{path}:{lineno}: duplicate key {key!r}")
+        try:
+            values[key] = float(Decimal(text))
+        except (InvalidOperation, ValueError) as exc:
+            raise ConstantsError(f"{path}:{lineno}: bad numeric value {text!r}") from exc
     return PhysicalConstants(**values)

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -11,13 +13,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import zitterlab
 from zitterlab import cli
 from zitterlab import potential as potmod
 from zitterlab.cli import main
 from zitterlab.dynamics import propagate_filtered
-from zitterlab.model import _fmt
+from zitterlab.model import (
+    CONFIG_KEYS,
+    ConstantsError,
+    PhysicalConstants,
+    _fmt,
+    parse_constants_file,
+)
 from zitterlab.report import REGISTRY, render_report, run_report
 from zitterlab.roots import CharEq, Region, dominant_real_root, find_roots
 from zitterlab.trajectory import SeedHistory
@@ -333,25 +343,37 @@ def _rowwise_trajectory_csv(traj, res):
 
 @pytest.fixture(scope="module")
 def uniform_run():
-    traj = propagate_filtered(SeedHistory.uniform_motion(0.4), 10.0,
+    return propagate_filtered(SeedHistory.uniform_motion(0.4), 10.0,
                               partial=True)
-    assert traj.t.size > 2 * cli._CSV_BLOCK
-    return traj
 
 
-def test_trajectory_csv_matches_rowwise_fmt(uniform_run):
-    res = cli._residual_column(uniform_run)
+def _trajectory_csv(capsys, traj):
+    cli._write_trajectory_csv("-", traj)
+    out, err = capsys.readouterr()
+    assert err == ""
+    return out
+
+
+def test_trajectory_csv_matches_rowwise_fmt(uniform_run, capsys, monkeypatch):
+    # several row blocks and a short last one print the same bytes as a
+    # single block, the residual audit's light-cone solve included
+    res = cli._residuals(uniform_run, slice(None))
     assert np.isnan(res[0]) and np.isfinite(res[-1])
-    _assert_same_text(cli._trajectory_csv(uniform_run),
-                      _rowwise_trajectory_csv(uniform_run, res))
+    want = _rowwise_trajectory_csv(uniform_run, res)
+    n = uniform_run.t.size
+    assert n > 2 * 4096 and n % 1000 and n % 4096 and n <= cli._CSV_BLOCK
+    for block in (1000, 4096, cli._CSV_BLOCK):
+        monkeypatch.setattr(cli, "_CSV_BLOCK", block)
+        _assert_same_text(_trajectory_csv(capsys, uniform_run), want)
 
 
-def test_trajectory_csv_special_residuals(uniform_run, monkeypatch):
+def test_trajectory_csv_special_residuals(uniform_run, capsys, monkeypatch):
     special = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308,
                -1e308, 0.1, -2.5e-300]
     res = np.resize(np.array(special), uniform_run.t.size)
-    monkeypatch.setattr(cli, "_residual_column", lambda traj: res)
-    text = cli._trajectory_csv(uniform_run)
+    monkeypatch.setattr(cli, "_CSV_BLOCK", 4096)
+    monkeypatch.setattr(cli, "_residuals", lambda traj, k: res[k])
+    text = _trajectory_csv(capsys, uniform_run)
     _assert_same_text(text, _rowwise_trajectory_csv(uniform_run, res))
     cells = [line.rsplit(",", 1)[1] for line in text.splitlines()[1:10]]
     assert cells == ["nan", "nan", "nan", "-0", "4.9406564584124654e-324",
@@ -448,6 +470,9 @@ _PINNED_SIMULATE = [
      "3d6e876755852c374e24425f12d30a8d7d511f1a6b278b8e40a1327ce89af420"),
     (["--tend", "12"], 1,
      "9fc53f4ccda917c513a124d6dd324cf9266e1ab3ee2eca69cda5e11166fcaedf"),
+    # 103,001 rows, seven row blocks, as the whole-file writer printed it
+    (["--seed", "uniform", "--beta", "0.3", "--tend", "100"], 0,
+     "4a0bc8fbccee273d7da9127bdf25bba83ee664afac0f0cce08953c22b4a718c6"),
 ]
 
 
@@ -523,6 +548,82 @@ def test_constants_env_var(tmp_path, capsys, monkeypatch):
     code, _, err = _run(capsys, "series-verify")
     assert code == 1
     assert "unknown key" in err
+
+
+def test_constants_file_not_utf8_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "bad.txt"
+    cfg.write_bytes(b"c = 3e8\n\xff\n")
+    assert _run(capsys, "--constants", str(cfg), "series-verify") == \
+        (1, "", f"zitterlab: {cfg}: not UTF-8 text (invalid start byte)\n")
+
+
+# constants files: raw bytes, or lines of a known or unknown key and a
+# value that may be no number, no float or out of range
+_CONSTANTS_LINES = st.one_of(
+    st.binary(max_size=24),
+    st.builds("{} = {}{}".format,
+              st.sampled_from(CONFIG_KEYS + ("d", "")),
+              st.one_of(st.floats().map(repr), st.text(max_size=8),
+                        st.sampled_from(["sNaN", "-Infinity", "1e99999999999",
+                                         "9.1093837015e-31"])),
+              st.sampled_from(["", " # note", "\r"])).map(str.encode))
+_CONSTANTS_FILES = st.lists(_CONSTANTS_LINES, max_size=6).map(b"\n".join)
+
+
+@pytest.fixture(scope="module")
+def constants_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("constants") / "c.cfg"
+
+
+@settings(max_examples=300, deadline=None)
+@given(blob=_CONSTANTS_FILES)
+def test_parse_constants_file_accepts_or_refuses(constants_path, blob):
+    constants_path.write_bytes(blob)
+    try:
+        assert isinstance(parse_constants_file(str(constants_path)),
+                          PhysicalConstants)
+    except ConstantsError:
+        pass
+
+
+@settings(max_examples=60, deadline=None)
+@given(blob=_CONSTANTS_FILES)
+def test_constants_file_exit_codes(constants_path, blob):
+    # any file: exit 0 and a quiet stderr, or exit 1 and one line
+    constants_path.write_bytes(blob)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["--constants", str(constants_path), "series-verify"])
+    err = err.getvalue()
+    assert (code, err) == (0, "") or (
+        code == 1 and err.startswith("zitterlab: ")
+        and err.endswith("\n") and err.count("\n") == 1)
+
+
+@pytest.mark.filterwarnings("ignore:series in y diverges:RuntimeWarning")
+@pytest.mark.parametrize("argv", [
+    ["potential", "--betadot", "1e200"],
+    ["potential", "--beta", "0.9", "--betadot", "5", "--series", "120"],
+], ids=" ".join)
+def test_float_overflow_exits_one(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("zitterlab: OverflowError: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_out_of_memory_exits_one(tmp_path, capsys, monkeypatch):
+    # stands in for the 13.1 TiB of a 100-unit march at dt = 1e-12,
+    # which no test allocates
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 13.1 TiB for an array")
+    monkeypatch.setattr(cli, "propagate_filtered", refuse)
+    path = tmp_path / "run.csv"
+    assert _run(capsys, "simulate", "--tend", "100", "--dt", "1e-12",
+                "--out", str(path)) == \
+        (1, "", "zitterlab: MemoryError: Unable to allocate 13.1 TiB for "
+                "an array\n")
+    assert not path.exists()
 
 
 def _fresh_python(code, *args):

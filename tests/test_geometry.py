@@ -248,18 +248,6 @@ def test_vector_solver_bit_identical_to_fixed_bisection(run, request):
         assert not np.array_equal(_fixed_bisection(traj, ts, 89), want)
 
 
-@pytest.mark.parametrize("block", [1000, 4096])
-def test_vector_solver_blocks_leave_no_trace(block, filtered_uniform_run,
-                                             monkeypatch):
-    # several halving blocks and a short last one give the one-pass bits
-    ts = _lightcone_times(filtered_uniform_run)
-    assert ts.size > 2 * block and ts.size % block
-    want = _fixed_bisection(filtered_uniform_run, ts)
-    monkeypatch.setattr(geometry, "_HALVING_BLOCK", block)
-    assert np.array_equal(solve_retarded_time_many(filtered_uniform_run, ts),
-                          want)
-
-
 def _smooth_traj(t_end, drift, wiggle, omega, kick, h, jitter, seed):
     # x = drift t + a sin(omega t) + k exp(-((t - t_k) / w)^2) on knots
     # of spacing h (jittered by up to a third of h), with exact beta and
