@@ -106,11 +106,18 @@ def _pair_arg(text: str) -> tuple[float, float]:
         raise argparse.ArgumentTypeError(f"bad range {text!r}") from exc
     if not a < b:
         raise argparse.ArgumentTypeError(f"empty range {text!r}")
+    if not math.isfinite(b - a):
+        raise argparse.ArgumentTypeError(
+            f"range must have finite ends and width, got {text!r}")
     return a, b
 
 
-def _open_out(path: str):
-    return (contextlib.nullcontext(sys.stdout) if path == "-" else
+def _open_out(path: str, binary: bool = False):
+    """The file at path for writing, or stdout when path is '-'."""
+    if path == "-":
+        return contextlib.nullcontext(sys.stdout.buffer if binary else
+                                      sys.stdout)
+    return (open(path, "wb") if binary else
             open(path, "w", encoding="utf-8", newline=""))
 
 
@@ -166,7 +173,8 @@ def cmd_roots(args, _constants) -> int:
 def cmd_render(args, _constants) -> int:
     from .roots import CharEq, render_domain_coloring, write_ppm
     image = render_domain_coloring(CharEq(), args.region, args.size)
-    write_ppm(args.out, image)
+    with _open_out(args.out, binary=True) as fh:
+        write_ppm(fh, image)
     return 0
 
 
@@ -301,9 +309,11 @@ def cmd_potential(args, constants) -> int:
     if args.duffing:
         import numpy as np
         a, b = args.range
-        xs = np.linspace(a, b, args.samples)
-        # a power past the float range is printed as null, not warned about
+        # a power past the float range is printed as null, not warned
+        # about; so is the last sample's step product, which linspace
+        # then replaces with b
         with np.errstate(over="ignore", invalid="ignore"):
+            xs = np.linspace(a, b, args.samples)
             _write_csv(args.out, "x,Qc,force", xs.size, lambda k: [
                 xs[k], potmod.duffing_potential(xs[k]),
                 potmod.duffing_force(xs[k])], "null")
@@ -379,7 +389,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--region", type=_region_arg, default="-1,3,-15,15")
     p.add_argument("--size", type=_size_arg, default="640x480",
                    help="image size WxH")
-    p.add_argument("--out", required=True, help="PPM output path")
+    p.add_argument("--out", required=True,
+                   help="PPM output path ('-' = stdout)")
     p.set_defaults(func=cmd_render)
     _allow_negative_tuples(p)
 

@@ -16,8 +16,11 @@ Both run on one march core, _march, in the breaking-point view of
 state-dependent delay equations (Bellen & Zennaro 2003, Numerical
 Methods for Delay Differential Equations, ch. 4): each pass re-emits
 settled states, whose arrivals settle the stretch one delay ahead.
-Only the recovery step that turns arrivals into the next emitters'
-(beta, beta_dot) differs: _ExactRecovery or _FilteredRecovery.
+The core owns the seed pass, the arrival checks and the output rows up
+to t = 0.  Only the recovery step that turns arrivals into the next
+emitters' (beta, beta_dot) differs, _ExactRecovery or
+_FilteredRecovery, and it meets the core in seven members: pad,
+start, emitters, absorb, done, output and settled (see _march).
 
 integrate_truncated runs the jerk ODE obtained by keeping only the
 leading terms of the small-separation expansion,
@@ -88,6 +91,8 @@ from .trajectory import (SeedHistory, SuperluminalError, Trajectory,
 
 # emitters re-emitted per pass of the march
 _BLOCK = 8192
+# reach in points of the five-knot recovery stencil, _fd5 and pchip
+_HALF = 2
 
 
 class ArrivalOrderError(RuntimeError):
@@ -161,14 +166,16 @@ def _march(seed: SeedHistory, t_end: float, grid: float, recovery,
            partial: bool, metadata: dict) -> Trajectory:
     """The emitter-map march both instruments share.
 
-    recovery(seed, t_end, grid) checks the instrument's own parameters
-    and returns its recovery step: half is its stencils' reach in points,
-    start() takes the seed pass, recover() advances on the arrivals so
-    far (False when nothing is new), emitters() hands out ready emitter
-    states, absorb() takes their arrivals, done() says the output is
-    covered, output() assembles (u, beta, beta_dot) rows and, under
-    partial=True only, settled() gives the last row a cut-short march
-    still supports.
+    The core samples the seed history onto the output grid, emits from
+    it, writes it as the output rows up to t = 0 and checks every
+    arrival.  recovery(seed, t_end, grid) checks the instrument's own
+    parameters and returns the step that differs: pad extra grid rows
+    past t_end, start() takes the seed pass, emitters() hands out ready
+    emitter states, absorb() takes their arrivals (start and absorb both
+    end by recovering what the arrivals settle), done() says the output
+    is covered, output() fills the (u, beta, beta_dot) rows after t = 0
+    and, under partial=True only, settled() gives the last row a
+    cut-short march still supports.
     """
     if not (t_end > 0 and math.isfinite(t_end)):
         raise ValueError(f"t_end must be positive and finite, got {t_end!r}")
@@ -201,8 +208,6 @@ def _march(seed: SeedHistory, t_end: float, grid: float, recovery,
     aborted: Exception | None = None
     try:
         while not rec.done():
-            if rec.recover():
-                continue
             t, u, b, a = rec.emitters(_BLOCK)
             if t.size == 0:
                 raise RuntimeError("marching starved: no recovered emitters "
@@ -210,13 +215,13 @@ def _march(seed: SeedHistory, t_end: float, grid: float, recovery,
             t_a, u_a = _emit(t, u, b, a, drift)
             # Past the end of the output grid, arrivals serve only the
             # stencils of its last rows: keep the first one there and
-            # the 2 * half after it.  Later ones come from knots t_end
+            # the 2 * _HALF after it.  Later ones come from knots t_end
             # never needs, whose ultraviolet-fouled states can fold the
             # arrival order; so how far one pass reaches (_BLOCK)
             # cannot decide the run.
             past = np.flatnonzero(t_a >= t_grid[-1])
             if past.size:
-                keep = past[0] + 2 * rec.half + 1
+                keep = past[0] + 2 * _HALF + 1
                 t_a, u_a = t_a[:keep], u_a[:keep]
             if t_a[0] <= last_arrival or np.any(np.diff(t_a) <= 0.0):
                 raise ArrivalOrderError("non-monotone arrival times; the run "
@@ -234,24 +239,22 @@ def _march(seed: SeedHistory, t_end: float, grid: float, recovery,
         if last <= k0 + 4:
             raise aborted
     t_out = t_grid[:last + 1]
-    u_out, b_out, a_out = rec.output(t_out)
+    # one block holds the output rows (x in place of u once it is known)
+    rows = np.empty((3, last + 1))
+    rows[:, :k0 + 1] = s_u, s_b, s_a
+    rec.output(t_out[k0 + 1:], rows[:, k0 + 1:])
     # The marching check sees beta where it is recovered only; a run
     # whose coverage outpaces its emissions can finish with a
     # superluminal tail it never emitted from.  Trim on the assembled
     # output, nan included, whatever ended the march.
-    bad = np.flatnonzero(~(np.abs(b_out) < 1.0))
+    bad = np.flatnonzero(~(np.abs(rows[1]) < 1.0))
     if bad.size:
-        exc = SuperluminalError("recovered |beta| >= 1 in the "
-                                "assembled output")
-        if not partial:
-            raise exc
+        aborted = aborted or SuperluminalError("recovered |beta| >= 1 in "
+                                               "the assembled output")
         cut = int(bad[0])
-        if cut <= k0 + 4:
-            raise aborted or exc
-        t_out, u_out = t_out[:cut], u_out[:cut]
-        b_out, a_out = b_out[:cut], a_out[:cut]
-        if aborted is None:
-            aborted = exc
+        if not partial or cut <= k0 + 4:
+            raise aborted
+        t_out, rows = t_out[:cut], rows[:, :cut]
 
     metadata = {**metadata, "drift": drift, "seed": seed.describe(),
                 "t_start": 0.0}
@@ -259,8 +262,8 @@ def _march(seed: SeedHistory, t_end: float, grid: float, recovery,
         metadata["aborted"] = type(aborted).__name__
         metadata["abort_reason"] = str(aborted)
         metadata["t_reached"] = float(t_out[-1])
-    x_out = u_out + drift * t_out
-    return Trajectory(t_out, x_out, b_out, a_out, metadata=metadata)
+    rows[0] += drift * t_out
+    return Trajectory(t_out, *rows, metadata=metadata)
 
 
 class _ExactRecovery:
@@ -269,7 +272,6 @@ class _ExactRecovery:
     quartic through its centered five-knot stencil; monotone cubic
     (PCHIP) interpolation resamples the knots onto the output grid."""
 
-    half = 2                   # recovery on five-knot stencils
     pad = 0
 
     def __init__(self, seed: SeedHistory, t_end: float, grid: float):
@@ -281,21 +283,19 @@ class _ExactRecovery:
         # clear the last ghost knot by half a step: a near-duplicate node
         # pair would inflate the recovery weights across the history seam
         keep = t_a > 0.5 * self.grid
-        if np.count_nonzero(keep) < 2 * self.half + 1:
+        if np.count_nonzero(keep) < 2 * _HALF + 1:
             raise ArrivalOrderError("seed emissions gave non-monotone arrivals")
-        self.k0 = s_u.size - 1
-        self.seed_rows = s_u[:-1], s_b[:-1], s_a[:-1]
+        k0 = s_u.size - 1
         # t_grid.size + k0 rows span t_end plus twice the seed span
-        self.knots = np.empty((4, int((t_grid.size + self.k0) * 1.3) + 64))
-        self.n = 0
+        self.knots = np.empty((4, int((t_grid.size + k0) * 1.3) + 64))
         # ghost prefix: trailing seed knots give early stencils a past
-        n_ghost = 2 * self.half
-        self.absorb(t_grid[self.k0 + 1 - n_ghost:self.k0 + 1],
-                    s_u[-n_ghost:])
-        self.knots[2:, :n_ghost] = s_b[-n_ghost:], s_a[-n_ghost:]
-        self.absorb(t_a[keep], u_a[keep])
+        n_ghost = 2 * _HALF
+        self.knots[:, :n_ghost] = [c[k0 + 1 - n_ghost:k0 + 1]
+                                   for c in (t_grid, s_u, s_b, s_a)]
+        self.n = n_ghost           # knots held
         self.n_ready = n_ghost     # knots with recovered (beta, beta_dot)
         self.n_emit = n_ghost      # next knot to use as an emitter
+        self.absorb(t_a[keep], u_a[keep])
 
     def absorb(self, t, u):
         m = t.size
@@ -308,6 +308,19 @@ class _ExactRecovery:
         self.knots[1, s] = u
         self.knots[2:, s] = np.nan
         self.n += m
+        # recover every knot whose stencil the arrivals now complete
+        lo, hi = self.n_ready, self.n - _HALF
+        if hi <= lo:
+            return
+        kt, ku = self.knots[0], self.knots[1]
+        idx = np.arange(lo, hi)
+        stenc = idx[:, None] + np.arange(-_HALF, _HALF + 1)[None, :]
+        w = _fd_weights_batch(kt[stenc], kt[idx])
+        us = ku[stenc]
+        du = np.einsum("bk,bk->b", w[:, 1, :], us)
+        self.knots[3, lo:hi] = np.einsum("bk,bk->b", w[:, 2, :], us)
+        self.knots[2, lo:hi] = _velocity(self.drift, du)
+        self.n_ready = hi
 
     def done(self) -> bool:
         # Emit only until the recovered knots cover t_end.  Marching any
@@ -315,40 +328,21 @@ class _ExactRecovery:
         # arrival times beyond the requested horizon for nothing.
         return self.knots[0, self.n_ready - 1] >= self.t_end
 
-    def recover(self) -> bool:
-        lo, hi = self.n_ready, self.n - self.half
-        if hi <= lo:
-            return False
-        kt, ku = self.knots[0], self.knots[1]
-        idx = np.arange(lo, hi)
-        stenc = idx[:, None] + np.arange(-self.half, self.half + 1)[None, :]
-        w = _fd_weights_batch(kt[stenc], kt[idx])
-        us = ku[stenc]
-        du = np.einsum("bk,bk->b", w[:, 1, :], us)
-        self.knots[3, lo:hi] = np.einsum("bk,bk->b", w[:, 2, :], us)
-        self.knots[2, lo:hi] = _velocity(self.drift, du)
-        self.n_ready = hi
-        return True
-
     def emitters(self, block: int):
         lo = self.n_emit
         self.n_emit = min(self.n_ready, lo + block)
         return self.knots[:, lo:self.n_emit]
 
-    def output(self, t_out):
-        k0 = self.k0
-        kt, ku, kb, ka = self.knots[:, :self.n_ready]
-        fwd = t_out[k0:]
-        return tuple(np.concatenate([hist, pchip(kt, k)(fwd)])
-                     for hist, k in zip(self.seed_rows, (ku, kb, ka)))
+    def output(self, t_fwd, rows):
+        kt = self.knots[0, :self.n_ready]
+        for row, k in zip(rows, self.knots[1:, :self.n_ready]):
+            row[:] = pchip(kt, k)(t_fwd)
 
 
 class _FilteredRecovery:
     """Arrivals carried onto the uniform grid by PCHIP (raw channel),
     smoothed with _filter_kernel once the kernel's reach is covered,
     and differentiated by _fd5 at each emitter."""
-
-    half = 2                   # _fd5 and pchip reach two points aside
 
     def __init__(self, seed: SeedHistory, t_end: float, grid: float, *,
                  sigma: float, kernel_span: float):
@@ -377,21 +371,20 @@ class _FilteredRecovery:
         self.u_raw = np.full(t_grid.size, np.nan)
         self.u_s = np.full(t_grid.size, np.nan)
         self.u_raw[:k0 + 1] = s_u
-        self.seed_rows = s_b, s_a
         # the smoothed channel covers the seed region too (filled by the
         # first pass), so no stencil ever straddles a raw/filtered
         # amplitude seam; only the kernel-sized left edge stays raw, and
         # emissions from there land before t = 0 and are discarded
         self.u_s[:half_k] = s_u[:half_k]
         self.cov = k0              # last grid index with raw coverage
-        # a few trailing arrivals are carried into the next interpolation
-        # so block boundaries do not degrade the pchip edge
-        self.tail_t = self.tail_u = np.empty(0)
-        self.absorb(t_a, u_a)
         self.smo = half_k - 1      # last smoothed index
         self.e_ptr = k0 + 1        # next emitter index
         # smoothed coverage for the output stencils
         self.need = t_grid.size - self.pad + 1
+        # a few trailing arrivals are carried into the next interpolation
+        # so block boundaries do not degrade the pchip edge
+        self.tail_t = self.tail_u = np.empty(0)
+        self.absorb(t_a, u_a)
 
     def absorb(self, t_a, u_a):
         at = np.concatenate([self.tail_t, t_a])
@@ -404,20 +397,17 @@ class _FilteredRecovery:
             self.u_raw[cov + 1:hi + 1] = pchip(at, au)(t[cov + 1:hi + 1])
             self.cov = hi
         self.tail_t, self.tail_u = at[-6:], au[-6:]
+        # smooth every row whose kernel the raw channel now covers
+        half_k, lo = self.half_k, self.smo + 1
+        new_smo = self.cov - half_k
+        if new_smo >= lo:
+            self.u_s[lo:new_smo + 1] = np.convolve(
+                self.u_raw[lo - half_k:new_smo + half_k + 1], self.w,
+                mode="valid")
+            self.smo = new_smo
 
     def done(self) -> bool:
         return self.smo >= self.need
-
-    def recover(self) -> bool:
-        half_k = self.half_k
-        new_smo = self.cov - half_k
-        if new_smo <= self.smo:
-            return False
-        lo = self.smo + 1
-        self.u_s[lo:new_smo + 1] = np.convolve(
-            self.u_raw[lo - half_k:new_smo + half_k + 1], self.w, mode="valid")
-        self.smo = new_smo
-        return True
 
     def emitters(self, block: int):
         i = np.arange(self.e_ptr, min(self.smo - 1, self.e_ptr + block))
@@ -428,14 +418,10 @@ class _FilteredRecovery:
     def settled(self) -> int:
         return self.smo - 3        # output stencils need u_s[last + 2]
 
-    def output(self, t_out):
-        k0, last = self.k0, t_out.size - 1
-        u_out = self.u_s[:last + 1].copy()
-        u_out[:k0 + 1] = self.u_raw[:k0 + 1]  # history stays as prescribed
-        du, d2u = _fd5(self.u_s, np.arange(k0 + 1, last + 1), self.grid)
-        s_b, s_a = self.seed_rows
-        return u_out, np.concatenate([s_b, self.drift + du]), \
-            np.concatenate([s_a, d2u])
+    def output(self, t_fwd, rows):
+        lo, hi = self.k0 + 1, self.k0 + 1 + t_fwd.size
+        du, d2u = _fd5(self.u_s, np.arange(lo, hi), self.grid)
+        rows[0], rows[1], rows[2] = self.u_s[lo:hi], self.drift + du, d2u
 
 
 def _filter_kernel(grid: float, sigma: float,

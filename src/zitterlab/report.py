@@ -107,13 +107,13 @@ def _check_ladder_drift_invariance():
     base = np.array(rootsmod.spectrum(0.0, 10).etas)
     spread = 0.0
     for beta in (0.3, 0.6, 0.9):
-        etas = np.array(rootsmod.spectrum(beta, 10, audit=False).etas)
+        etas = np.array(rootsmod.spectrum(beta, 10).etas)
         spread = max(spread, float(np.max(np.abs(etas - base) / base)))
     return 0.0, spread, 0.01, spread <= 0.01
 
 
 def _check_ladder_linearity():
-    sp = rootsmod.spectrum(0.0, 10, audit=False)
+    sp = rootsmod.spectrum(0.0, 10)
     miss = 1.0 - sp.r_squared
     return 0.0, miss, 1e-3, miss <= 1e-3
 

@@ -430,7 +430,7 @@ class Spectrum:
     r_squared: float
 
 
-def spectrum(beta: float, count: int = 10, audit: bool = True) -> Spectrum:
+def spectrum(beta: float, count: int = 10) -> Spectrum:
     """eta_n ladder: imaginary parts of the first `count` upper roots.
 
     The roots are those of branches 1..count of the census (see
@@ -448,10 +448,9 @@ def spectrum(beta: float, count: int = 10, audit: bool = True) -> Spectrum:
     gaps = np.diff([w.imag for w in found])
     if np.any(gaps < 3.0) or np.any(gaps > 9.5):
         raise RuntimeError("spectrum branches misordered")
-    if audit:
-        strip = Region(-3.0, max(w.real for w in found) + 3.0,
-                       0.5, found[-1].imag + math.pi)
-        _certify(eq, strip, list(upper.values()), _ORIGIN_CLEARANCE)
+    strip = Region(-3.0, max(w.real for w in found) + 3.0,
+                   0.5, found[-1].imag + math.pi)
+    _certify(eq, strip, list(upper.values()), _ORIGIN_CLEARANCE)
     etas = np.array([w.imag for w in found])
     ns = np.arange(1, count + 1, dtype=float)
     a = np.vstack([ns, np.ones_like(ns)]).T
@@ -583,11 +582,11 @@ def _hsv_to_rgb(h, s, v):
     return np.stack([v, p, q, t], axis=-1).take(pick)
 
 
-def write_ppm(path: str, image: np.ndarray) -> None:
-    """Binary PPM (P6, 8-bit, no comment lines) for byte-exact goldens."""
+def write_ppm(fh, image: np.ndarray) -> None:
+    """Binary PPM (P6, 8-bit, no comment lines) to the binary stream fh,
+    for byte-exact goldens."""
     if image.ndim != 3 or image.shape[2] != 3 or image.dtype != np.uint8:
         raise ValueError("image must be (H, W, 3) uint8")
     h, w, _ = image.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(image.tobytes())
+    fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
+    fh.write(image.tobytes())

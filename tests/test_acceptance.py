@@ -118,7 +118,7 @@ def test_criterion_02_right_half_plane():
 
 
 def test_criterion_03_spectrum_ladder():
-    spectra = {b: spectrum(b, count=10, audit=(b == 0.0))
+    spectra = {b: spectrum(b, count=10)
                for b in (0.0, 0.3, 0.6, 0.9)}
     base = np.asarray(spectra[0.0].etas)
     worst = max(float(np.max(np.abs(np.asarray(sp.etas) - base) / base))

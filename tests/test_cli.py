@@ -75,12 +75,16 @@ def test_usage_errors_exit_two(capsys):
     ["potential", "--duffing", "--samples", "-1"],
     ["potential", "--betadot", "nan"],
     ["potential", "--betadot", "inf"],
+    # an infinite end, or a width past the float range
+    ["potential", "--duffing", "--range", "0,inf", "--samples", "3"],
+    ["potential", "--duffing", "--range", "-1e308,1e308", "--samples", "3"],
 ], ids=" ".join)
 def test_potential_bad_numbers_exit_two(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert "usage:" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == "" and "usage:" in err
 
 
 def test_potential_duffing_zero_samples_prints_header(capsys):
@@ -503,6 +507,18 @@ def test_render_deterministic_ppm(tmp_path, capsys):
     assert blob == b.read_bytes()
 
 
+def test_render_out_dash_is_stdout(tmp_path, capsysbinary, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ["render", "--size", "4x3", "--out"]
+    assert main(argv + ["file.ppm"]) == 0
+    assert main(argv + ["-"]) == 0
+    out, err = capsysbinary.readouterr()
+    assert err == b""
+    assert out == (tmp_path / "file.ppm").read_bytes()
+    assert out.startswith(b"P6\n4 3\n255\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file.ppm"]
+
+
 def test_render_past_overflow_is_quiet(tmp_path, capsys):
     # |f| overflows to inf past Re ~ 709; its band is still the flat 1.0
     path = tmp_path / "x.ppm"
@@ -598,6 +614,48 @@ def test_constants_file_exit_codes(constants_path, blob):
     assert (code, err) == (0, "") or (
         code == 1 and err.startswith("zitterlab: ")
         and err.endswith("\n") and err.count("\n") == 1)
+
+
+# numbers as a user may type them: finite, huge, past the float range,
+# non-finite and not numbers at all
+_NUMBER_TEXT = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-400, 400).map("1e{}".format),
+    st.sampled_from(["0", "-0.0", "1e308", "-1.7976931348623157e308",
+                     "1e999", "-1e999", "inf", "-inf", "Infinity", "nan",
+                     "-nan", "", "1,2", "x"]))
+_POTENTIAL_ARGV = st.one_of(
+    st.builds(lambda beta, betadot, series: [
+        "potential", f"--beta={beta}", f"--betadot={betadot}",
+        f"--series={series}"],
+        _NUMBER_TEXT, _NUMBER_TEXT, st.integers(-1, 12)),
+    st.builds(lambda a, b, n: [
+        "potential", "--duffing", f"--range={a},{b}", f"--samples={n}"],
+        _NUMBER_TEXT, _NUMBER_TEXT, st.integers(-1, 50)))
+
+
+@settings(max_examples=250, deadline=None)
+@given(argv=_POTENTIAL_ARGV)
+def test_potential_argv_exit_codes(argv):
+    # any argv: exit 0, 1 with one `zitterlab:` line, or 2 with usage; an
+    # exception escaping main would be a traceback.  The one warning
+    # allowed is the series' own documented divergence notice.
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    err = err.getvalue()
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.startswith("zitterlab: ") and err.count("\n") == 1
+    elif code == 2:
+        assert err.startswith("usage: ") and out.getvalue() == ""
+    assert [str(w.message) for w in caught
+            if not str(w.message).startswith("series in y diverges")] == []
 
 
 @pytest.mark.filterwarnings("ignore:series in y diverges:RuntimeWarning")

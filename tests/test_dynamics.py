@@ -421,3 +421,26 @@ def test_exact_march_does_not_depend_on_block(case, monkeypatch):
         monkeypatch.setattr(dynamics, "_BLOCK", block)
         traj = propagate_exact(SeedHistory.mode_kick(beta, 1e-6), t_end, grid)
         assert _run_digest(traj) == BLOCK_CASES[case], block
+
+
+# Filtered runs that finish at t_end; the same digests with every block.
+FILTERED_BLOCK_CASES = {
+    "uniform-kick": (
+        lambda: SeedHistory.uniform_kick(0.3, 1e-4), 6.0, 1e-3,
+        "caa46dd8191b2ef9466f207effdd7516498454b5e02e99c8f69173f99e192975"),
+    "rest-kick": (
+        lambda: SeedHistory.rest_kick(1e-6), 9.0, 1e-3,
+        "20ef036f2ef22aa03efe12aaa4f3ccfb8a4644c9c6f668ad554e199b6d30cd60"),
+    "mode-kick": (
+        lambda: SeedHistory.mode_kick(0.5, 1e-6), 4.0, 5e-4,
+        "19f974a30a64a8306a887ea9b2cb941f52e5e1d10feec7c7cbba262b48244c42"),
+}
+
+
+@pytest.mark.parametrize("case", FILTERED_BLOCK_CASES)
+def test_filtered_march_does_not_depend_on_block(case, monkeypatch):
+    seed, t_end, grid, digest = FILTERED_BLOCK_CASES[case]
+    for block in (512, 2048, 8192):
+        monkeypatch.setattr(dynamics, "_BLOCK", block)
+        traj = propagate_filtered(seed(), t_end, grid, partial=True)
+        assert _run_digest(traj) == digest, block

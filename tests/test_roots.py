@@ -152,9 +152,9 @@ def test_spectrum_ladder_frozen_values():
 
 
 def test_spectrum_is_beta_independent():
-    base = spectrum(0.0, count=6, audit=False)
+    base = spectrum(0.0, count=6)
     for beta in (0.3, 0.6, 0.9):
-        sp = spectrum(beta, count=6, audit=False)
+        sp = spectrum(beta, count=6)
         assert np.allclose(sp.etas, base.etas, rtol=0, atol=1e-12)
 
 
@@ -164,13 +164,12 @@ def test_spectrum_audit_is_the_census_certificate(monkeypatch):
                         lambda eq, region: 11)
     with pytest.raises(RuntimeError, match="argument principle counts 11"):
         spectrum(0.0, count=10)
-    assert len(spectrum(0.0, count=10, audit=False).etas) == 10
 
 
 def test_spectrum_real_parts_grow():
     # branch n sits near Re z = ln(eta_n^2 + 2): the instability rate
     # of the oscillatory tower increases with frequency
-    sp = spectrum(0.0, count=8, audit=False)
+    sp = spectrum(0.0, count=8)
     xs = [z.real for z in sp.roots]
     assert all(b > a for a, b in zip(xs, xs[1:]))
     for z in sp.roots:
@@ -325,7 +324,8 @@ def test_write_ppm_layout(tmp_path):
     img = np.zeros((2, 3, 3), dtype=np.uint8)
     img[0, 0] = (255, 0, 7)
     path = tmp_path / "img.ppm"
-    write_ppm(str(path), img)
+    with open(path, "wb") as fh:
+        write_ppm(fh, img)
     blob = path.read_bytes()
     assert blob.startswith(b"P6\n3 2\n255\n")
     assert len(blob) == 11 + 18
