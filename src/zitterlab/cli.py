@@ -221,7 +221,9 @@ def _write_trajectory_csv(path: str, traj) -> None:
         _residuals(traj, k)], "nan")
 
 
-def _simulate_report(args, traj, drift: float) -> str:
+def _simulate_report(args, traj, drift: float) -> tuple[str, str | None]:
+    """The --report records, and why the growth-rate run failed (None
+    when it did not); a failed rate run leaves the other records."""
     import numpy as np
     from .dynamics import (TooFewSamplesError, estimate_spectrum,
                            perturbed_uniform_run, sign_changes)
@@ -229,7 +231,10 @@ def _simulate_report(args, traj, drift: float) -> str:
     gamma = lorentz_gamma(drift)
     target = dominant_real_root() / gamma
     kick = args.amp if args.seed != "uniform" else 1e-6
-    rate = perturbed_uniform_run(drift, kick).rate
+    try:
+        rate, failed = perturbed_uniform_run(drift, kick).rate, None
+    except (ValueError, RuntimeError, ArithmeticError) as exc:
+        rate, failed = None, f"{type(exc).__name__}: {exc}"
 
     fwd = traj.t >= 0.0
     b = traj.beta[fwd] - drift
@@ -246,7 +251,8 @@ def _simulate_report(args, traj, drift: float) -> str:
     lines = [
         rec("growth_rate", rate, target,
             "log-envelope rate of a small kick on this drift, measured on "
-            "the exact march; target is the dominant root over gamma"),
+            "the exact march; target is the dominant root over gamma"
+            + (f" [error: {failed}]" if failed else "")),
         rec("saturation_amplitude", peak, None,
             f"peak |beta - drift| over the forward run; run {state}"),
     ]
@@ -264,7 +270,7 @@ def _simulate_report(args, traj, drift: float) -> str:
         lines.append(rec("peak_frequency", None, None,
                          "no oscillatory window to measure: the run is "
                          "monotone after the kick"))
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", failed
 
 
 # cmd_simulate calls the marches through these two module attributes, so
@@ -289,17 +295,21 @@ def cmd_simulate(args, _constants) -> int:
                                   sigma=args.sigma,
                                   kernel_span=args.kernel_span,
                                   partial=True)
+    failed = None
     if args.report:
-        _write_text("-" if args.out is None else args.out,
-                    _simulate_report(args, traj, drift))
+        text, failed = _simulate_report(args, traj, drift)
+        _write_text("-" if args.out is None else args.out, text)
     else:
         _write_trajectory_csv("traj.csv" if args.out is None else args.out,
                               traj)
     aborted = traj.metadata.get("aborted")
-    if aborted:
-        print(f"zitterlab: simulate stopped early at t = "
-              f"{traj.metadata['t_reached']:g} ({aborted}): "
-              f"{traj.metadata['abort_reason']}", file=sys.stderr)
+    notes = [f"simulate stopped early at t = {traj.metadata['t_reached']:g} "
+             f"({aborted}): {traj.metadata['abort_reason']}"
+             ] if aborted else []
+    if failed:
+        notes.append(f"the growth-rate run failed: {failed}")
+    if notes:
+        print("zitterlab: " + "; ".join(notes), file=sys.stderr)
         return 1
     return 0
 

@@ -70,10 +70,9 @@ Numerical notes on the march:
   run aborts with ArrivalOrderError rather than reordering anything.
   For a subluminal worldline the arrival map is provably monotone, so
   this abort can only ever flag numerical breakdown, not physics.
-  Arrivals past the end of the output grid are kept only as far as its
-  last rows' stencils reach, so knots the run never needs cannot abort
-  it, and the result does not depend on how many emitters one pass
-  re-emits.
+  Each pass re-emits every ready knot.  Arrivals past the end of the
+  output grid are kept only as far as its last rows' stencils reach,
+  so knots the run never needs cannot abort it.
 """
 
 from __future__ import annotations
@@ -89,10 +88,10 @@ from .model import KinematicState, lorentz_gamma
 from .trajectory import (SeedHistory, SuperluminalError, Trajectory,
                          cubic_slope, cubic_value, pchip)
 
-# emitters re-emitted per pass of the march
-_BLOCK = 8192
 # reach in points of the five-knot recovery stencil, _fd5 and pchip
 _HALF = 2
+# output grid rows a march may hold: 128 MiB per float column
+_MAX_ROWS = 2 ** 24
 
 
 class ArrivalOrderError(RuntimeError):
@@ -145,12 +144,14 @@ def _fd_weights_batch(ts: np.ndarray, t0: np.ndarray) -> np.ndarray:
 
 
 def _emit(t, u, b, a, drift):
-    """Arrival time and comoving position from emitter states."""
+    """Arrival time and comoving position from emitter states; t_a is
+    inf or nan where an acceleration overflows them."""
     g2 = 1.0 / ((1.0 - b) * (1.0 + b))
-    y = g2 ** 3 * a * a
-    r = np.sqrt(g2) * np.sqrt(1.0 + y) + g2 * g2 * b * a
-    t_a = t + r
-    u_a = u + r * (b - drift) + g2 * a
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = g2 ** 3 * a * a
+        r = np.sqrt(g2) * np.sqrt(1.0 + y) + g2 * g2 * b * a
+        t_a = t + r
+        u_a = u + r * (b - drift) + g2 * a
     return t_a, u_a
 
 
@@ -170,9 +171,9 @@ def _march(seed: SeedHistory, t_end: float, grid: float, recovery,
     it, writes it as the output rows up to t = 0 and checks every
     arrival.  recovery(seed, t_end, grid) checks the instrument's own
     parameters and returns the step that differs: pad extra grid rows
-    past t_end, start() takes the seed pass, emitters() hands out ready
-    emitter states, absorb() takes their arrivals (start and absorb both
-    end by recovering what the arrivals settle), done() says the output
+    past t_end, start() takes the seed pass, emitters() hands out every
+    ready emitter state, absorb() takes their arrivals (start and absorb
+    both end by recovering what the arrivals settle), done() says the output
     is covered, output() fills the (u, beta, beta_dot) rows after t = 0
     and, under partial=True only, settled() gives the last row a
     cut-short march still supports.
@@ -184,21 +185,28 @@ def _march(seed: SeedHistory, t_end: float, grid: float, recovery,
     if t_end < 0.5 * grid:
         raise ValueError(f"t_end {t_end!r} is shorter than half the grid "
                          f"step {grid!r}")
+    k0 = int(round(seed.span / grid))         # output row of t = 0
+    n_fwd = int(round(t_end / grid))
+    n_out = k0 + n_fwd + 1
+    # refused before anything is allocated; the recovery's pad, under its
+    # kernel's 0.95 / grid, stays below the seed rows' 3 / grid
+    if n_out > _MAX_ROWS:
+        raise ValueError(f"the output grid needs {n_out:,.9g} rows, past the "
+                         f"cap of {_MAX_ROWS:,}: {k0 + 1:,.9g} for the seed "
+                         f"span {seed.span:.6g} and {n_fwd:,.9g} for t_end "
+                         f"{t_end:.6g}, each over the grid step {grid:.6g}")
     rec = recovery(seed, t_end, grid)
     drift = seed.beta
 
     # --- seed pass: emit from the prescribed history ------------------
-    k0 = int(round(seed.span / grid))         # output row of t = 0
     s_t = np.linspace(-seed.span, 0.0, k0 + 1)
     s_u, s_v, s_a = seed.offsets(s_t)
     s_b = drift + s_v
     if np.any(np.abs(s_b) >= 1.0):
         raise SuperluminalError("seed history reaches |beta| >= 1")
     t_a, u_a = _emit(s_t, s_u, s_b, s_a, drift)
-    if np.any(np.diff(t_a) <= 0.0):
+    if not (np.all(np.diff(t_a) > 0.0) and np.isfinite(t_a[-1])):
         raise ArrivalOrderError("seed emissions gave non-monotone arrivals")
-    n_fwd = int(round(t_end / grid))
-    n_out = k0 + n_fwd + 1
     # the output grid, run on by the recovery's own pad of extra rows
     t_grid = np.concatenate([s_t[:-1], np.linspace(0.0, t_end, n_fwd + 1),
                              t_end + grid * np.arange(1, rec.pad + 1)])
@@ -208,7 +216,7 @@ def _march(seed: SeedHistory, t_end: float, grid: float, recovery,
     aborted: Exception | None = None
     try:
         while not rec.done():
-            t, u, b, a = rec.emitters(_BLOCK)
+            t, u, b, a = rec.emitters()
             if t.size == 0:
                 raise RuntimeError("marching starved: no recovered emitters "
                                    "ahead of the pointer")
@@ -217,13 +225,14 @@ def _march(seed: SeedHistory, t_end: float, grid: float, recovery,
             # stencils of its last rows: keep the first one there and
             # the 2 * _HALF after it.  Later ones come from knots t_end
             # never needs, whose ultraviolet-fouled states can fold the
-            # arrival order; so how far one pass reaches (_BLOCK)
-            # cannot decide the run.
+            # arrival order, and a pass re-emits every ready knot, so
+            # it reaches them.
             past = np.flatnonzero(t_a >= t_grid[-1])
             if past.size:
                 keep = past[0] + 2 * _HALF + 1
                 t_a, u_a = t_a[:keep], u_a[:keep]
-            if t_a[0] <= last_arrival or np.any(np.diff(t_a) <= 0.0):
+            if not (t_a[0] > last_arrival and np.all(np.diff(t_a) > 0.0)
+                    and np.isfinite(t_a[-1])):
                 raise ArrivalOrderError("non-monotone arrival times; the run "
                                         "is reported, not reordered")
             rec.absorb(t_a, u_a)
@@ -328,9 +337,8 @@ class _ExactRecovery:
         # arrival times beyond the requested horizon for nothing.
         return self.knots[0, self.n_ready - 1] >= self.t_end
 
-    def emitters(self, block: int):
-        lo = self.n_emit
-        self.n_emit = min(self.n_ready, lo + block)
+    def emitters(self):
+        lo, self.n_emit = self.n_emit, self.n_ready
         return self.knots[:, lo:self.n_emit]
 
     def output(self, t_fwd, rows):
@@ -382,7 +390,7 @@ class _FilteredRecovery:
         # smoothed coverage for the output stencils
         self.need = t_grid.size - self.pad + 1
         # a few trailing arrivals are carried into the next interpolation
-        # so block boundaries do not degrade the pchip edge
+        # so pass boundaries do not degrade the pchip edge
         self.tail_t = self.tail_u = np.empty(0)
         self.absorb(t_a, u_a)
 
@@ -409,8 +417,8 @@ class _FilteredRecovery:
     def done(self) -> bool:
         return self.smo >= self.need
 
-    def emitters(self, block: int):
-        i = np.arange(self.e_ptr, min(self.smo - 1, self.e_ptr + block))
+    def emitters(self):
+        i = np.arange(self.e_ptr, self.smo - 1)
         self.e_ptr += i.size
         du, d2u = _fd5(self.u_s, i, self.grid)
         return self.t[i], self.u_s[i], _velocity(self.drift, du), d2u

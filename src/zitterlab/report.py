@@ -190,18 +190,11 @@ def _check_uniform_invariance():
     return 0.0, worst, 1e-12, worst <= 1e-12
 
 
-def _check_rest_rate():
-    target = rootsmod.dominant_real_root()
-    rate = perturbed_uniform_run(0.0, 1e-6).rate
-    tol = 0.10 * target
-    return target, rate, tol, abs(rate - target) <= tol
-
-
-def _drift_rate(beta: float):
+def _drift_rate(beta: float, rel: float):
     gamma = model.lorentz_gamma(beta)
     target = rootsmod.dominant_real_root() / gamma
     rate = perturbed_uniform_run(beta, 1e-6).rate
-    tol = 0.15 * target
+    tol = rel * target
     return target, rate, tol, abs(rate - target) <= tol
 
 
@@ -320,13 +313,13 @@ REGISTRY: tuple[Check, ...] = (
           "uniform state", _check_uniform_invariance),
     Check("rest_growth_rate",
           "measured growth rate of a 1e-6 kick at rest against the "
-          "dominant characteristic root", _check_rest_rate),
+          "dominant characteristic root", lambda: _drift_rate(0.0, 0.10)),
     Check("drift_growth_rate_beta05",
           "measured growth rate on the beta = 0.5 drift against the "
-          "time-dilated root prediction", lambda: _drift_rate(0.5)),
+          "time-dilated root prediction", lambda: _drift_rate(0.5, 0.15)),
     Check("drift_growth_rate_beta09",
           "measured growth rate on the beta = 0.9 drift against the "
-          "time-dilated root prediction", lambda: _drift_rate(0.9)),
+          "time-dilated root prediction", lambda: _drift_rate(0.9, 0.15)),
     Check("truncated_growth_rate",
           "early growth rate of the truncated third-order model "
           "(must be 3, not the full-equation 1.79)", _check_truncated_rate),

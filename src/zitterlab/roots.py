@@ -82,9 +82,9 @@ _SIMPLE_CLEARANCE = 1e-9
 # e^z turns the phase by 1 rad per unit of Im z; steps of at most 0.5
 # keep the walk from wrapping a full turn into a small jump.
 _WALK_STEP = 0.5
-# Segments the winding walk pops before it gives up.  It pops each first
-# step once, so find_roots refuses a region whose edges need this many
-# (a perimeter of about 100,000) before it enumerates a branch.
+# Segments the winding walk takes before it gives up.  It takes each
+# first step once, so find_roots refuses a region whose edges need this
+# many (a perimeter of about 100,000) before it enumerates a branch.
 _WALK_BUDGET = 200000
 
 # Re z beyond which evaluation switches to the rescaled form
@@ -237,11 +237,12 @@ def _census(eq: CharEq, ks) -> list[tuple[int, Root]]:
 def _upper_branches(eq: CharEq, ks) -> dict[int, Root]:
     """{k: the root of branch k} for each k >= 1 in ks.
 
-    From x = ln(y^2 + 2), y = 2 pi k + 2.2, a fixed number of steps of
-    z <- Log(z^2 + z + 1) + 2 pi i k and of Newton on the rescaled f run
-    on all branches at once; _polish finishes each.  A branch whose
-    residual reaches max(RESIDUAL_TARGET, 4 eps |z|), or whose root
-    leaves its band |Im z - 2 pi k| <= pi, raises.
+    From x = ln(y^2 + 2), y = 2 pi k + 2.2, all branches at once take a
+    fixed number of steps of z <- Log(z^2 + z + 1) + 2 pi i k and of
+    _newton_step, then up to 8 more Newton steps, each branch until its
+    first that does not lower the residual.  A branch whose residual
+    reaches max(RESIDUAL_TARGET, 4 eps |z|), or whose root leaves its
+    band |Im z - 2 pi k| <= pi, raises.
     """
     ks = sorted(ks)
     k = np.array(ks, dtype=float)
@@ -251,21 +252,33 @@ def _upper_branches(eq: CharEq, ks) -> dict[int, Root]:
         for _ in range(_FIXED_POINT_STEPS):
             z = np.log(z * z + z + 1.0) + 1j * _TWO_PI * k
         for _ in range(_NEWTON_STEPS):
-            x = np.maximum(z.real, 0.0)
-            z = z - eq.scaled_value(z) / (
-                (2.0 * z + 1.0) * np.exp(-x) - np.exp(z - x))
+            z = _newton_step(eq, z)
         res = eq.residual(z)
-    roots = {n: _polish(eq, complex(w), float(r))
-             for n, w, r in zip(ks, z, res)}
+        live = np.ones(z.shape, dtype=bool)
+        for _ in range(8):
+            znew = _newton_step(eq, z)
+            rnew = eq.residual(znew)
+            # as `not rnew >= res`: any finite residual beats a nan one
+            live &= np.isfinite(rnew) & ~(rnew >= res)
+            if not live.any():
+                break
+            z, res = np.where(live, znew, z), np.where(live, rnew, res)
     eps = np.finfo(float).eps
-    bad = [n for n, r in roots.items() if not (
-        r.residual < max(RESIDUAL_TARGET, 4.0 * eps * abs(r.value))
-        and abs(r.value.imag - _TWO_PI * n) <= math.pi + 1e-9)]
+    good = (res < np.maximum(RESIDUAL_TARGET, 4.0 * eps * np.abs(z))) & (
+        np.abs(z.imag - _TWO_PI * k) <= math.pi + 1e-9)
+    bad = [ks[i] for i in np.flatnonzero(~good)]
     if bad:
         first = ", ".join(map(str, bad[:5])) + (", ..." if bad[5:] else "")
         raise RuntimeError(f"{len(bad)} branches ({first}) found no root "
                            f"in their band")
-    return roots
+    return {n: Root(complex(w), float(r)) for n, w, r in zip(ks, z, res)}
+
+
+def _newton_step(eq: CharEq, z: np.ndarray) -> np.ndarray:
+    """One Newton step on the rescaled f at every z."""
+    x = np.maximum(z.real, 0.0)
+    return z - eq.scaled_value(z) / (
+        (2.0 * z + 1.0) * np.exp(-x) - np.exp(z - x))
 
 
 def _edge_steps(length: float) -> int:
@@ -304,29 +317,13 @@ def _certify(eq: CharEq, region: Region, roots: list[Root],
                            f"the argument principle counts {count}")
 
 
-def _polish(eq: CharEq, z: complex, res: float) -> Root:
-    for _ in range(8):
-        with np.errstate(all="ignore"):
-            f = complex(eq.scaled_value(z))
-            x = max(z.real, 0.0)
-            fp = (2.0 * z + 1.0) * math.exp(-x) - complex(np.exp(z - x))
-        if fp == 0:
-            break
-        znew = z - f / fp
-        rnew = float(eq.residual(znew))
-        if not math.isfinite(rnew) or rnew >= res:
-            break
-        z, res = znew, rnew
-    return Root(complex(z), float(res))
-
-
 def dominant_real_root() -> float:
     """The unique positive real root of the characteristic function.
 
     f rises quadratically from its double zero at the origin and stays
     positive until the exponential overtakes the parabola, so there is
-    exactly one sign change on (0, inf).  Bisection from a doubling
-    bracket; ~1e-16 accurate.  The root is the same for every drift;
+    exactly one sign change on (0, inf), inside [0.5, 2].  Bisection on
+    that bracket; ~1e-16 accurate.  The root is the same for every drift;
     its lab-frame rate on drift beta is the root over gamma(beta).
     """
     eq = CharEq()
@@ -335,16 +332,9 @@ def dominant_real_root() -> float:
         # rescaled f has the same sign as f on the real axis
         return float(eq.scaled_value(x).real)
 
-    lo = 0.5
-    if s(lo) <= 0.0:
-        raise RuntimeError("characteristic function not positive at 0.5")
-    hi = 1.0
-    for _ in range(60):
-        hi *= 2.0
-        if s(hi) < 0.0:
-            break
-    else:
-        raise RuntimeError("no sign change found for the real root")
+    lo, hi = 0.5, 2.0
+    if not (s(lo) > 0.0 and s(hi) < 0.0):
+        raise RuntimeError("no sign change on [0.5, 2] for the real root")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
@@ -365,14 +355,16 @@ def argument_principle_count(eq: CharEq, region: Region) -> int:
 
     Walks the rectangle boundary accumulating the wrapped phase change
     of the rescaled characteristic value (rescaling by a positive real
-    factor leaves the phase untouched), adaptively bisecting any segment
-    whose phase jump exceeds ~0.8 rad, from at least _EDGE_STEPS steps
-    per edge of at most _WALK_STEP.  Raises ValueError if the boundary
-    runs too close to a zero for the walk to be trustworthy: if a sample
-    lands within |f| < 1e-12 of one, or if the double root at 0 lies
-    nearer an edge than a quarter of that edge's first step or
-    _ORIGIN_CLEARANCE, where one step can turn the phase by a full turn
-    unseen.
+    factor leaves the phase untouched), from at least _EDGE_STEPS steps
+    per edge of at most _WALK_STEP.  Each edge runs in level passes:
+    one pass takes every segment of a level at once and halves those
+    whose phase jump exceeds ~0.8 rad into the next level; the walk
+    gives up after _WALK_BUDGET segments in all.  Raises ValueError if
+    the boundary runs too close to a zero for the walk to be
+    trustworthy: if a sample lands within |f| < 1e-12 of one, or if the
+    double root at 0 lies nearer an edge than a quarter of that edge's
+    first step or _ORIGIN_CLEARANCE, where one step can turn the phase
+    by a full turn unseen.
     """
     corners = [complex(region.x0, region.y0), complex(region.x1, region.y0),
                complex(region.x1, region.y1), complex(region.x0, region.y1),
@@ -392,22 +384,23 @@ def argument_principle_count(eq: CharEq, region: Region) -> int:
         ts = np.linspace(0.0, 1.0, n + 1)
         pts = a + (b - a) * ts
         vals = eq.scaled_value(pts)
-        stack = [(pts[i], pts[i + 1], vals[i], vals[i + 1]) for i in range(n)]
-        while stack:
-            budget -= 1
+        za, zb, fa, fb = pts[:-1], pts[1:], vals[:-1], vals[1:]
+        # one level of segments per pass: each too-coarse one is halved
+        # into the next level, the others add their phase jump
+        while za.size:
+            budget -= za.size
             if budget <= 0:
                 raise RuntimeError("argument-principle walk did not converge")
-            za, zb, fa, fb = stack.pop()
-            if min(abs(fa), abs(fb)) < 1e-12:
+            if np.any(np.minimum(np.abs(fa), np.abs(fb)) < 1e-12):
                 raise ValueError("characteristic zero too close to the contour")
             dphi = np.angle(fb / fa)
-            if abs(dphi) > 0.8 and abs(zb - za) > 1e-12:
-                zm = 0.5 * (za + zb)
-                fm = complex(eq.scaled_value(zm))
-                stack.append((za, zm, fa, fm))
-                stack.append((zm, zb, fm, fb))
-            else:
-                total += dphi
+            split = (np.abs(dphi) > 0.8) & (np.abs(zb - za) > 1e-12)
+            total += float(np.sum(dphi[~split]))
+            za, zb, fa, fb = za[split], zb[split], fa[split], fb[split]
+            zm = 0.5 * (za + zb)
+            fm = eq.scaled_value(zm)
+            za, zb = np.concatenate([za, zm]), np.concatenate([zm, zb])
+            fa, fb = np.concatenate([fa, fm]), np.concatenate([fm, fb])
     winding = total / (2.0 * math.pi)
     count = int(round(winding))
     if abs(winding - count) > 0.05:
@@ -490,8 +483,11 @@ def render_domain_coloring(eq: CharEq, region: Region,
     w, h = size
     if w < 1 or h < 1:
         raise ValueError(f"bad image size {size!r}")
-    xs = region.x0 + (np.arange(w) + 0.5) * (region.x1 - region.x0) / w
-    ys = region.y1 - (np.arange(h) + 0.5) * (region.y1 - region.y0) / h
+    with np.errstate(over="ignore"):
+        xs = region.x0 + (np.arange(w) + 0.5) * (region.x1 - region.x0) / w
+        ys = region.y1 - (np.arange(h) + 0.5) * (region.y1 - region.y0) / h
+    if not np.isfinite(np.concatenate([xs, ys])).all():
+        raise ValueError(f"the pixel centres of {region} pass the float range")
     cols = _column_factors(xs)
     image = np.empty((h, w, 3), dtype=np.uint8)
     for r0 in range(0, h, _RENDER_ROWS):

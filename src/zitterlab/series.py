@@ -153,9 +153,6 @@ class KinPoly:
             other = KinPoly.const(other)
         return isinstance(other, KinPoly) and self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     # -- structure ----------------------------------------------------
     def is_zero(self) -> bool:
         return not self.terms
@@ -297,18 +294,6 @@ class TruncatedSeries:
                     continue
                 out[i + j] = out[i + j] + self._cmul(a, b)
         return replace(self, coeffs=tuple(out))
-
-    def __pow__(self, n: int) -> "TruncatedSeries":
-        if n < 0:
-            raise ValueError("negative powers: use inverse()")
-        acc = self._like([KinPoly.const(1)])
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
 
     def coefficient(self, k: int) -> KinPoly:
         return self.coeffs[k]
@@ -537,7 +522,8 @@ def _eom_from_advance(l: TruncatedSeries) -> TruncatedSeries:
     # the r^0 and r^1 coefficients cancel identically; r^2 starts at -a/2
     h = num.shift_down(2)
     z = l._like(l.shift_down(1).coeffs)
-    den_unit = (l._like([KinPoly.const(1)]) - z.scale(beta)) ** 3
+    den = l._like([KinPoly.const(1)]) - z.scale(beta)
+    den_unit = den * den * den
     p = h * den_unit.inverse().truncate_to(h.order)
     rho = dser.revert("d")
     k = p.compose(rho.truncate_to(p.order))

@@ -26,6 +26,7 @@ from zitterlab.model import (
     ConstantsError,
     PhysicalConstants,
     _fmt,
+    lorentz_gamma,
     parse_constants_file,
 )
 from zitterlab.report import REGISTRY, render_report, run_report
@@ -439,6 +440,45 @@ def test_simulate_report_records(capsys):
     assert first["value"] == pytest.approx(first["target"], rel=1e-4)
 
 
+def test_simulate_report_keeps_its_records_when_the_rate_run_fails(capsys):
+    # the rate run's exact march folds its arrivals at beta = 0.99 while
+    # the filtered run completes; its records stand and the rate is null
+    code, out, err = _run(capsys, "simulate", "--seed", "uniform", "--beta",
+                          "0.99", "--tend", "1", "--report")
+    fold = ("ArrivalOrderError: non-monotone arrival times; the run is "
+            "reported, not reordered")
+    recs = [json.loads(line) for line in out.splitlines()]
+    assert code == 1
+    assert err == f"zitterlab: the growth-rate run failed: {fold}\n"
+    assert [r["record"] for r in recs] == [
+        "growth_rate", "saturation_amplitude", "peak_frequency"]
+    assert recs[0]["value"] is None
+    assert recs[0]["target"] == dominant_real_root() / lorentz_gamma(0.99)
+    assert recs[0]["detail"].endswith(f" [error: {fold}]")
+    assert recs[1]["detail"].endswith("run completed to t = 1")
+
+
+@pytest.mark.parametrize("argv, rows", [
+    # 2.5 gamma / dt seed rows, and t_end / dt forward rows
+    (["--seed", "mode_kick", "--beta", "0.999999999", "--tend", "3"],
+     "55,904,701 rows, past the cap of 16,777,216: 55,901,701 for the seed "
+     "span 55901.7 and 3,000 for t_end 3"),
+    (["--tend", "100", "--dt", "1e-12"],
+     "1.03e+14 rows, past the cap of 16,777,216: 3e+12 for the seed span 3 "
+     "and 1e+14 for t_end 100")], ids=["seed-rows", "forward-rows"])
+def test_simulate_refuses_a_grid_past_the_row_cap(tmp_path, capsys, argv,
+                                                  rows):
+    # refused before the first array is allocated
+    path = tmp_path / "run.csv"
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "simulate", *argv, "--out", str(path))
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (1, "")
+    assert err.startswith(f"zitterlab: the output grid needs {rows}, ")
+    assert err.count("\n") == 1
+    assert not path.exists()
+
+
 _MODE_KICK_REPORT = ("simulate", "--seed", "mode_kick", "--integrator",
                      "exact", "--tend", "1.3", "--report")
 
@@ -529,6 +569,23 @@ def test_render_past_overflow_is_quiet(tmp_path, capsys):
     assert code == 0 and out == "" and err == ""
     assert hashlib.sha256(path.read_bytes()).hexdigest() == \
         "7eac677c0ff089bf2fa0351a87d03a4abd80f3b0ae393e7c05147df362e92ba8"
+
+
+@pytest.mark.parametrize("argv, message", [
+    # (k + 0.5) * 1e308 overflows where the pixel centres would not
+    (["render", "--region", "0,1,-1e308,0", "--size", "1x3"],
+     "the pixel centres of Region(x0=0.0, x1=1.0, y0=-1e+308, y1=0.0) pass "
+     "the float range"),
+    # the seed row at the kick's centre has beta = 0 and beta_dot ~ 1e300
+    (["simulate", "--amp", "1e300", "--tend", "0.5", "--dt", "0.5",
+      "--integrator", "exact"], "seed emissions gave non-monotone arrivals"),
+], ids=["render", "simulate"])
+def test_overflowing_grid_or_seed_exits_one_quietly(tmp_path, capsys, argv,
+                                                    message):
+    path = tmp_path / "out"
+    assert _run(capsys, *argv, "--out", str(path)) == \
+        (1, "", f"zitterlab: {message}\n")
+    assert not path.exists()
 
 
 def test_constants_file_flag(tmp_path, capsys):
@@ -634,12 +691,10 @@ _POTENTIAL_ARGV = st.one_of(
         _NUMBER_TEXT, _NUMBER_TEXT, st.integers(-1, 50)))
 
 
-@settings(max_examples=250, deadline=None)
-@given(argv=_POTENTIAL_ARGV)
-def test_potential_argv_exit_codes(argv):
+def _exit_contract(argv):
     # any argv: exit 0, 1 with one `zitterlab:` line, or 2 with usage; an
-    # exception escaping main would be a traceback.  The one warning
-    # allowed is the series' own documented divergence notice.
+    # exception escaping main would be a traceback.  Returns the messages
+    # of the warnings main let out.
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -654,8 +709,79 @@ def test_potential_argv_exit_codes(argv):
         assert err.startswith("zitterlab: ") and err.count("\n") == 1
     elif code == 2:
         assert err.startswith("usage: ") and out.getvalue() == ""
-    assert [str(w.message) for w in caught
-            if not str(w.message).startswith("series in y diverges")] == []
+    return [str(w.message) for w in caught]
+
+
+@settings(max_examples=250, deadline=None)
+@given(argv=_POTENTIAL_ARGV)
+def test_potential_argv_exit_codes(argv):
+    # the one warning allowed is the series' own documented divergence
+    # notice
+    assert [m for m in _exit_contract(argv)
+            if not m.startswith("series in y diverges")] == []
+
+
+# rectangles from user-typed numbers, and ordered ones from the ladder
+# out to the float limit
+_EDGES = st.lists(st.one_of(st.floats(-1e3, 1e3),
+                            st.sampled_from([-1e308, 0.0, 1e-300, 1e308])),
+                  min_size=2, max_size=2, unique=True).map(sorted)
+_REGION_TEXT = st.one_of(
+    st.lists(st.one_of(_NUMBER_TEXT, st.floats(-60, 60).map(repr)),
+             min_size=4, max_size=4).map(",".join),
+    st.builds(lambda x, y: ",".join(map(repr, x + y)), _EDGES, _EDGES))
+
+
+@pytest.fixture(scope="module")
+def fuzz_out(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("fuzz") / "out")
+
+
+@settings(max_examples=100, deadline=None)
+@given(region=_REGION_TEXT, beta=_NUMBER_TEXT)
+def test_roots_argv_exit_codes(region, beta):
+    assert _exit_contract(["roots", f"--region={region}",
+                           f"--beta={beta}"]) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(region=_REGION_TEXT,
+       size=st.one_of(st.builds("{}x{}".format, st.integers(-2, 24),
+                                st.integers(-2, 24)),
+                      st.sampled_from(["", "8", "8x", "1e3x2", "8x6x4"])))
+def test_render_argv_exit_codes(fuzz_out, region, size):
+    assert _exit_contract(["render", f"--region={region}", f"--size={size}",
+                           "--out", fuzz_out]) == []
+
+
+# runs of up to 3,000 steps, or past the row cap, and argv from
+# user-typed numbers on steps that no march can take (a typed t_end of
+# 1e5 on a step of 0.01 would be a legitimate ten-million-row run)
+_SIMULATE_ARGV = st.one_of(
+    st.builds(
+        lambda seed, beta, amp, steps, dt, integrator, report: [
+            "simulate", f"--seed={seed}", f"--beta={beta!r}",
+            f"--amp={amp!r}", f"--tend={steps * dt!r}", f"--dt={dt!r}",
+            f"--integrator={integrator}"] + ["--report"] * report,
+        st.sampled_from(["rest_kick", "uniform", "uniform_kick",
+                         "mode_kick"]),
+        st.floats(-0.95, 0.95),
+        st.one_of(st.floats(1e-9, 1e-2), st.sampled_from([0.5, 1e300])),
+        st.integers(1, 3000),
+        st.sampled_from([1e-3, 2e-3, 0.01, 0.05, 0.5, 1e-12]),
+        st.sampled_from(["filtered", "exact"]), st.booleans()),
+    st.builds(
+        lambda seed, beta, amp, tend, dt: [
+            "simulate", f"--seed={seed}", f"--beta={beta}",
+            f"--amp={amp}", f"--tend={tend}", f"--dt={dt}"],
+        st.sampled_from(["uniform", "x"]), _NUMBER_TEXT, _NUMBER_TEXT,
+        _NUMBER_TEXT, st.sampled_from(["1e-300", "0", "nan", "x"])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=_SIMULATE_ARGV)
+def test_simulate_argv_exit_codes(fuzz_out, argv):
+    assert _exit_contract(argv + ["--out", fuzz_out]) == []
 
 
 @pytest.mark.filterwarnings("ignore:series in y diverges:RuntimeWarning")
@@ -671,8 +797,8 @@ def test_float_overflow_exits_one(capsys, argv):
 
 
 def test_out_of_memory_exits_one(tmp_path, capsys, monkeypatch):
-    # stands in for the 13.1 TiB of a 100-unit march at dt = 1e-12,
-    # which no test allocates
+    # stands in for an allocation that fails; the 100-unit march at
+    # dt = 1e-12 itself is refused by the row cap before it allocates
     def refuse(*args, **kwargs):
         raise MemoryError("Unable to allocate 13.1 TiB for an array")
     monkeypatch.setattr(cli, "propagate_filtered", refuse)

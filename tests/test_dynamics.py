@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from conftest import LAMBDA_STAR
 
-from zitterlab import dynamics
 from zitterlab.dynamics import (
     ArrivalOrderError,
     DegenerateSignalError,
@@ -400,8 +399,10 @@ def test_march_outputs_are_pinned(case):
     assert traj.metadata == detail
 
 
-# Runs whose last pass, at 512 or 2048 emitters, reached knots past t_end
-# that fold the arrival order; with 8192 they finished with these digests.
+# Runs that, with passes capped at 512 or 2048 emitters, reached knots
+# past t_end that fold the arrival order.  Passes capped at 512, 2048 and
+# 8192 emitters all gave these digests, and so does the march, whose
+# passes take every ready knot.
 BLOCK_CASES = {
     (0.5, 2.3, 5e-4):
         "bc896b2a11fce70128ee48bb46c6093e78256785882d27151311e536d591e6ca",
@@ -415,15 +416,22 @@ BLOCK_CASES = {
 
 
 @pytest.mark.parametrize("case", BLOCK_CASES, ids=str)
-def test_exact_march_does_not_depend_on_block(case, monkeypatch):
+def test_exact_march_does_not_depend_on_block(case):
     beta, t_end, grid = case
-    for block in (512, 2048, 8192):
-        monkeypatch.setattr(dynamics, "_BLOCK", block)
-        traj = propagate_exact(SeedHistory.mode_kick(beta, 1e-6), t_end, grid)
-        assert _run_digest(traj) == BLOCK_CASES[case], block
+    traj = propagate_exact(SeedHistory.mode_kick(beta, 1e-6), t_end, grid)
+    assert _run_digest(traj) == BLOCK_CASES[case]
 
 
-# Filtered runs that finish at t_end; the same digests with every block.
+def test_exact_march_trims_arrivals_past_the_grid():
+    # the one pass that reaches past t_end also holds knots whose
+    # arrivals fold the order; trimmed, the run reports the breakdown
+    # of the knots it keeps
+    with pytest.raises(SuperluminalError, match="during marching"):
+        propagate_exact(SeedHistory.mode_kick(0.0, 1e-6), 3.0, 2e-4)
+
+
+# Filtered runs that finish at t_end, with the digests passes capped at
+# 512, 2048 and 8192 emitters all gave.
 FILTERED_BLOCK_CASES = {
     "uniform-kick": (
         lambda: SeedHistory.uniform_kick(0.3, 1e-4), 6.0, 1e-3,
@@ -438,9 +446,7 @@ FILTERED_BLOCK_CASES = {
 
 
 @pytest.mark.parametrize("case", FILTERED_BLOCK_CASES)
-def test_filtered_march_does_not_depend_on_block(case, monkeypatch):
+def test_filtered_march_does_not_depend_on_block(case):
     seed, t_end, grid, digest = FILTERED_BLOCK_CASES[case]
-    for block in (512, 2048, 8192):
-        monkeypatch.setattr(dynamics, "_BLOCK", block)
-        traj = propagate_filtered(seed(), t_end, grid, partial=True)
-        assert _run_digest(traj) == digest, block
+    traj = propagate_filtered(seed(), t_end, grid, partial=True)
+    assert _run_digest(traj) == digest

@@ -480,8 +480,9 @@ def test_census_matches_oracle_taller_than_800():
 
 def test_branch_on_its_neighbours_root_raises(monkeypatch):
     # a branch that converges onto branch 3's root leaves its band
-    third = rootsmod._upper_branches(CharEq(), {3})[3]
-    monkeypatch.setattr(rootsmod, "_polish", lambda eq, z, res: third)
+    third = rootsmod._upper_branches(CharEq(), {3})[3].value
+    monkeypatch.setattr(rootsmod, "_newton_step",
+                        lambda eq, z: np.full_like(z, third))
     with pytest.raises(RuntimeError, match="band"):
         find_roots(CharEq(), Region(-3.0, 9.0, 10.0, 16.0))
 
@@ -503,11 +504,36 @@ def test_high_branch_roots_are_correctly_rounded():
 
 
 def test_branch_failures_name_the_count_and_the_first_five(monkeypatch):
-    monkeypatch.setattr(rootsmod, "_polish",
-                        lambda eq, z, res: rootsmod.Root(z, 1.0))
+    # Newton steps that walk one unit off every root
+    monkeypatch.setattr(rootsmod, "_newton_step", lambda eq, z: z + 1.0)
     with pytest.raises(RuntimeError, match=r"^16 branches \(1, 2, 3, 4, 5, "
                        r"\.\.\.\) found no root in their band$"):
         find_roots(CharEq(), Region(-10.0, 10.0, -100.0, 100.0))
+
+
+def test_array_polish_matches_the_scalar_oracle():
+    # _upper_branches polishes every branch at once; _oracle_polish does
+    # it one root at a time from the same three plain Newton steps.  On
+    # these branches some polish steps are kept (the first at 435), and
+    # numpy's array exp, which differs from libm's in some last bits,
+    # must not move a root
+    eq, two_pi = CharEq(), 2.0 * math.pi
+    k = np.arange(1, 3001, dtype=float)
+    y = two_pi * k + 2.2
+    z = np.log(y * y + 2.0) + 1j * y
+    with np.errstate(all="ignore"):
+        for _ in range(40):
+            z = np.log(z * z + z + 1.0) + 1j * two_pi * k
+        for _ in range(3):
+            x = np.maximum(z.real, 0.0)
+            z = z - eq.scaled_value(z) / (
+                (2.0 * z + 1.0) * np.exp(-x) - np.exp(z - x))
+        res = eq.residual(z)
+    want = [_oracle_polish(eq, complex(w), float(r))[:2]
+            for w, r in zip(z, res)]
+    got = rootsmod._upper_branches(eq, range(1, 3001))
+    assert [(got[n].value, got[n].residual) for n in range(1, 3001)] == want
+    assert sum(w != complex(v) for (w, _), v in zip(want, z)) >= 10
 
 
 def test_census_matches_oracle_on_criterion_2_rectangles(wide_rootset):
@@ -602,6 +628,79 @@ def test_winding_walk_counts_the_origin_a_quarter_step_off():
     # a quarter of the left edge's first step 2.5/64 keeps 0 resolvable
     reg = Region(-2.5 / 64 / 4, 3.0, -1.0, 1.5)
     assert argument_principle_count(CharEq(), reg) == 3
+
+
+def _stack_walk_count(eq, region):
+    # the winding walk one segment at a time, popped off a stack, with
+    # the package's budget, |f| guard and origin guard
+    corners = [complex(region.x0, region.y0), complex(region.x1, region.y0),
+               complex(region.x1, region.y1), complex(region.x0, region.y1),
+               complex(region.x0, region.y0)]
+    total = 0.0
+    budget = rootsmod._WALK_BUDGET
+    for a, b in zip(corners[:-1], corners[1:]):
+        n = rootsmod._edge_steps(abs(b - a))
+        near = complex(min(max(0.0, min(a.real, b.real)), max(a.real, b.real)),
+                       min(max(0.0, min(a.imag, b.imag)), max(a.imag, b.imag)))
+        if abs(near) < max(abs(b - a) / n / 4.0, rootsmod._ORIGIN_CLEARANCE):
+            raise ValueError("double root at 0 near the contour")
+        pts = a + (b - a) * np.linspace(0.0, 1.0, n + 1)
+        vals = eq.scaled_value(pts)
+        stack = [(pts[i], pts[i + 1], vals[i], vals[i + 1]) for i in range(n)]
+        while stack:
+            budget -= 1
+            if budget <= 0:
+                raise RuntimeError("argument-principle walk did not converge")
+            za, zb, fa, fb = stack.pop()
+            if min(abs(fa), abs(fb)) < 1e-12:
+                raise ValueError("characteristic zero too close to the contour")
+            dphi = np.angle(fb / fa)
+            if abs(dphi) > 0.8 and abs(zb - za) > 1e-12:
+                zm = 0.5 * (za + zb)
+                fm = complex(eq.scaled_value(zm))
+                stack.append((za, zm, fa, fm))
+                stack.append((zm, zb, fm, fb))
+            else:
+                total += dphi
+    winding = total / (2.0 * math.pi)
+    count = int(round(winding))
+    if abs(winding - count) > 0.05:
+        raise RuntimeError(f"non-integer winding {winding!r}")
+    return count
+
+
+def _walk_outcome(walk, bounds):
+    try:
+        return walk(CharEq(), Region(*bounds))
+    except (ValueError, RuntimeError) as exc:
+        return type(exc)
+
+
+def test_level_walk_matches_the_stack_walk():
+    # the wide and two tall regions, edges through the real root and
+    # beside the origin, and 200 random ones
+    rng = np.random.default_rng(20261019)
+    lam = dominant_real_root()
+    regions = [(-10.0, 10.0, -100.0, 100.0), (-10.0, 10.0, -30.0, 30.0),
+               (10.0, 12.0, -420.0, 420.0), (lam, 3.0, -1.0, 1.0),
+               (-1.0, lam, -1.0, 1.0), (0.0, 3.0, -1.0, 1.5),
+               (-2.5 / 64 / 4, 3.0, -1.0, 1.5), (-1e-6, 1e-6, -1e-6, 1e-6)]
+    for _ in range(200):
+        x0, y0 = rng.uniform(-5.0, 12.0), rng.uniform(-300.0, 300.0)
+        regions.append((x0, x0 + rng.uniform(0.01, 10.0),
+                        y0, y0 + rng.exponential(30.0)))
+    outcomes = [_walk_outcome(argument_principle_count, bounds)
+                for bounds in regions]
+    assert outcomes == [_walk_outcome(_stack_walk_count, bounds)
+                        for bounds in regions]
+    assert outcomes[:8] == [33, 11, 80] + [ValueError] * 3 + [3, ValueError]
+    assert len(set(outcomes[8:])) >= 8
+
+
+def test_winding_walk_stops_at_its_budget():
+    # 2 * (64 + 100,000) first steps, past the budget of 200,000 segments
+    with pytest.raises(RuntimeError, match="walk did not converge"):
+        argument_principle_count(CharEq(), Region(-1.0, 3.0, -1.0, 5e4))
 
 
 def test_census_counts_branches():
