@@ -7,16 +7,17 @@ package carries that problem end to end in natural units (c = 1,
 delay ~ 1):
 
 * model      -- physical constants, unit maps, kinematic state
-* series     -- exact rational power-series identities (the algebra
-                behind every truncated expression used elsewhere)
+* series     -- exact rational power-series ring and identities (the
+                algebra behind every truncated expression used elsewhere)
 * roots      -- characteristic roots of the linearized delay equation,
                 enumerated by branch and certified by argument-principle
                 counts, domain-coloring renders
 * geometry   -- retarded-time solver and light-cone invariants
 * trajectory -- dense trajectories, seed histories and the numpy cubic
                 Hermite / PCHIP interpolant
-* dynamics   -- exact and band-limited delay marches, growth rates,
-                spectra, truncated low-order integrator
+* dynamics   -- exact and band-limited delay marches, the light-cone
+                residual audit, the seed-pass drift rate, spectra,
+                truncated low-order integrator
 * potential  -- self-potential decomposition U = gamma + Q and the
                 double-well profile it linearizes to
 * report     -- one-shot reproduction report over the headline numbers
@@ -46,7 +47,7 @@ _LAYERS = {
     "trajectory": ("SeedHistory", "Trajectory"),
     "dynamics": ("estimate_growth_rate", "estimate_spectrum",
                  "integrate_truncated", "perturbed_uniform_run",
-                 "propagate_exact", "propagate_filtered", "residual_eom"),
+                 "propagate_exact", "propagate_filtered", "residual_eom_many"),
     "potential": ("quantum_potential", "sample", "self_potential_closed"),
     "series": ("verify_identities",),
     "report": ("run_report",),

@@ -60,14 +60,28 @@ def _beta_arg(text: str) -> float:
     return v
 
 
-def _count_arg(text: str) -> int:
-    try:
-        v = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
-    if v < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
-    return v
+# Caps on the sizes argv asks for, refused before anything is computed:
+# the render image (3 bytes a pixel), the Duffing samples (every column
+# is held whole) and the potential series terms (exact Fractions).
+_MAX_SIDE = 2 ** 16
+_MAX_PIXELS = 2 ** 26
+_MAX_SAMPLES = 2 ** 24
+_MAX_TERMS = 10_000
+
+
+def _count_arg(cap: int):
+    """The argparse type of a count from 0 to cap."""
+    def count(text: str) -> int:
+        try:
+            v = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(
+                f"not an integer: {text!r}") from exc
+        if not 0 <= v <= cap:
+            raise argparse.ArgumentTypeError(
+                f"must be from 0 to {cap:,}, got {text!r}")
+        return v
+    return count
 
 
 def _positive_arg(text: str) -> float:
@@ -93,6 +107,10 @@ def _size_arg(text: str) -> tuple[int, int]:
             f"size must look like 800x600, got {text!r}") from exc
     if w < 1 or h < 1:
         raise argparse.ArgumentTypeError(f"degenerate size {text!r}")
+    if max(w, h) > _MAX_SIDE or w * h > _MAX_PIXELS:
+        raise argparse.ArgumentTypeError(
+            f"size {text!r} is past {_MAX_SIDE:,} a side or "
+            f"{_MAX_PIXELS:,} pixels")
     return w, h
 
 
@@ -202,7 +220,7 @@ def _build_seed(args):
 
 
 def _residuals(traj, k):
-    """residual_eom at the samples k where the light cone fits, else nan."""
+    """residual_eom_many at samples k where the light cone fits, else nan."""
     import numpy as np
     from .dynamics import residual_eom_many
     ts = traj.t[k]
@@ -441,7 +459,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                          "a state, or the Duffing profile")
     p.add_argument("--beta", type=_beta_arg, default=0.0)
     p.add_argument("--betadot", type=_finite_arg, default=0.0)
-    p.add_argument("--series", type=_count_arg, default=0, metavar="N",
+    p.add_argument("--series", type=_count_arg(_MAX_TERMS), default=0,
+                   metavar="N",
                    help="also emit the first N series partial sums")
     p.add_argument("--si", action="store_true",
                    help="energies in joules instead of rest-energy units")
@@ -449,7 +468,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="emit the conservative double-well profile as CSV")
     p.add_argument("--range", type=_pair_arg, default="-1.5,1.5",
                    help="x range a,b for --duffing")
-    p.add_argument("--samples", type=_count_arg, default=301,
+    p.add_argument("--samples", type=_count_arg(_MAX_SAMPLES), default=301,
                    help="sample count for --duffing")
     p.add_argument("--out", default="-", help="output path ('-' = stdout)")
     p.set_defaults(func=cmd_potential)

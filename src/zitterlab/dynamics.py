@@ -10,7 +10,7 @@ particle's position at the later arrival time
 with r from the geometry closed form (valid here because the map
 constructs a solution).  The map is causal and explicit; no implicit
 advanced-time solve is needed, and the implicit light-cone route stays
-available as an independent audit (residual_eom).
+available as an independent audit (residual_eom_many).
 
 Both run on one march core, _march, in the breaking-point view of
 state-dependent delay equations (Bellen & Zennaro 2003, Numerical
@@ -47,7 +47,9 @@ Numerical notes on the march:
   seeds ultraviolet bands that overtake the signal after a few
   crossings no matter how the derivatives are recovered; smoothing
   the recovery only slows the death.  propagate_exact is the honest
-  instrument for rate windows a couple of delays long.
+  instrument for rate windows a couple of delays long, and the drift
+  rate (perturbed_uniform_run) reads only its seed pass: a march that
+  ends before the first delay crossing re-emits nothing.
 * propagate_filtered is the long-horizon instrument: its recovery
   smooths each generation with a cosine-tapered Gaussian kernel.  The
   passband keeps the real mode and the fundamental oscillatory branch
@@ -226,7 +228,8 @@ def _march(seed: SeedHistory, t_end: float, grid: float, recovery,
             # the 2 * _HALF after it.  Later ones come from knots t_end
             # never needs, whose ultraviolet-fouled states can fold the
             # arrival order, and a pass re-emits every ready knot, so
-            # it reaches them.
+            # it reaches them: untrimmed, the pinned march
+            # "filtered-uniform-kick-trim" folds at t = 2.639 of its 3.
             past = np.flatnonzero(t_a >= t_grid[-1])
             if past.size:
                 keep = past[0] + 2 * _HALF + 1
@@ -502,11 +505,6 @@ def propagate_filtered(seed: SeedHistory, t_end: float, grid: float = 1e-3, *,
                    "sigma": sigma, "kernel_span": kernel_span})
 
 
-def residual_eom(traj: Trajectory, t: float) -> float:
-    """residual_eom_many at the one time t."""
-    return float(residual_eom_many(traj, np.array([float(t)]))[0])
-
-
 def residual_eom_many(traj: Trajectory, ts: np.ndarray) -> np.ndarray:
     """Defect of the delay equation of motion at each time in ts.
 
@@ -652,9 +650,10 @@ def estimate_spectrum(traj: Trajectory,
     """The four dominant frequencies of beta over the window, strongest
     first.
 
-    Hann-windowed, mean-removed FFT of the uniform knot samples; each
-    local maximum of the power spectrum is refined by quadratic
-    interpolation in log power.  Needs at least 256 uniform samples.
+    Hann-windowed, mean-removed FFT of the uniform knot samples; the
+    power spectrum's local maxima are found in one array pass, and the
+    four strongest refined by quadratic interpolation in log power.
+    Needs at least 256 uniform samples.
     """
     w0, w1 = window
     sel = (traj.t >= w0) & (traj.t <= w1)
@@ -671,35 +670,35 @@ def estimate_spectrum(traj: Trajectory,
     power = np.abs(np.fft.rfft(s * win)) ** 2
     freqs = np.fft.rfftfreq(ts.size, dt)
     floor = 1e-12 * float(np.max(power))
-    peaks = []
-    for k in range(1, power.size - 1):
-        if power[k] > power[k - 1] and power[k] >= power[k + 1] \
-                and power[k] > floor:
-            lm, l0, lp = np.log(power[k - 1:k + 2])
-            denom = lm - 2.0 * l0 + lp
-            shift = 0.5 * (lm - lp) / denom if denom < 0 else 0.0
-            peaks.append(SpectralPeak(
-                frequency=float((k + shift) * freqs[1]),
-                power=float(power[k])))
-    peaks.sort(key=lambda p: -p.power)
-    return peaks[:4]
+    mid = power[1:-1]
+    k = np.flatnonzero((mid > power[:-2]) & (mid >= power[2:])
+                       & (mid > floor)) + 1
+    # the strongest four, ties in frequency order
+    k = k[np.argsort(-power[k], kind="stable")[:4]]
+    lm, l0, lp = np.log(power[[k - 1, k, k + 1]])
+    denom = lm - 2.0 * l0 + lp
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shift = np.where(denom < 0, 0.5 * (lm - lp) / denom, 0.0)
+    return [SpectralPeak(frequency=float(f), power=float(p))
+            for f, p in zip((k + shift) * freqs[1], power[k])]
 
 
 def perturbed_uniform_run(beta: float, kick: float = 1e-6) -> GrowthRate:
     """Growth rate of a mode-kicked drift state (lab-frame units c/d).
 
-    The run measures inside the first junction-free generation.  The
-    seed solves the linearized equation, so the full map's continuation
-    differs by a smooth O(kick^2) term switching on at t = 0; each delay
-    crossing (gamma in lab time) differentiates that kink twice more,
-    and already its first image pollutes the velocity channel on the
-    1e-3 grid.  The window [0.4, 0.95] gamma sits strictly before the
-    first crossing, and the march ends at 1.3 gamma, short of 1.5
-    gamma, so it never re-emits a polluted knot.
+    The run is the march's seed pass alone.  The seed solves the
+    linearized equation, so the full map's continuation differs by a
+    smooth O(kick^2) term switching on at t = 0, and each delay crossing
+    (gamma in lab time) differentiates that kink twice more: a knot past
+    t = gamma that is re-emitted carries it into the velocity channel
+    and, from beta ~ 0.9 or a finer grid on, folds or raises the march.
+    The fit window [0.4, 0.95] gamma sits before the first crossing, and
+    the march ends with it, so every knot it reads is an arrival of the
+    analytic seed and nothing is re-emitted.
     """
     if not 0.0 <= beta < 1.0:
         raise ValueError(f"beta must be in [0, 1), got {beta!r}")
     gamma = lorentz_gamma(beta)
-    traj = propagate_exact(SeedHistory.mode_kick(beta, kick), 1.3 * gamma)
+    traj = propagate_exact(SeedHistory.mode_kick(beta, kick), 0.95 * gamma)
     return estimate_growth_rate(traj, (0.4 * gamma, 0.95 * gamma),
                                 reference=beta)

@@ -113,16 +113,15 @@ def self_potential_partial_sums(state: KinematicState,
     if y >= 1.0:
         warnings.warn(f"series in y diverges for y = {y:.6g} >= 1",
                       RuntimeWarning, stacklevel=2)
+    # q_n = q_(n-1) (2n - 1) / (2n), carried exactly: q_coeff(n)'s
+    # Fractions, so its floats, without rebuilding each from factorials
     sums = []
-    acc = 1.0
+    acc, q = 1.0, Fraction(1)
     for n in range(1, n_terms + 1):
-        acc += float(q_coeff(n)) * (-y) ** n
+        q = q * (2 * n - 1) / (2 * n)
+        acc += float(q) * (-y) ** n
         sums.append(g * acc)
     return sums
-
-
-def self_potential_series(state: KinematicState, n_terms: int) -> float:
-    return self_potential_partial_sums(state, n_terms)[-1]
 
 
 # ---------------------------------------------------------------------

@@ -173,9 +173,6 @@ class RootSet:
     seeds_total: int
     seeds_converged: int
 
-    def values(self) -> np.ndarray:
-        return np.array([r.value for r in self.roots], dtype=complex)
-
     def total_multiplicity(self) -> int:
         return sum(r.multiplicity for r in self.roots)
 

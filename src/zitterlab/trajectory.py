@@ -241,8 +241,8 @@ class SeedHistory:
     kind is one of rest_kick, uniform_motion, uniform_kick, mode_kick.
     amplitude is the peak |beta_dot| of the kick (0 for none); beta is
     the underlying drift.  The history reaches back span = max(3, 2.5
-    gamma), past twice the delay gamma.  Analytic channels are exposed
-    as vectorized callables of time.
+    gamma), past twice the delay gamma.  offsets() samples the analytic
+    channels at any times.
 
     The bump kinds perturb with a compactly supported C-infinity pulse.
     mode_kick instead perturbs along the dominant eigenfunction of the
@@ -311,12 +311,6 @@ class SeedHistory:
         b, b1, b2 = _bump((t - _BUMP_CENTER) / _BUMP_HALFWIDTH)
         return (scale * b, scale * b1 / _BUMP_HALFWIDTH,
                 scale * b2 / _BUMP_HALFWIDTH ** 2)
-
-    def velocity(self, t):
-        return self.beta + self.offsets(t)[1]
-
-    def acceleration(self, t):
-        return self.offsets(t)[2]
 
     def describe(self) -> str:
         if self.kind == "mode_kick":

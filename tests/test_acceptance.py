@@ -101,7 +101,7 @@ def test_criterion_02_right_half_plane():
         edge = min(
             min(abs(z.real - reg.x0), abs(z.real - reg.x1),
                 abs(z.imag - reg.y0), abs(z.imag - reg.y1))
-            for z in wide_rootset.values())
+            for z in (r.value for r in wide_rootset.roots))
         if edge < 0.05:
             continue
         trials += 1
@@ -206,7 +206,7 @@ def test_criterion_07_potential_decomposition():
         worst = max(worst, abs(p.U - (p.gamma + p.Q)) / max(1.0, p.gamma))
     g = lorentz_gamma(0.3)
     st = KinematicState(beta=0.3, beta_dot=math.sqrt(0.5) / g ** 3)
-    series_err = abs(pot.self_potential_series(st, 30)
+    series_err = abs(pot.self_potential_partial_sums(st, 30)[-1]
                      - pot.self_potential_closed(st))
     q_rest = pot.quantum_potential(KinematicState(beta=0.55))
     u_rest = pot.self_potential_closed(KinematicState())

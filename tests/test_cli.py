@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import zitterlab
 from zitterlab import cli
 from zitterlab import potential as potmod
-from zitterlab.cli import main
+from zitterlab.cli import _count_arg, _size_arg, main
 from zitterlab.dynamics import propagate_filtered
 from zitterlab.model import (
     CONFIG_KEYS,
@@ -88,6 +88,32 @@ def test_potential_bad_numbers_exit_two(capsys, argv):
     assert out == "" and "usage:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["potential", "--series", "10001"],
+    ["potential", "--duffing", "--samples", str(2 ** 24 + 1)],
+    ["render", "--size", "65537x1"],
+    ["render", "--size", "1x65537"],
+    ["render", "--size", "8193x8193"],
+], ids=" ".join)
+def test_oversized_requests_exit_two(capsys, tmp_path, argv):
+    # refused by the argument types, before anything is computed or
+    # allocated
+    out = tmp_path / "x.out"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_size_caps_admit_their_bounds():
+    # the argument types alone: these sizes are not rendered here
+    assert _size_arg("65536x1024") == (65536, 1024)
+    assert _size_arg("8192x8192") == (8192, 8192)
+    assert _count_arg(10_000)("10000") == 10_000
+    assert _count_arg(2 ** 24)(str(2 ** 24)) == 2 ** 24
+
+
 def test_potential_duffing_zero_samples_prints_header(capsys):
     assert _run(capsys, "potential", "--duffing", "--samples", "0") == \
         (0, "x,Qc,force\n", "")
@@ -119,9 +145,10 @@ def test_report_honest_failure_bubbles_into_exit_code(capsys):
 
 
 # sha256 of the full report as the per-state sweeps, the numpy-array
-# truncated RK4 and the one-time light-cone solves printed it
+# truncated RK4 and the one-time light-cone solves printed it, with the
+# three growth rates measured on the seed pass alone (march to 0.95 gamma)
 REPORT_SHA256 = \
-    "aa930e02d6641d46258e96d12f0d70d67cdc8a99cca342066ff2fed45a799eeb"
+    "128c6b350c9905be453b0f5626d070805966cf5533ab1d8a4e2ea80dec0ed751"
 
 
 def test_report_is_pinned():
@@ -441,20 +468,20 @@ def test_simulate_report_records(capsys):
 
 
 def test_simulate_report_keeps_its_records_when_the_rate_run_fails(capsys):
-    # the rate run's exact march folds its arrivals at beta = 0.99 while
-    # the filtered run completes; its records stand and the rate is null
-    code, out, err = _run(capsys, "simulate", "--seed", "uniform", "--beta",
-                          "0.99", "--tend", "1", "--report")
-    fold = ("ArrivalOrderError: non-monotone arrival times; the run is "
-            "reported, not reordered")
+    # a 1e-3 kick on the beta = 0.99 drift already drives the rate run's
+    # seed pass past the light barrier, while the filtered run completes;
+    # its records stand and the rate is null
+    code, out, err = _run(capsys, "simulate", "--seed", "mode_kick", "--beta",
+                          "0.99", "--amp", "1e-3", "--tend", "1", "--report")
+    failure = "SuperluminalError: recovered |beta| >= 1 during marching"
     recs = [json.loads(line) for line in out.splitlines()]
     assert code == 1
-    assert err == f"zitterlab: the growth-rate run failed: {fold}\n"
+    assert err == f"zitterlab: the growth-rate run failed: {failure}\n"
     assert [r["record"] for r in recs] == [
         "growth_rate", "saturation_amplitude", "peak_frequency"]
     assert recs[0]["value"] is None
     assert recs[0]["target"] == dominant_real_root() / lorentz_gamma(0.99)
-    assert recs[0]["detail"].endswith(f" [error: {fold}]")
+    assert recs[0]["detail"].endswith(f" [error: {failure}]")
     assert recs[1]["detail"].endswith("run completed to t = 1")
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from conftest import LAMBDA_STAR
 
+from zitterlab import dynamics
 from zitterlab.dynamics import (
     ArrivalOrderError,
     DegenerateSignalError,
@@ -15,7 +16,6 @@ from zitterlab.dynamics import (
     perturbed_uniform_run,
     propagate_exact,
     propagate_filtered,
-    residual_eom,
     residual_eom_many,
 )
 from zitterlab.model import KinematicState, lorentz_gamma
@@ -49,17 +49,17 @@ def test_trajectory_rejects_bad_knots():
 def test_seed_histories():
     kick = SeedHistory.rest_kick(1e-6)
     assert kick.beta == 0.0
-    assert kick.velocity(-3.0) == 0.0
-    assert kick.acceleration(-0.5) != 0.0
+    assert kick.beta + kick.offsets(-3.0)[1] == 0.0
+    assert kick.offsets(-0.5)[2] != 0.0
 
     drift = SeedHistory.uniform_motion(0.5)
     assert drift.beta == 0.5
-    assert drift.velocity(-1.0) == 0.5
-    assert drift.acceleration(-0.7) == 0.0
+    assert drift.beta + drift.offsets(-1.0)[1] == 0.5
+    assert drift.offsets(-0.7)[2] == 0.0
 
     mode = SeedHistory.mode_kick(0.5, 1e-6)
     assert mode.beta == 0.5
-    assert abs(mode.velocity(0.0) - 0.5) > 0.0
+    assert abs(mode.offsets(0.0)[1]) > 0.0
 
 
 @pytest.mark.parametrize("build", [
@@ -111,13 +111,13 @@ def test_residual_off_knot_sampling(exact_run):
     rng = np.random.default_rng(7)
     ts = rng.uniform(0.3, 1.2, 9)
     for t in ts:
-        assert abs(residual_eom(exact_run, float(t))) < 1e-8
+        assert abs(residual_eom_many(exact_run, np.array([t]))[0]) < 1e-8
 
 
 def test_residual_many_matches_scalar(exact_run):
     ts = np.linspace(0.4, 1.1, 11)
     many = residual_eom_many(exact_run, ts)
-    each = [residual_eom(exact_run, float(t)) for t in ts]
+    each = [residual_eom_many(exact_run, np.array([t]))[0] for t in ts]
     assert np.allclose(many, each, atol=1e-12)
 
 
@@ -224,6 +224,41 @@ def test_spectrum_peak_recovery():
     assert peaks[0].frequency == pytest.approx(1.5, abs=2e-3)
 
 
+def _loop_peaks(traj, window):
+    """estimate_spectrum's peaks, one frequency bin at a time: the
+    reference the array pass must match bit for bit."""
+    sel = (traj.t >= window[0]) & (traj.t <= window[1])
+    s = traj.beta[sel] - traj.beta[sel].mean()
+    power = np.abs(np.fft.rfft(s * np.hanning(s.size))) ** 2
+    step = np.fft.rfftfreq(s.size, float(np.diff(traj.t[sel])[0]))[1]
+    floor = 1e-12 * float(np.max(power))
+    peaks = []
+    for k in range(1, power.size - 1):
+        if power[k] > power[k - 1] and power[k] >= power[k + 1] \
+                and power[k] > floor:
+            lm, l0, lp = np.log(power[k - 1:k + 2])
+            denom = lm - 2.0 * l0 + lp
+            shift = 0.5 * (lm - lp) / denom if denom < 0 else 0.0
+            peaks.append((float((k + shift) * step), float(power[k])))
+    peaks.sort(key=lambda p: -p[1])
+    return peaks[:4]
+
+
+def test_spectrum_matches_the_loop_reference():
+    rng = np.random.default_rng(11)
+    for i in range(40):
+        n = int(rng.integers(256, 2000))
+        t = np.arange(n) * 0.01
+        beta = (1e-3 * rng.standard_normal(n) if i % 2 else sum(
+            rng.uniform(1e-4, 1e-2)
+            * np.cos(2 * np.pi * rng.uniform(0.1, 40) * t + rng.uniform(0, 6))
+            for _ in range(int(rng.integers(1, 8)))))
+        traj = Trajectory(t, np.cumsum(beta) * 0.01, beta, np.gradient(beta, t))
+        window = (0.0, float(t[-1]))
+        assert [(p.frequency, p.power) for p in
+                estimate_spectrum(traj, window)] == _loop_peaks(traj, window)
+
+
 def test_spectrum_needs_samples():
     traj = _synthetic(0.0, freq=1.5, t1=0.1, n=41)
     with pytest.raises(TooFewSamplesError):
@@ -234,6 +269,32 @@ def test_perturbed_uniform_run_contract(rate_runs):
     est = rate_runs[0.5]
     assert est.mode in ("direct", "envelope")
     assert est.stderr < 0.05 * abs(est.rate)
+
+
+def test_rate_run_is_the_seed_pass(monkeypatch):
+    # the march ends with the fit window, before the first delay crossing,
+    # so every knot it reads is an arrival of the analytic seed
+    def refuse(self):
+        raise AssertionError("the rate run re-emitted a knot")
+    monkeypatch.setattr(dynamics._ExactRecovery, "emitters", refuse)
+    for beta in (0.0, 0.5, 0.9, 0.99):
+        perturbed_uniform_run(beta, 1e-6)
+
+
+@pytest.mark.parametrize("beta", [0.92, 0.95, 0.99])
+def test_rate_run_holds_as_the_grid_is_refined(beta):
+    # what perturbed_uniform_run does, on three grids: the march re-emits
+    # nothing, so refining it neither folds nor raises, and the rate is
+    # converged
+    gamma = lorentz_gamma(beta)
+    rates = []
+    for grid in (1e-3, 5e-4, 2e-4):
+        traj = propagate_exact(SeedHistory.mode_kick(beta, 1e-6),
+                               0.95 * gamma, grid)
+        rates.append(estimate_growth_rate(
+            traj, (0.4 * gamma, 0.95 * gamma), reference=beta).rate)
+    assert max(rates) - min(rates) < 1e-7 * rates[0]
+    assert rates[0] == pytest.approx(LAMBDA_STAR / gamma, rel=0.15)
 
 
 # --- filtered march ----------------------------------------------------
@@ -365,6 +426,14 @@ PINNED_MARCHES = {
         {**_FILTERED_MD, "drift": 0.3, "seed": "uniform_kick(amp=0.0001,beta=0.3)",
          "aborted": "SuperluminalError", "abort_reason": _MARCH_FLIGHT,
          "t_reached": 8.52}),
+    # completes only through _march's past-the-grid trim: without it the
+    # pass that reaches past t_end folds the arrival order at t = 2.639
+    "filtered-uniform-kick-trim": (
+        propagate_filtered, lambda: SeedHistory.uniform_kick(0.3, 1e-4), 3.0,
+        {"sigma": 0.3, "kernel_span": 0.6, "partial": True},
+        "e3d9369f6547bf74ce47fddb9c90468afe97d4080dd85f6ada6070e15b4c768a",
+        {**_FILTERED_MD, "sigma": 0.3, "kernel_span": 0.6, "drift": 0.3,
+         "seed": "uniform_kick(amp=0.0001,beta=0.3)"}),
     "filtered-mode-kick-fold": (
         propagate_filtered, lambda: SeedHistory.mode_kick(0.2, 1e-6), 20.0,
         {"sigma": 0.3, "kernel_span": 0.6, "partial": True},

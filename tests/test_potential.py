@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
+from zitterlab.geometry import delay_closed
 from zitterlab.model import KinematicState, PhysicalConstants, lorentz_gamma
 from zitterlab.potential import (
     PotentialSample,
@@ -18,7 +19,6 @@ from zitterlab.potential import (
     sample,
     self_potential_closed,
     self_potential_partial_sums,
-    self_potential_series,
 )
 
 Q_FROZEN = (Fraction(1, 2), Fraction(3, 8), Fraction(5, 16),
@@ -150,11 +150,24 @@ def test_series_converges_to_closed_form():
     g = lorentz_gamma(0.3)
     state = KinematicState(beta=0.3, beta_dot=math.sqrt(0.5) / g ** 3)
     closed = self_potential_closed(state)
-    assert abs(self_potential_series(state, 30) - closed) < 1e-8
+    assert abs(self_potential_partial_sums(state, 30)[-1] - closed) < 1e-8
     sums = self_potential_partial_sums(state, 30)
     assert len(sums) == 30
     errs = [abs(s - closed) for s in sums]
     assert errs[-1] < errs[0]
+
+
+@pytest.mark.parametrize("beta, beta_dot", [(0.3, 0.2), (0.0, 0.9),
+                                            (0.6, -0.05)])
+def test_partial_sums_match_the_q_coeff_route(beta, beta_dot):
+    # the carried q_n give q_coeff(n)'s floats, so the same sums, bit for bit
+    state = KinematicState(beta=beta, beta_dot=beta_dot)
+    g, y = delay_closed(beta, beta_dot)[:2]
+    acc, want = 1.0, []
+    for n in range(1, 301):
+        acc += float(q_coeff(n)) * (-y) ** n
+        want.append(g * acc)
+    assert self_potential_partial_sums(state, 300) == want
 
 
 def test_series_warns_outside_disc():

@@ -547,7 +547,7 @@ def test_census_matches_oracle_on_criterion_2_rectangles(wide_rootset):
         edge = min(
             min(abs(z.real - reg.x0), abs(z.real - reg.x1),
                 abs(z.imag - reg.y0), abs(z.imag - reg.y1))
-            for z in wide_rootset.values())
+            for z in (r.value for r in wide_rootset.roots))
         if edge < 0.05:
             continue
         done += 1
