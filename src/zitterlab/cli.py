@@ -5,9 +5,14 @@ series-verify, potential, report.  Machine outputs are CSV with a
 header row, JSON lines, or binary PPM; every float is printed at 17
 significant digits so identical invocations produce byte-identical
 files.  A CSV streams in row blocks, each computed (the simulate
-residual audit included), formatted and written in one pass.  Exit
-codes: 0 success, 1 a computation failed or a check did not pass, 2
-bad usage.
+residual audit included), formatted and written in one pass.  A CSV of
+more than one block goes out on two CPUs where it can: when the output
+has an OS file descriptor (a file, or a stdout that is a pipe, file or
+terminal) and the process may run on two CPUs, the CLI forks one child
+and the two take alternate blocks, each formatting its next block
+while the other writes.  The bytes, and on failure the file prefix,
+stderr line and exit code, are those of one process.  Exit codes: 0
+success, 1 a computation failed or a check did not pass, 2 bad usage.
 
 A constants file (flat `key = value`, see model.CONFIG_KEYS) can be
 supplied with --constants or the ZITTERLAB_CONSTANTS variable; it is
@@ -31,6 +36,7 @@ import math
 import os
 import re
 import sys
+import warnings
 
 from .model import (
     ConstantsError,
@@ -144,9 +150,13 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-# Rows per pass of _write_csv: each computes, formats and writes this
-# many rows, so no full-length column or whole-file text is held.  Fewer
-# would spread the light-cone solve's numpy calls over fewer times.
+# Rows per block of _write_csv at most: each block is computed,
+# formatted and written in one pass, so no full-length column or
+# whole-file text is held.  Fewer would spread the light-cone solve's
+# numpy calls over fewer times.  A CSV longer than one block is cut into
+# an even number of equal blocks, which the CLI and one forked child
+# take in turn where the output is an OS file and two CPUs are allowed
+# (_write_blocks).
 _CSV_BLOCK = 16384
 
 
@@ -158,15 +168,119 @@ def _write_csv(path: str, header: str, n: int, columns,
     non-finite ones as non_finite."""
     import numpy as np
     row = ",".join(["%.17g"] * (header.count(",") + 1)) + "\n"
+    count = -(-n // _CSV_BLOCK)
+    if count > 1:
+        count += count % 2
+    size = -(-n // count) if count else 0
+
+    def text(j: int) -> str:
+        block = np.array(columns(slice(j * size, (j + 1) * size)),
+                         dtype=float).T
+        block[~np.isfinite(block)] = np.nan
+        # "%.17g" spells a finite value without letters, so every
+        # "nan" in the text is a non-finite value
+        return ((row * len(block)) % tuple(block.ravel().tolist())
+                ).replace("nan", non_finite)
+
     with _open_out(path) as fh:
         fh.write(header + "\n")
-        for a in range(0, n, _CSV_BLOCK):
-            block = np.array(columns(slice(a, a + _CSV_BLOCK)), dtype=float).T
-            block[~np.isfinite(block)] = np.nan
-            # "%.17g" spells a finite value without letters, so every
-            # "nan" in the text is a non-finite value
-            text = (row * len(block)) % tuple(block.ravel().tolist())
-            fh.write(text.replace("nan", non_finite))
+        _write_blocks(fh, count, text)
+
+
+def _write_blocks(fh, count: int, text) -> None:
+    """Write text(0), ..., text(count - 1) to fh, in that order.
+
+    With more than one block, an fh that has a file descriptor, os.fork
+    and two CPUs allowed, a forked child takes the odd blocks and this
+    process the even ones (_take_turns), so one formats while the other
+    writes.  Either way the blocks from the first one not yet written
+    run here, one process, so a failure raises as it would with no
+    child, with the blocks before it written."""
+    start = _write_forked(fh, count, text) if _forkable(fh, count) else 0
+    for j in range(start, count):
+        fh.write(text(j))
+
+
+def _forkable(fh, count: int) -> bool:
+    """Whether count blocks are worth a forked child that writes through
+    fh on a CPU of its own."""
+    if count < 2 or not (hasattr(os, "fork")
+                         and hasattr(os, "sched_getaffinity")):
+        return False
+    try:
+        fh.fileno()
+    except (OSError, ValueError):   # io.UnsupportedOperation is both
+        return False
+    return len(os.sched_getaffinity(0)) > 1
+
+
+# The turn token _take_turns passes; end of file in its place says the
+# other process stopped short of its block
+_TURN = b"t"
+
+
+def _write_forked(fh, count: int, text) -> int:
+    """Write count (even) blocks through fh, the even ones from this
+    process and the odd ones from a forked child, and return the first
+    block not written: count, or the first block either process failed
+    at.  The child is reaped before this returns or raises, and ends
+    with os._exit, so it flushes nothing it inherited and runs no
+    caller's cleanup."""
+    for f in (fh, sys.stdout, sys.stderr):
+        f.flush()
+    from_parent, to_child = os.pipe()
+    from_child, to_parent = os.pipe()
+    with warnings.catch_warnings():
+        # Python 3.12 warns that a child forked from a threaded process
+        # (OpenBLAS starts a pool) may deadlock in those threads' locks;
+        # the child makes no BLAS call
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(to_child)
+            os.close(from_child)
+            _take_turns(fh, count, text, 1, from_parent, to_parent)
+        finally:
+            os._exit(0)
+    os.close(from_parent)
+    os.close(to_parent)
+    try:
+        return _take_turns(fh, count, text, 0, from_child, to_child)
+    finally:
+        os.close(from_child)
+        os.close(to_child)
+        os.waitpid(pid, 0)
+
+
+def _take_turns(fh, count: int, text, first: int, wait_fd: int,
+                pass_fd: int) -> int:
+    """Write blocks first, first + 2, ... of count (even) through fh,
+    each once the other process passes the turn on wait_fd after writing
+    the block before it, and pass it on through pass_fd.  Returns the
+    first block not written: count, or where the turn did not come back
+    (the other process failed at the block before this one) or this
+    process failed to format its block."""
+    for j in range(first, count, 2):
+        try:
+            block = text(j)
+        except Exception:   # _write_blocks raises it again in row order
+            block = None
+        if j and os.read(wait_fd, 1) != _TURN:
+            return j - 1
+        if block is None:
+            return j
+        fh.write(block)
+        fh.flush()
+        del block   # one block's text is held at a time
+        # a process that stopped short has closed its end; the next
+        # read sees that
+        with contextlib.suppress(BrokenPipeError):
+            os.write(pass_fd, _TURN)
+    # the last block, count - 1, is the child's
+    if first == 0 and os.read(wait_fd, 1) != _TURN:
+        return count - 1
+    return count
 
 
 def _load_constants(path: str | None) -> PhysicalConstants:

@@ -150,11 +150,15 @@ def _reach_back(traj: Trajectory, ts: np.ndarray,
 # Most halvings one element takes
 _HALVINGS = 90
 
-# Newton steps from t - gamma(beta(t)) before the enclosure is tested:
-# on the mode-kick run the start is off by ~1e-6 and the two steps after
-# it by ~1e-13 and ~4e-16; the third serves starts further off, as on
-# an accelerating history
+# Newton steps from t - gamma(beta(t)) on every time before the
+# enclosure is tested: on the mode-kick run the start is off by ~1e-6
+# and the two steps after it by ~1e-13 and ~4e-16; the third serves
+# starts further off, as on an accelerating history.  Past them a time
+# whose last step still spanned more than its window steps on, up to
+# _NEWTON_MAX steps in all: where |beta| nears 1 on the rest kick the
+# start lies up to 1.9 d/c from the root and g' nears 0.
 _NEWTON_STEPS = 3
+_NEWTON_MAX = 30
 
 # tau = _TAU_EPS eps (1 + |x(t)| + (t - lo) + 16 h) exceeds four times
 # the rounding error of a computed g (solve_retarded_time_many)
@@ -171,26 +175,43 @@ def _relocate(traj: Trajectory, i, s):
     return i
 
 
+def _newton_step(traj: Trajectory, i, s, ts, x_t, lo, hi):
+    """One Newton step on g of the times ts from s, kept in [lo, hi],
+    given the knot intervals i of s: the new s, its knot intervals, and
+    g' at the old s."""
+    cubic, knot = traj.position_cubics(i)
+    dx = x_t - cubic_value(cubic, knot, s)
+    rho = np.sqrt(dx * dx + 1.0)
+    slope = dx * cubic_slope(cubic, knot, s) / rho - 1.0
+    s = np.fmin(np.fmax(s - ((ts - s) - rho) / slope, lo), hi)
+    return s, _relocate(traj, i, s), slope
+
+
 def _enclose(traj: Trajectory, lo, hi, ts, x_t, beta):
     """Certified windows (a, b) for the brackets [lo, hi] of the times
     ts, with x(t) and beta(t) given, and the knot intervals of a: every
     midpoint below a has computed g > 0 and every one above b computed
     g < 0.  Wherever the certificate fails the window is (-inf, inf),
     which decides no midpoint."""
+    h = float(np.max(np.diff(traj.t)))
+    tau = _TAU_EPS * np.finfo(float).eps * (
+        np.abs(x_t) + (ts - lo) + (1.0 + 16.0 * h))
     with np.errstate(divide="ignore", invalid="ignore"):
         s = np.fmin(np.fmax(
             ts - 1.0 / np.sqrt((1.0 - beta) * (1.0 + beta)), lo), hi)
         i = traj.interval(s)
         for _ in range(_NEWTON_STEPS):
-            cubic, knot = traj.position_cubics(i)
-            dx = x_t - cubic_value(cubic, knot, s)
-            rho = np.sqrt(dx * dx + 1.0)
-            slope = dx * cubic_slope(cubic, knot, s) / rho - 1.0
-            s = np.fmin(np.fmax(s - ((ts - s) - rho) / slope, lo), hi)
-            i = _relocate(traj, i, s)
-        h = float(np.max(np.diff(traj.t)))
-        tau = _TAU_EPS * np.finfo(float).eps * (
-            np.abs(x_t) + (ts - lo) + (1.0 + 16.0 * h))
+            last = s
+            s, i, slope = _newton_step(traj, i, s, ts, x_t, lo, hi)
+        # a time whose last step spanned more than its window steps on
+        k = np.flatnonzero(np.abs(s - last) * np.abs(slope) > 2.0 * tau)
+        for _ in range(_NEWTON_MAX - _NEWTON_STEPS):
+            if k.size == 0:
+                break
+            last = s[k]
+            s[k], i[k], slope[k] = _newton_step(
+                traj, i[k], last, ts[k], x_t[k], lo[k], hi[k])
+            k = k[np.abs(s[k] - last) * np.abs(slope[k]) > 2.0 * tau[k]]
         m = 2.0 * tau / np.abs(slope)
         a, b = np.fmax(s - m, lo), np.fmin(s + m, hi)
     # an end clipped to lo or hi decides no midpoint of [lo, hi] under
@@ -248,9 +269,21 @@ def _lightcone(traj: Trajectory, ts: np.ndarray):
     hi = ts - 1.0
     if np.any(hi < traj.t0 - 1e-12):
         raise HistoryTooShortError("history too short for some times")
-    lo = _reach_back(traj, ts, x_t)
-    a, b, i = _enclose(traj, lo, hi, ts, x_t,
-                       cubic_value(*traj.velocity_cubics(i_t), tc))
+    beta = cubic_value(*traj.velocity_cubics(i_t), tc)
+    # _reach_back's first bracket end
+    lo = np.maximum(ts - 2.0, traj.t0)
+    a, b, i = _enclose(traj, lo, hi, ts, x_t, beta)
+    # a tested a above lo puts the computed g(lo) > 0, as at every
+    # midpoint below a, so lo needs no reach back
+    k = np.flatnonzero(~(a > lo))
+    if k.size:
+        lo_k = _reach_back(traj, ts[k], x_t[k])
+        moved = lo_k != lo[k]
+        if moved.any():
+            k = k[moved]
+            lo[k] = lo_k[moved]
+            a[k], b[k], i[k] = _enclose(traj, lo[k], hi[k], ts[k], x_t[k],
+                                        beta[k])
     s = _halve(traj, lo, hi, a, b, i, ts, x_t)
     i_r = traj.interval(s)
     x_r = cubic_value(*traj.position_cubics(i_r), s)
@@ -271,8 +304,11 @@ def solve_retarded_time_many(traj: Trajectory, ts: np.ndarray) -> np.ndarray:
     Most of those signs are known without evaluating g:
 
     Enclose.  _NEWTON_STEPS Newton steps on g from t - gamma(beta(t)),
-    kept in [lo, hi], give s; a = s - m and b = s + m, m = 2 tau/|g'|,
-    clipped to [lo, hi].
+    kept in [lo, hi], give s; a time whose last step moved s by more
+    than m steps on, up to _NEWTON_MAX steps in all.  a = s - m and
+    b = s + m, m = 2 tau/|g'|, clipped to [lo, hi].  This runs first on
+    the first bracket end lo = max(t - 2, t0), and again, for a time
+    whose lo the reach back moved, on its own lo.
 
     Certify.  Let u = eps/2 and h the widest knot spacing.  For s in
     [lo, hi] the computed g(s), before its last subtraction (whose sign
@@ -289,7 +325,10 @@ def solve_retarded_time_many(traj: Trajectory, ts: np.ndarray) -> np.ndarray:
     _TAU_EPS eps S = 16 eps S exceeds delta more than four times over.
     Where the computed g(a) > tau and g(b) < -tau, g's monotonicity
     puts every midpoint below a at computed g > 0 and every one above b
-    at computed g < 0.  An end clipped to lo or hi is not tested.
+    at computed g < 0.  An end clipped to lo or hi is not tested.  Below
+    a lies the first bracket end lo too, so a tested a above it settles
+    the reference's first test, computed g(lo) > 0, and that time skips
+    the reach back.
 
     Decide.  Each halving takes the reference's own midpoint mid.  A
     mid < a keeps lo = mid and a mid > b keeps hi = mid, as the

@@ -3,9 +3,11 @@
 The expensive artifacts (root sweeps, growth-rate marches, the long
 filtered attempt) are session-scoped so the whole suite pays for each
 one once.  The terminal-summary hook replays the acceptance verdict
-lines after the run so they survive output capture.
+lines after the run so they survive output capture.  Every test must
+leave no child process behind, running or unreaped.
 """
 
+import os
 import sys
 
 import pytest
@@ -22,6 +24,17 @@ from zitterlab.trajectory import SeedHistory
 # once to the nearest double (test_roots.py checks that rounding at 120
 # bits).
 LAMBDA_STAR = 1.793282132900761
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:   # no child at all
+        return
+    pytest.fail("the test left a child process "
+                + ("running" if pid == 0 else f"{pid} unreaped"))
 
 
 @pytest.fixture(scope="session")

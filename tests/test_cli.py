@@ -413,6 +413,146 @@ def test_trajectory_csv_special_residuals(uniform_run, capsys, monkeypatch):
                      "-2.5e-300"]
 
 
+def _forks(monkeypatch):
+    # two CPUs allowed whatever the machine, and a list that gains an
+    # entry at each os.fork
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(None)
+        return fork()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def test_two_process_csv_matches_rowwise_fmt(uniform_run, tmp_path,
+                                             monkeypatch):
+    # 13,001 rows at blocks of at most 2,000: seven blocks round up to
+    # eight of 1,626 rows, the last of 1,619
+    forks = _forks(monkeypatch)
+    monkeypatch.setattr(cli, "_CSV_BLOCK", 2000)
+    path = tmp_path / "run.csv"
+    cli._write_trajectory_csv(str(path), uniform_run)
+    assert len(forks) == 1
+    res = cli._residuals(uniform_run, slice(None))
+    _assert_same_text(path.read_text(),
+                      _rowwise_trajectory_csv(uniform_run, res))
+
+
+def test_no_fork_without_a_descriptor_or_a_second_block(
+        uniform_run, tmp_path, capsys, monkeypatch):
+    def fork():
+        raise AssertionError("forked")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(cli, "_CSV_BLOCK", 2000)
+    # capsys's stdout has no file descriptor
+    text = _trajectory_csv(capsys, uniform_run)
+    monkeypatch.setattr(cli, "_CSV_BLOCK", uniform_run.t.size)
+    path = tmp_path / "run.csv"
+    cli._write_trajectory_csv(str(path), uniform_run)
+    assert path.read_text() == text
+
+
+# rows of the 13,001-row run whose residuals fail, in blocks of 1,626:
+# block 1 is the child's, 2 and 6 are the CLI's, 7 (the last) the child's
+@pytest.mark.parametrize("row, error", [
+    (2000, OverflowError), (4000, MemoryError), (10000, OSError),
+    (12000, ArithmeticError)], ids=["child", "parent", "parent-late",
+                                    "child-last"])
+def test_failing_block_fails_as_in_one_process(tmp_path, capsys, monkeypatch,
+                                               row, error):
+    residuals = cli._residuals
+
+    def failing(traj, k):
+        if k.start <= row < k.stop:
+            raise error(f"no residual at row {row}")
+        return residuals(traj, k)
+    monkeypatch.setattr(cli, "_residuals", failing)
+    monkeypatch.setattr(cli, "_CSV_BLOCK", 2000)
+    argv = ["simulate", "--seed", "uniform", "--beta", "0.4", "--tend", "10"]
+    runs = []
+    for forked in (True, False):
+        with monkeypatch.context() as m:
+            forks = _forks(m)
+            if not forked:
+                m.setattr(cli, "_forkable", lambda fh, count: False)
+            path = tmp_path / f"{forked}.csv"
+            runs.append((_run(capsys, *argv, "--out", str(path)),
+                         path.read_text()))
+            assert len(forks) == forked
+    assert runs[0] == runs[1]
+    (code, out, err), text = runs[0]
+    assert (code, out) == (1, "")
+    assert err.startswith("zitterlab: ") and err.count("\n") == 1
+    assert f"no residual at row {row}" in err
+    assert text.count("\n") == 1 + row // 1626 * 1626
+
+
+def _src_env(**extra):
+    # the environment of a fresh interpreter that imports this
+    # checkout's package through an absolute source path
+    src = os.path.dirname(os.path.dirname(os.path.abspath(zitterlab.__file__)))
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    return env
+
+
+# 33,001 rows: three blocks of at most 16,384 round up to four of 8,251,
+# the last of 8,248
+_MULTI_BLOCK = ["simulate", "--seed", "uniform", "--beta", "0.4", "--tend",
+                "30", "--out", "-"]
+
+
+def _simulate_process(threads="1"):
+    return subprocess.Popen(
+        [sys.executable, "-m", "zitterlab.cli", *_MULTI_BLOCK],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=_src_env(OPENBLAS_NUM_THREADS=threads))
+
+
+def test_piped_csv_matches_the_one_process_run(capsys):
+    code, want, err = _run(capsys, *_MULTI_BLOCK)
+    assert (code, err) == (0, "")
+    outs = {}
+    for threads in ("1", "4"):
+        # the OpenBLAS pool that four threads start must not make the
+        # fork warn
+        out, err = _simulate_process(threads).communicate(timeout=120)
+        assert err == b""
+        outs[threads] = out
+    assert outs["1"] == outs["4"]
+    _assert_same_text(outs["1"].decode(), want)
+
+
+def _at_eof(fh):
+    # whether everything written to the pipe fh has been read and no
+    # process holds its write end any longer
+    fd = fh.fileno()
+    os.set_blocking(fd, False)
+    try:
+        while os.read(fd, 1 << 16):
+            pass
+    except BlockingIOError:
+        return False
+    return True
+
+
+def test_closed_pipe_fails_once_and_leaves_no_child():
+    proc = _simulate_process()
+    assert proc.stdout.read(100).startswith(b"t,x,beta,beta_dot,residual\n")
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 1
+    err = proc.stderr.read1()
+    assert err == b"zitterlab: [Errno 32] Broken pipe\n"
+    # a child that outlived the CLI would still hold the stderr pipe
+    assert _at_eof(proc.stderr)
+    proc.stderr.close()
+
+
 def test_simulate_exact_csv(tmp_path, capsys):
     path = tmp_path / "run.csv"
     code, _, err = _run(capsys, "simulate", "--seed", "mode_kick",
@@ -838,14 +978,8 @@ def test_out_of_memory_exits_one(tmp_path, capsys, monkeypatch):
 
 
 def _fresh_python(code, *args):
-    # a fresh interpreter imports this checkout's package through an
-    # absolute source path
-    src = os.path.dirname(os.path.dirname(os.path.abspath(zitterlab.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
     proc = subprocess.run([sys.executable, "-c", code, *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=_src_env())
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
