@@ -272,10 +272,17 @@ def _lightcone(traj: Trajectory, ts: np.ndarray):
     beta = cubic_value(*traj.velocity_cubics(i_t), tc)
     # _reach_back's first bracket end
     lo = np.maximum(ts - 2.0, traj.t0)
+    # a time whose Newton start t - gamma(beta(t)) lies below lo reaches
+    # back first: Newton steps clipped to lo would certify nothing there
+    with np.errstate(invalid="ignore"):
+        back = ts - 1.0 / np.sqrt((1.0 - beta) * (1.0 + beta)) < lo
+    k = np.flatnonzero(back)
+    if k.size:
+        lo[k] = _reach_back(traj, ts[k], x_t[k])
     a, b, i = _enclose(traj, lo, hi, ts, x_t, beta)
     # a tested a above lo puts the computed g(lo) > 0, as at every
     # midpoint below a, so lo needs no reach back
-    k = np.flatnonzero(~(a > lo))
+    k = np.flatnonzero(~((a > lo) | back))
     if k.size:
         lo_k = _reach_back(traj, ts[k], x_t[k])
         moved = lo_k != lo[k]
@@ -306,9 +313,11 @@ def solve_retarded_time_many(traj: Trajectory, ts: np.ndarray) -> np.ndarray:
     Enclose.  _NEWTON_STEPS Newton steps on g from t - gamma(beta(t)),
     kept in [lo, hi], give s; a time whose last step moved s by more
     than m steps on, up to _NEWTON_MAX steps in all.  a = s - m and
-    b = s + m, m = 2 tau/|g'|, clipped to [lo, hi].  This runs first on
-    the first bracket end lo = max(t - 2, t0), and again, for a time
-    whose lo the reach back moved, on its own lo.
+    b = s + m, m = 2 tau/|g'|, clipped to [lo, hi].  A time whose start
+    lies below the first bracket end lo = max(t - 2, t0) reaches back
+    first and encloses once, on its own lo; steps clipped to the first
+    lo would certify nothing.  Every other time encloses on the first
+    lo, and again, where the reach back then moved its lo, on its own.
 
     Certify.  Let u = eps/2 and h the widest knot spacing.  For s in
     [lo, hi] the computed g(s), before its last subtraction (whose sign

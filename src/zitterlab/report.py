@@ -22,20 +22,11 @@ from typing import Callable
 
 import numpy as np
 
-from . import model, potential, series
-from . import roots as rootsmod
-from .dynamics import (
-    estimate_growth_rate,
-    estimate_spectrum,
-    integrate_truncated,
-    perturbed_uniform_run,
-    propagate_exact,
-    propagate_filtered,
-    sign_changes,
-)
-from .geometry import delay_closed, solve_retarded_time_many
+from . import model
 from .model import KinematicState, _json_line
-from .trajectory import SeedHistory
+
+# Each check imports the layers it runs, so `report --only ID` loads
+# only what its checks use.
 
 SWEEP_SEED = 20260814
 SWEEP_SIZE = 10_000
@@ -63,23 +54,27 @@ def _random_states():
 
 @lru_cache(maxsize=1)
 def _wide_rootset():
+    from . import roots as rootsmod
     return rootsmod.find_roots(rootsmod.CharEq(),
                                rootsmod.Region(-10.0, 10.0, -100.0, 100.0))
 
 
 def _check_real_root():
+    from . import roots as rootsmod
     lam = rootsmod.dominant_real_root()
     tol = 0.01 * _LSTAR_COARSE
     return _LSTAR_COARSE, lam, tol, abs(lam - _LSTAR_COARSE) <= tol
 
 
 def _check_real_root_residual():
+    from . import roots as rootsmod
     lam = rootsmod.dominant_real_root()
     res = float(rootsmod.CharEq().residual(lam))
     return 0.0, res, 1e-10, res < 1e-10
 
 
 def _check_rest_census():
+    from . import roots as rootsmod
     rs = rootsmod.find_roots(rootsmod.CharEq(),
                              rootsmod.Region(-1.0, 3.0, -1.0, 1.0))
     got = sorted(rs.roots, key=lambda r: r.value.real)
@@ -98,12 +93,14 @@ def _check_half_plane():
 
 
 def _check_winding_match():
+    from . import roots as rootsmod
     rs = _wide_rootset()
     n = rootsmod.argument_principle_count(rootsmod.CharEq(), rs.region)
     return rs.total_multiplicity(), n, 0, n == rs.total_multiplicity()
 
 
 def _check_ladder_drift_invariance():
+    from . import roots as rootsmod
     base = np.array(rootsmod.spectrum(0.0, 10).etas)
     spread = 0.0
     for beta in (0.3, 0.6, 0.9):
@@ -113,6 +110,7 @@ def _check_ladder_drift_invariance():
 
 
 def _check_ladder_linearity():
+    from . import roots as rootsmod
     sp = rootsmod.spectrum(0.0, 10)
     miss = 1.0 - sp.r_squared
     return 0.0, miss, 1e-3, miss <= 1e-3
@@ -121,6 +119,7 @@ def _check_ladder_linearity():
 # --- exact series ----------------------------------------------------
 
 def _check_series_identities():
+    from . import series
     results = series.verify_identities()
     failed = sum(1 for _, ok, _ in results if not ok)
     return 0, failed, 0, failed == 0
@@ -129,6 +128,7 @@ def _check_series_identities():
 # --- potential -------------------------------------------------------
 
 def _check_q_sequence():
+    from . import potential
     theta = np.arange(4096) * (2.0 * math.pi / 4096.0)
     worst = 0.0
     for n in range(1, 9):
@@ -138,12 +138,14 @@ def _check_q_sequence():
 
 
 def _check_energy_decomposition():
+    from . import potential
     p = potential.decompose(*_random_states())
     worst = float(np.max(np.abs(p.U - (p.gamma + p.Q))))
     return 0.0, worst, 1e-12, worst <= 1e-12
 
 
 def _check_series_vs_closed():
+    from . import potential
     gamma = model.lorentz_gamma(0.3)
     state = KinematicState(beta=0.3, beta_dot=math.sqrt(0.5) / gamma ** 3)
     diff = abs(potential.self_potential_partial_sums(state, 30)[-1]
@@ -152,6 +154,7 @@ def _check_series_vs_closed():
 
 
 def _check_duffing_stationary():
+    from . import potential
     worst = max(abs(potential.duffing_force(x))
                 for x in potential.duffing_stationary_points())
     return 0.0, worst, 1e-10, worst <= 1e-10
@@ -160,18 +163,23 @@ def _check_duffing_stationary():
 # --- light-cone geometry ---------------------------------------------
 
 def _check_pythagoras():
+    from .geometry import delay_closed
     r, l = delay_closed(*_random_states())[3:5]
     worst = float(np.max(np.abs(r * r - l * l - 1.0)))
     return 0.0, worst, 1e-12, worst <= 1e-12
 
 
 def _check_denominator():
+    from .geometry import delay_closed
     gamma, y, _, _, _, denominator = delay_closed(*_random_states())
     worst = float(np.max(np.abs(denominator * gamma - np.sqrt(1.0 + y))))
     return 0.0, worst, 1e-12, worst <= 1e-12
 
 
 def _check_retarded_delay():
+    from .dynamics import propagate_exact
+    from .geometry import solve_retarded_time_many
+    from .trajectory import SeedHistory
     worst = 0.0
     for beta in (0.0, 0.5):
         traj = propagate_exact(SeedHistory.uniform_motion(beta), 4.0)
@@ -185,12 +193,16 @@ def _check_retarded_delay():
 # --- dynamics --------------------------------------------------------
 
 def _check_uniform_invariance():
+    from .dynamics import propagate_exact
+    from .trajectory import SeedHistory
     traj = propagate_exact(SeedHistory.uniform_motion(0.5), 50.0)
     worst = float(np.max(np.abs(traj.x - 0.5 * traj.t)))
     return 0.0, worst, 1e-12, worst <= 1e-12
 
 
 def _drift_rate(beta: float, rel: float):
+    from . import roots as rootsmod
+    from .dynamics import perturbed_uniform_run
     gamma = model.lorentz_gamma(beta)
     target = rootsmod.dominant_real_root() / gamma
     rate = perturbed_uniform_run(beta, 1e-6).rate
@@ -199,6 +211,7 @@ def _drift_rate(beta: float, rel: float):
 
 
 def _check_truncated_rate():
+    from .dynamics import estimate_growth_rate, integrate_truncated
     traj = integrate_truncated(KinematicState(beta_dot=1e-8), 5.0, 1e-3)
     rate = estimate_growth_rate(traj, (1.5, 4.0)).rate
     return 3.0, rate, 0.15, abs(rate - 3.0) <= 0.15
@@ -206,11 +219,14 @@ def _check_truncated_rate():
 
 @lru_cache(maxsize=1)
 def _long_run_attempt():
+    from .dynamics import propagate_filtered
+    from .trajectory import SeedHistory
     return propagate_filtered(SeedHistory.rest_kick(1e-6), 100.0,
                               partial=True)
 
 
 def _check_long_run_bounded():
+    from .dynamics import sign_changes
     traj = _long_run_attempt()
     fwd = traj.beta[traj.t >= 0.0]
     reached = float(traj.t[-1])
@@ -228,6 +244,7 @@ def _check_saturation_amplitude():
 
 
 def _check_oscillation_fundamental():
+    from .dynamics import estimate_spectrum, sign_changes
     traj = _long_run_attempt()
     if sign_changes(traj.beta[traj.t >= 0.0]) < 4:
         return _ETA_FIRST / (2.0 * math.pi), None, None, True

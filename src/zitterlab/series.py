@@ -36,6 +36,14 @@ through z^4 (coefficients 1, -1/2, -1/8), which is the truncation under
 which the quoted full-beta separation coefficients hold.  In a
 beta-truncated ring the z-order is raised automatically until the
 Pythagoras closure l^2 + d^2 = r^2 is exact to the working order.
+
+Composition and reversion compute only what reaches the result.  An
+inner series g has no constant term, so in Horner's rule for f(g) the
+accumulator that g will still multiply k times needs no coefficient
+above order n - k.  Reversion fixes coefficient k of the inverse at
+pass k from one composition at order k.  Both leave out only products
+whose terms all fall above the truncation order, and the arithmetic is
+exact, so every coefficient is the Fraction the full-order schemes give.
 """
 
 from __future__ import annotations
@@ -43,11 +51,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import add
 
 Q = Fraction
 
 # Exponent tuples index the variables as: slot 0 -> beta, slot j >= 1 ->
 # the (j-1)-th time derivative of the acceleration (a, a1, a2, ...).
+# A KinPoly keeps two invariants: every key is trimmed (no trailing zero
+# exponent, so each monomial has one key) and every coefficient is
+# nonzero.  Ring operations keep both without re-checking keys: the sum
+# of two trimmed keys is trimmed, and a product of nonzero Fractions is
+# nonzero.
 
 def _var_name(slot: int) -> str:
     if slot == 0:
@@ -67,6 +81,20 @@ def _trim(exps: tuple[int, ...]) -> tuple[int, ...]:
     while n and exps[n - 1] == 0:
         n -= 1
     return exps[:n]
+
+
+def _accumulate(terms: dict[tuple[int, ...], Fraction], e: tuple[int, ...],
+                c: Fraction) -> None:
+    """terms[e] += c for a nonzero c, dropping the term if it cancels."""
+    s = terms.get(e)
+    if s is None:
+        terms[e] = c
+        return
+    s += c
+    if s:
+        terms[e] = s
+    else:
+        del terms[e]
 
 
 class KinPoly:
@@ -99,11 +127,7 @@ class KinPoly:
             other = KinPoly.const(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, Q(0)) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
+            _accumulate(out, e, c)
         return KinPoly(out)
 
     __radd__ = __add__
@@ -122,23 +146,22 @@ class KinPoly:
     def mul(self, other: "KinPoly", beta_cap: int | None = None,
             kin_cap: int | None = None) -> "KinPoly":
         out: dict[tuple[int, ...], Fraction] = {}
+        right = [(e, c, e[0] if e else 0, _kin_degree(e))
+                 for e, c in other.terms.items()]
         for e1, c1 in self.terms.items():
-            k1 = 0 if kin_cap is None else _kin_degree(e1)
-            for e2, c2 in other.terms.items():
-                if beta_cap is not None:
-                    b = (e1[0] if e1 else 0) + (e2[0] if e2 else 0)
-                    if b > beta_cap:
-                        continue
-                if kin_cap is not None and k1 + _kin_degree(e2) > kin_cap:
+            b1 = e1[0] if e1 else 0
+            k1 = _kin_degree(e1)
+            n1 = len(e1)
+            for e2, c2, b2, k2 in right:
+                if beta_cap is not None and b1 + b2 > beta_cap:
                     continue
-                n = max(len(e1), len(e2))
-                e = _trim(tuple((e1[i] if i < len(e1) else 0) + (e2[i] if i < len(e2) else 0)
-                                for i in range(n)))
-                s = out.get(e, Q(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
+                if kin_cap is not None and k1 + k2 > kin_cap:
+                    continue
+                # the sum of two trimmed keys is trimmed: the longer one's
+                # last exponent is positive, and so is the sum's
+                e = tuple(map(add, e1, e2))
+                e += e1[len(e2):] if n1 > len(e2) else e2[n1:]
+                _accumulate(out, e, c1 * c2)
         return KinPoly(out)
 
     def __mul__(self, other):
@@ -330,34 +353,53 @@ class TruncatedSeries:
         return replace(self, coeffs=tuple(out))
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
-        """self(inner(w)); inner must have zero constant term."""
+        """self(inner(w)) to order n = min(self.order, inner.order);
+        inner must have zero constant term.
+
+        Horner's rule, acc <- acc * g + f_k for k = n down to 0, with the
+        accumulator cut to order n - k at step k: it is multiplied by g
+        k more times, and g has no constant term, so its higher
+        coefficients cannot reach order n.  For the same reason an f_k
+        with k > n adds nothing.  The products left out are exactly the
+        ones whose every term lands above order n, so each coefficient
+        is the same Fraction that full-order Horner gives.
+        """
         if (inner.beta_order, inner.kin_order) != (self.beta_order, self.kin_order):
             raise ValueError("composition across different quotient rings")
         if not inner.coeffs[0].is_zero():
             raise ValueError("composition needs zero constant term in the inner series")
-        g = inner.truncate_to(min(self.order, inner.order))
-        acc = g._like([])
-        for k in range(self.order, -1, -1):
-            acc = acc * g
-            acc = acc + g._like([self.coeffs[k]])
+        n = min(self.order, inner.order)
+        # inner = w h, so acc * inner at order m is acc * h at order m - 1
+        # shifted up one place, where f_k takes the freed constant slot
+        h = inner.truncate_to(n).shift_down(1)
+        acc = replace(h, coeffs=(self.coeffs[n],), order=0)
+        for k in range(n - 1, -1, -1):
+            prod = acc * h.truncate_to(n - k - 1)
+            acc = replace(prod, coeffs=(self.coeffs[k],) + prod.coeffs, order=n - k)
         return acc
 
     def revert(self, new_tag: str) -> "TruncatedSeries":
         """Compositional inverse g with self(g(w)) = w.
 
-        Zero constant term and a unit linear coefficient are required.
-        Fixed-point iteration on composition; each pass fixes one more
-        order, which at these orders is cheap and easy to audit.
+        Zero constant term and a unit linear coefficient u are required.
+        Order by order (Knuth, TAOCP vol. 2, sec. 4.7): coefficient k of
+        self(g) is u g_k plus terms in g_1 .. g_(k-1) alone, so pass k
+        composes at order k with g_k still 0 and sets g_k to minus u^-1
+        times that coefficient.  The inverse is unique to each order, so
+        these are the Fractions that fixed-point iteration on the full
+        composition converges to.  A closing full-order check stays.
         """
         if not self.coeffs[0].is_zero():
             raise ValueError("reversion needs zero constant term")
         u_inv = kin_unit_inverse(self.coeffs[1], self.beta_order)
+        f = self.retag(new_tag)
         w = self._like([KinPoly(), KinPoly.const(1)], tag=new_tag)
         g = w.scale(u_inv)
-        for _ in range(2, self.order + 1):
-            err = self.retag(new_tag).compose(g) - w
-            g = g - err.scale(u_inv)
-        if not self.retag(new_tag).compose(g).__sub__(w).is_zero():
+        for k in range(2, self.order + 1):
+            ck = f.truncate_to(k).compose(g.truncate_to(k)).coeffs[k]
+            g = replace(g, coeffs=g.coeffs[:k] + (-self._cmul(ck, u_inv),)
+                        + g.coeffs[k + 1:])
+        if not (f.compose(g) - w).is_zero():
             raise AssertionError("series reversion failed to close")
         return g
 

@@ -1015,7 +1015,6 @@ _BASE = {"cli", "model"}
 _ROOTS = _BASE | {"roots"}
 _POTENTIAL = _BASE | {"potential", "geometry", "trajectory"}
 _MARCH = _BASE | {"dynamics", "geometry", "trajectory", "roots"}
-_EVERY = _MARCH | {"potential", "series", "report"}
 
 
 _LAYER_CASES = [
@@ -1026,7 +1025,7 @@ _LAYER_CASES = [
     (["potential", "--duffing"], _POTENTIAL),
     (["simulate", "--seed", "mode_kick", "--integrator", "exact",
       "--tend", "1.3", "--report"], _MARCH),
-    (["report", "--only", "branch_ladder"], _EVERY),
+    (["report", "--only", "branch_ladder"], _ROOTS | {"report"}),
 ]
 
 

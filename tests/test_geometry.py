@@ -364,6 +364,31 @@ def test_rest_kick_early_times_have_windows(long_attempt):
     assert _window_share(long_attempt, ts) >= 0.74
 
 
+def test_rest_kick_audit_encloses_each_time_once(long_attempt, monkeypatch):
+    # 1,411 of the rest kick's times have their root below t - 2: they
+    # reach back before their Newton steps, which clipped to t - 2 would
+    # certify nothing, so no time is enclosed twice.  Three steps per
+    # time, plus those the late times where |beta| nears 1 step on
+    ts = _lightcone_times(long_attempt)
+    enclosed, steps = [], []
+    enclose, newton_step = geometry._enclose, geometry._newton_step
+
+    def counted_enclose(traj, lo, *args):
+        enclosed.append(lo.size)
+        return enclose(traj, lo, *args)
+
+    def counted_step(traj, i, s, *args):
+        steps.append(s.size)
+        return newton_step(traj, i, s, *args)
+
+    monkeypatch.setattr(geometry, "_enclose", counted_enclose)
+    monkeypatch.setattr(geometry, "_newton_step", counted_step)
+    assert np.array_equal(solve_retarded_time_many(long_attempt, ts),
+                          _fixed_bisection(long_attempt, ts))
+    assert sum(enclosed) == ts.size == 11_676
+    assert sum(steps) <= 43_015
+
+
 def _grazing_times(traj):
     # times whose past light cone just reaches the history's first
     # point, reach in (-1e-12, 1e-9], with lo = t0: the root sits at lo,

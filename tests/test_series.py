@@ -9,15 +9,20 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zitterlab.series import (
     KinPoly,
     TruncatedSeries,
     _binomial_half,
     _linear_eom_expansion,
+    _separation,
+    _trim,
     d_series,
     eom_expansion,
     exp_remainder_coeffs,
+    kin_unit_inverse,
     l_series,
     linear_chain_coeffs,
     r_of_d_series,
@@ -79,7 +84,7 @@ def test_characteristic_matches_chain():
     assert characteristic == exp_remainder_coeffs(14)
 
 
-@pytest.mark.parametrize("order", range(4, 9))
+@pytest.mark.parametrize("order", range(4, 12))
 def test_linear_quotient_matches_full_ring(order):
     # dropping kinematic degree >= 2 is a ring homomorphism, so the linear
     # part of every coefficient must be the full ring's, Fraction for Fraction
@@ -123,12 +128,13 @@ def test_advance_series_numeric_fixed_point():
 
 
 def test_reversion_roundtrip_exact():
-    d = d_series(5, beta_order=3)
-    r_back = r_of_d_series(5, beta_order=3)
-    composed = d.compose(r_back)
-    ident = TruncatedSeries.identity(composed.order, composed.tag,
-                                     beta_order=3)
-    assert (composed - ident).is_zero()
+    for order in (5, 8):
+        d = d_series(order, beta_order=3)
+        r_back = r_of_d_series(order, beta_order=3)
+        composed = d.compose(r_back)
+        assert composed.order == order
+        ident = TruncatedSeries.identity(order, composed.tag, beta_order=3)
+        assert (composed - ident).is_zero()
 
 
 def test_sqrt_square_roundtrip():
@@ -147,3 +153,140 @@ def test_series_rejects_mixed_tags():
     b = TruncatedSeries.identity(3, "q")
     with pytest.raises(ValueError):
         a + b
+
+
+# -- the full-order schemes the truncated ones must reproduce -----------
+
+def _full_horner_compose(outer, inner):
+    # Horner's rule with the accumulator kept at full order throughout
+    g = inner.truncate_to(min(outer.order, inner.order))
+    acc = g._like([])
+    for k in range(outer.order, -1, -1):
+        acc = acc * g
+        acc = acc + g._like([outer.coeffs[k]])
+    return acc
+
+
+def _fixed_point_revert(f, new_tag):
+    # g <- g - u^-1 (f(g) - w), each pass a full-order composition
+    u_inv = kin_unit_inverse(f.coeffs[1], f.beta_order)
+    w = f._like([KinPoly(), KinPoly.const(1)], tag=new_tag)
+    g = w.scale(u_inv)
+    for _ in range(2, f.order + 1):
+        err = _full_horner_compose(f.retag(new_tag), g) - w
+        g = g - err.scale(u_inv)
+    return g
+
+
+def _linear_ring_d_series(order, beta_order):
+    # the separation series in the quotient by kinematic degree >= 2
+    l = l_series(order, beta_order)
+    return _separation(TruncatedSeries.build(l.coeffs, order, l.tag,
+                                             beta_order, kin_order=1))
+
+
+@pytest.mark.parametrize("beta_order", [1, 2, 3])
+@pytest.mark.parametrize("order", range(2, 9))
+def test_revert_matches_fixed_point_iteration(order, beta_order):
+    d = d_series(order, beta_order)
+    assert d.revert("d") == _fixed_point_revert(d, "d")
+
+
+@pytest.mark.parametrize("beta_order", [0, 1])
+@pytest.mark.parametrize("order", [4, 8, 11])
+def test_revert_matches_fixed_point_in_linear_ring(order, beta_order):
+    d = _linear_ring_d_series(order, beta_order)
+    got = d.revert("d")
+    assert got.kin_order == 1
+    assert got == _fixed_point_revert(d, "d")
+
+
+@pytest.mark.parametrize("beta_order", [None, 1, 2])
+@pytest.mark.parametrize("outer_order, inner_order",
+                         [(3, 7), (6, 6), (9, 5), (0, 4), (4, 1)])
+def test_compose_matches_full_horner(outer_order, inner_order, beta_order):
+    # an outer series of lower, equal and higher order than the inner one
+    outer = l_series(outer_order, beta_order).retag("d")
+    inner = d_series(inner_order, beta_order).retag("d")
+    got = outer.compose(inner)
+    assert got.order == min(outer_order, inner_order)
+    assert got == _full_horner_compose(outer, inner)
+
+
+@pytest.mark.parametrize("outer_order, inner_order", [(3, 8), (8, 8), (8, 3)])
+def test_compose_matches_full_horner_in_linear_ring(outer_order, inner_order):
+    outer = _linear_ring_d_series(outer_order, 0).retag("d")
+    inner = _linear_ring_d_series(inner_order, 0).revert("d")
+    assert outer.compose(inner) == _full_horner_compose(outer, inner)
+
+
+def test_identity_suite_coefficient_products(monkeypatch):
+    # a deterministic cost gate: the coefficient products KinPoly.mul
+    # forms over the identity suite, 8,429 with full-order composition
+    # and fixed-point reversion, 2,475 with the truncated schemes
+    products = [0]
+    mul = KinPoly.mul
+
+    def counted(a, b, *args, **kwargs):
+        products[0] += len(a.terms) * len(b.terms)
+        return mul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(KinPoly, "mul", counted)
+    assert all(ok for _, ok, _ in verify_identities())
+    assert products[0] <= 2_722  # 2,475 plus 10%
+
+
+# -- KinPoly ring laws against sympy ------------------------------------
+
+_SLOTS = 4  # beta, a, a1, a2
+
+# few exponents and coefficients, so that products collide and cancel
+_keys = st.lists(st.integers(0, 2), max_size=_SLOTS).map(
+    lambda e: _trim(tuple(e)))
+_coeffs = st.fractions(min_value=-2, max_value=2,
+                       max_denominator=2).filter(bool)
+_polys = st.dictionaries(_keys, _coeffs, max_size=5).map(KinPoly)
+
+
+def _sympy_terms(expr, symbols, beta_cap=None, kin_cap=None):
+    """The expanded sympy polynomial as KinPoly terms, with the same caps
+    applied to its monomials."""
+    import sympy
+    out = {}
+    for monom, c in sympy.Poly(expr, *symbols).terms():
+        if beta_cap is not None and monom[0] > beta_cap:
+            continue
+        if kin_cap is not None and sum(monom[1:]) > kin_cap:
+            continue
+        if c:
+            out[_trim(monom)] = Fraction(int(c.p), int(c.q))
+    return out
+
+
+def _to_sympy(poly, symbols):
+    import sympy
+    return sympy.Add(*(sympy.Rational(c.numerator, c.denominator)
+                       * sympy.Mul(*(s ** p for s, p in zip(symbols, e)))
+                       for e, c in poly.terms.items()))
+
+
+def _well_formed(poly):
+    return all(c and (not e or e[-1]) for e, c in poly.terms.items())
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(p=_polys, q=_polys, beta_cap=st.sampled_from([None, 0, 1, 2, 3]),
+       kin_cap=st.sampled_from([None, 0, 1, 2]))
+def test_kinpoly_ring_laws_against_sympy(p, q, beta_cap, kin_cap):
+    import sympy
+    symbols = sympy.symbols(f"x0:{_SLOTS}")
+    sp, sq = _to_sympy(p, symbols), _to_sympy(q, symbols)
+    for got, want in ((p.mul(q), _sympy_terms(sp * sq, symbols)),
+                      (p.mul(q, beta_cap, kin_cap),
+                       _sympy_terms(sp * sq, symbols, beta_cap, kin_cap)),
+                      (p + q, _sympy_terms(sp + sq, symbols)),
+                      (p - q, _sympy_terms(sp - sq, symbols))):
+        assert _well_formed(got)
+        assert got.terms == want
+    assert (p - p).is_zero()
+    assert p.mul(q, beta_cap, kin_cap) == q.mul(p, beta_cap, kin_cap)
