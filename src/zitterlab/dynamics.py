@@ -12,15 +12,15 @@ constructs a solution).  The map is causal and explicit; no implicit
 advanced-time solve is needed, and the implicit light-cone route stays
 available as an independent audit (residual_eom_many).
 
-Both run on one march core, _march, in the breaking-point view of
+Both are one march, _march, in the method-of-steps view of
 state-dependent delay equations (Bellen & Zennaro 2003, Numerical
-Methods for Delay Differential Equations, ch. 4): each pass re-emits
-settled states, whose arrivals settle the stretch one delay ahead.
-The core owns the seed pass, the arrival checks and the output rows up
-to t = 0.  Only the recovery step that turns arrivals into the next
-emitters' (beta, beta_dot) differs, _ExactRecovery or
-_FilteredRecovery, and it meets the core in seven members: pad,
-start, emitters, absorb, done, output and settled (see _march).
+Methods for Delay Differential Equations, ch. 3-4): each pass re-emits
+settled grid rows, whose arrivals settle the stretch one delay ahead.
+PCHIP carries the arrivals onto the uniform grid, a smoothing kernel
+acts on each generation, and _fd5 recovers (beta, beta_dot) at the
+next emitters.  The instruments differ in the kernel alone:
+propagate_exact uses one tap of weight 1 (no smoothing) and
+propagate_filtered the cosine-tapered Gaussian of _filter_kernel.
 
 integrate_truncated runs the jerk ODE obtained by keeping only the
 leading terms of the small-separation expansion,
@@ -39,6 +39,9 @@ Numerical notes on the march:
   near-uniform motion the absolute position grows while the physics
   lives in a 1e-6 neighborhood; the comoving frame keeps roundoff at
   the scale of the perturbation instead of the scale of x.
+* t_end must be a whole number of grid steps (to 1e-9 relative) for
+  both instruments, because _fd5 differentiates the forward rows as
+  one grid step apart.
 * The exact march cannot run long.  The characteristic spectrum of the
   rest and drift states is unbounded above (Re z grows like twice the
   log of the mode frequency), so every delay crossing amplifies
@@ -46,40 +49,42 @@ Numerical notes on the march:
   is ill posed for rough data.  Any finite-precision history therefore
   seeds ultraviolet bands that overtake the signal after a few
   crossings no matter how the derivatives are recovered; smoothing
-  the recovery only slows the death.  propagate_exact is the honest
-  instrument for rate windows a couple of delays long, and the drift
-  rate (perturbed_uniform_run) reads only its seed pass: a march that
-  ends before the first delay crossing re-emits nothing.
-* propagate_filtered is the long-horizon instrument: its recovery
-  smooths each generation with a cosine-tapered Gaussian kernel.  The
-  passband keeps the real mode and the fundamental oscillatory branch
-  (both stay supercritical, so the instability is preserved);
-  everything from the second branch up is damped below its
-  per-crossing growth, which keeps the ultraviolet tower from
-  overtaking the signal.  That has not bought a bounded saturated run:
-  from a rest kick the real mode passes the unit-sum kernel and the
-  march coasts into the light barrier (acceptance criterion 9, README
-  "The honest failure").  The kernel fits inside the light cone: the
-  emitter geometry forces r >= 1, so a sub-unit kernel span never
-  starves the march.  The filter is not rate-neutral: a positive
-  unit-sum kernel multiplies a real growing mode by a small known
-  factor per generation, so log-slopes come out steeper (the filtered
-  rest kick's estimate_growth_rate over (3, 5) reads 2.5494 against
-  the 1.7933 root); rate measurements belong on the exact path.
+  only slows the death.  On a 1e-6 mode kick, beta - drift departs
+  from the mode by up to 7.1x (beta = 0.3), 51x (0.6) and 2.2e3x
+  (0.9) within a few grid steps of the first delay crossing, t = gamma.
+  propagate_exact is the honest instrument for the seed pass and
+  windows a delay or two long, and the drift rate
+  (perturbed_uniform_run) reads only its seed pass: a march that ends
+  before the first delay crossing re-emits nothing.
+* propagate_filtered is the long-horizon instrument: it smooths each
+  generation with a cosine-tapered Gaussian kernel.  The passband keeps
+  the real mode and the fundamental oscillatory branch (both stay
+  supercritical, so the instability is preserved); everything from
+  the second branch up is damped below its per-crossing growth, which
+  keeps the ultraviolet tower from overtaking the signal.  That has
+  not bought a bounded saturated run: from a rest kick the real mode
+  passes the unit-sum kernel and the march coasts into the light
+  barrier (acceptance criterion 9, README "The honest failure").  The
+  kernel fits inside the light cone: the emitter geometry forces
+  r >= 1, so a sub-unit kernel span never starves the march.  The
+  filter is not rate-neutral: a positive unit-sum kernel multiplies a
+  real growing mode by a small known factor per generation, so
+  log-slopes come out steeper (the filtered rest kick's
+  estimate_growth_rate over (3, 5) reads 2.5494 against the 1.7933
+  root); rate measurements belong on the exact path.
 * Both return the seed history on the output grid, so the delay audit
   has the past it needs, and all choices land in the metadata.
 * Arrival times must come out strictly increasing; if they do not, the
   run aborts with ArrivalOrderError rather than reordering anything.
   For a subluminal worldline the arrival map is provably monotone, so
   this abort can only ever flag numerical breakdown, not physics.
-  Each pass re-emits every ready knot.  Arrivals past the end of the
+  Each pass re-emits every ready row.  Arrivals past the end of the
   output grid are kept only as far as its last rows' stencils reach,
-  so knots the run never needs cannot abort it.
+  so rows the run never needs cannot abort it.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -90,7 +95,7 @@ from .model import KinematicState, lorentz_gamma
 from .trajectory import (SeedHistory, SuperluminalError, Trajectory,
                          cubic_slope, cubic_value, pchip)
 
-# reach in points of the five-knot recovery stencil, _fd5 and pchip
+# reach in rows of the five-point stencil of _fd5
 _HALF = 2
 # output grid rows a march may hold: 128 MiB per float column
 _MAX_ROWS = 2 ** 24
@@ -108,43 +113,6 @@ class TooFewSamplesError(ValueError):
     """Not enough uniform samples in the window for a spectrum."""
 
 
-# ---------------------------------------------------------------------
-# Finite-difference weights on arbitrary stencils
-# ---------------------------------------------------------------------
-
-def _fd_weights_batch(ts: np.ndarray, t0: np.ndarray) -> np.ndarray:
-    """Derivative weights for a batch of stencils (B, k) about t0 (B,).
-
-    Returns (B, 3, k): row m holds the weights whose dot with the
-    sampled values approximates the m-th derivative at t0, m = 0, 1, 2.
-    Classic recurrence over divided differences, vectorized over the
-    batch axis.
-    """
-    b, k = ts.shape
-    c = np.zeros((b, 3, k))
-    c1 = np.ones(b)
-    c4 = ts[:, 0] - t0
-    c[:, 0, 0] = 1.0
-    for i in range(1, k):
-        mn = min(i, 2)
-        c2 = np.ones(b)
-        c5 = c4
-        c4 = ts[:, i] - t0
-        for j in range(i):
-            c3 = ts[:, i] - ts[:, j]
-            c2 = c2 * c3
-            if j == i - 1:
-                for m in range(mn, 0, -1):
-                    c[:, m, i] = c1 * (m * c[:, m - 1, i - 1]
-                                       - c5 * c[:, m, i - 1]) / c2
-                c[:, 0, i] = -c1 * c5 * c[:, 0, i - 1] / c2
-            for m in range(mn, 0, -1):
-                c[:, m, j] = (c4 * c[:, m, j] - m * c[:, m - 1, j]) / c3
-            c[:, 0, j] = c4 * c[:, 0, j] / c3
-        c1 = c2
-    return c
-
-
 def _emit(t, u, b, a, drift):
     """Arrival time and comoving position from emitter states; t_a is
     inf or nan where an acceleration overflows them."""
@@ -157,29 +125,21 @@ def _emit(t, u, b, a, drift):
     return t_a, u_a
 
 
-def _velocity(drift: float, du: np.ndarray) -> np.ndarray:
-    """Lab velocity from a recovered comoving slope, refusing |beta| >= 1."""
+def _emitters(t, u_s, i, grid, drift):
+    """The emitter states (t, u, beta, beta_dot) of grid rows i, from the
+    smoothed channel u_s, refusing |beta| >= 1."""
+    du, d2u = _fd5(u_s, i, grid)
     beta = drift + du
     if np.any(np.abs(beta) >= 1.0):
         raise SuperluminalError("recovered |beta| >= 1 during marching")
-    return beta
+    return t[i], u_s[i], beta, d2u
 
 
-def _march(seed: SeedHistory, t_end: float, grid: float, recovery,
-           partial: bool, metadata: dict) -> Trajectory:
-    """The emitter-map march both instruments share.
-
-    The core samples the seed history onto the output grid, emits from
-    it, writes it as the output rows up to t = 0 and checks every
-    arrival.  recovery(seed, t_end, grid) checks the instrument's own
-    parameters and returns the step that differs: pad extra grid rows
-    past t_end, start() takes the seed pass, emitters() hands out every
-    ready emitter state, absorb() takes their arrivals (start and absorb
-    both end by recovering what the arrivals settle), done() says the output
-    is covered, output() fills the (u, beta, beta_dot) rows after t = 0
-    and, under partial=True only, settled() gives the last row a
-    cut-short march still supports.
-    """
+def _grid_rows(seed: SeedHistory, t_end: float,
+               grid: float) -> tuple[int, int]:
+    """The output row of t = 0 and the number of forward steps, once
+    t_end and grid are checked; a grid past _MAX_ROWS is refused before
+    anything is allocated."""
     if not (t_end > 0 and math.isfinite(t_end)):
         raise ValueError(f"t_end must be positive and finite, got {t_end!r}")
     if not (grid > 0 and math.isfinite(grid)):
@@ -187,17 +147,38 @@ def _march(seed: SeedHistory, t_end: float, grid: float, recovery,
     if t_end < 0.5 * grid:
         raise ValueError(f"t_end {t_end!r} is shorter than half the grid "
                          f"step {grid!r}")
-    k0 = int(round(seed.span / grid))         # output row of t = 0
+    k0 = int(round(seed.span / grid))
     n_fwd = int(round(t_end / grid))
     n_out = k0 + n_fwd + 1
-    # refused before anything is allocated; the recovery's pad, under its
-    # kernel's 0.95 / grid, stays below the seed rows' 3 / grid
     if n_out > _MAX_ROWS:
         raise ValueError(f"the output grid needs {n_out:,.9g} rows, past the "
                          f"cap of {_MAX_ROWS:,}: {k0 + 1:,.9g} for the seed "
                          f"span {seed.span:.6g} and {n_fwd:,.9g} for t_end "
                          f"{t_end:.6g}, each over the grid step {grid:.6g}")
-    rec = recovery(seed, t_end, grid)
+    # the forward rows are t_end / n_fwd apart, and _fd5 differentiates
+    # them as grid apart
+    if abs(n_fwd * grid - t_end) > 1e-9 * t_end:
+        raise ValueError(f"t_end {t_end!r} is not a whole number of "
+                         f"grid steps {grid!r}")
+    return k0, n_fwd
+
+
+def _march(seed: SeedHistory, t_end: float, grid: float, kernel: np.ndarray,
+           partial: bool, metadata: dict) -> Trajectory:
+    """The emitter-map march both instruments share.
+
+    The seed history, sampled onto the output grid, is emitted and
+    written as the output rows up to t = 0.  Each pass then carries the
+    arrivals onto the grid by PCHIP (the raw channel), smooths every row
+    the kernel's reach covers (an odd, unit-sum kernel; one tap leaves
+    the rows as they are), and re-emits every smoothed row whose _fd5
+    stencil is complete, until the output rows' stencils are covered.
+    Under partial=True a march cut short by the light barrier or an
+    arrival fold returns the rows it settled.
+    """
+    k0, n_fwd = _grid_rows(seed, t_end, grid)
+    n_out = k0 + n_fwd + 1
+    half_k = kernel.size // 2
     drift = seed.beta
 
     # --- seed pass: emit from the prescribed history ------------------
@@ -209,26 +190,62 @@ def _march(seed: SeedHistory, t_end: float, grid: float, recovery,
     t_a, u_a = _emit(s_t, s_u, s_b, s_a, drift)
     if not (np.all(np.diff(t_a) > 0.0) and np.isfinite(t_a[-1])):
         raise ArrivalOrderError("seed emissions gave non-monotone arrivals")
-    # the output grid, run on by the recovery's own pad of extra rows
+    if k0 < half_k + 8:
+        raise ValueError("seed history too short to prime the march: "
+                         f"{k0} seed rows, fewer than the kernel's "
+                         f"half-width {half_k} plus 8")
+    # the output grid, run on by the rows its last stencils reach
     t_grid = np.concatenate([s_t[:-1], np.linspace(0.0, t_end, n_fwd + 1),
-                             t_end + grid * np.arange(1, rec.pad + 1)])
-    rec.start(t_grid, s_u, s_b, s_a, t_a, u_a)
+                             t_end + grid * np.arange(1, half_k + 5)])
+    u_raw = np.full(t_grid.size, np.nan)     # arrivals carried onto the grid
+    u_s = np.full(t_grid.size, np.nan)       # the kernel's output
+    u_raw[:k0 + 1] = s_u
+    # The smoothed channel covers the seed rows too (filled by the first
+    # pass), so no stencil ever straddles a raw/smoothed amplitude seam;
+    # only the kernel-sized left edge stays raw, and emissions from there
+    # land before t = 0 and are discarded.
+    u_s[:half_k] = s_u[:half_k]
+    cov, smo = k0, half_k - 1      # last raw row, last smoothed row
+    nxt = k0 + 1                   # next emitter row
+    # a few trailing arrivals are carried into the next interpolation so
+    # pass boundaries do not degrade the pchip edge
+    tail_t = tail_u = np.empty(0)
     last_arrival = t_a[-1]
 
     aborted: Exception | None = None
     try:
-        while not rec.done():
-            t, u, b, a = rec.emitters()
+        while True:
+            at = np.concatenate([tail_t, t_a])
+            au = np.concatenate([tail_u, u_a])
+            # the raw channel takes every row two steps short of the last
+            # arrival
+            hi = k0 - 1 + int(np.searchsorted(t_grid[k0:], at[-1] - 2.0 * grid,
+                                              side="right"))
+            hi = min(hi, t_grid.size - 1)
+            if hi > cov:
+                u_raw[cov + 1:hi + 1] = pchip(at, au)(t_grid[cov + 1:hi + 1])
+                cov = hi
+            tail_t, tail_u = at[-6:], au[-6:]
+            # smooth every row whose kernel the raw channel now covers
+            if cov - half_k > smo:
+                u_s[smo + 1:cov - half_k + 1] = np.convolve(
+                    u_raw[smo + 1 - half_k:cov + 1], kernel, mode="valid")
+                smo = cov - half_k
+            if smo >= n_out + 1:      # the last output row's stencil
+                break
+            t, u, b, a = _emitters(t_grid, u_s, np.arange(nxt, smo - 1),
+                                   grid, drift)
             if t.size == 0:
                 raise RuntimeError("marching starved: no recovered emitters "
                                    "ahead of the pointer")
+            nxt += t.size
             t_a, u_a = _emit(t, u, b, a, drift)
             # Past the end of the output grid, arrivals serve only the
             # stencils of its last rows: keep the first one there and
-            # the 2 * _HALF after it.  Later ones come from knots t_end
+            # the 2 * _HALF after it.  Later ones come from rows t_end
             # never needs, whose ultraviolet-fouled states can fold the
-            # arrival order, and a pass re-emits every ready knot, so
-            # it reaches them: untrimmed, the pinned march
+            # arrival order, and a pass re-emits every ready row, so it
+            # reaches them: untrimmed, the pinned march
             # "filtered-uniform-kick-trim" folds at t = 2.639 of its 3.
             past = np.flatnonzero(t_a >= t_grid[-1])
             if past.size:
@@ -238,7 +255,6 @@ def _march(seed: SeedHistory, t_end: float, grid: float, recovery,
                     and np.isfinite(t_a[-1])):
                 raise ArrivalOrderError("non-monotone arrival times; the run "
                                         "is reported, not reordered")
-            rec.absorb(t_a, u_a)
             last_arrival = t_a[-1]
     except (SuperluminalError, ArrivalOrderError) as exc:
         if not partial:
@@ -247,14 +263,15 @@ def _march(seed: SeedHistory, t_end: float, grid: float, recovery,
 
     last = n_out - 1
     if aborted is not None:
-        last = min(rec.settled(), last)
+        last = min(smo - 3, last)   # output stencils need u_s[last + 2]
         if last <= k0 + 4:
             raise aborted
     t_out = t_grid[:last + 1]
     # one block holds the output rows (x in place of u once it is known)
     rows = np.empty((3, last + 1))
     rows[:, :k0 + 1] = s_u, s_b, s_a
-    rec.output(t_out[k0 + 1:], rows[:, k0 + 1:])
+    du, d2u = _fd5(u_s, np.arange(k0 + 1, last + 1), grid)
+    rows[:, k0 + 1:] = u_s[k0 + 1:last + 1], drift + du, d2u
     # The marching check sees beta where it is recovered only; a run
     # whose coverage outpaces its emissions can finish with a
     # superluminal tail it never emitted from.  Trim on the assembled
@@ -278,165 +295,7 @@ def _march(seed: SeedHistory, t_end: float, grid: float, recovery,
     return Trajectory(t_out, *rows, metadata=metadata)
 
 
-class _ExactRecovery:
-    """Arrival knots kept where they land, in one growable array of
-    rows t, u, beta, beta_dot.  (beta, beta_dot) at a knot come from the
-    quartic through its centered five-knot stencil; monotone cubic
-    (PCHIP) interpolation resamples the knots onto the output grid."""
-
-    pad = 0
-
-    def __init__(self, seed: SeedHistory, t_end: float, grid: float):
-        self.drift = seed.beta
-        self.t_end = t_end
-        self.grid = grid
-
-    def start(self, t_grid, s_u, s_b, s_a, t_a, u_a):
-        # clear the last ghost knot by half a step: a near-duplicate node
-        # pair would inflate the recovery weights across the history seam
-        keep = t_a > 0.5 * self.grid
-        if np.count_nonzero(keep) < 2 * _HALF + 1:
-            raise ArrivalOrderError("seed emissions gave non-monotone arrivals")
-        k0 = s_u.size - 1
-        # t_grid.size + k0 rows span t_end plus twice the seed span
-        self.knots = np.empty((4, int((t_grid.size + k0) * 1.3) + 64))
-        # ghost prefix: trailing seed knots give early stencils a past
-        n_ghost = 2 * _HALF
-        self.knots[:, :n_ghost] = [c[k0 + 1 - n_ghost:k0 + 1]
-                                   for c in (t_grid, s_u, s_b, s_a)]
-        self.n = n_ghost           # knots held
-        self.n_ready = n_ghost     # knots with recovered (beta, beta_dot)
-        self.n_emit = n_ghost      # next knot to use as an emitter
-        self.absorb(t_a[keep], u_a[keep])
-
-    def absorb(self, t, u):
-        m = t.size
-        if self.n + m > self.knots.shape[1]:
-            grown = np.empty((4, max(2 * self.knots.shape[1], self.n + m)))
-            grown[:, :self.n] = self.knots[:, :self.n]
-            self.knots = grown
-        s = slice(self.n, self.n + m)
-        self.knots[0, s] = t
-        self.knots[1, s] = u
-        self.knots[2:, s] = np.nan
-        self.n += m
-        # recover every knot whose stencil the arrivals now complete
-        lo, hi = self.n_ready, self.n - _HALF
-        if hi <= lo:
-            return
-        kt, ku = self.knots[0], self.knots[1]
-        idx = np.arange(lo, hi)
-        stenc = idx[:, None] + np.arange(-_HALF, _HALF + 1)[None, :]
-        w = _fd_weights_batch(kt[stenc], kt[idx])
-        us = ku[stenc]
-        du = np.einsum("bk,bk->b", w[:, 1, :], us)
-        self.knots[3, lo:hi] = np.einsum("bk,bk->b", w[:, 2, :], us)
-        self.knots[2, lo:hi] = _velocity(self.drift, du)
-        self.n_ready = hi
-
-    def done(self) -> bool:
-        # Emit only until the recovered knots cover t_end.  Marching any
-        # further would re-emit the latest (least settled) knots to
-        # arrival times beyond the requested horizon for nothing.
-        return self.knots[0, self.n_ready - 1] >= self.t_end
-
-    def emitters(self):
-        lo, self.n_emit = self.n_emit, self.n_ready
-        return self.knots[:, lo:self.n_emit]
-
-    def output(self, t_fwd, rows):
-        kt = self.knots[0, :self.n_ready]
-        for row, k in zip(rows, self.knots[1:, :self.n_ready]):
-            row[:] = pchip(kt, k)(t_fwd)
-
-
-class _FilteredRecovery:
-    """Arrivals carried onto the uniform grid by PCHIP (raw channel),
-    smoothed with _filter_kernel once the kernel's reach is covered,
-    and differentiated by _fd5 at each emitter."""
-
-    def __init__(self, seed: SeedHistory, t_end: float, grid: float, *,
-                 sigma: float, kernel_span: float):
-        # the forward rows are t_end / round(t_end / grid) apart, and
-        # _fd5 differentiates them as grid apart
-        if abs(round(t_end / grid) * grid - t_end) > 1e-9 * t_end:
-            raise ValueError(f"t_end {t_end!r} is not a whole number of "
-                             f"grid steps {grid!r}")
-        if not 0.0 < kernel_span < 0.95:
-            raise ValueError("kernel_span must sit inside the minimum delay, "
-                             f"got {kernel_span!r}")
-        if not 0.0 < sigma:
-            raise ValueError(f"sigma must be positive, got {sigma!r}")
-        self.w, self.half_k = _filter_kernel(grid, sigma, kernel_span)
-        if seed.span < kernel_span + 8.0 * grid:
-            raise ValueError("seed history too short to prime the filter: "
-                             f"span {seed.span} vs kernel {kernel_span}")
-        self.pad = self.half_k + 4
-        self.drift = seed.beta
-        self.grid = grid
-
-    def start(self, t_grid, s_u, s_b, s_a, t_a, u_a):
-        half_k = self.half_k
-        k0 = self.k0 = s_u.size - 1
-        self.t = t_grid
-        self.u_raw = np.full(t_grid.size, np.nan)
-        self.u_s = np.full(t_grid.size, np.nan)
-        self.u_raw[:k0 + 1] = s_u
-        # the smoothed channel covers the seed region too (filled by the
-        # first pass), so no stencil ever straddles a raw/filtered
-        # amplitude seam; only the kernel-sized left edge stays raw, and
-        # emissions from there land before t = 0 and are discarded
-        self.u_s[:half_k] = s_u[:half_k]
-        self.cov = k0              # last grid index with raw coverage
-        self.smo = half_k - 1      # last smoothed index
-        self.e_ptr = k0 + 1        # next emitter index
-        # smoothed coverage for the output stencils
-        self.need = t_grid.size - self.pad + 1
-        # a few trailing arrivals are carried into the next interpolation
-        # so pass boundaries do not degrade the pchip edge
-        self.tail_t = self.tail_u = np.empty(0)
-        self.absorb(t_a, u_a)
-
-    def absorb(self, t_a, u_a):
-        at = np.concatenate([self.tail_t, t_a])
-        au = np.concatenate([self.tail_u, u_a])
-        k0, t, cov = self.k0, self.t, self.cov
-        hi = k0 + int(np.searchsorted(t[k0:], at[-1] - 2.0 * self.grid,
-                                      side="right")) - 1
-        hi = min(hi, t.size - 1)
-        if hi > cov:
-            self.u_raw[cov + 1:hi + 1] = pchip(at, au)(t[cov + 1:hi + 1])
-            self.cov = hi
-        self.tail_t, self.tail_u = at[-6:], au[-6:]
-        # smooth every row whose kernel the raw channel now covers
-        half_k, lo = self.half_k, self.smo + 1
-        new_smo = self.cov - half_k
-        if new_smo >= lo:
-            self.u_s[lo:new_smo + 1] = np.convolve(
-                self.u_raw[lo - half_k:new_smo + half_k + 1], self.w,
-                mode="valid")
-            self.smo = new_smo
-
-    def done(self) -> bool:
-        return self.smo >= self.need
-
-    def emitters(self):
-        i = np.arange(self.e_ptr, self.smo - 1)
-        self.e_ptr += i.size
-        du, d2u = _fd5(self.u_s, i, self.grid)
-        return self.t[i], self.u_s[i], _velocity(self.drift, du), d2u
-
-    def settled(self) -> int:
-        return self.smo - 3        # output stencils need u_s[last + 2]
-
-    def output(self, t_fwd, rows):
-        lo, hi = self.k0 + 1, self.k0 + 1 + t_fwd.size
-        du, d2u = _fd5(self.u_s, np.arange(lo, hi), self.grid)
-        rows[0], rows[1], rows[2] = self.u_s[lo:hi], self.drift + du, d2u
-
-
-def _filter_kernel(grid: float, sigma: float,
-                   span: float) -> tuple[np.ndarray, int]:
+def _filter_kernel(grid: float, sigma: float, span: float) -> np.ndarray:
     """Cosine-tapered Gaussian smoothing kernel on the uniform grid.
 
     The taper takes the kernel to zero with zero slope at +-span, so
@@ -450,7 +309,7 @@ def _filter_kernel(grid: float, sigma: float,
         raise ValueError("kernel span must cover at least 8 grid steps")
     s = np.arange(-k, k + 1) * grid
     w = np.exp(-0.5 * (s / sigma) ** 2) * np.cos(0.5 * np.pi * s / span) ** 2
-    return w / w.sum(), k
+    return w / w.sum()
 
 
 def _fd5(u: np.ndarray, i: np.ndarray,
@@ -465,14 +324,17 @@ def _fd5(u: np.ndarray, i: np.ndarray,
 
 def propagate_exact(seed: SeedHistory, t_end: float,
                     grid: float = 1e-3) -> Trajectory:
-    """March the delay equation of motion forward to t_end.
+    """March the delay equation of motion forward to t_end, unsmoothed.
 
-    Returns a Trajectory on a uniform grid covering [-span, t_end]
-    (seed history included, so residual audits can reach into the
-    past).  grid is the output spacing and the seed sampling step; the
-    interior arrival knots keep their own natural spacing.
+    The march of propagate_filtered with a one-tap kernel: each
+    generation is re-emitted as PCHIP carries its arrivals onto the
+    grid.  Returns a Trajectory on a uniform grid covering
+    [-span, t_end] (seed history included, so residual audits can reach
+    into the past).  grid is the output spacing and the seed sampling
+    step; t_end must be a whole number of grid steps (to 1e-9
+    relative).
     """
-    return _march(seed, t_end, grid, _ExactRecovery, False,
+    return _march(seed, t_end, grid, np.ones(1), False,
                   {"integrator": "emitter-map", "grid": grid})
 
 
@@ -481,8 +343,8 @@ def propagate_filtered(seed: SeedHistory, t_end: float, grid: float = 1e-3, *,
                        partial: bool = False) -> Trajectory:
     """March the delay equation with per-generation band limiting.
 
-    Same emitter map as propagate_exact, with each generation smoothed
-    by _filter_kernel before it is re-emitted (see the module notes).
+    Same march as propagate_exact, with each generation smoothed by
+    _filter_kernel before it is re-emitted (see the module notes).
     Defaults keep the real mode and the fundamental supercritical and
     damp the second branch and everything above it.  No bounded run
     has been reached from a rest kick: the real mode passes the filter
@@ -498,11 +360,18 @@ def propagate_filtered(seed: SeedHistory, t_end: float, grid: float = 1e-3, *,
     mid-march (light-barrier approach or an arrival fold) instead of
     raising; the abort reason and reached time go into metadata.
     """
-    recovery = functools.partial(_FilteredRecovery, sigma=sigma,
-                                 kernel_span=kernel_span)
-    return _march(seed, t_end, grid, recovery, partial,
-                  {"integrator": "emitter-map-filtered", "grid": grid,
-                   "sigma": sigma, "kernel_span": kernel_span})
+    # the row cap first: a grid under it keeps the kernel, at most
+    # 1.9 / grid taps, shorter than the seed rows
+    _grid_rows(seed, t_end, grid)
+    if not 0.0 < kernel_span < 0.95:
+        raise ValueError("kernel_span must sit inside the minimum delay, "
+                         f"got {kernel_span!r}")
+    if not 0.0 < sigma:
+        raise ValueError(f"sigma must be positive, got {sigma!r}")
+    return _march(seed, t_end, grid, _filter_kernel(grid, sigma, kernel_span),
+                  partial, {"integrator": "emitter-map-filtered",
+                            "grid": grid, "sigma": sigma,
+                            "kernel_span": kernel_span})
 
 
 def residual_eom_many(traj: Trajectory, ts: np.ndarray) -> np.ndarray:
@@ -689,16 +558,21 @@ def perturbed_uniform_run(beta: float, kick: float = 1e-6) -> GrowthRate:
     The run is the march's seed pass alone.  The seed solves the
     linearized equation, so the full map's continuation differs by a
     smooth O(kick^2) term switching on at t = 0, and each delay crossing
-    (gamma in lab time) differentiates that kink twice more: a knot past
+    (gamma in lab time) differentiates that kink twice more: a row past
     t = gamma that is re-emitted carries it into the velocity channel
     and, from beta ~ 0.9 or a finer grid on, folds or raises the march.
     The fit window [0.4, 0.95] gamma sits before the first crossing, and
-    the march ends with it, so every knot it reads is an arrival of the
-    analytic seed and nothing is re-emitted.
+    the march ends on the first grid row at or past its end, so every
+    row it reads is an arrival of the analytic seed and nothing is
+    re-emitted.
     """
     if not 0.0 <= beta < 1.0:
         raise ValueError(f"beta must be in [0, 1), got {beta!r}")
     gamma = lorentz_gamma(beta)
-    traj = propagate_exact(SeedHistory.mode_kick(beta, kick), 0.95 * gamma)
+    grid = 1e-3
+    # the first grid row at or past 0.95 gamma: one step past the window
+    # is still short of the first crossing at gamma
+    t_end = grid * math.ceil(0.95 * gamma / grid)
+    traj = propagate_exact(SeedHistory.mode_kick(beta, kick), t_end, grid)
     return estimate_growth_rate(traj, (0.4 * gamma, 0.95 * gamma),
                                 reference=beta)

@@ -146,9 +146,10 @@ def test_report_honest_failure_bubbles_into_exit_code(capsys):
 
 # sha256 of the full report as the per-state sweeps, the numpy-array
 # truncated RK4 and the one-time light-cone solves printed it, with the
-# three growth rates measured on the seed pass alone (march to 0.95 gamma)
+# three growth rates measured on the seed pass alone (march to the first
+# grid row at or past 0.95 gamma) of the one-tap grid march
 REPORT_SHA256 = \
-    "128c6b350c9905be453b0f5626d070805966cf5533ab1d8a4e2ea80dec0ed751"
+    "446edfe1d308fc62a37730ef00692619ea6977e2b163fea20aa5b4eedd655286"
 
 
 def test_report_is_pinned():
@@ -569,14 +570,23 @@ def test_simulate_exact_csv(tmp_path, capsys):
     assert abs(float(last[4])) < 1e-8
 
 
-@pytest.mark.parametrize("tend, message", [
-    ("3.045", "not a whole number of grid steps"),
-    ("1e-4", "shorter than half the grid step")])
-def test_simulate_refuses_off_grid_ends(tmp_path, capsys, tend, message):
+# both integrators are one march on the grid: each refuses an end that
+# is not a whole number of steps
+_OFF_GRID = [("3.045", "not a whole number of grid steps", ()),
+             ("1e-4", "shorter than half the grid step", ()),
+             ("3.045", "not a whole number of grid steps",
+              ("--integrator", "exact"))]
+
+
+@pytest.mark.parametrize("tend, message, integrator", _OFF_GRID,
+                         ids=["-".join((*integrator[1:], tend, message))
+                              for tend, message, integrator in _OFF_GRID])
+def test_simulate_refuses_off_grid_ends(tmp_path, capsys, tend, message,
+                                        integrator):
     path = tmp_path / "run.csv"
     code, _, err = _run(capsys, "simulate", "--seed", "uniform_kick",
                         "--beta", "0.3", "--amp", "1e-3", "--tend", tend,
-                        "--dt", "0.01", "--out", str(path))
+                        "--dt", "0.01", *integrator, "--out", str(path))
     assert code == 1 and message in err
     assert not path.exists()
 
@@ -610,10 +620,12 @@ def test_simulate_report_records(capsys):
 def test_simulate_report_keeps_its_records_when_the_rate_run_fails(capsys):
     # a 1e-3 kick on the beta = 0.99 drift already drives the rate run's
     # seed pass past the light barrier, while the filtered run completes;
-    # its records stand and the rate is null
+    # its records stand and the rate is null.  The seed pass hands out no
+    # emitters, so the assembled output is where |beta| >= 1 shows.
     code, out, err = _run(capsys, "simulate", "--seed", "mode_kick", "--beta",
                           "0.99", "--amp", "1e-3", "--tend", "1", "--report")
-    failure = "SuperluminalError: recovered |beta| >= 1 during marching"
+    failure = ("SuperluminalError: recovered |beta| >= 1 in the assembled "
+               "output")
     recs = [json.loads(line) for line in out.splitlines()]
     assert code == 1
     assert err == f"zitterlab: the growth-rate run failed: {failure}\n"

@@ -126,14 +126,34 @@ def test_residual_many_empty_input(exact_run):
 
 
 def test_residual_audit_tightens_with_grid():
-    # truncation-dominated regime: halving the grid must collapse the
-    # residual (the march itself is exact; recovery error is high order)
-    results = {}
-    for grid in (8e-3, 4e-3):
-        traj = propagate_exact(SeedHistory.mode_kick(0.0, 1e-3), 1.5, grid)
+    # truncation-dominated regime: each halving of the grid cuts the
+    # residual about fourfold (3.1e-13, 8.4e-14, 2.2e-14), the march's
+    # second order; 1.504 is a whole number of steps of each grid
+    residuals = []
+    for grid in (8e-3, 4e-3, 2e-3):
+        traj = propagate_exact(SeedHistory.mode_kick(0.0, 1e-3), 1.504, grid)
         ts = traj.t[(traj.t >= 1.05) & (traj.t <= 1.45)][::5]
-        results[grid] = float(np.max(np.abs(residual_eom_many(traj, ts))))
-    assert results[4e-3] < 0.1 * results[8e-3]
+        residuals.append(float(np.max(np.abs(residual_eom_many(traj, ts)))))
+    assert residuals[1] < 0.35 * residuals[0]
+    assert residuals[2] < 0.35 * residuals[1]
+
+
+# the largest relative error measured, doubled
+SEED_PASS_ERRORS = {0.0: 9.3e-12, 0.3: 2.2e-6, 0.6: 7.4e-6, 0.9: 6.9e-5}
+
+
+@pytest.mark.parametrize("beta", SEED_PASS_ERRORS)
+def test_seed_pass_continues_the_mode(beta):
+    # the mode kick solves the linearized equation, so its seed pass
+    # continues it: beta - drift follows the seed's own A rate e^{rate t}
+    # over the rate run's fit window, short of the first delay crossing
+    gamma = lorentz_gamma(beta)
+    seed = SeedHistory.mode_kick(beta, 1e-6)
+    traj = propagate_exact(seed, 1e-3 * math.ceil(0.95 * gamma / 1e-3))
+    fit = (traj.t > 0.4 * gamma) & (traj.t <= 0.95 * gamma)
+    mode = seed.offsets(traj.t[fit])[1]
+    err = np.max(np.abs(traj.beta[fit] - beta - mode) / mode)
+    assert err < SEED_PASS_ERRORS[beta]
 
 
 def test_arrow_of_time():
@@ -272,11 +292,12 @@ def test_perturbed_uniform_run_contract(rate_runs):
 
 
 def test_rate_run_is_the_seed_pass(monkeypatch):
-    # the march ends with the fit window, before the first delay crossing,
-    # so every knot it reads is an arrival of the analytic seed
-    def refuse(self):
-        raise AssertionError("the rate run re-emitted a knot")
-    monkeypatch.setattr(dynamics._ExactRecovery, "emitters", refuse)
+    # the march ends a grid step past the fit window at most, before the
+    # first delay crossing, so every row it reads is an arrival of the
+    # analytic seed
+    def refuse(*args):
+        raise AssertionError("the rate run re-emitted a row")
+    monkeypatch.setattr(dynamics, "_emitters", refuse)
     for beta in (0.0, 0.5, 0.9, 0.99):
         perturbed_uniform_run(beta, 1e-6)
 
@@ -290,7 +311,7 @@ def test_rate_run_holds_as_the_grid_is_refined(beta):
     rates = []
     for grid in (1e-3, 5e-4, 2e-4):
         traj = propagate_exact(SeedHistory.mode_kick(beta, 1e-6),
-                               0.95 * gamma, grid)
+                               grid * math.ceil(0.95 * gamma / grid), grid)
         rates.append(estimate_growth_rate(
             traj, (0.4 * gamma, 0.95 * gamma), reference=beta).rate)
     assert max(rates) - min(rates) < 1e-7 * rates[0]
@@ -349,9 +370,10 @@ def test_filtered_velocity_matches_position_on_grid(t_end):
 def test_filtered_refuses_an_off_grid_end():
     # 3.045 is 304.5 steps of 0.01: the forward rows would sit 0.0100164
     # apart while _fd5 differentiates them as 0.01 apart, and beta would
-    # run 0.15% above dx/dt
-    with pytest.raises(ValueError, match="whole number of grid steps"):
-        propagate_filtered(SeedHistory.uniform_kick(0.3, 1e-3), 3.045, 0.01)
+    # run 0.15% above dx/dt; the exact march differentiates the same way
+    for march in (propagate_filtered, propagate_exact):
+        with pytest.raises(ValueError, match="whole number of grid steps"):
+            march(SeedHistory.uniform_kick(0.3, 1e-3), 3.045, 0.01)
 
 
 @pytest.mark.parametrize("march", [propagate_exact, propagate_filtered],
@@ -377,19 +399,19 @@ _MARCH_FLIGHT = "recovered |beta| >= 1 during marching"
 _OUTPUT_TRIM = "recovered |beta| >= 1 in the assembled output"
 _FOLD = "non-monotone arrival times; the run is reported, not reordered"
 
-# Every path of both marchers: clean finishes, both exact raises, the
+# Every path of both instruments: clean finishes, both exact raises, the
 # three filtered abort reasons under partial=True and the strict raise.
 # Each expectation is the sha256 of t, x, beta, beta_dot (tobytes, in
 # that order) plus the metadata, or the exception type and message.
 PINNED_MARCHES = {
     "exact-mode-b0": (
         propagate_exact, lambda: SeedHistory.mode_kick(0.0, 1e-6), 1.3, {},
-        "9b4c3e873fc8b63f3c8829b0c59cf85dc27fe1d3781550d437eeefbf41d9f74a",
+        "755201c16425f4e7c0fa80fe0974c4fa5a8d0b7ee178f1acaa7e70ef4ec48975",
         {**_EXACT_MD, "drift": 0.0,
          "seed": "mode_kick(amp=1e-06,beta=0,rate=1.79328)"}),
     "exact-mode-b09": (
         propagate_exact, lambda: SeedHistory.mode_kick(0.9, 1e-6), 3.0, {},
-        "f9d102a4be46ee6af7242d054b98e99f57b81c63fe61af006f16eba467ec0c29",
+        "eb8c6a5c53acc04cdaa49bdd839f3eb3d866091ba44865232da4edc922c9444f",
         {**_EXACT_MD, "drift": 0.9,
          "seed": "mode_kick(amp=1e-06,beta=0.9,rate=0.781674)"}),
     "exact-uniform-b05": (
@@ -397,9 +419,9 @@ PINNED_MARCHES = {
         "3fd64d960108e6304287c47d1b4a505f6faa64e4f2f658944adb0524462fbb8e",
         {**_EXACT_MD, "drift": 0.5, "seed": "uniform_motion(amp=0,beta=0.5)"}),
     "exact-mode-coarse": (
-        propagate_exact, lambda: SeedHistory.mode_kick(0.0, 1e-3), 1.5,
+        propagate_exact, lambda: SeedHistory.mode_kick(0.0, 1e-3), 1.504,
         {"grid": 8e-3},
-        "9d666413416619e390a766423f4b48ded154fa6279970494fccd8cf4595073be",
+        "a1a318fde5b6d05b7965d598ccbcfb7407b5b0604129c854aad9b83627a37cea",
         {**_EXACT_MD, "grid": 8e-3, "drift": 0.0,
          "seed": "mode_kick(amp=0.001,beta=0,rate=1.79328)"}),
     "exact-rest-kick-raises": (
@@ -468,54 +490,55 @@ def test_march_outputs_are_pinned(case):
     assert traj.metadata == detail
 
 
-# Runs that, with passes capped at 512 or 2048 emitters, reached knots
-# past t_end that fold the arrival order.  Passes capped at 512, 2048 and
-# 8192 emitters all gave these digests, and so does the march, whose
-# passes take every ready knot.
+def _filtered_partial(seed, t_end, grid):
+    return propagate_filtered(seed, t_end, grid, partial=True)
+
+
+# One table for both kernels: passes capped at 512, 2048 and 8192
+# emitters give these digests, and so does the march, whose passes take
+# every ready row.  Each case's last pass reaches past t_end and ends
+# through the past-the-grid trim.
 BLOCK_CASES = {
-    (0.5, 2.3, 5e-4):
-        "bc896b2a11fce70128ee48bb46c6093e78256785882d27151311e536d591e6ca",
-    (0.5, 2.3, 3e-4):
-        "ea1684a1633dec56fa50580c3d213209d1ff9ed56cf0103f036465d756026df5",
-    (0.9, 4.4, 1e-3):
-        "63b47f9bbceb8ace5bac6142cde2335204c26c860fdba15729a17e33f9082a0a",
-    (0.3, 2.0, 2e-4):
-        "90dc5bd5b0d48c640a1a02d38d1b7c23afdf1c99bb9a328f965597fbcf99cc84",
-}
-
-
-@pytest.mark.parametrize("case", BLOCK_CASES, ids=str)
-def test_exact_march_does_not_depend_on_block(case):
-    beta, t_end, grid = case
-    traj = propagate_exact(SeedHistory.mode_kick(beta, 1e-6), t_end, grid)
-    assert _run_digest(traj) == BLOCK_CASES[case]
-
-
-def test_exact_march_trims_arrivals_past_the_grid():
-    # the one pass that reaches past t_end also holds knots whose
-    # arrivals fold the order; trimmed, the run reports the breakdown
-    # of the knots it keeps
-    with pytest.raises(SuperluminalError, match="during marching"):
-        propagate_exact(SeedHistory.mode_kick(0.0, 1e-6), 3.0, 2e-4)
-
-
-# Filtered runs that finish at t_end, with the digests passes capped at
-# 512, 2048 and 8192 emitters all gave.
-FILTERED_BLOCK_CASES = {
-    "uniform-kick": (
-        lambda: SeedHistory.uniform_kick(0.3, 1e-4), 6.0, 1e-3,
+    "exact-b05": (
+        propagate_exact, lambda: SeedHistory.mode_kick(0.5, 1e-6), 2.3, 5e-4,
+        "66eaf53d655ebbc2378440568761b5e64bc7ff0db506c51f3d1c85625b89aea0"),
+    "exact-b05-fine": (
+        propagate_exact, lambda: SeedHistory.mode_kick(0.5, 1e-6), 2.3001,
+        3e-4,
+        "7f0e3a3d25b8aae6acb59941b9d54951b0ea0de151b405544ccf63b4674da57c"),
+    "exact-b09": (
+        propagate_exact, lambda: SeedHistory.mode_kick(0.9, 1e-6), 4.4, 1e-3,
+        "691b6ccd460cda55bd4a80a7ca1082b9290c03fa70c529e4ce7033b6bdabd7e9"),
+    "exact-b03": (
+        propagate_exact, lambda: SeedHistory.mode_kick(0.3, 1e-6), 2.0, 2e-4,
+        "af15e815b8c790539b4a05a9f751cdb7fdf62c376084d1d95bae982940bafcf0"),
+    "filtered-uniform-kick": (
+        _filtered_partial, lambda: SeedHistory.uniform_kick(0.3, 1e-4), 6.0,
+        1e-3,
         "caa46dd8191b2ef9466f207effdd7516498454b5e02e99c8f69173f99e192975"),
-    "rest-kick": (
-        lambda: SeedHistory.rest_kick(1e-6), 9.0, 1e-3,
+    "filtered-rest-kick": (
+        _filtered_partial, lambda: SeedHistory.rest_kick(1e-6), 9.0, 1e-3,
         "20ef036f2ef22aa03efe12aaa4f3ccfb8a4644c9c6f668ad554e199b6d30cd60"),
-    "mode-kick": (
-        lambda: SeedHistory.mode_kick(0.5, 1e-6), 4.0, 5e-4,
+    "filtered-mode-kick": (
+        _filtered_partial, lambda: SeedHistory.mode_kick(0.5, 1e-6), 4.0,
+        5e-4,
         "19f974a30a64a8306a887ea9b2cb941f52e5e1d10feec7c7cbba262b48244c42"),
 }
 
 
-@pytest.mark.parametrize("case", FILTERED_BLOCK_CASES)
-def test_filtered_march_does_not_depend_on_block(case):
-    seed, t_end, grid, digest = FILTERED_BLOCK_CASES[case]
-    traj = propagate_filtered(seed(), t_end, grid, partial=True)
-    assert _run_digest(traj) == digest
+@pytest.mark.parametrize("case", BLOCK_CASES)
+def test_march_does_not_depend_on_block(case):
+    march, seed, t_end, grid, digest = BLOCK_CASES[case]
+    assert _run_digest(march(seed(), t_end, grid)) == digest
+
+
+def test_exact_march_trims_arrivals_past_the_grid():
+    # the last pass reaches past t_end with rows whose arrivals fold the
+    # order (one lands at t = 1843); trimmed, the run completes, with
+    # |beta| peaking at 0.0975 at t = 2 on the noise that grows from the
+    # second delay crossing on
+    traj = propagate_exact(SeedHistory.mode_kick(0.0, 1e-6), 3.0, 2e-4)
+    assert _run_digest(traj) == \
+        "fd350d8226d0833b9a38a043a3b5347ed2ed3fb8a90b594d4d76cd290c1ad8de"
+    assert float(np.max(np.abs(traj.beta))) == \
+        pytest.approx(0.0975, abs=5e-5)
