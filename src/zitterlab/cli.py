@@ -6,11 +6,11 @@ header row, JSON lines, or binary PPM; every float is printed at 17
 significant digits so identical invocations produce byte-identical
 files.  A CSV streams in row blocks, each computed (the simulate
 residual audit included), formatted and written in one pass.  A CSV of
-more than one block goes out on two CPUs where it can: when the output
-has an OS file descriptor (a file, or a stdout that is a pipe, file or
-terminal) and the process may run on two CPUs, the CLI forks one child
-and the two take alternate blocks, each formatting its next block
-while the other writes.  The bytes, and on failure the file prefix,
+more than one block is formatted on two CPUs where it can: when the
+output has an OS file descriptor (a file, or a stdout that is a pipe,
+file or terminal) and the process may run on two CPUs, the CLI forks a
+child that formats every other block and hands it back whole over a
+pipe; the CLI alone writes.  The bytes, and on failure the file prefix,
 stderr line and exit code, are those of one process.  Exit codes: 0
 success, 1 a computation failed or a check did not pass, 2 bad usage.
 
@@ -153,10 +153,9 @@ def _write_text(path: str, text: str) -> None:
 # Rows per block of _write_csv at most: each block is computed,
 # formatted and written in one pass, so no full-length column or
 # whole-file text is held.  Fewer would spread the light-cone solve's
-# numpy calls over fewer times.  A CSV longer than one block is cut into
-# an even number of equal blocks, which the CLI and one forked child
-# take in turn where the output is an OS file and two CPUs are allowed
-# (_write_blocks).
+# numpy calls over fewer times.  Where the output is an OS file and two
+# CPUs are allowed, a forked child formats every other block and the
+# CLI writes them all (_write_blocks).
 _CSV_BLOCK = 16384
 
 
@@ -170,7 +169,7 @@ def _write_csv(path: str, header: str, n: int, columns,
     row = ",".join(["%.17g"] * (header.count(",") + 1)) + "\n"
     count = -(-n // _CSV_BLOCK)
     if count > 1:
-        count += count % 2
+        count += count % 2   # so the CLI and a forked child format as much
     size = -(-n // count) if count else 0
 
     def text(j: int) -> str:
@@ -190,20 +189,18 @@ def _write_csv(path: str, header: str, n: int, columns,
 def _write_blocks(fh, count: int, text) -> None:
     """Write text(0), ..., text(count - 1) to fh, in that order.
 
-    With more than one block, an fh that has a file descriptor, os.fork
-    and two CPUs allowed, a forked child takes the odd blocks and this
-    process the even ones (_take_turns), so one formats while the other
-    writes.  Either way the blocks from the first one not yet written
-    run here, one process, so a failure raises as it would with no
-    child, with the blocks before it written."""
+    Only this process writes fh.  Where _forkable allows, a forked child
+    formats the odd blocks (_write_forked).  From the first block it did
+    not hand over whole, every block is formatted here, so a failure
+    raises as it would with no child, with the blocks before it written."""
     start = _write_forked(fh, count, text) if _forkable(fh, count) else 0
     for j in range(start, count):
         fh.write(text(j))
 
 
 def _forkable(fh, count: int) -> bool:
-    """Whether count blocks are worth a forked child that writes through
-    fh on a CPU of its own."""
+    """Whether count blocks written to fh are worth a forked child that
+    formats half of them on a CPU of its own."""
     if count < 2 or not (hasattr(os, "fork")
                          and hasattr(os, "sched_getaffinity")):
         return False
@@ -214,22 +211,14 @@ def _forkable(fh, count: int) -> bool:
     return len(os.sched_getaffinity(0)) > 1
 
 
-# The turn token _take_turns passes; end of file in its place says the
-# other process stopped short of its block
-_TURN = b"t"
-
-
 def _write_forked(fh, count: int, text) -> int:
-    """Write count (even) blocks through fh, the even ones from this
-    process and the odd ones from a forked child, and return the first
-    block not written: count, or the first block either process failed
-    at.  The child is reaped before this returns or raises, and ends
-    with os._exit, so it flushes nothing it inherited and runs no
-    caller's cleanup."""
-    for f in (fh, sys.stdout, sys.stderr):
-        f.flush()
-    from_parent, to_child = os.pipe()
-    from_child, to_parent = os.pipe()
+    """Write count (even) blocks to fh, the odd ones formatted by a
+    forked child and sent here as frames over a pipe, and return the
+    first block not written: count, or the first frame cut short.  The
+    child writes only the pipe and ends with os._exit, so no buffer it
+    inherited reaches an output; it is reaped before this returns or
+    raises."""
+    read_fd, write_fd = os.pipe()
     with warnings.catch_warnings():
         # Python 3.12 warns that a child forked from a threaded process
         # (OpenBLAS starts a pool) may deadlock in those threads' locks;
@@ -238,49 +227,45 @@ def _write_forked(fh, count: int, text) -> int:
         pid = os.fork()
     if pid == 0:
         try:
-            os.close(to_child)
-            os.close(from_child)
-            _take_turns(fh, count, text, 1, from_parent, to_parent)
+            os.close(read_fd)
+            with open(write_fd, "wb") as frames:
+                for j in range(1, count, 2):
+                    _send_frame(frames, text(j).encode(fh.encoding))
         finally:
             os._exit(0)
-    os.close(from_parent)
-    os.close(to_parent)
+    os.close(write_fd)
     try:
-        return _take_turns(fh, count, text, 0, from_child, to_child)
+        with open(read_fd, "rb") as frames:
+            for j in range(0, count, 2):
+                fh.write(text(j))
+                block = _read_frame(frames)
+                if block is None:   # the child stopped at block j + 1
+                    return j + 1
+                fh.flush()   # block j's text goes out before the frame
+                fh.buffer.write(block)
+                del block   # one block is held at a time
+        return count
     finally:
-        os.close(from_child)
-        os.close(to_child)
-        os.waitpid(pid, 0)
+        os.waitpid(pid, 0)   # the pipe is closed, so the child ends
 
 
-def _take_turns(fh, count: int, text, first: int, wait_fd: int,
-                pass_fd: int) -> int:
-    """Write blocks first, first + 2, ... of count (even) through fh,
-    each once the other process passes the turn on wait_fd after writing
-    the block before it, and pass it on through pass_fd.  Returns the
-    first block not written: count, or where the turn did not come back
-    (the other process failed at the block before this one) or this
-    process failed to format its block."""
-    for j in range(first, count, 2):
-        try:
-            block = text(j)
-        except Exception:   # _write_blocks raises it again in row order
-            block = None
-        if j and os.read(wait_fd, 1) != _TURN:
-            return j - 1
-        if block is None:
-            return j
-        fh.write(block)
-        fh.flush()
-        del block   # one block's text is held at a time
-        # a process that stopped short has closed its end; the next
-        # read sees that
-        with contextlib.suppress(BrokenPipeError):
-            os.write(pass_fd, _TURN)
-    # the last block, count - 1, is the child's
-    if first == 0 and os.read(wait_fd, 1) != _TURN:
-        return count - 1
-    return count
+def _send_frame(frames, block: bytes) -> None:
+    """Send block as a frame: its length as 8 big-endian bytes, then it,
+    flushed, so no tail of it waits in the buffer for the next block."""
+    frames.write(len(block).to_bytes(8, "big"))
+    frames.write(block)
+    frames.flush()
+
+
+def _read_frame(frames) -> bytes | None:
+    """The block of the next frame on frames, or None if the stream ends
+    before the frame does."""
+    head = frames.read(8)
+    if len(head) < 8:
+        return None
+    size = int.from_bytes(head, "big")
+    block = frames.read(size)
+    return block if len(block) == size else None
 
 
 def _load_constants(path: str | None) -> PhysicalConstants:

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import shlex
+import signal
 import subprocess
 import sys
 import time
@@ -415,28 +416,34 @@ def test_trajectory_csv_special_residuals(uniform_run, capsys, monkeypatch):
 
 
 def _forks(monkeypatch):
-    # two CPUs allowed whatever the machine, and a list that gains an
-    # entry at each os.fork
-    forks = []
-    fork = os.fork
+    # two CPUs allowed whatever the machine, and two lists that gain an
+    # entry at each os.fork and each os.waitpid, the latter its result
+    forks, reaps = [], []
+    fork, waitpid = os.fork, os.waitpid
 
     def counted():
         forks.append(None)
         return fork()
+
+    def reaped(pid, options):
+        reaps.append(waitpid(pid, options))
+        return reaps[-1]
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(os, "fork", counted)
-    return forks
+    monkeypatch.setattr(os, "waitpid", reaped)
+    return forks, reaps
 
 
 def test_two_process_csv_matches_rowwise_fmt(uniform_run, tmp_path,
                                              monkeypatch):
     # 13,001 rows at blocks of at most 2,000: seven blocks round up to
     # eight of 1,626 rows, the last of 1,619
-    forks = _forks(monkeypatch)
+    forks, reaps = _forks(monkeypatch)
     monkeypatch.setattr(cli, "_CSV_BLOCK", 2000)
     path = tmp_path / "run.csv"
     cli._write_trajectory_csv(str(path), uniform_run)
     assert len(forks) == 1
+    assert len(reaps) == 1
     res = cli._residuals(uniform_run, slice(None))
     _assert_same_text(path.read_text(),
                       _rowwise_trajectory_csv(uniform_run, res))
@@ -458,7 +465,7 @@ def test_no_fork_without_a_descriptor_or_a_second_block(
 
 
 # rows of the 13,001-row run whose residuals fail, in blocks of 1,626:
-# block 1 is the child's, 2 and 6 are the CLI's, 7 (the last) the child's
+# the child formats blocks 1 and 7 (the last), the CLI 2 and 6
 @pytest.mark.parametrize("row, error", [
     (2000, OverflowError), (4000, MemoryError), (10000, OSError),
     (12000, ArithmeticError)], ids=["child", "parent", "parent-late",
@@ -477,19 +484,118 @@ def test_failing_block_fails_as_in_one_process(tmp_path, capsys, monkeypatch,
     runs = []
     for forked in (True, False):
         with monkeypatch.context() as m:
-            forks = _forks(m)
+            forks, reaps = _forks(m)
             if not forked:
                 m.setattr(cli, "_forkable", lambda fh, count: False)
             path = tmp_path / f"{forked}.csv"
             runs.append((_run(capsys, *argv, "--out", str(path)),
                          path.read_text()))
             assert len(forks) == forked
+            assert len(reaps) == forked
     assert runs[0] == runs[1]
     (code, out, err), text = runs[0]
     assert (code, out) == (1, "")
     assert err.startswith("zitterlab: ") and err.count("\n") == 1
     assert f"no residual at row {row}" in err
     assert text.count("\n") == 1 + row // 1626 * 1626
+
+
+def test_a_cut_off_frame_yields_no_block():
+    # a stream that ends inside the 8-byte length or inside the block
+    # gives no block, so the CLI formats that block itself
+    stream = io.BytesIO()
+    cli._send_frame(stream, b"1,2\n" * 50)
+    frame = stream.getvalue()
+    assert cli._read_frame(io.BytesIO(frame)) == b"1,2\n" * 50
+    for cut in range(len(frame)):
+        assert cli._read_frame(io.BytesIO(frame[:cut])) is None
+
+
+@pytest.fixture(scope="module")
+def uniform_csv(uniform_run):
+    return _rowwise_trajectory_csv(uniform_run,
+                                   cli._residuals(uniform_run, slice(None)))
+
+
+def test_cut_off_frame_is_formatted_by_the_cli(uniform_run, uniform_csv,
+                                               tmp_path, monkeypatch):
+    # the child dies halfway through the body of its second frame (block
+    # 3 of 8), as the OOM killer might kill it: the CLI writes none of
+    # that frame and formats blocks 3 to 7 itself
+    send = cli._send_frame
+    sent = []
+
+    def killed(frames, block):
+        if sent:
+            whole = io.BytesIO()
+            send(whole, block)
+            frames.write(whole.getvalue()[:8 + len(block) // 2])
+            frames.flush()
+            os.kill(os.getpid(), signal.SIGKILL)
+        sent.append(None)
+        send(frames, block)
+    forks, reaps = _forks(monkeypatch)
+    monkeypatch.setattr(cli, "_send_frame", killed)
+    monkeypatch.setattr(cli, "_CSV_BLOCK", 2000)
+    path = tmp_path / "run.csv"
+    cli._write_trajectory_csv(str(path), uniform_run)
+    assert len(forks) == 1
+    assert len(reaps) == 1
+    assert os.WTERMSIG(reaps[0][1]) == signal.SIGKILL
+    _assert_same_text(path.read_text(), uniform_csv)
+
+
+class _PidLoggedFile(io.FileIO):
+    # a file that appends the id of the process behind each of its
+    # writes, whatever buffer it came through, to the side file NAME.pids
+    def write(self, b):
+        with open(self.name + ".pids", "a") as log:
+            log.write(f"{os.getpid()}\n")
+        return super().write(b)
+
+
+def test_only_the_cli_writes_the_csv(uniform_run, uniform_csv, tmp_path,
+                                     monkeypatch):
+    forks, reaps = _forks(monkeypatch)
+    monkeypatch.setattr(cli, "_CSV_BLOCK", 2000)
+    monkeypatch.setattr(cli, "_open_out", lambda path: io.TextIOWrapper(
+        io.BufferedWriter(_PidLoggedFile(path, "w")), encoding="utf-8",
+        newline=""))
+    path = tmp_path / "run.csv"
+    cli._write_trajectory_csv(str(path), uniform_run)
+    assert len(forks) == 1
+    assert len(reaps) == 1
+    pids = (tmp_path / "run.csv.pids").read_text().split()
+    assert pids and set(pids) == {str(os.getpid())}
+    _assert_same_text(path.read_text(), uniform_csv)
+
+
+def _warn_as_python_3_12_forks():
+    warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use "
+                  "of fork() may lead to deadlocks in the child.",
+                  DeprecationWarning)
+
+
+def test_python_3_12_fork_warning_is_ignored(uniform_run, uniform_csv,
+                                             tmp_path, monkeypatch):
+    # os.fork warns from a threaded process on Python 3.12, and under
+    # this suite's filterwarnings = error that warning raises unless the
+    # CLI ignores it around its fork
+    with pytest.raises(DeprecationWarning, match="multi-threaded"):
+        _warn_as_python_3_12_forks()
+    fork = os.fork
+
+    def warning_fork():
+        _warn_as_python_3_12_forks()
+        return fork()
+    monkeypatch.setattr(os, "fork", warning_fork)
+    forks, reaps = _forks(monkeypatch)
+    monkeypatch.setattr(cli, "_CSV_BLOCK", 2000)
+    path = tmp_path / "run.csv"
+    cli._write_trajectory_csv(str(path), uniform_run)
+    assert len(forks) == 1
+    assert len(reaps) == 1
+    _assert_same_text(path.read_text(), uniform_csv)
 
 
 def _src_env(**extra):

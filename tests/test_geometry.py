@@ -150,6 +150,37 @@ def test_retarded_time_needs_history():
         solve_retarded_time(traj, 0.2)
 
 
+# The largest |delta r| and |delta l| measured over this strategy's
+# range, on 200,000 times a run and 100,000 more within 1e-2 of the
+# lowest: 2.4e-11 and 2.7e-11, both at beta = 0.9 with a 1e-6 kick and t
+# just past t0 + 2.5 gamma.  The gate is twice the larger.
+_CLOSED_ON_MARCH_TOL = 5.4e-11
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(beta=st.floats(0.0, 0.9), log_kick=st.floats(-9.0, -6.0),
+       fractions=st.lists(st.floats(0.0, 1.0, exclude_min=True),
+                          min_size=1, max_size=20))
+def test_closed_forms_match_the_light_cone_on_marched_runs(beta, log_kick,
+                                                           fractions):
+    # on the seed pass of a mode kick, marched as perturbed_uniform_run
+    # marches it, r and l of the emitter's state at the implicit solve's
+    # t_r are the light cone's t - t_r and x(t) - x(t_r)
+    gamma = lorentz_gamma(beta)
+    grid = 1e-3
+    t_end = grid * math.ceil(0.95 * gamma / grid)
+    traj = propagate_exact(SeedHistory.mode_kick(beta, 10.0 ** log_kick),
+                           t_end, grid)
+    lo = traj.t0 + 2.5 * gamma
+    ts = lo + np.array(fractions) * (t_end - lo)   # in (lo, t_end]
+    t_r = solve_retarded_time_many(traj, ts)
+    _, _, _, r, l, _ = delay_closed(traj.velocity(t_r),
+                                    traj.acceleration(t_r))
+    assert np.max(np.abs((ts - t_r) - r)) < _CLOSED_ON_MARCH_TOL
+    assert np.max(np.abs(traj.position(ts) - traj.position(t_r) - l)
+                  ) < _CLOSED_ON_MARCH_TOL
+
+
 def _brent_retarded_time(traj, t):
     # independent route: Brent's method on the light-cone condition,
     # bracketed by the start of the history and one crossing back
