@@ -6,7 +6,8 @@ equation of motion into a state-dependent delay equation.  This
 package carries that problem end to end in natural units (c = 1,
 delay ~ 1):
 
-* model      -- physical constants, unit maps, kinematic state
+* model      -- physical constants, unit maps, kinematic state, the
+                unstable rate lambda* and the emitter's closed forms
 * series     -- exact rational power-series ring and identities (the
                 algebra behind every truncated expression used elsewhere)
 * roots      -- characteristic roots of the linearized delay equation,
@@ -39,10 +40,9 @@ import importlib
 # uses, and numpy only when one of those needs it.
 _LAYERS = {
     "model": ("KinematicState", "PhysicalConstants", "classical_radius",
-              "effective_radius", "electron_size", "lorentz_gamma",
-              "zitter_period"),
-    "roots": ("CharEq", "Region", "dominant_real_root", "find_roots",
-              "spectrum"),
+              "dominant_real_root", "effective_radius", "electron_size",
+              "lorentz_gamma", "zitter_period"),
+    "roots": ("CharEq", "Region", "find_roots", "spectrum"),
     "geometry": ("RetardedGeometry", "solve_retarded_time"),
     "trajectory": ("SeedHistory", "Trajectory"),
     "dynamics": ("estimate_growth_rate", "estimate_spectrum",

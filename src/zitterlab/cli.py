@@ -25,7 +25,9 @@ The characteristic roots are the same for every drift (see roots), so
 
 Each subcommand imports the layers it runs when it runs, and nothing
 else: `series-verify` loads only the series engine and never numpy,
-`roots` and `render` only the roots layer.
+`roots` and `render` only the roots layer, `potential` only the
+potential layer, and `simulate` never the roots layer, because lambda*
+and the closed forms live in model.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .model import (
     PhysicalConstants,
     _fmt,
     _json_line,
+    dominant_real_root,
     lorentz_gamma,
     parse_constants_file,
 )
@@ -344,7 +347,6 @@ def _simulate_report(args, traj, drift: float) -> tuple[str, str | None]:
     import numpy as np
     from .dynamics import (TooFewSamplesError, estimate_spectrum,
                            perturbed_uniform_run, sign_changes)
-    from .roots import dominant_real_root
     gamma = lorentz_gamma(drift)
     target = dominant_real_root() / gamma
     kick = args.amp if args.seed != "uniform" else 1e-6

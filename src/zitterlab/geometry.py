@@ -6,31 +6,21 @@ where l = x(t) - x(s) is the longitudinal advance and the 1 is the
 fixed transverse separation.
 
 For trajectories that actually solve the motion equation the delay
-closes in the emitter's instantaneous state:
-
-    r = gamma sqrt(1 + y) + gamma^4 beta beta_dot,    y = gamma^6 beta_dot^2
-    l = gamma beta sqrt(1 + y) + gamma^4 beta_dot
-
-These satisfy r^2 = l^2 + 1 identically and reduce to r = gamma at
-beta_dot = 0.  They hold on-shell only; off-shell callers must solve
-the light-cone condition implicitly (solve_retarded_time_many, or its
-single-time form solve_retarded_time), which is also the audit oracle
-for the closed forms.  That solve is a 90-halving bisection and
-returns its last midpoint.  Newton steps pin each root inside a window
-[a, b] a few hundred ulps wide, and a rounding bound on the computed
-gap certifies the sign the bisection sees at every midpoint outside
-it, so the gap is evaluated only at midpoints inside the window.  A
-time the certificate does not cover evaluates it at every midpoint.
-The solve takes every time it is given in one pass; the CLI's residual
-audit hands it one CSV row block at a time.
-
-The closed forms are written once, in delay_closed over (beta,
-beta_dot): floats give floats, arrays give arrays elementwise, and
-the KinematicState functions call it.  A float input stays a Python
-float through the body, because numpy's power ufunc is not libm's pow:
-on arrays, even 0-d and one-element ones, g ** 6 can differ from the
-float result in the last bit.  So array results agree with the float
-ones to a couple of ulp, not bit for bit.
+closes in the emitter's instantaneous state: the closed forms r and l
+are written once, in model.delay_closed, and the KinematicState
+functions here call it.  They satisfy r^2 = l^2 + 1 identically and
+reduce to r = gamma at beta_dot = 0.  They hold on-shell only;
+off-shell callers must solve the light-cone condition implicitly
+(solve_retarded_time_many, or its single-time form
+solve_retarded_time), which is also the audit oracle for the closed
+forms.  That solve is a 90-halving bisection and returns its last
+midpoint.  Newton steps pin each root inside a window [a, b] a few
+hundred ulps wide, and a rounding bound on the computed gap certifies
+the sign the bisection sees at every midpoint outside it, so the gap
+is evaluated only at midpoints inside the window.  A time the
+certificate does not cover evaluates it at every midpoint.  The solve
+takes every time it is given in one pass; the CLI's residual audit
+hands it one CSV row block at a time.
 
 Sign convention: the radical in the l closed form is unsigned; the
 signed version used here carries the sign of the longitudinal advance
@@ -40,12 +30,11 @@ magnitude form and changes sign correctly through turning points.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import KinematicState, lorentz_gamma
+from .model import KinematicState, delay_closed
 from .trajectory import Trajectory, cubic_slope, cubic_value
 
 LIGHTCONE_TOL = 1e-12
@@ -53,23 +42,6 @@ LIGHTCONE_TOL = 1e-12
 
 class HistoryTooShortError(ValueError):
     """The trajectory does not reach far enough into the past."""
-
-
-def delay_closed(beta, beta_dot):
-    """Closed forms of the emitter state (beta, beta_dot).
-
-    Returns (gamma, y, sqrt(1 + y), r, l, r - l beta), as floats for
-    float input or elementwise for arrays that broadcast; an array beta
-    must be subluminal in every element.  Floats are never turned into
-    arrays here (see the module notes on numpy's power).
-    """
-    g = lorentz_gamma(beta)
-    y = g ** 6 * beta_dot ** 2
-    root = (np.sqrt if isinstance(y, np.ndarray) else math.sqrt)(1.0 + y)
-    g4 = g ** 4
-    r = g * root + g4 * beta * beta_dot
-    l = g * beta * root + g4 * beta_dot
-    return g, y, root, r, l, r - l * beta
 
 
 def y_parameter(state: KinematicState) -> float:

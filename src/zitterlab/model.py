@@ -14,9 +14,19 @@ classical electron radius 2.818e-15 m and for r_e = d/2, which differ by
 a factor of ~8 (the literature quotes the former; this model's own
 length scale gives the latter).
 
-numpy is never imported here.  lorentz_gamma and _fmt take their numpy
-paths only once some other module has loaded numpy: until then no value
-can be a numpy array or scalar, so `series-verify` runs without it.
+Two numbers every layer reads live here too, so that no command loads
+a layer it does not run to get them: dominant_real_root(), the rate
+lambda* = 1.79328... at which rest and uniform motion go unstable, and
+delay_closed, the Lienard-Wiechert closed forms of the emitter state
+(geometry holds the light-cone solve that audits them):
+
+    r = gamma sqrt(1 + y) + gamma^4 beta beta_dot,    y = gamma^6 beta_dot^2
+    l = gamma beta sqrt(1 + y) + gamma^4 beta_dot
+
+numpy is never imported here.  lorentz_gamma, delay_closed and _fmt
+take their numpy paths only once some other module has loaded numpy:
+until then no value can be a numpy array or scalar, so `series-verify`
+runs without it.
 """
 
 from __future__ import annotations
@@ -114,6 +124,54 @@ def lorentz_gamma(beta):
     if not abs(beta) < 1.0:
         raise ValueError(f"|beta| must be < 1, got {beta!r}")
     return 1.0 / math.sqrt((1.0 - beta) * (1.0 + beta))
+
+
+def dominant_real_root() -> float:
+    """The unique positive real root lambda* of f(z) = z^2 + z + 1 - e^z.
+
+    f rises quadratically from its double zero at the origin and stays
+    positive until the exponential overtakes the parabola, so there is
+    exactly one sign change on (0, inf), inside [0.5, 2].  Bisection on
+    that bracket, in floats on the sign of x^2 + x - expm1(x), until the
+    bracket is a fixed point of halving.  The result, 1.7932821329007615,
+    is 2.44 ulp above the root 1.79328213290076100756...: the rounding
+    of f decides the last signs.  The root is the same for every drift;
+    its lab-frame rate on drift beta is the root over gamma(beta).
+    """
+    def f(x: float) -> float:
+        return x * x + x - math.expm1(x)
+
+    lo, hi = 0.5, 2.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
+        if f(mid) < 0.0:
+            hi = mid
+        else:
+            lo = mid
+
+
+def delay_closed(beta, beta_dot):
+    """Closed forms of the emitter state (beta, beta_dot).
+
+    Returns (gamma, y, sqrt(1 + y), r, l, r - l beta), as floats for
+    float input or elementwise for arrays that broadcast; an array beta
+    must be subluminal in every element.  A float stays a Python float
+    through the body, because numpy's power ufunc is not libm's pow: on
+    arrays, even 0-d and one-element ones, g ** 6 can differ from the
+    float result in the last bit, so array results agree with the float
+    ones to a couple of ulp.
+    """
+    g = lorentz_gamma(beta)
+    y = g ** 6 * beta_dot ** 2
+    np = sys.modules.get("numpy")
+    array = np is not None and isinstance(y, np.ndarray)
+    root = (np.sqrt if array else math.sqrt)(1.0 + y)
+    g4 = g ** 4
+    r = g * root + g4 * beta * beta_dot
+    l = g * beta * root + g4 * beta_dot
+    return g, y, root, r, l, r - l * beta
 
 
 def _fmt(value) -> str:

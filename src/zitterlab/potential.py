@@ -6,8 +6,8 @@ number.  The central closed form is
 
     U = gamma / sqrt(1 + y),        y = gamma^6 beta_dot^2,
 
-obtained by routing the retarded potential through the geometry
-module's denominator identity (r - l beta) gamma = sqrt(1 + y).  The
+obtained by routing the retarded potential through the denominator
+identity (r - l beta) gamma = sqrt(1 + y) of the closed forms.  The
 decomposition U = gamma + Q then defines the quantum potential
 
     Q = -gamma (1 - 1/sqrt(1 + y)) <= 0,
@@ -18,7 +18,7 @@ kept as a cross-check, never as the primary route, because it only
 converges for y < 1.
 
 U, Q, gamma and y are written once, over (beta, beta_dot) on top of
-geometry.delay_closed: decompose takes floats or arrays, and the
+model.delay_closed: decompose takes floats or arrays, and the
 KinematicState functions call the same body.  As there, array results
 match the float ones to a couple of ulp only, because numpy's power
 ufunc is not libm's pow.
@@ -33,8 +33,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geometry import delay_closed
-from .model import KinematicState, PhysicalConstants
+from .model import KinematicState, PhysicalConstants, delay_closed
 
 
 def q_coeff(n: int) -> Fraction:
@@ -61,16 +60,11 @@ class PotentialSample:
 
     def __post_init__(self):
         U, Q, y = self.U, self.Q, self.y
-        if isinstance(U, np.ndarray):
-            bad_U, bad_Q, bad_y = ((~(U > 0)).any(), (Q > 1e-12).any(),
-                                   (y < 0).any())
-        else:
-            bad_U, bad_Q, bad_y = not U > 0, Q > 1e-12, y < 0
-        if bad_U:
+        if np.any(~(np.asarray(U) > 0)):
             raise ValueError(f"U must be positive, got {U!r}")
-        if bad_Q:
+        if np.any(np.asarray(Q) > 1e-12):
             raise ValueError(f"Q must be <= 0, got {Q!r}")
-        if bad_y:
+        if np.any(np.asarray(y) < 0):
             raise ValueError(f"y must be >= 0, got {y!r}")
 
 

@@ -60,15 +60,14 @@ def _wide_rootset():
 
 
 def _check_real_root():
-    from . import roots as rootsmod
-    lam = rootsmod.dominant_real_root()
+    lam = model.dominant_real_root()
     tol = 0.01 * _LSTAR_COARSE
     return _LSTAR_COARSE, lam, tol, abs(lam - _LSTAR_COARSE) <= tol
 
 
 def _check_real_root_residual():
     from . import roots as rootsmod
-    lam = rootsmod.dominant_real_root()
+    lam = model.dominant_real_root()
     res = float(rootsmod.CharEq().residual(lam))
     return 0.0, res, 1e-10, res < 1e-10
 
@@ -81,7 +80,7 @@ def _check_rest_census():
     ok = (len(got) == 2
           and abs(got[0].value) < 1e-8 and got[0].multiplicity == 2
           and abs(got[1].value.imag) < 1e-10
-          and abs(got[1].value.real - rootsmod.dominant_real_root()) < 1e-9)
+          and abs(got[1].value.real - model.dominant_real_root()) < 1e-9)
     return 2, len(got), 0, bool(ok)
 
 
@@ -163,15 +162,13 @@ def _check_duffing_stationary():
 # --- light-cone geometry ---------------------------------------------
 
 def _check_pythagoras():
-    from .geometry import delay_closed
-    r, l = delay_closed(*_random_states())[3:5]
+    r, l = model.delay_closed(*_random_states())[3:5]
     worst = float(np.max(np.abs(r * r - l * l - 1.0)))
     return 0.0, worst, 1e-12, worst <= 1e-12
 
 
 def _check_denominator():
-    from .geometry import delay_closed
-    gamma, y, _, _, _, denominator = delay_closed(*_random_states())
+    gamma, y, _, _, _, denominator = model.delay_closed(*_random_states())
     worst = float(np.max(np.abs(denominator * gamma - np.sqrt(1.0 + y))))
     return 0.0, worst, 1e-12, worst <= 1e-12
 
@@ -201,10 +198,9 @@ def _check_uniform_invariance():
 
 
 def _drift_rate(beta: float, rel: float):
-    from . import roots as rootsmod
     from .dynamics import perturbed_uniform_run
     gamma = model.lorentz_gamma(beta)
-    target = rootsmod.dominant_real_root() / gamma
+    target = model.dominant_real_root() / gamma
     rate = perturbed_uniform_run(beta, 1e-6).rate
     tol = rel * target
     return target, rate, tol, abs(rate - target) <= tol

@@ -21,15 +21,16 @@ a kink only for roots of the form above.)
 Every root solves z = Log(z^2 + z + 1) + 2 pi i k for exactly one
 integer branch k (Log the principal logarithm), so |Im z - 2 pi k| <= pi.
 Branch 0 holds z = 0, a double root (position offsets and drift changes
-form the neutral family), and one positive real root near 9/5.  Each
-branch k != 0 holds one simple root, where the fixed-point map
-contracts (|d/dz Log(z^2 + z + 1)| ~ 2/|z|); branch -k holds its
-conjugate, and Re z grows like 2*ln|Im z| up the ladder (Bellman &
-Cooke 1963, ch. 12-13; Corless et al. 1996 on branch indexing).  Only 0
-is a multiple root: f = f' = 0 forces z^2 = z, and f(1) != 0.  Censuses
-are enumerated branch by branch and certified: the total multiplicity
-must equal the argument-principle winding count (Delves & Lyness 1967)
-on a contour kept clear of every root, or they raise.
+form the neutral family), and one positive real root near 9/5
+(model.dominant_real_root).  Each branch k != 0 holds one simple root,
+where the fixed-point map contracts (|d/dz Log(z^2 + z + 1)| ~ 2/|z|);
+branch -k holds its conjugate, and Re z grows like 2*ln|Im z| up the
+ladder (Bellman & Cooke 1963, ch. 12-13; Corless et al. 1996 on branch
+indexing).  Only 0 is a multiple root: f = f' = 0 forces z^2 = z, and
+f(1) != 0.  Censuses are enumerated branch by branch and certified:
+the total multiplicity must equal the argument-principle winding count
+(Delves & Lyness 1967) on a contour kept clear of every root, or they
+raise.
 
 Numerics notes:
 
@@ -57,6 +58,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .model import dominant_real_root
 
 # every branch root must reach it, or 4 eps |z| where a correctly
 # rounded root leaves more (|z| > ~1100)
@@ -312,35 +315,6 @@ def _certify(eq: CharEq, region: Region, roots: list[Root],
     if found != count:
         raise RuntimeError(f"census found {found} roots on {box}, "
                            f"the argument principle counts {count}")
-
-
-def dominant_real_root() -> float:
-    """The unique positive real root of the characteristic function.
-
-    f rises quadratically from its double zero at the origin and stays
-    positive until the exponential overtakes the parabola, so there is
-    exactly one sign change on (0, inf), inside [0.5, 2].  Bisection on
-    that bracket; ~1e-16 accurate.  The root is the same for every drift;
-    its lab-frame rate on drift beta is the root over gamma(beta).
-    """
-    eq = CharEq()
-
-    def s(x: float) -> float:
-        # rescaled f has the same sign as f on the real axis
-        return float(eq.scaled_value(x).real)
-
-    lo, hi = 0.5, 2.0
-    if not (s(lo) > 0.0 and s(hi) < 0.0):
-        raise RuntimeError("no sign change on [0.5, 2] for the real root")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break              # the bracket is a fixed point of halving
-        if s(mid) < 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import lorentz_gamma
+from .model import dominant_real_root, lorentz_gamma
 
 
 class TrajectoryDomainError(ValueError):
@@ -288,7 +288,6 @@ class SeedHistory:
         linearized motion equation; nothing else is excited above
         O(amplitude^2).
         """
-        from .roots import dominant_real_root
         rate = dominant_real_root() / lorentz_gamma(beta)
         return cls(kind="mode_kick", amplitude=float(amplitude),
                    beta=beta, rate=rate)

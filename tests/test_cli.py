@@ -27,6 +27,7 @@ from zitterlab.model import (
     ConstantsError,
     PhysicalConstants,
     _fmt,
+    delay_closed,
     lorentz_gamma,
     parse_constants_file,
 )
@@ -1131,8 +1132,8 @@ def test_cli_import_loads_no_scipy():
 
 _BASE = {"cli", "model"}
 _ROOTS = _BASE | {"roots"}
-_POTENTIAL = _BASE | {"potential", "geometry", "trajectory"}
-_MARCH = _BASE | {"dynamics", "geometry", "trajectory", "roots"}
+_POTENTIAL = _BASE | {"potential"}
+_MARCH = _BASE | {"dynamics", "geometry", "trajectory"}
 
 
 _LAYER_CASES = [
@@ -1143,6 +1144,8 @@ _LAYER_CASES = [
     (["potential", "--duffing"], _POTENTIAL),
     (["simulate", "--seed", "mode_kick", "--integrator", "exact",
       "--tend", "1.3", "--report"], _MARCH),
+    (["simulate", "--seed", "uniform", "--beta", "0.3", "--tend", "100",
+      "--out", "{tmp}"], _MARCH),
     (["report", "--only", "branch_ladder"], _ROOTS | {"report"}),
 ]
 
@@ -1150,7 +1153,7 @@ _LAYER_CASES = [
 @pytest.mark.parametrize("argv, layers", _LAYER_CASES,
                          ids=[" ".join(argv) for argv, _ in _LAYER_CASES])
 def test_command_loads_only_its_layers(tmp_path, argv, layers):
-    argv = [a.format(tmp=tmp_path / "x.ppm") for a in argv]
+    argv = [a.format(tmp=tmp_path / "out") for a in argv]
     loaded = _loaded(*argv)
     assert {m for m in loaded if m.startswith("zitterlab")} == \
         {"zitterlab"} | {f"zitterlab.{layer}" for layer in layers}
@@ -1162,13 +1165,15 @@ def test_command_loads_only_its_layers(tmp_path, argv, layers):
 def test_model_runs_without_numpy():
     code = """
 import json, sys
-from zitterlab.model import _fmt, lorentz_gamma
+from zitterlab.model import (_fmt, delay_closed, dominant_real_root,
+                             lorentz_gamma)
 print(json.dumps([[_fmt(v) for v in (None, True, 3, 0.1, float("nan"), "a")],
-                  lorentz_gamma(0.6), "numpy" in sys.modules]))
+                  lorentz_gamma(0.6), dominant_real_root(),
+                  delay_closed(0.6, 0.2), "numpy" in sys.modules]))
 """
     assert json.loads(_fresh_python(code)) == \
         [["null", "true", "3", "0.10000000000000001", "null", '"a"'], 1.25,
-         False]
+         1.7932821329007615, list(delay_closed(0.6, 0.2)), False]
 
 
 def test_package_resolves_every_public_name():

@@ -542,3 +542,43 @@ def test_exact_march_trims_arrivals_past_the_grid():
         "fd350d8226d0833b9a38a043a3b5347ed2ed3fb8a90b594d4d76cd290c1ad8de"
     assert float(np.max(np.abs(traj.beta))) == \
         pytest.approx(0.0975, abs=5e-5)
+
+
+# --- the exact march against the exact linear oracle ------------------
+
+@pytest.fixture(scope="module")
+def rest_oracle():
+    pytest.importorskip("mpmath")
+    from linear_oracle import RestKickOracle
+    return RestKickOracle(1e-6)
+
+
+def test_exact_march_matches_the_linear_oracle_in_generation_1(rest_oracle):
+    # on (0, 1) the 1e-6 rest kick's velocity is (D + D^2 + D^3) of the
+    # seed offset one delay back; measured: 1.38e-3 relative at worst
+    # where the oracle's |beta| > 1e-6 (t = 0.887), 1.69e-5 at its peak
+    # |beta| = 6.06e-5 (t = 0.126); gated at twice those
+    traj = propagate_exact(SeedHistory.rest_kick(1e-6), 1.0, 1e-3)
+    inside = (traj.t > 0.0) & (traj.t < 1.0)
+    t, beta = traj.t[inside], traj.beta[inside]
+    want = np.array([float(rest_oracle.beta(1, s)) for s in t])
+    assert float(np.max(np.abs(want))) == pytest.approx(6.06e-5, rel=1e-3)
+    live = np.abs(want) > 1e-6
+    rel = np.abs(beta[live] - want[live]) / np.abs(want[live])
+    assert float(np.max(rel)) <= 2.8e-3
+    peak = int(np.argmax(np.abs(want)))
+    assert abs(beta[peak] - want[peak]) / abs(want[peak]) <= 3.4e-5
+
+
+@pytest.mark.parametrize("dt", [2e-3, 1e-3, 5e-4])
+def test_exact_march_stops_at_the_oracles_light_barrier(rest_oracle, dt):
+    # the oracle's generation 2 first reaches |beta| = 1 at t = 1.11248;
+    # the unfiltered march stops there with SuperluminalError at every
+    # dt, at t_reached 1.112 (measured at each dt): its last grid row
+    # before the crossing, so within one dt of it
+    crossing = rest_oracle.light_barrier(2)
+    assert crossing == pytest.approx(1.11248, abs=1e-5)
+    traj = dynamics._march(SeedHistory.rest_kick(1e-6), 2.0, dt, np.ones(1),
+                           True, {})
+    assert traj.metadata["aborted"] == "SuperluminalError"
+    assert 0.0 <= crossing - traj.metadata["t_reached"] < dt

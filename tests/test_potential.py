@@ -128,6 +128,20 @@ def test_array_potential_keeps_guards():
         PotentialSample(U=ok, Q=-ok, gamma=ok, y=np.array([1.0, -1e-9]))
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"U": float("nan")}, "U must be positive, got nan"),
+    ({"U": 0.0}, "U must be positive, got 0.0"),
+    ({"Q": 1e-6}, "Q must be <= 0, got 1e-06"),
+    ({"y": -1e-9}, "y must be >= 0, got -1e-09"),
+])
+def test_float_potential_keeps_guards(fields, message):
+    # floats take the same np.any path as arrays, with the same messages
+    good = {"U": 1.0, "Q": 0.0, "gamma": 1.0, "y": 0.0}
+    with pytest.raises(ValueError) as exc:
+        PotentialSample(**{**good, **fields})
+    assert str(exc.value) == message
+
+
 def test_closed_form_values():
     # U = gamma / sqrt(1 + y), typed out independently
     state = KinematicState(beta=0.3, beta_dot=0.11)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from conftest import LAMBDA_STAR
 
+from zitterlab import model
 from zitterlab import roots as rootsmod
 from zitterlab.model import lorentz_gamma
 from zitterlab.roots import (
@@ -88,6 +89,64 @@ def test_dominant_real_root_stops_at_its_fixed_point(beta):
     # the lab-frame rate on drift beta is the root over gamma
     assert SeedHistory.mode_kick(beta, 1e-6).rate == \
         _fixed_halving_root() / lorentz_gamma(beta)
+
+
+def _chareq_bisection() -> float:
+    """The bisection dominant_real_root ran before it moved to model:
+    the sign of CharEq's rescaled value, in numpy complex scalars."""
+    eq = CharEq()
+
+    def s(x: float) -> float:
+        return float(eq.scaled_value(x).real)
+
+    lo, hi = 0.5, 2.0
+    assert s(lo) > 0.0 and s(hi) < 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if s(mid) < 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def test_float_bisection_equals_the_chareq_route():
+    assert model.dominant_real_root() == _chareq_bisection()
+    assert dominant_real_root is model.dominant_real_root
+
+
+def test_float_sign_is_the_chareq_sign_on_the_bracket():
+    # 20,001 points across [0.5, 2] and the 4,001 doubles within 2,000
+    # ulps of lambda*: on the real axis numpy's complex expm1 is libm's
+    # expm1, and the damping e^-x > 0 keeps the sign
+    xs = list(np.linspace(0.5, 2.0, 20_001))
+    x = lam = model.dominant_real_root()
+    for _ in range(2_000):
+        x = math.nextafter(x, 0.0)
+    for _ in range(4_001):
+        xs.append(x)
+        x = math.nextafter(x, math.inf)
+    assert lam in xs
+    xs = np.array(xs)
+    chareq = np.sign(CharEq().scaled_value(xs).real)
+    floats = np.sign([v * v + v - math.expm1(v) for v in xs])
+    assert np.array_equal(chareq, floats)
+    assert np.array_equal(np.expm1(xs.astype(complex)).real,
+                          [math.expm1(v) for v in xs])
+
+
+def test_lambda_star_is_within_3_ulp_of_the_root():
+    # pins the known error of the float bisection (2.44 ulp high, see
+    # ROADMAP item 6); a correctly rounded root would read 0.44 ulp
+    mpmath = pytest.importorskip("mpmath")
+    lam = model.dominant_real_root()
+    with mpmath.workdps(50):
+        root = mpmath.findroot(lambda z: mpmath.exp(z) - z * z - z - 1,
+                               mpmath.mpf("1.79"))
+        ulps = float((mpmath.mpf(lam) - root) / math.ulp(lam))
+    assert abs(ulps) <= 3.0
 
 
 def test_chareq_small_z_cancellation():
