@@ -564,10 +564,11 @@ def perturbed_uniform_run(beta: float, kick: float = 1e-6) -> GrowthRate:
     The fit window [0.4, 0.95] gamma sits before the first crossing, and
     the march ends on the first grid row at or past its end, so every
     row it reads is an arrival of the analytic seed and nothing is
-    re-emitted.
+    re-emitted.  A negative drift is the mirror image x -> -x of a
+    positive one, with the same rate.
     """
-    if not 0.0 <= beta < 1.0:
-        raise ValueError(f"beta must be in [0, 1), got {beta!r}")
+    if not abs(beta) < 1.0:
+        raise ValueError(f"beta must be in (-1, 1), got {beta!r}")
     gamma = lorentz_gamma(beta)
     grid = 1e-3
     # the first grid row at or past 0.95 gamma: one step past the window

@@ -14,13 +14,13 @@ off-shell callers must solve the light-cone condition implicitly
 (solve_retarded_time_many, or its single-time form
 solve_retarded_time), which is also the audit oracle for the closed
 forms.  That solve is a 90-halving bisection and returns its last
-midpoint.  Newton steps pin each root inside a window [a, b] a few
-hundred ulps wide, and a rounding bound on the computed gap certifies
-the sign the bisection sees at every midpoint outside it, so the gap
-is evaluated only at midpoints inside the window.  A time the
-certificate does not cover evaluates it at every midpoint.  The solve
-takes every time it is given in one pass; the CLI's residual audit
-hands it one CSV row block at a time.
+midpoint.  Each time reaches back for its bracket, Newton steps pin its
+root inside a window [a, b] a few hundred ulps wide, and a rounding
+bound on the computed gap certifies the sign the bisection sees at
+every midpoint outside it, so the gap is evaluated only at midpoints
+inside the window.  A time the certificate does not cover evaluates
+it at every midpoint.  The solve takes every time it is given in one
+pass; the CLI's residual audit hands it one CSV row block at a time.
 
 Sign convention: the radical in the l closed form is unsigned; the
 signed version used here carries the sign of the longitudinal advance
@@ -122,14 +122,10 @@ def _reach_back(traj: Trajectory, ts: np.ndarray,
 # Most halvings one element takes
 _HALVINGS = 90
 
-# Newton steps from t - gamma(beta(t)) on every time before the
-# enclosure is tested: on the mode-kick run the start is off by ~1e-6
-# and the two steps after it by ~1e-13 and ~4e-16; the third serves
-# starts further off, as on an accelerating history.  Past them a time
-# whose last step still spanned more than its window steps on, up to
-# _NEWTON_MAX steps in all: where |beta| nears 1 on the rest kick the
-# start lies up to 1.9 d/c from the root and g' nears 0.
-_NEWTON_STEPS = 3
+# Most Newton steps one time takes from t - gamma(beta(t)): a time
+# steps on while its last step spanned more than its window.  Where
+# |beta| nears 1 on the rest kick the start lies up to 1.9 d/c from the
+# root and g' nears 0.
 _NEWTON_MAX = 30
 
 # tau = _TAU_EPS eps (1 + |x(t)| + (t - lo) + 16 h) exceeds four times
@@ -172,12 +168,11 @@ def _enclose(traj: Trajectory, lo, hi, ts, x_t, beta):
         s = np.fmin(np.fmax(
             ts - 1.0 / np.sqrt((1.0 - beta) * (1.0 + beta)), lo), hi)
         i = traj.interval(s)
-        for _ in range(_NEWTON_STEPS):
-            last = s
-            s, i, slope = _newton_step(traj, i, s, ts, x_t, lo, hi)
+        last = s
+        s, i, slope = _newton_step(traj, i, s, ts, x_t, lo, hi)
         # a time whose last step spanned more than its window steps on
         k = np.flatnonzero(np.abs(s - last) * np.abs(slope) > 2.0 * tau)
-        for _ in range(_NEWTON_MAX - _NEWTON_STEPS):
+        for _ in range(_NEWTON_MAX - 1):
             if k.size == 0:
                 break
             last = s[k]
@@ -242,27 +237,8 @@ def _lightcone(traj: Trajectory, ts: np.ndarray):
     if np.any(hi < traj.t0 - 1e-12):
         raise HistoryTooShortError("history too short for some times")
     beta = cubic_value(*traj.velocity_cubics(i_t), tc)
-    # _reach_back's first bracket end
-    lo = np.maximum(ts - 2.0, traj.t0)
-    # a time whose Newton start t - gamma(beta(t)) lies below lo reaches
-    # back first: Newton steps clipped to lo would certify nothing there
-    with np.errstate(invalid="ignore"):
-        back = ts - 1.0 / np.sqrt((1.0 - beta) * (1.0 + beta)) < lo
-    k = np.flatnonzero(back)
-    if k.size:
-        lo[k] = _reach_back(traj, ts[k], x_t[k])
+    lo = _reach_back(traj, ts, x_t)
     a, b, i = _enclose(traj, lo, hi, ts, x_t, beta)
-    # a tested a above lo puts the computed g(lo) > 0, as at every
-    # midpoint below a, so lo needs no reach back
-    k = np.flatnonzero(~((a > lo) | back))
-    if k.size:
-        lo_k = _reach_back(traj, ts[k], x_t[k])
-        moved = lo_k != lo[k]
-        if moved.any():
-            k = k[moved]
-            lo[k] = lo_k[moved]
-            a[k], b[k], i[k] = _enclose(traj, lo[k], hi[k], ts[k], x_t[k],
-                                        beta[k])
     s = _halve(traj, lo, hi, a, b, i, ts, x_t)
     i_r = traj.interval(s)
     x_r = cubic_value(*traj.position_cubics(i_r), s)
@@ -280,16 +256,13 @@ def solve_retarded_time_many(traj: Trajectory, ts: np.ndarray) -> np.ndarray:
     hi = t - 1, lo = max(t - 2, t0) reaching back twice as far until
     g(lo) > 0, then _HALVINGS halvings at mid = 0.5 (lo + hi) that keep
     lo = mid where the computed g(mid) > 0, and t_r the last midpoint.
-    Most of those signs are known without evaluating g:
+    _reach_back finds that lo for every time.  Most of the signs the
+    halvings need are known without evaluating g:
 
-    Enclose.  _NEWTON_STEPS Newton steps on g from t - gamma(beta(t)),
-    kept in [lo, hi], give s; a time whose last step moved s by more
-    than m steps on, up to _NEWTON_MAX steps in all.  a = s - m and
-    b = s + m, m = 2 tau/|g'|, clipped to [lo, hi].  A time whose start
-    lies below the first bracket end lo = max(t - 2, t0) reaches back
-    first and encloses once, on its own lo; steps clipped to the first
-    lo would certify nothing.  Every other time encloses on the first
-    lo, and again, where the reach back then moved its lo, on its own.
+    Enclose.  Newton steps on g from t - gamma(beta(t)), kept in
+    [lo, hi], give s: one on every time, then more on each time whose
+    last step moved s by more than m, up to _NEWTON_MAX steps in all.
+    a = s - m and b = s + m, m = 2 tau/|g'|, clipped to [lo, hi].
 
     Certify.  Let u = eps/2 and h the widest knot spacing.  For s in
     [lo, hi] the computed g(s), before its last subtraction (whose sign
@@ -306,10 +279,7 @@ def solve_retarded_time_many(traj: Trajectory, ts: np.ndarray) -> np.ndarray:
     _TAU_EPS eps S = 16 eps S exceeds delta more than four times over.
     Where the computed g(a) > tau and g(b) < -tau, g's monotonicity
     puts every midpoint below a at computed g > 0 and every one above b
-    at computed g < 0.  An end clipped to lo or hi is not tested.  Below
-    a lies the first bracket end lo too, so a tested a above it settles
-    the reference's first test, computed g(lo) > 0, and that time skips
-    the reach back.
+    at computed g < 0.  An end clipped to lo or hi is not tested.
 
     Decide.  Each halving takes the reference's own midpoint mid.  A
     mid < a keeps lo = mid and a mid > b keeps hi = mid, as the

@@ -744,6 +744,18 @@ def test_simulate_report_keeps_its_records_when_the_rate_run_fails(capsys):
     assert recs[1]["detail"].endswith("run completed to t = 1")
 
 
+def test_simulate_report_on_a_negative_drift(capsys):
+    # the motion equation is mirror-symmetric under x -> -x, so the rate
+    # run takes a negative drift as it takes its mirror image
+    code, out, err = _run(capsys, "simulate", "--seed", "uniform", "--beta",
+                          "-0.3", "--tend", "1", "--report")
+    rate = json.loads(out.splitlines()[0])
+    assert (code, err) == (0, "")
+    assert rate["record"] == "growth_rate"
+    assert rate["target"] == dominant_real_root() / lorentz_gamma(-0.3)
+    assert rate["value"] == pytest.approx(rate["target"], rel=1e-5)
+
+
 @pytest.mark.parametrize("argv, rows", [
     # 2.5 gamma / dt seed rows, and t_end / dt forward rows
     (["--seed", "mode_kick", "--beta", "0.999999999", "--tend", "3"],

@@ -291,6 +291,12 @@ def test_perturbed_uniform_run_contract(rate_runs):
     assert est.stderr < 0.05 * abs(est.rate)
 
 
+@pytest.mark.parametrize("beta", [1.0, -1.0, math.nan])
+def test_rate_run_refuses_light_speed(beta):
+    with pytest.raises(ValueError, match="beta must be in"):
+        perturbed_uniform_run(beta, 1e-6)
+
+
 def test_rate_run_is_the_seed_pass(monkeypatch):
     # the march ends a grid step past the fit window at most, before the
     # first delay crossing, so every row it reads is an arrival of the
@@ -582,3 +588,24 @@ def test_exact_march_stops_at_the_oracles_light_barrier(rest_oracle, dt):
                            True, {})
     assert traj.metadata["aborted"] == "SuperluminalError"
     assert 0.0 <= crossing - traj.metadata["t_reached"] < dt
+
+
+def test_exact_march_mode_kick_error_grows_as_dt_shrinks():
+    # the 1e-9 mode kick at rest is an exact solution, beta = A lambda*
+    # e^(lambda* t); from the second delay window on the march
+    # differentiates its own rounding noise, so each halving of dt
+    # multiplies the largest relative error there (measured: 7.4x at
+    # least; 4.5e-4 -> 29 on (1, 2] and 2.1e-3 -> 102 on (2, 2.75] from
+    # dt = 2e-3 to 2.5e-4), while (0, 1] stays at 3.4e-6 or below.  This
+    # pins the instrument's known behaviour; it is not a bound.
+    seed = SeedHistory.mode_kick(0.0, 1e-9)
+    worst = []
+    for dt in (2e-3, 1e-3, 5e-4, 2.5e-4):
+        traj = propagate_exact(seed, 2.75, dt)
+        want = seed.offsets(traj.t)[1]
+        rel = np.abs(traj.beta - want) / np.abs(want)
+        worst.append([float(np.max(rel[(traj.t > a) & (traj.t <= b)]))
+                      for a, b in ((0.0, 1.0), (1.0, 2.0), (2.0, 2.75))])
+    worst = np.array(worst)
+    assert np.all(worst[:, 0] < 1e-5)
+    assert np.all(worst[1:, 1:] > 5.0 * worst[:-1, 1:])
