@@ -5,14 +5,16 @@ series-verify, potential, report.  Machine outputs are CSV with a
 header row, JSON lines, or binary PPM; every float is printed at 17
 significant digits so identical invocations produce byte-identical
 files.  A CSV streams in row blocks, each computed (the simulate
-residual audit included), formatted and written in one pass.  A CSV of
-more than one block is formatted on two CPUs where it can: when the
-output has an OS file descriptor (a file, or a stdout that is a pipe,
-file or terminal) and the process may run on two CPUs, the CLI forks a
-child that formats every other block and hands it back whole over a
-pipe; the CLI alone writes.  The bytes, and on failure the file prefix,
-stderr line and exit code, are those of one process.  Exit codes: 0
-success, 1 a computation failed or a check did not pass, 2 bad usage.
+residual audit included), formatted and written in one pass; a PPM
+streams in slabs of image rows, each rendered and written in one pass.
+Output of more than one block is made on two CPUs where it can: when
+the output has an OS file descriptor (a file, or a stdout that is a
+pipe, file or terminal) and the process may run on two CPUs, the CLI
+forks a child that makes every other block and hands it back whole
+over a pipe; the CLI alone writes (_write_blocks).  The bytes, and on
+failure the file prefix, stderr line and exit code, are those of one
+process.  Exit codes: 0 success, 1 a computation failed or a check did
+not pass, 2 bad usage.
 
 A constants file (flat `key = value`, see model.CONFIG_KEYS) can be
 supplied with --constants or the ZITTERLAB_CONSTANTS variable; it is
@@ -24,10 +26,10 @@ The characteristic roots are the same for every drift (see roots), so
 `roots --beta` is validated and otherwise ignored, as `roots --grid` is.
 
 Each subcommand imports the layers it runs when it runs, and nothing
-else: `series-verify` loads only the series engine and never numpy,
-`roots` and `render` only the roots layer, `potential` only the
-potential layer, and `simulate` never the roots layer, because lambda*
-and the closed forms live in model.
+else: `series-verify` loads only the series engine and `potential` only
+the potential layer, neither of them numpy; `roots` and `render` load
+only the roots layer, and `simulate` never the roots layer, because
+lambda* and the closed forms live in model.
 """
 
 from __future__ import annotations
@@ -70,8 +72,9 @@ def _beta_arg(text: str) -> float:
 
 
 # Caps on the sizes argv asks for, refused before anything is computed:
-# the render image (3 bytes a pixel), the Duffing samples (every column
-# is held whole) and the potential series terms (exact Fractions).
+# the render image (3 bytes a pixel), the Duffing samples (each one
+# computed and formatted in Python floats) and the potential series
+# terms (exact Fractions).
 _MAX_SIDE = 2 ** 16
 _MAX_PIXELS = 2 ** 26
 _MAX_SAMPLES = 2 ** 24
@@ -162,48 +165,60 @@ def _write_text(path: str, text: str) -> None:
 _CSV_BLOCK = 16384
 
 
+def _block_count(n: int, most: int) -> int:
+    """The number of blocks of at most `most` items each that n items
+    take, made even when more than one, so that the CLI and a forked
+    child take as many blocks."""
+    count = -(-n // most)
+    return count + count % 2 if count > 1 else count
+
+
 def _write_csv(path: str, header: str, n: int, columns,
                non_finite: str) -> None:
     """Write a CSV to path ('-' = stdout): the header row, then n rows,
-    columns(k) giving the float columns of the rows in the slice k.
-    Every value prints as _fmt's format(v, ".17g") would, and
-    non-finite ones as non_finite."""
-    import numpy as np
-    row = ",".join(["%.17g"] * (header.count(",") + 1)) + "\n"
-    count = -(-n // _CSV_BLOCK)
-    if count > 1:
-        count += count % 2   # so the CLI and a forked child format as much
+    columns(k) giving the float columns of the rows in the slice k, as
+    arrays or lists of floats.  Every value prints as _fmt's
+    format(v, ".17g") would, and non-finite ones as non_finite."""
+    width = header.count(",") + 1
+    row = ",".join(["%.17g"] * width) + "\n"
+    count = _block_count(n, _CSV_BLOCK)
     size = -(-n // count) if count else 0
 
     def text(j: int) -> str:
-        block = np.array(columns(slice(j * size, (j + 1) * size)),
-                         dtype=float).T
-        block[~np.isfinite(block)] = np.nan
-        # "%.17g" spells a finite value without letters, so every
-        # "nan" in the text is a non-finite value
-        return ((row * len(block)) % tuple(block.ravel().tolist())
-                ).replace("nan", non_finite)
+        cols = columns(slice(j * size, (j + 1) * size))
+        values = [0.0] * (width * len(cols[0]))
+        for i, col in enumerate(cols):   # in the order the rows print them
+            values[i::width] = col.tolist() if hasattr(col, "tolist") else col
+        text = (row * len(cols[0])) % tuple(values)
+        # "%.17g" spells a finite value with no letter but "e", so every
+        # "inf" and "nan" in the text is a non-finite value.  An "i"
+        # marks an infinity: one memchr, where a search for "inf" takes
+        # about 40 times as long
+        if "i" in text:
+            text = text.replace("-inf", "nan").replace("inf", "nan")
+        return text.replace("nan", non_finite)
 
     with _open_out(path) as fh:
         fh.write(header + "\n")
         _write_blocks(fh, count, text)
 
 
-def _write_blocks(fh, count: int, text) -> None:
-    """Write text(0), ..., text(count - 1) to fh, in that order.
+def _write_blocks(fh, count: int, block) -> None:
+    """Write block(0), ..., block(count - 1) to fh, in that order: str
+    blocks to a text stream, bytes blocks to a binary one.
 
     Only this process writes fh.  Where _forkable allows, a forked child
-    formats the odd blocks (_write_forked).  From the first block it did
-    not hand over whole, every block is formatted here, so a failure
-    raises as it would with no child, with the blocks before it written."""
-    start = _write_forked(fh, count, text) if _forkable(fh, count) else 0
+    makes the odd blocks (_write_forked).  From the first block it did
+    not hand over whole, every block is made here, so a failure raises
+    as it would with no child, with the blocks before it written."""
+    start = _write_forked(fh, count, block) if _forkable(fh, count) else 0
     for j in range(start, count):
-        fh.write(text(j))
+        fh.write(block(j))
 
 
 def _forkable(fh, count: int) -> bool:
     """Whether count blocks written to fh are worth a forked child that
-    formats half of them on a CPU of its own."""
+    makes half of them on a CPU of its own."""
     if count < 2 or not (hasattr(os, "fork")
                          and hasattr(os, "sched_getaffinity")):
         return False
@@ -214,13 +229,15 @@ def _forkable(fh, count: int) -> bool:
     return len(os.sched_getaffinity(0)) > 1
 
 
-def _write_forked(fh, count: int, text) -> int:
-    """Write count (even) blocks to fh, the odd ones formatted by a
-    forked child and sent here as frames over a pipe, and return the
+def _write_forked(fh, count: int, block) -> int:
+    """Write count (even) blocks to fh, the odd ones made by a forked
+    child and sent here as frames of bytes over a pipe, and return the
     first block not written: count, or the first frame cut short.  The
     child writes only the pipe and ends with os._exit, so no buffer it
     inherited reaches an output; it is reaped before this returns or
     raises."""
+    # the bytes under a text stream; a binary stream takes them itself
+    raw = getattr(fh, "buffer", fh)
     read_fd, write_fd = os.pipe()
     with warnings.catch_warnings():
         # Python 3.12 warns that a child forked from a threaded process
@@ -233,20 +250,22 @@ def _write_forked(fh, count: int, text) -> int:
             os.close(read_fd)
             with open(write_fd, "wb") as frames:
                 for j in range(1, count, 2):
-                    _send_frame(frames, text(j).encode(fh.encoding))
+                    data = block(j)
+                    _send_frame(frames, data if raw is fh
+                                else data.encode(fh.encoding))
         finally:
             os._exit(0)
     os.close(write_fd)
     try:
         with open(read_fd, "rb") as frames:
             for j in range(0, count, 2):
-                fh.write(text(j))
-                block = _read_frame(frames)
-                if block is None:   # the child stopped at block j + 1
+                fh.write(block(j))
+                frame = _read_frame(frames)
+                if frame is None:   # the child stopped at block j + 1
                     return j + 1
-                fh.flush()   # block j's text goes out before the frame
-                fh.buffer.write(block)
-                del block   # one block is held at a time
+                fh.flush()   # block j goes out before the frame
+                raw.write(frame)
+                del frame   # one frame is held at a time
         return count
     finally:
         os.waitpid(pid, 0)   # the pipe is closed, so the child ends
@@ -291,10 +310,13 @@ def cmd_roots(args, _constants) -> int:
 
 
 def cmd_render(args, _constants) -> int:
-    from .roots import CharEq, render_domain_coloring, write_ppm
-    image = render_domain_coloring(CharEq(), args.region, args.size)
+    from .roots import ppm_header, render_slabs
+    # a region past the float range fails here, before the output exists
+    slabs, slab = render_slabs(args.region, args.size)
     with _open_out(args.out, binary=True) as fh:
-        write_ppm(fh, image)
+        fh.write(ppm_header(args.size))
+        _write_blocks(fh, _block_count(slabs, 1),
+                      lambda j: slab(j).tobytes())
     return 0
 
 
@@ -433,19 +455,36 @@ def cmd_simulate(args, _constants) -> int:
     return 0
 
 
+def _linspace_at(a: float, b: float, n: int):
+    """The function i -> np.linspace(a, b, n)[i], bit for bit, without
+    numpy: i * step + a, the last sample b, and linspace's branches for
+    a step that underflows to 0 and for n <= 1 taken as it takes them."""
+    div = n - 1
+    delta = b - a
+    step = delta / div if div > 0 else math.nan
+
+    def x(i: int) -> float:
+        if div <= 0:
+            return i * delta + a
+        if i == div:
+            return b
+        if step == 0:
+            return i / div * delta + a
+        return i * step + a
+    return x
+
+
 def cmd_potential(args, constants) -> int:
     from . import potential as potmod
     if args.duffing:
-        import numpy as np
-        a, b = args.range
-        # a power past the float range is printed as null, not warned
-        # about; so is the last sample's step product, which linspace
-        # then replaces with b
-        with np.errstate(over="ignore", invalid="ignore"):
-            xs = np.linspace(a, b, args.samples)
-            _write_csv(args.out, "x,Qc,force", xs.size, lambda k: [
-                xs[k], potmod.duffing_potential(xs[k]),
-                potmod.duffing_force(xs[k])], "null")
+        # a power past the float range is an inf, printed as null
+        x = _linspace_at(*args.range, args.samples)
+
+        def columns(k):
+            xs = [x(i) for i in range(*k.indices(args.samples))]
+            return [xs, [potmod.duffing_potential(v) for v in xs],
+                    [potmod.duffing_force(v) for v in xs]]
+        _write_csv(args.out, "x,Qc,force", args.samples, columns, "null")
         return 0
 
     state = KinematicState(beta=args.beta, beta_dot=args.betadot)
@@ -563,10 +602,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--series", type=_count_arg(_MAX_TERMS), default=0,
                    metavar="N",
                    help="also emit the first N series partial sums")
-    p.add_argument("--si", action="store_true",
-                   help="energies in joules instead of rest-energy units")
-    p.add_argument("--duffing", action="store_true",
-                   help="emit the conservative double-well profile as CSV")
+    # the Duffing profile is in rest-energy units only
+    form = p.add_mutually_exclusive_group()
+    form.add_argument("--si", action="store_true",
+                      help="energies in joules instead of rest-energy units")
+    form.add_argument("--duffing", action="store_true",
+                      help="emit the conservative double-well profile as "
+                           "CSV")
     p.add_argument("--range", type=_pair_arg, default="-1.5,1.5",
                    help="x range a,b for --duffing")
     p.add_argument("--samples", type=_count_arg(_MAX_SAMPLES), default=301,

@@ -22,16 +22,23 @@ model.delay_closed: decompose takes floats or arrays, and the
 KinematicState functions call the same body.  As there, array results
 match the float ones to a couple of ulp only, because numpy's power
 ufunc is not libm's pow.
+
+numpy is never imported here, so `potential` runs without it.  Arrays
+take their numpy paths only once a caller has loaded numpy (the idiom
+of model.delay_closed).  The same holds for duffing_potential and
+duffing_force: a float stays a Python float, its powers are libm's pow
+and a power past the float range is an inf of its sign; an array takes
+numpy's power ufunc, which may differ from libm in the last bits and
+warns on overflow as numpy does.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .model import KinematicState, PhysicalConstants, delay_closed
 
@@ -60,12 +67,21 @@ class PotentialSample:
 
     def __post_init__(self):
         U, Q, y = self.U, self.Q, self.y
-        if np.any(~(np.asarray(U) > 0)):
+        if not _everywhere(U > 0):
             raise ValueError(f"U must be positive, got {U!r}")
-        if np.any(np.asarray(Q) > 1e-12):
+        if not _everywhere(Q <= 1e-12):
             raise ValueError(f"Q must be <= 0, got {Q!r}")
-        if np.any(np.asarray(y) < 0):
+        if not _everywhere(y >= 0):
             raise ValueError(f"y must be >= 0, got {y!r}")
+
+
+def _everywhere(holds) -> bool:
+    """Whether a comparison holds: its bool, or every element of the
+    array a comparison of arrays gives."""
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(holds, np.ndarray):
+        return bool(holds.all())
+    return bool(holds)
 
 
 def _energies(beta, beta_dot):
@@ -127,17 +143,23 @@ def self_potential_partial_sums(state: KinematicState,
 # omega = alpha c / 2d equals m c^2 exactly, absorbing the prefactor).
 
 def duffing_potential(x):
-    """Q_c(x) = -x^2/2 + 3x^4/8 (rest-energy units, x in d)."""
-    x = np.asarray(x, dtype=float)
-    out = -0.5 * x * x + 0.375 * x ** 4
-    return float(out) if out.ndim == 0 else out
+    """Q_c(x) = -x^2/2 + 3x^4/8 (rest-energy units, x in d), of a float
+    or elementwise of an array."""
+    return -0.5 * x * x + 0.375 * _power(x, 4)
 
 
 def duffing_force(x):
-    """-dQ_c/dx = x - (3/2) x^3."""
-    x = np.asarray(x, dtype=float)
-    out = x - 1.5 * x ** 3
-    return float(out) if out.ndim == 0 else out
+    """-dQ_c/dx = x - (3/2) x^3, of a float or elementwise of an array."""
+    return x - 1.5 * _power(x, 3)
+
+
+def _power(x, n: int):
+    """x ** n; a float power past the float range, where Python raises
+    OverflowError, is the inf of its sign, as numpy's power gives it."""
+    try:
+        return x ** n
+    except OverflowError:
+        return math.copysign(math.inf, x) if n % 2 else math.inf
 
 
 def duffing_stationary_points() -> tuple[float, float, float]:

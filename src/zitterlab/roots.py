@@ -447,10 +447,25 @@ def render_domain_coloring(eq: CharEq, region: Region,
     once per column and per row (_grid_values) and f and its rescaled
     value come out bit for bit as CharEq.value and CharEq.scaled_value
     give them, without a complex exponential per pixel.  The coloring
-    then runs in blocks of _RENDER_ROWS rows written into one image, so
-    its float temporaries stay small.  Pure elementwise float math:
-    byte-identical output for identical inputs.
+    then runs in slabs of _RENDER_ROWS rows (render_slabs) written into
+    one image, so its float temporaries stay small.  Pure elementwise
+    float math: byte-identical output for identical inputs.
     """
+    count, slab = render_slabs(region, size)
+    w, h = size
+    image = np.empty((h, w, 3), dtype=np.uint8)
+    for j in range(count):
+        image[j * _RENDER_ROWS:(j + 1) * _RENDER_ROWS] = slab(j)
+    return image
+
+
+def render_slabs(region: Region, size: tuple[int, int]):
+    """The domain coloring of region at size (render_domain_coloring)
+    in slabs of _RENDER_ROWS image rows, the last one maybe shorter:
+    (count, slab), slab(j) the uint8 (rows, W, 3) pixels of slab j, or
+    of no rows from j = count on.  The column factors are taken here,
+    once for every slab; a region whose pixel centres pass the float
+    range raises ValueError here, before any slab."""
     w, h = size
     if w < 1 or h < 1:
         raise ValueError(f"bad image size {size!r}")
@@ -460,22 +475,32 @@ def render_domain_coloring(eq: CharEq, region: Region,
     if not np.isfinite(np.concatenate([xs, ys])).all():
         raise ValueError(f"the pixel centres of {region} pass the float range")
     cols = _column_factors(xs)
-    image = np.empty((h, w, 3), dtype=np.uint8)
-    for r0 in range(0, h, _RENDER_ROWS):
-        rows = slice(r0, r0 + _RENDER_ROWS)
-        with np.errstate(all="ignore"):
-            v, f = _grid_values(cols, ys[rows])
-            hue = (np.angle(f) / (2.0 * math.pi)) % 1.0
-            mag = np.abs(v)
-            band = np.where(np.isfinite(mag) & (mag < 2.0 ** 52),
-                            mag - np.floor(mag), 1.0)
-        bad = ~np.isfinite(f)
-        hue = np.where(bad, 0.0, hue)
-        val = np.where(bad, 1.0, 0.55 + 0.40 * band)
-        sat = np.where(bad, 0.0, 0.88)
-        rgb = _hsv_to_rgb(hue, sat, val)
-        image[rows] = np.clip(np.floor(rgb * 256.0), 0.0, 255.0)
-    return image
+
+    def slabs():
+        # slab j for each j sent.  A slab's temporaries are released
+        # only as the next slab's replace them, as in a loop.  Released
+        # all at once, at a return, they left the heap's top free, the C
+        # allocator handed it back to the OS, and every 1600-wide slab
+        # faulted its ~5 MB in afresh: a third of its time
+        pixels = None
+        while True:
+            r0 = (yield pixels) * _RENDER_ROWS
+            with np.errstate(all="ignore"):
+                v, f = _grid_values(cols, ys[r0:r0 + _RENDER_ROWS])
+                hue = (np.angle(f) / (2.0 * math.pi)) % 1.0
+                mag = np.abs(v)
+                band = np.where(np.isfinite(mag) & (mag < 2.0 ** 52),
+                                mag - np.floor(mag), 1.0)
+            bad = ~np.isfinite(f)
+            hue = np.where(bad, 0.0, hue)
+            val = np.where(bad, 1.0, 0.55 + 0.40 * band)
+            sat = np.where(bad, 0.0, 0.88)
+            rgb = _hsv_to_rgb(hue, sat, val)
+            pixels = np.clip(np.floor(rgb * 256.0), 0.0,
+                             255.0).astype(np.uint8)
+    slab = slabs()
+    next(slab)   # to the first yield
+    return -(-h // _RENDER_ROWS), slab.send
 
 
 def _libm(fn, t: float) -> float:
@@ -555,5 +580,12 @@ def write_ppm(fh, image: np.ndarray) -> None:
     if image.ndim != 3 or image.shape[2] != 3 or image.dtype != np.uint8:
         raise ValueError("image must be (H, W, 3) uint8")
     h, w, _ = image.shape
-    fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
+    fh.write(ppm_header((w, h)))
     fh.write(image.tobytes())
+
+
+def ppm_header(size: tuple[int, int]) -> bytes:
+    """The binary PPM header of a W x H image, its pixels to follow as
+    3 bytes each, row by row."""
+    w, h = size
+    return f"P6\n{w} {h}\n255\n".encode("ascii")

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import zitterlab
@@ -32,7 +32,13 @@ from zitterlab.model import (
     parse_constants_file,
 )
 from zitterlab.report import REGISTRY, render_report, run_report
-from zitterlab.roots import CharEq, Region, dominant_real_root, find_roots
+from zitterlab.roots import (
+    CharEq,
+    Region,
+    dominant_real_root,
+    find_roots,
+    render_domain_coloring,
+)
 from zitterlab.trajectory import SeedHistory
 
 
@@ -81,6 +87,9 @@ def test_usage_errors_exit_two(capsys):
     # an infinite end, or a width past the float range
     ["potential", "--duffing", "--range", "0,inf", "--samples", "3"],
     ["potential", "--duffing", "--range", "-1e308,1e308", "--samples", "3"],
+    # the Duffing profile is in rest-energy units only
+    ["potential", "--duffing", "--si", "--samples", "3"],
+    ["potential", "--si", "--duffing"],
 ], ids=" ".join)
 def test_potential_bad_numbers_exit_two(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -355,6 +364,27 @@ def test_duffing_csv_matches_rowwise_fmt(capsys):
         for x in np.linspace(-3.0, 2.0, 9001))))
 
 
+_ENDS = st.one_of(st.floats(-1e300, 1e300), st.floats(-1e-300, 1e-300),
+                  st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300,
+                                   -1e300]))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(ends=st.tuples(_ENDS, _ENDS).filter(lambda e: e[0] < e[1]),
+       n=st.integers(0, 2000))
+@example(ends=(0.0, 5e-324), n=2000)   # the step underflows to 0
+@example(ends=(0.0, 5e-324), n=2)
+@example(ends=(-1e300, 1e300), n=2000)
+@example(ends=(-0.0, 1.0), n=1)
+@example(ends=(-1.5, 1.5), n=301)
+def test_duffing_grid_is_linspace_bit_for_bit(ends, n):
+    # every end pair --range admits: a < b, both and b - a finite
+    a, b = ends
+    x = cli._linspace_at(a, b, n)
+    assert [x(i).hex() for i in range(n)] == \
+        [v.hex() for v in np.linspace(a, b, n).tolist()]
+
+
 def test_roots_csv_matches_rowwise_fmt(capsys):
     code, out, _ = _run(capsys, "roots", "--region", "-10,10,-30,30",
                         "--grid", "4")
@@ -518,11 +548,9 @@ def uniform_csv(uniform_run):
                                    cli._residuals(uniform_run, slice(None)))
 
 
-def test_cut_off_frame_is_formatted_by_the_cli(uniform_run, uniform_csv,
-                                               tmp_path, monkeypatch):
+def _killed_in_its_second_frame(monkeypatch):
     # the child dies halfway through the body of its second frame (block
-    # 3 of 8), as the OOM killer might kill it: the CLI writes none of
-    # that frame and formats blocks 3 to 7 itself
+    # 3), as the OOM killer might kill it
     send = cli._send_frame
     sent = []
 
@@ -535,8 +563,15 @@ def test_cut_off_frame_is_formatted_by_the_cli(uniform_run, uniform_csv,
             os.kill(os.getpid(), signal.SIGKILL)
         sent.append(None)
         send(frames, block)
-    forks, reaps = _forks(monkeypatch)
     monkeypatch.setattr(cli, "_send_frame", killed)
+
+
+def test_cut_off_frame_is_formatted_by_the_cli(uniform_run, uniform_csv,
+                                               tmp_path, monkeypatch):
+    # the CLI writes none of block 3 of 8 and formats blocks 3 to 7
+    # itself
+    forks, reaps = _forks(monkeypatch)
+    _killed_in_its_second_frame(monkeypatch)
     monkeypatch.setattr(cli, "_CSV_BLOCK", 2000)
     path = tmp_path / "run.csv"
     cli._write_trajectory_csv(str(path), uniform_run)
@@ -544,6 +579,47 @@ def test_cut_off_frame_is_formatted_by_the_cli(uniform_run, uniform_csv,
     assert len(reaps) == 1
     assert os.WTERMSIG(reaps[0][1]) == signal.SIGKILL
     _assert_same_text(path.read_text(), uniform_csv)
+
+
+# 100 rows: seven slabs of at most 16 rows, in eight blocks, the last
+# one empty
+_RENDER = ["render", "--region", "-1,3,-15,15", "--size", "64x100"]
+
+
+@pytest.fixture(scope="module")
+def render_ppm():
+    # the one-process bytes: the header, then the library's whole image
+    image = render_domain_coloring(CharEq(), Region(-1.0, 3.0, -15.0, 15.0),
+                                   (64, 100))
+    return b"P6\n64 100\n255\n" + image.tobytes()
+
+
+def test_render_forks_for_a_file_only(render_ppm, tmp_path, capsysbinary,
+                                      monkeypatch):
+    forks, reaps = _forks(monkeypatch)
+    path = tmp_path / "r.ppm"
+    assert main(_RENDER + ["--out", str(path)]) == 0
+    assert len(forks) == 1
+    assert len(reaps) == 1
+    assert path.read_bytes() == render_ppm
+    # capsys's stdout has no file descriptor
+    assert main(_RENDER + ["--out", "-"]) == 0
+    assert len(forks) == 1
+    assert capsysbinary.readouterr() == (render_ppm, b"")
+
+
+def test_cut_off_render_frame_is_rendered_by_the_cli(render_ppm, tmp_path,
+                                                     monkeypatch):
+    # the CLI writes none of block 3 of 8 and renders blocks 3 to 7
+    # itself
+    forks, reaps = _forks(monkeypatch)
+    _killed_in_its_second_frame(monkeypatch)
+    path = tmp_path / "r.ppm"
+    assert main(_RENDER + ["--out", str(path)]) == 0
+    assert len(forks) == 1
+    assert len(reaps) == 1
+    assert os.WTERMSIG(reaps[0][1]) == signal.SIGKILL
+    assert path.read_bytes() == render_ppm
 
 
 class _PidLoggedFile(io.FileIO):
@@ -1170,8 +1246,9 @@ def test_command_loads_only_its_layers(tmp_path, argv, layers):
     assert {m for m in loaded if m.startswith("zitterlab")} == \
         {"zitterlab"} | {f"zitterlab.{layer}" for layer in layers}
     assert not any(m.startswith("scipy") for m in loaded)
-    # series-verify is the one command that runs without numpy
-    assert ("numpy" in loaded) == (argv != ["series-verify"])
+    # series-verify and both potential forms run without numpy
+    assert ("numpy" in loaded) == (argv[0] not in ("series-verify",
+                                                   "potential"))
 
 
 def test_model_runs_without_numpy():
@@ -1222,7 +1299,7 @@ _PINNED_STDOUT = [
     (["potential", "--beta", "0.3", "--betadot", "0.2", "--series", "5"],
      "6c76a8f2a20dd64fe3a2129cd647dcd50b757eac3686a8c1c6fb5f8e620908b8"),
     (["potential", "--duffing"],
-     "1ed7c177c9f9e7c634b6cb816d6da60a57b90566857a44208cf7792e4fecfee8"),
+     "e3b57d8a6604d7ff45b5228153cc47fc58914d350f73dad9b5d6aeb80b972a5f"),
     (["roots", "--region", "-10,10,-100,100"],
      "4f079b047a541c475b14cc7ef9e56889300e50ac823b2e210488f725aa8422db"),
 ]
@@ -1234,6 +1311,40 @@ def test_command_stdout_is_pinned(capsys, argv, digest):
     code, out, err = _run(capsys, *argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# runs main(argv) in an interpreter where importing numpy raises
+# ImportError, and prints its exit code and the sha256 of its stdout
+_WITHOUT_NUMPY = """
+import contextlib, hashlib, io, sys
+
+class RefuseNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "numpy":
+            raise ImportError(f"no {name} here")
+
+sys.meta_path.insert(0, RefuseNumpy())
+try:
+    import numpy
+except ImportError:
+    pass
+else:
+    raise SystemExit("numpy was imported")
+from zitterlab.cli import main
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main(sys.argv[1:])
+print(code, hashlib.sha256(out.getvalue().encode()).hexdigest())
+"""
+
+
+_PINNED_POTENTIAL = [c for c in _PINNED_STDOUT if c[0][0] == "potential"]
+
+
+@pytest.mark.parametrize("argv, digest", _PINNED_POTENTIAL,
+                         ids=[" ".join(argv) for argv, _ in _PINNED_POTENTIAL])
+def test_potential_runs_with_numpy_unimportable(argv, digest):
+    assert _fresh_python(_WITHOUT_NUMPY, *argv).split() == ["0", digest]
 
 
 def test_simulate_marches_through_cli_globals(monkeypatch, capsys):

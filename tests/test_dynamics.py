@@ -609,3 +609,25 @@ def test_exact_march_mode_kick_error_grows_as_dt_shrinks():
     worst = np.array(worst)
     assert np.all(worst[:, 0] < 1e-5)
     assert np.all(worst[1:, 1:] > 5.0 * worst[:-1, 1:])
+
+
+@pytest.mark.parametrize("march, passes", [
+    (lambda: propagate_filtered(SeedHistory.uniform_motion(0.3), 100.0,
+                                partial=True), 694),
+    (lambda: propagate_exact(SeedHistory.uniform_motion(0.3), 50.0), 47),
+    (lambda: propagate_filtered(SeedHistory.rest_kick(1e-6), 100.0,
+                                partial=True), 62),
+], ids=["filtered-uniform-0.3", "exact-uniform-0.3", "rest-kick"])
+def test_march_pass_counts(monkeypatch, march, passes):
+    # a work gate: a pass recovers its emitters in one _emitters call,
+    # and these `simulate` runs take no more passes than they were
+    # measured to take
+    calls = []
+    emitters = dynamics._emitters
+
+    def counted(*args):
+        calls.append(None)
+        return emitters(*args)
+    monkeypatch.setattr(dynamics, "_emitters", counted)
+    march()
+    assert 0 < len(calls) <= passes

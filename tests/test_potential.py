@@ -133,9 +133,12 @@ def test_array_potential_keeps_guards():
     ({"U": 0.0}, "U must be positive, got 0.0"),
     ({"Q": 1e-6}, "Q must be <= 0, got 1e-06"),
     ({"y": -1e-9}, "y must be >= 0, got -1e-09"),
+    ({"Q": float("nan")}, "Q must be <= 0, got nan"),
+    ({"y": float("nan")}, "y must be >= 0, got nan"),
 ])
 def test_float_potential_keeps_guards(fields, message):
-    # floats take the same np.any path as arrays, with the same messages
+    # floats take plain comparisons, arrays numpy's, with the same
+    # messages
     good = {"U": 1.0, "Q": 0.0, "gamma": 1.0, "y": 0.0}
     with pytest.raises(ValueError) as exc:
         PotentialSample(**{**good, **fields})

@@ -210,6 +210,35 @@ def test_spectrum_ladder_frozen_values():
         assert abs(z * z + z + 1.0 - cmath.exp(z)) / abs(cmath.exp(z)) < 1e-9
 
 
+def _krawczyk_encloses(z: complex, half: float) -> bool:
+    # whether the Krawczyk operator of f(w) = w^2 + w + 1 - e^w maps
+    # the box X of half-width `half` about z into its interior:
+    # K(X) = m - Y f(m) + (1 - Y f'(X)) (X - m), m = z, Y ~ 1/f'(z).
+    # K(X) inside X proves that X holds exactly one root of f
+    from mpmath import iv
+    m = iv.mpc(z.real, z.imag)
+    box = iv.mpc(iv.mpf([z.real - half, z.real + half]),
+                 iv.mpf([z.imag - half, z.imag + half]))
+    y = 1.0 / (2.0 * z + 1.0 - cmath.exp(z))
+    y = iv.mpc(y.real, y.imag)
+    k = (m - y * (m * m + m + 1 - iv.exp(m))
+         + (1 - y * (2 * box + 1 - iv.exp(box))) * (box - m))
+    return all(outer.a < inner.a and inner.b < outer.b
+               for outer, inner in ((box.real, k.real), (box.imag, k.imag)))
+
+
+def test_ladder_roots_are_proven_by_krawczyk():
+    # interval arithmetic proves one root of f, and only one, in the box
+    # of half-width 1e-10 about each of the first ten ladder roots; a box
+    # that misses the root by three half-widths is not proven
+    pytest.importorskip("mpmath")
+    roots = spectrum(0.0, count=10).roots
+    assert len(roots) == 10
+    for z in roots:
+        assert _krawczyk_encloses(z, 1e-10)
+        assert not _krawczyk_encloses(z + 3e-10, 1e-10)
+
+
 def test_spectrum_is_beta_independent():
     base = spectrum(0.0, count=6)
     for beta in (0.3, 0.6, 0.9):
