@@ -27,9 +27,14 @@ The characteristic roots are the same for every drift (see roots), so
 
 Each subcommand imports the layers it runs when it runs, and nothing
 else: `series-verify` loads only the series engine and `potential` only
-the potential layer, neither of them numpy; `roots` and `render` load
-only the roots layer, and `simulate` never the roots layer, because
-lambda* and the closed forms live in model.
+the potential layer; `roots` and `render` load only the roots layer,
+and `simulate` never the roots layer, because lambda* and the closed
+forms live in model.  `series-verify`, `potential`, `roots` and
+`report --only branch_ladder` run without numpy; `render`, `simulate`
+and the other report checks load it.  Unless the environment sets
+OPENBLAS_NUM_THREADS, numpy's OpenBLAS runs one thread: the CLI's only
+BLAS calls are small least-squares fits, which a thread pool does not
+speed up, and a pool's threads spend CPU of their own.
 """
 
 from __future__ import annotations
@@ -241,8 +246,9 @@ def _write_forked(fh, count: int, block) -> int:
     read_fd, write_fd = os.pipe()
     with warnings.catch_warnings():
         # Python 3.12 warns that a child forked from a threaded process
-        # (OpenBLAS starts a pool) may deadlock in those threads' locks;
-        # the child makes no BLAS call
+        # (OpenBLAS starts a pool where OPENBLAS_NUM_THREADS allows more
+        # than one thread) may deadlock in those threads' locks; the
+        # child makes no BLAS call
         warnings.simplefilter("ignore", DeprecationWarning)
         pid = os.fork()
     if pid == 0:
@@ -629,6 +635,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; the exit status.
+
+    Sets OPENBLAS_NUM_THREADS to 1 in os.environ unless it is set
+    already, so for the rest of the process and for its children; it
+    takes effect only if numpy is not yet imported.
+    """
+    # before any numpy import; a value the caller set wins
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -20,13 +20,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-import numpy as np
-
 from . import model
 from .model import KinematicState, _json_line
 
-# Each check imports the layers it runs, so `report --only ID` loads
-# only what its checks use.
+# Each check imports the layers it runs, numpy among them, so `report
+# --only ID` loads only what its checks use.
 
 SWEEP_SEED = 20260814
 SWEEP_SIZE = 10_000
@@ -39,6 +37,7 @@ _ETA_FIRST = 8.327764   # first oscillatory branch, c/d units
 def _random_states():
     """Deterministic kinematic sweep: beta to 0.95, y up to 10.  The
     arrays are shared between checks, so they are read-only."""
+    import numpy as np
     gen = np.random.default_rng(SWEEP_SEED)
     beta = gen.uniform(-0.95, 0.95, SWEEP_SIZE)
     log_y = gen.uniform(math.log(1e-6), math.log(10.0), SWEEP_SIZE)
@@ -100,11 +99,9 @@ def _check_winding_match():
 
 def _check_ladder_drift_invariance():
     from . import roots as rootsmod
-    base = np.array(rootsmod.spectrum(0.0, 10).etas)
-    spread = 0.0
-    for beta in (0.3, 0.6, 0.9):
-        etas = np.array(rootsmod.spectrum(beta, 10).etas)
-        spread = max(spread, float(np.max(np.abs(etas - base) / base)))
+    base = rootsmod.spectrum(0.0, 10).etas
+    spread = max(abs(e - b) / b for beta in (0.3, 0.6, 0.9)
+                 for e, b in zip(rootsmod.spectrum(beta, 10).etas, base))
     return 0.0, spread, 0.01, spread <= 0.01
 
 
@@ -127,6 +124,7 @@ def _check_series_identities():
 # --- potential -------------------------------------------------------
 
 def _check_q_sequence():
+    import numpy as np
     from . import potential
     theta = np.arange(4096) * (2.0 * math.pi / 4096.0)
     worst = 0.0
@@ -137,6 +135,7 @@ def _check_q_sequence():
 
 
 def _check_energy_decomposition():
+    import numpy as np
     from . import potential
     p = potential.decompose(*_random_states())
     worst = float(np.max(np.abs(p.U - (p.gamma + p.Q))))
@@ -162,18 +161,21 @@ def _check_duffing_stationary():
 # --- light-cone geometry ---------------------------------------------
 
 def _check_pythagoras():
+    import numpy as np
     r, l = model.delay_closed(*_random_states())[3:5]
     worst = float(np.max(np.abs(r * r - l * l - 1.0)))
     return 0.0, worst, 1e-12, worst <= 1e-12
 
 
 def _check_denominator():
+    import numpy as np
     gamma, y, _, _, _, denominator = model.delay_closed(*_random_states())
     worst = float(np.max(np.abs(denominator * gamma - np.sqrt(1.0 + y))))
     return 0.0, worst, 1e-12, worst <= 1e-12
 
 
 def _check_retarded_delay():
+    import numpy as np
     from .dynamics import propagate_exact
     from .geometry import solve_retarded_time_many
     from .trajectory import SeedHistory
@@ -190,6 +192,7 @@ def _check_retarded_delay():
 # --- dynamics --------------------------------------------------------
 
 def _check_uniform_invariance():
+    import numpy as np
     from .dynamics import propagate_exact
     from .trajectory import SeedHistory
     traj = propagate_exact(SeedHistory.uniform_motion(0.5), 50.0)
@@ -222,6 +225,7 @@ def _long_run_attempt():
 
 
 def _check_long_run_bounded():
+    import numpy as np
     from .dynamics import sign_changes
     traj = _long_run_attempt()
     fwd = traj.beta[traj.t >= 0.0]
@@ -234,6 +238,7 @@ def _check_long_run_bounded():
 
 
 def _check_saturation_amplitude():
+    import numpy as np
     traj = _long_run_attempt()
     peak = float(np.max(np.abs(traj.beta[traj.t >= 0.0])))
     return None, peak, None, True

@@ -41,23 +41,29 @@ Numerics notes:
   reported residual therefore use the rescaled value e^(-max(Re z, 0))
   * f(z), which shares f's zeros and phase and keeps |.| representable.
   Residuals quoted anywhere in this module are of the rescaled value.
+* f has one evaluator, CharEq, on Python complex numbers: every
+  transcendental factor comes from libm through `math` and `cmath`.
+  The complex expm1 is expm1(x) cos y - 2 sin(y/2)^2 + i exp(x) sin y,
+  the formula numpy's complex expm1 uses, and the damping factor is
+  math.exp's.  The census, the winding walk and the spectrum run on it
+  without numpy.
 * The domain-coloring render evaluates f on a pixel grid whose real
-  part is set by the column and imaginary part by the row.  numpy's
-  complex expm1 is a product of libm's expm1/exp of Re z and cos/sin of
-  Im z, so the render takes those once per column and per row, from
-  libm through `math` (numpy's own float64 SIMD exp and expm1 differ
-  from libm in about 5% of last bits), and gets CharEq.value and
-  CharEq.scaled_value bit for bit with only multiplies and adds per
-  pixel.  It colors blocks of rows into one preallocated image, so its
-  memory stays bounded.
+  part is set by the column and imaginary part by the row.  It takes
+  the same libm factors once per column and per row, and forms z^2 + z
+  in real arithmetic in the order Python's complex multiply takes it
+  (numpy's complex multiply may fuse a multiply and an add).  So it
+  gets CharEq.value and CharEq.scaled_value bit for bit with only
+  multiplies and adds per pixel.  It colors blocks of rows into one
+  preallocated image, so its memory stays bounded.  The render alone
+  imports numpy.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .model import dominant_real_root
 
@@ -107,29 +113,47 @@ class CharEq:
     z / gamma of their drift.
     """
 
-    def value(self, z):
-        """f(z); cancellation-safe near 0, may overflow for Re z >~ 709."""
-        z = np.asarray(z, dtype=complex)
-        return z * z + z - np.expm1(z)
+    def value(self, z) -> complex:
+        """f(z) at the number z; cancellation-safe near 0, inf or nan
+        where e^z overflows (Re z >~ 709)."""
+        z = complex(z)
+        return z * z + z - _expm1(z)
 
-    def scaled_value(self, z):
-        """e^(-max(Re z, 0)) * f(z), stable against overflow.
+    def scaled_value(self, z) -> complex:
+        """e^(-max(Re z, 0)) * f(z) at the number z, stable against
+        overflow.
 
         Below the overflow switch this is the cancellation-safe value
         times the damping factor; beyond it the exponential is folded
         into the damping so no intermediate overflows.
         """
-        z = np.asarray(z, dtype=complex)
-        x = np.maximum(z.real, 0.0)
-        damp = np.exp(-x)
-        with np.errstate(all="ignore"):
-            safe = (z * z + z - np.expm1(z)) * damp
-            # f(z) = z^2 + z + 1 - e^z, exponential damped separately
-            split = (z * z + z + 1.0) * damp - np.exp(z - x)
-        return np.where(z.real < _SCALE_SWITCH, safe, split)
+        z = complex(z)
+        x = max(z.real, 0.0)
+        damp = math.exp(-x)
+        if z.real < _SCALE_SWITCH:
+            return self.value(z) * damp
+        # f(z) = z^2 + z + 1 - e^z, exponential damped separately
+        return (z * z + z + 1.0) * damp - cmath.exp(z - x)
 
-    def residual(self, z):
-        return np.abs(self.scaled_value(z))
+    def residual(self, z) -> float:
+        return abs(self.scaled_value(z))
+
+
+def _libm(fn, t: float) -> float:
+    """fn(t) from the C library, inf where math raises OverflowError."""
+    try:
+        return fn(t)
+    except OverflowError:
+        return math.inf
+
+
+def _expm1(z: complex) -> complex:
+    """e^z - 1 as numpy's complex expm1 forms it from libm:
+    expm1(x) cos y - 2 sin(y/2)^2 + i exp(x) sin y."""
+    x, y = z.real, z.imag
+    half = math.sin(y / 2)
+    return complex(_libm(math.expm1, x) * math.cos(y) - 2.0 * half * half,
+                   _libm(math.exp, x) * math.sin(y))
 
 
 @dataclass(frozen=True)
@@ -226,7 +250,7 @@ def _census(eq: CharEq, ks) -> list[tuple[int, Root]]:
         if k == 0:
             lam = dominant_real_root()
             census += [(0, Root(0j, 0.0, 2)),     # f(0) = 0 exactly
-                       (0, Root(complex(lam), float(eq.residual(lam))))]
+                       (0, Root(complex(lam), eq.residual(lam)))]
         else:
             r = upper[abs(k)]
             census.append((k, r if k > 0 else
@@ -237,48 +261,47 @@ def _census(eq: CharEq, ks) -> list[tuple[int, Root]]:
 def _upper_branches(eq: CharEq, ks) -> dict[int, Root]:
     """{k: the root of branch k} for each k >= 1 in ks.
 
-    From x = ln(y^2 + 2), y = 2 pi k + 2.2, all branches at once take a
-    fixed number of steps of z <- Log(z^2 + z + 1) + 2 pi i k and of
-    _newton_step, then up to 8 more Newton steps, each branch until its
-    first that does not lower the residual.  A branch whose residual
-    reaches max(RESIDUAL_TARGET, 4 eps |z|), or whose root leaves its
-    band |Im z - 2 pi k| <= pi, raises.
+    From x = ln(y^2 + 2), y = 2 pi k + 2.2, each branch takes a fixed
+    number of steps of z <- Log(z^2 + z + 1) + 2 pi i k and of
+    _newton_step, then up to 8 more Newton steps, until its first that
+    does not lower the residual.  A branch whose residual reaches
+    max(RESIDUAL_TARGET, 4 eps |z|), or whose root leaves its band
+    |Im z - 2 pi k| <= pi, raises.
     """
-    ks = sorted(ks)
-    k = np.array(ks, dtype=float)
-    y = _TWO_PI * k + 2.2
-    z = np.log(y * y + 2.0) + 1j * y
-    with np.errstate(all="ignore"):
+    roots, bad = {}, []
+    for k in sorted(ks):
+        turn = complex(0.0, _TWO_PI * k)
+        y = _TWO_PI * k + 2.2
+        z = complex(math.log(y * y + 2.0), y)
         for _ in range(_FIXED_POINT_STEPS):
-            z = np.log(z * z + z + 1.0) + 1j * _TWO_PI * k
+            z = cmath.log(z * z + z + 1.0) + turn
         for _ in range(_NEWTON_STEPS):
             z = _newton_step(eq, z)
         res = eq.residual(z)
-        live = np.ones(z.shape, dtype=bool)
         for _ in range(8):
             znew = _newton_step(eq, z)
             rnew = eq.residual(znew)
             # as `not rnew >= res`: any finite residual beats a nan one
-            live &= np.isfinite(rnew) & ~(rnew >= res)
-            if not live.any():
+            if not math.isfinite(rnew) or rnew >= res:
                 break
-            z, res = np.where(live, znew, z), np.where(live, rnew, res)
-    eps = np.finfo(float).eps
-    good = (res < np.maximum(RESIDUAL_TARGET, 4.0 * eps * np.abs(z))) & (
-        np.abs(z.imag - _TWO_PI * k) <= math.pi + 1e-9)
-    bad = [ks[i] for i in np.flatnonzero(~good)]
+            z, res = znew, rnew
+        if (res < max(RESIDUAL_TARGET, 4.0 * sys.float_info.epsilon * abs(z))
+                and abs(z.imag - _TWO_PI * k) <= math.pi + 1e-9):
+            roots[k] = Root(z, res)
+        else:
+            bad.append(k)
     if bad:
         first = ", ".join(map(str, bad[:5])) + (", ..." if bad[5:] else "")
         raise RuntimeError(f"{len(bad)} branches ({first}) found no root "
                            f"in their band")
-    return {n: Root(complex(w), float(r)) for n, w, r in zip(ks, z, res)}
+    return roots
 
 
-def _newton_step(eq: CharEq, z: np.ndarray) -> np.ndarray:
-    """One Newton step on the rescaled f at every z."""
-    x = np.maximum(z.real, 0.0)
+def _newton_step(eq: CharEq, z: complex) -> complex:
+    """One Newton step on the rescaled f from z."""
+    x = max(z.real, 0.0)
     return z - eq.scaled_value(z) / (
-        (2.0 * z + 1.0) * np.exp(-x) - np.exp(z - x))
+        (2.0 * z + 1.0) * math.exp(-x) - cmath.exp(z - x))
 
 
 def _edge_steps(length: float) -> int:
@@ -328,9 +351,9 @@ def argument_principle_count(eq: CharEq, region: Region) -> int:
     of the rescaled characteristic value (rescaling by a positive real
     factor leaves the phase untouched), from at least _EDGE_STEPS steps
     per edge of at most _WALK_STEP.  Each edge runs in level passes:
-    one pass takes every segment of a level at once and halves those
-    whose phase jump exceeds ~0.8 rad into the next level; the walk
-    gives up after _WALK_BUDGET segments in all.  Raises ValueError if
+    one pass takes every segment of a level and halves those whose
+    phase jump exceeds ~0.8 rad into the next level; the walk gives up
+    after _WALK_BUDGET segments in all.  Raises ValueError if
     the boundary runs too close to a zero for the walk to be
     trustworthy: if a sample lands within |f| < 1e-12 of one, or if the
     double root at 0 lies nearer an edge than a quarter of that edge's
@@ -352,26 +375,30 @@ def argument_principle_count(eq: CharEq, region: Region) -> int:
             raise ValueError(f"the double root at 0 lies {abs(near):.3g} from "
                              f"the contour, nearer than the walk resolves "
                              f"({limit:.3g})")
-        ts = np.linspace(0.0, 1.0, n + 1)
-        pts = a + (b - a) * ts
-        vals = eq.scaled_value(pts)
-        za, zb, fa, fb = pts[:-1], pts[1:], vals[:-1], vals[1:]
+        # t = i / n as numpy.linspace rounds it, i * (1 / n), and 1 last
+        step = 1.0 / n
+        pts = [a + (b - a) * (i * step) for i in range(n)] + [a + (b - a)]
+        vals = [eq.scaled_value(p) for p in pts]
+        level = list(zip(pts, pts[1:], vals, vals[1:]))
         # one level of segments per pass: each too-coarse one is halved
         # into the next level, the others add their phase jump
-        while za.size:
-            budget -= za.size
+        while level:
+            budget -= len(level)
             if budget <= 0:
                 raise RuntimeError("argument-principle walk did not converge")
-            if np.any(np.minimum(np.abs(fa), np.abs(fb)) < 1e-12):
-                raise ValueError("characteristic zero too close to the contour")
-            dphi = np.angle(fb / fa)
-            split = (np.abs(dphi) > 0.8) & (np.abs(zb - za) > 1e-12)
-            total += float(np.sum(dphi[~split]))
-            za, zb, fa, fb = za[split], zb[split], fa[split], fb[split]
-            zm = 0.5 * (za + zb)
-            fm = eq.scaled_value(zm)
-            za, zb = np.concatenate([za, zm]), np.concatenate([zm, zb])
-            fa, fb = np.concatenate([fa, fm]), np.concatenate([fm, fb])
+            finer = []
+            for za, zb, fa, fb in level:
+                if min(abs(fa), abs(fb)) < 1e-12:
+                    raise ValueError(
+                        "characteristic zero too close to the contour")
+                dphi = cmath.phase(fb / fa)
+                if abs(dphi) > 0.8 and abs(zb - za) > 1e-12:
+                    zm = 0.5 * (za + zb)
+                    fm = eq.scaled_value(zm)
+                    finer += [(za, zm, fa, fm), (zm, zb, fm, fb)]
+                else:
+                    total += dphi
+            level = finer
     winding = total / (2.0 * math.pi)
     count = int(round(winding))
     if abs(winding - count) > 0.05:
@@ -404,28 +431,31 @@ def spectrum(beta: float, count: int = 10) -> Spectrum:
     skipped, and a least-squares line eta_n ~ slope*n + intercept
     quantifies the (nearly exact) linear dependence on n.  The ladder is
     a property of f alone, the same for every drift, so `beta` is
-    accepted and ignored.
+    accepted and ignored.  A line needs two branches: a count below 2
+    raises ValueError.
     """
+    if count < 2:
+        raise ValueError(f"the ladder fit needs 2 or more branches, "
+                         f"got {count}")
     eq = CharEq()
     upper = _upper_branches(eq, range(1, count + 1))
     found = [upper[n].value for n in range(1, count + 1)]
-    gaps = np.diff([w.imag for w in found])
-    if np.any(gaps < 3.0) or np.any(gaps > 9.5):
+    etas = [w.imag for w in found]
+    if any(not 3.0 <= b - a <= 9.5 for a, b in zip(etas, etas[1:])):
         raise RuntimeError("spectrum branches misordered")
     strip = Region(-3.0, max(w.real for w in found) + 3.0,
                    0.5, found[-1].imag + math.pi)
     _certify(eq, strip, list(upper.values()), _ORIGIN_CLEARANCE)
-    etas = np.array([w.imag for w in found])
-    ns = np.arange(1, count + 1, dtype=float)
-    a = np.vstack([ns, np.ones_like(ns)]).T
-    coef, *_ = np.linalg.lstsq(a, etas, rcond=None)
-    pred = a @ coef
-    ss_res = float(np.sum((etas - pred) ** 2))
-    ss_tot = float(np.sum((etas - etas.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return Spectrum(etas=tuple(float(e) for e in etas),
-                    roots=tuple(found), slope=float(coef[0]),
-                    intercept=float(coef[1]), r_squared=r2)
+    # the least-squares line through (n, eta_n), about the centroid
+    ns = range(1, count + 1)
+    n_mean, eta_mean = sum(ns) / count, sum(etas) / count
+    slope = (sum((n - n_mean) * (e - eta_mean) for n, e in zip(ns, etas))
+             / sum((n - n_mean) ** 2 for n in ns))
+    intercept = eta_mean - slope * n_mean
+    ss_res = sum((e - (slope * n + intercept)) ** 2 for n, e in zip(ns, etas))
+    ss_tot = sum((e - eta_mean) ** 2 for e in etas)
+    return Spectrum(etas=tuple(etas), roots=tuple(found), slope=slope,
+                    intercept=intercept, r_squared=1.0 - ss_res / ss_tot)
 
 
 # ---------------------------------------------------------------------
@@ -433,8 +463,9 @@ def spectrum(beta: float, count: int = 10) -> Spectrum:
 # ---------------------------------------------------------------------
 
 def render_domain_coloring(eq: CharEq, region: Region,
-                           size: tuple[int, int]) -> np.ndarray:
-    """Phase portrait of f over region as an (H, W, 3) uint8 image.
+                           size: tuple[int, int]):
+    """Phase portrait of f over region as an (H, W, 3) uint8 numpy
+    image.
 
     Hue encodes the phase of the rescaled value e^(-max(Re z, 0)) f;
     luminance ramps between integer-|f| level curves so every
@@ -442,15 +473,17 @@ def render_domain_coloring(eq: CharEq, region: Region,
     fans.  Pixel centers sample the region with row 0 at Im = y1 (image
     convention).
 
-    The grid is separable: numpy's complex expm1 is built from libm's
-    expm1(x), exp(x), cos(y), sin(y) and sin(y/2), so those are taken
-    once per column and per row (_grid_values) and f and its rescaled
-    value come out bit for bit as CharEq.value and CharEq.scaled_value
-    give them, without a complex exponential per pixel.  The coloring
-    then runs in slabs of _RENDER_ROWS rows (render_slabs) written into
-    one image, so its float temporaries stay small.  Pure elementwise
-    float math: byte-identical output for identical inputs.
+    The grid is separable: CharEq builds f from libm's expm1(x),
+    exp(x), e^(-max(x, 0)), cos(y), sin(y) and sin(y/2), so those are
+    taken once per column and per row (_grid_values) and f and its
+    rescaled value come out bit for bit as CharEq.value and
+    CharEq.scaled_value give them, without a complex exponential per
+    pixel.  The coloring then runs in slabs of _RENDER_ROWS rows
+    (render_slabs) written into one image, so its float temporaries
+    stay small.  Pure elementwise float math: byte-identical output for
+    identical inputs.
     """
+    import numpy as np
     count, slab = render_slabs(region, size)
     w, h = size
     image = np.empty((h, w, 3), dtype=np.uint8)
@@ -466,6 +499,7 @@ def render_slabs(region: Region, size: tuple[int, int]):
     of no rows from j = count on.  The column factors are taken here,
     once for every slab; a region whose pixel centres pass the float
     range raises ValueError here, before any slab."""
+    import numpy as np
     w, h = size
     if w < 1 or h < 1:
         raise ValueError(f"bad image size {size!r}")
@@ -503,85 +537,71 @@ def render_slabs(region: Region, size: tuple[int, int]):
     return -(-h // _RENDER_ROWS), slab.send
 
 
-def _libm(fn, t: float) -> float:
-    """fn(t) from the C library, inf where math raises OverflowError."""
-    try:
-        return fn(t)
-    except OverflowError:
-        return math.inf
+def _column_factors(xs):
+    """Per-column factors of f on the grid xs x ys, xs a float array:
+    (xs, expm1(xs), exp(xs), e^(-max(xs, 0)), Re z >= _SCALE_SWITCH).
 
-
-def _column_factors(xs: np.ndarray):
-    """Per-column factors of f on the grid xs x ys: (xs, expm1(xs),
-    exp(xs), e^(-max(xs, 0)), Re z >= _SCALE_SWITCH).
-
-    The exponentials come from libm through `math`, as numpy's complex
-    expm1 takes them; numpy's own float64 exp and expm1 differ from libm
-    in last bits.  The damping factor is scaled_value's, so it is numpy's.
+    Each exponential comes from libm through `math`, as CharEq takes it;
+    numpy's own float64 exp and expm1 differ from libm in last bits.
     """
+    import numpy as np
     em1 = np.array([_libm(math.expm1, x) for x in xs.tolist()])
     ex = np.array([_libm(math.exp, x) for x in xs.tolist()])
-    damp = np.exp(-np.maximum(xs, 0.0))
+    damp = np.array([math.exp(-max(x, 0.0)) for x in xs.tolist()])
     return xs, em1, ex, damp, ~(xs < _SCALE_SWITCH)
 
 
-def _grid_values(cols, ys: np.ndarray):
-    """(f(z), e^(-max(Re z, 0)) f(z)) on z = xs + i ys, one row per y.
+def _grid_values(cols, ys):
+    """(f(z), e^(-max(Re z, 0)) f(z)) on z = xs + i ys, one row per y
+    of the float array ys.
 
-    Bit for bit CharEq.value(z) and CharEq.scaled_value(z).  numpy's
-    complex expm1(x + iy) is expm1(x) cos(y) - 2 sin(y/2)^2
-    + i exp(x) sin(y), each factor a libm call, so the factors are
-    taken once per column (_column_factors) and per row here, and only
-    the multiplies and adds run per pixel.  Columns past _SCALE_SWITCH
-    take scaled_value's split form, where exp(z - x) cannot overflow.
-    xs and ys hold no -0.0, as the render lays them out: the grid z
-    would turn it into +0.0.
+    Bit for bit CharEq.value(z) and CharEq.scaled_value(z).  The expm1
+    factors are taken once per column (_column_factors) and per row
+    here, and only the multiplies and adds run per pixel.  Columns past
+    _SCALE_SWITCH take scaled_value's split form, where e^(z - x) is
+    cos(y) + i sin(y).
     """
+    import numpy as np
     xs, em1, ex, damp, far = cols
     # libm, as for the columns: numpy's float64 sin and cos need not match
     cos = np.array([math.cos(y) for y in ys.tolist()])[:, None]
     sin = np.array([math.sin(y) for y in ys.tolist()])[:, None]
     half = np.array([math.sin(y / 2) for y in ys.tolist()])[:, None]
-    z = xs[None, :] + 1j * ys[:, None]
-    e = np.empty_like(z)
-    np.subtract(em1 * cos, 2.0 * half * half, out=e.real)
-    np.multiply(ex, sin, out=e.imag)
-    v = z * z
-    v += z
-    v -= e
+    y = ys[:, None]
+    # z^2 + z as Python's complex arithmetic forms it: (x x - y y + x)
+    # + i (x y + y x + y), each product rounded on its own
+    w = np.empty((ys.size, xs.size), dtype=complex)
+    np.subtract(xs * xs, y * y, out=w.real)
+    w.real += xs
+    np.multiply(xs, y, out=w.imag)
+    w.imag *= 2.0
+    w.imag += y
+    v = w.copy()
+    v.real -= em1 * cos - 2.0 * half * half
+    v.imag -= ex * sin
     f = v * damp
     if far.any():
-        zf, x = z[:, far], xs[far]
-        f[:, far] = (zf * zf + zf + 1.0) * damp[far] - np.exp(zf - x)
+        rot = np.empty(cos.shape, dtype=complex)
+        rot.real, rot.imag = cos, sin
+        f[:, far] = (w[:, far] + 1.0) * damp[far] - rot
     return v, f
-
-
-# (r, g, b) of hue sector floor(6 h) mod 6, as indices into (v, p, q, t)
-_HSV_SECTORS = np.array([[0, 3, 1], [2, 0, 1], [1, 0, 3],
-                         [1, 2, 0], [3, 1, 0], [0, 1, 2]])
 
 
 def _hsv_to_rgb(h, s, v):
     """(..., 3) RGB of same-shape h, s, v arrays, h in [0, 1]."""
+    import numpy as np
+    # (r, g, b) of hue sector floor(6 h) mod 6, as indices into (v, p, q, t)
+    sectors = np.array([[0, 3, 1], [2, 0, 1], [1, 0, 3],
+                        [1, 2, 0], [3, 1, 0], [0, 1, 2]])
     i = np.floor(h * 6.0)
     fr = h * 6.0 - i
     p = v * (1.0 - s)
     q = v * (1.0 - s * fr)
     t = v * (1.0 - s * (1.0 - fr))
     # one flat take: pixel k's candidates sit at 4k .. 4k + 3
-    pick = _HSV_SECTORS.take(i.astype(int) % 6, axis=0)
+    pick = sectors.take(i.astype(int) % 6, axis=0)
     pick += np.arange(0, 4 * h.size, 4).reshape(h.shape + (1,))
     return np.stack([v, p, q, t], axis=-1).take(pick)
-
-
-def write_ppm(fh, image: np.ndarray) -> None:
-    """Binary PPM (P6, 8-bit, no comment lines) to the binary stream fh,
-    for byte-exact goldens."""
-    if image.ndim != 3 or image.shape[2] != 3 or image.dtype != np.uint8:
-        raise ValueError("image must be (H, W, 3) uint8")
-    h, w, _ = image.shape
-    fh.write(ppm_header((w, h)))
-    fh.write(image.tobytes())
 
 
 def ppm_header(size: tuple[int, int]) -> bytes:

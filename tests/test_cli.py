@@ -1227,6 +1227,8 @@ _MARCH = _BASE | {"dynamics", "geometry", "trajectory"}
 _LAYER_CASES = [
     (["series-verify"], _BASE | {"series"}),
     (["roots"], _ROOTS),
+    (["roots", "--beta", "0.3"], _ROOTS),
+    (["roots", "--region", "-10,10,-100,100", "--grid", "4"], _ROOTS),
     (["render", "--size", "8x6", "--out", "{tmp}"], _ROOTS),
     (["potential"], _POTENTIAL),
     (["potential", "--duffing"], _POTENTIAL),
@@ -1246,9 +1248,11 @@ def test_command_loads_only_its_layers(tmp_path, argv, layers):
     assert {m for m in loaded if m.startswith("zitterlab")} == \
         {"zitterlab"} | {f"zitterlab.{layer}" for layer in layers}
     assert not any(m.startswith("scipy") for m in loaded)
-    # series-verify and both potential forms run without numpy
+    # series-verify, both potential forms, every roots form and the
+    # ladder report run without numpy; render does not
     assert ("numpy" in loaded) == (argv[0] not in ("series-verify",
-                                                   "potential"))
+                                                   "potential", "roots",
+                                                   "report"))
 
 
 def test_model_runs_without_numpy():
@@ -1300,8 +1304,11 @@ _PINNED_STDOUT = [
      "6c76a8f2a20dd64fe3a2129cd647dcd50b757eac3686a8c1c6fb5f8e620908b8"),
     (["potential", "--duffing"],
      "e3b57d8a6604d7ff45b5228153cc47fc58914d350f73dad9b5d6aeb80b972a5f"),
+    # its residual column as CharEq's libm evaluator gives it
     (["roots", "--region", "-10,10,-100,100"],
-     "4f079b047a541c475b14cc7ef9e56889300e50ac823b2e210488f725aa8422db"),
+     "41ef5f61aa5c36e25cb5750c5af0582be56002d51f975fcd40138192a14f86ad"),
+    (["report", "--only", "branch_ladder"],
+     "4ae4f406bb84fd9eb685d78d81f7f737a8138984bc2fcb90abf86990ca47e96b"),
 ]
 
 
@@ -1345,6 +1352,40 @@ _PINNED_POTENTIAL = [c for c in _PINNED_STDOUT if c[0][0] == "potential"]
                          ids=[" ".join(argv) for argv, _ in _PINNED_POTENTIAL])
 def test_potential_runs_with_numpy_unimportable(argv, digest):
     assert _fresh_python(_WITHOUT_NUMPY, *argv).split() == ["0", digest]
+
+
+_PINNED_ROOTS = [c for c in _PINNED_STDOUT if c[0][0] in ("roots", "report")]
+
+
+@pytest.mark.parametrize("argv, digest", _PINNED_ROOTS,
+                         ids=[" ".join(argv) for argv, _ in _PINNED_ROOTS])
+def test_roots_run_with_numpy_unimportable(argv, digest):
+    assert _fresh_python(_WITHOUT_NUMPY, *argv).split() == ["0", digest]
+
+
+# runs main(argv), which imports numpy, and prints OPENBLAS_NUM_THREADS
+_BLAS_THREADS = """
+import contextlib, io, os, sys
+from zitterlab.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(sys.argv[1:]) == 0
+print(os.environ.get("OPENBLAS_NUM_THREADS"))
+"""
+
+
+@pytest.mark.parametrize("preset, want", [(None, "1"), ("2", "2")])
+def test_main_defaults_to_one_blas_thread(tmp_path, preset, want):
+    # one BLAS thread unless the caller's environment sets a count
+    env = _src_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = subprocess.run(
+        [sys.executable, "-c", _BLAS_THREADS, "render", "--size", "8x6",
+         "--out", str(tmp_path / "x.ppm")],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [want]
 
 
 def test_simulate_marches_through_cli_globals(monkeypatch, capsys):

@@ -17,9 +17,10 @@ from zitterlab.roots import (
     argument_principle_count,
     dominant_real_root,
     find_roots,
+    ppm_header,
     render_domain_coloring,
+    render_slabs,
     spectrum,
-    write_ppm,
 )
 from zitterlab.trajectory import SeedHistory
 
@@ -93,7 +94,7 @@ def test_dominant_real_root_stops_at_its_fixed_point(beta):
 
 def _chareq_bisection() -> float:
     """The bisection dominant_real_root ran before it moved to model:
-    the sign of CharEq's rescaled value, in numpy complex scalars."""
+    the sign of CharEq's rescaled value."""
     eq = CharEq()
 
     def s(x: float) -> float:
@@ -119,8 +120,8 @@ def test_float_bisection_equals_the_chareq_route():
 
 def test_float_sign_is_the_chareq_sign_on_the_bracket():
     # 20,001 points across [0.5, 2] and the 4,001 doubles within 2,000
-    # ulps of lambda*: on the real axis numpy's complex expm1 is libm's
-    # expm1, and the damping e^-x > 0 keeps the sign
+    # ulps of lambda*: on the real axis CharEq's complex expm1, like
+    # numpy's, is libm's expm1, and the damping e^-x > 0 keeps the sign
     xs = list(np.linspace(0.5, 2.0, 20_001))
     x = lam = model.dominant_real_root()
     for _ in range(2_000):
@@ -130,7 +131,7 @@ def test_float_sign_is_the_chareq_sign_on_the_bracket():
         x = math.nextafter(x, math.inf)
     assert lam in xs
     xs = np.array(xs)
-    chareq = np.sign(CharEq().scaled_value(xs).real)
+    chareq = np.sign([CharEq().scaled_value(v).real for v in xs])
     floats = np.sign([v * v + v - math.expm1(v) for v in xs])
     assert np.array_equal(chareq, floats)
     assert np.array_equal(np.expm1(xs.astype(complex)).real,
@@ -160,9 +161,8 @@ def test_chareq_small_z_cancellation():
 def test_chareq_scaled_value_stays_finite():
     eq = CharEq()
     z = 800.0 + 10.0j
-    with np.errstate(over="ignore"):
-        assert not np.isfinite(abs(eq.value(z)))
-    assert np.isfinite(abs(eq.scaled_value(z)))
+    assert not math.isfinite(abs(eq.value(z)))
+    assert math.isfinite(abs(eq.scaled_value(z)))
 
 
 def test_rest_census(rest_rootset):
@@ -244,6 +244,12 @@ def test_spectrum_is_beta_independent():
     for beta in (0.3, 0.6, 0.9):
         sp = spectrum(beta, count=6)
         assert np.allclose(sp.etas, base.etas, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("count", [0, 1])
+def test_spectrum_needs_two_branches(count):
+    with pytest.raises(ValueError, match="2 or more branches"):
+        spectrum(0.0, count)
 
 
 def test_spectrum_audit_is_the_census_certificate(monkeypatch):
@@ -341,16 +347,17 @@ def _bit_mismatches(got, want):
 
 @pytest.mark.parametrize("case", PINNED_RENDERS)
 def test_grid_values_match_chareq_bit_for_bit(case):
-    # the per-axis libm factors against numpy's complex expm1 and exp on
-    # the full grid, plus rows at y = 0 and +-pi
+    # the per-axis factors and per-pixel arithmetic against the scalar
+    # CharEq at every point of the grid, plus rows at y = 0 and +-pi
     bounds, (w, h), _ = PINNED_RENDERS[case]
     xs, ys = _render_axes(bounds, (min(w, 640), min(h, 480)))
     ys = np.concatenate([ys, [0.0, math.pi, -math.pi]])
     eq = CharEq()
     with np.errstate(all="ignore"):
         v, f = rootsmod._grid_values(rootsmod._column_factors(xs), ys)
-        z = xs[None, :] + 1j * ys[:, None]
-        want_v, want_f = eq.value(z), eq.scaled_value(z)
+    z = [complex(x, y) for y in ys.tolist() for x in xs.tolist()]
+    want_v = np.array([eq.value(p) for p in z]).reshape(v.shape)
+    want_f = np.array([eq.scaled_value(p) for p in z]).reshape(f.shape)
     assert _bit_mismatches(v, want_v) == 0
     assert _bit_mismatches(f, want_f) == 0
 
@@ -408,16 +415,18 @@ def test_hsv_selection_matches_choose():
     assert np.array_equal(got, _choose_hsv_to_rgb(h, s, v))
 
 
-def test_write_ppm_layout(tmp_path):
-    img = np.zeros((2, 3, 3), dtype=np.uint8)
-    img[0, 0] = (255, 0, 7)
-    path = tmp_path / "img.ppm"
-    with open(path, "wb") as fh:
-        write_ppm(fh, img)
-    blob = path.read_bytes()
+def test_write_ppm_layout():
+    # the header and slab bytes as `render` writes them: row 0, pixel 0
+    # follows the 11-byte header, and the file holds 3 bytes a pixel
+    region, size = Region(-1.0, 3.0, -15.0, 15.0), (3, 2)
+    count, slab = render_slabs(region, size)
+    blob = ppm_header(size) + b"".join(slab(j).tobytes()
+                                       for j in range(count))
+    image = render_domain_coloring(CharEq(), region, size)
     assert blob.startswith(b"P6\n3 2\n255\n")
     assert len(blob) == 11 + 18
-    assert blob[11:14] == bytes((255, 0, 7))
+    assert blob[11:14] == image[0, 0].tobytes()
+    assert blob[11:] == image.tobytes()
 
 
 # --- independent census: Newton from a seed grid ----------------------
@@ -428,6 +437,18 @@ def test_write_ppm_layout(tmp_path):
 # conjugate closure, the census `roots` printed before the branch
 # enumeration, bit for bit at the same density.  It returns (value,
 # residual, multiplicity) rows sorted by (Re, Im).
+
+def _np_residual(z):
+    # |e^(-max(Re z, 0)) f(z)| on a numpy array, numpy's own exp and
+    # expm1 throughout: the array evaluator CharEq was before it moved
+    # to libm scalars
+    x = np.maximum(z.real, 0.0)
+    damp = np.exp(-x)
+    with np.errstate(all="ignore"):
+        safe = (z * z + z - np.expm1(z)) * damp
+        split = (z * z + z + 1.0) * damp - np.exp(z - x)
+    return np.abs(np.where(z.real < rootsmod._SCALE_SWITCH, safe, split))
+
 
 def _oracle_polish(eq, z, res):
     for _ in range(8):
@@ -470,7 +491,7 @@ def _seed_grid_census(eq, region, grid_density=10.0):
             fz[far] = (zf * zf + zf + 1.0) * damp[far] - ezx[far]
             step = fz / ((2.0 * z + 1.0) * damp - ezx)
             z = z - np.where(np.isfinite(step), step, 0.0)
-        res = eq.residual(z)
+        res = _np_residual(z)
     good = np.isfinite(z) & np.isfinite(res) & (res < 1e-10)
     zg, rg = z[good], res[good]
     keep = np.array([inside(w) for w in zg], dtype=bool)
@@ -483,8 +504,9 @@ def _seed_grid_census(eq, region, grid_density=10.0):
             if all(abs(zg[idx] - u[0]) > 1e-6 for u in coarse):
                 coarse.append((complex(zg[idx]), float(rg[idx])))
     polished = []
-    for r in sorted((_oracle_polish(eq, w, res) for w, res in coarse),
-                    key=lambda r: r[1]):
+    # the polish starts from CharEq's residual, as the census does
+    for r in sorted((_oracle_polish(eq, w, eq.residual(w))
+                     for w, _ in coarse), key=lambda r: r[1]):
         if all(abs(r[0] - u[0]) > 1e-6 for u in polished):
             polished.append(r)
     closed = list(polished)
@@ -569,8 +591,7 @@ def test_census_matches_oracle_taller_than_800():
 def test_branch_on_its_neighbours_root_raises(monkeypatch):
     # a branch that converges onto branch 3's root leaves its band
     third = rootsmod._upper_branches(CharEq(), {3})[3].value
-    monkeypatch.setattr(rootsmod, "_newton_step",
-                        lambda eq, z: np.full_like(z, third))
+    monkeypatch.setattr(rootsmod, "_newton_step", lambda eq, z: third)
     with pytest.raises(RuntimeError, match="band"):
         find_roots(CharEq(), Region(-3.0, 9.0, 10.0, 16.0))
 
@@ -600,11 +621,13 @@ def test_branch_failures_name_the_count_and_the_first_five(monkeypatch):
 
 
 def test_array_polish_matches_the_scalar_oracle():
-    # _upper_branches polishes every branch at once; _oracle_polish does
-    # it one root at a time from the same three plain Newton steps.  On
-    # these branches some polish steps are kept (the first at 435), and
-    # numpy's array exp, which differs from libm's in some last bits,
-    # must not move a root
+    # _upper_branches takes every branch's steps on libm scalars; here
+    # numpy arrays take the fixed-point and three plain Newton steps for
+    # all branches at once, with numpy's own log, exp, expm1 and complex
+    # multiply and divide, which differ from libm's and Python's in some
+    # last bits, and _oracle_polish polishes one root at a time from
+    # CharEq's residual.  On these branches some polish steps are kept
+    # (the first at 435), and the arithmetic must not move a root
     eq, two_pi = CharEq(), 2.0 * math.pi
     k = np.arange(1, 3001, dtype=float)
     y = two_pi * k + 2.2
@@ -614,11 +637,10 @@ def test_array_polish_matches_the_scalar_oracle():
             z = np.log(z * z + z + 1.0) + 1j * two_pi * k
         for _ in range(3):
             x = np.maximum(z.real, 0.0)
-            z = z - eq.scaled_value(z) / (
-                (2.0 * z + 1.0) * np.exp(-x) - np.exp(z - x))
-        res = eq.residual(z)
-    want = [_oracle_polish(eq, complex(w), float(r))[:2]
-            for w, r in zip(z, res)]
+            damp = np.exp(-x)
+            z = z - (z * z + z - np.expm1(z)) * damp / (
+                (2.0 * z + 1.0) * damp - np.exp(z - x))
+    want = [_oracle_polish(eq, w, eq.residual(w))[:2] for w in z.tolist()]
     got = rootsmod._upper_branches(eq, range(1, 3001))
     assert [(got[n].value, got[n].residual) for n in range(1, 3001)] == want
     assert sum(w != complex(v) for (w, _), v in zip(want, z)) >= 10
@@ -732,8 +754,8 @@ def _stack_walk_count(eq, region):
                        min(max(0.0, min(a.imag, b.imag)), max(a.imag, b.imag)))
         if abs(near) < max(abs(b - a) / n / 4.0, rootsmod._ORIGIN_CLEARANCE):
             raise ValueError("double root at 0 near the contour")
-        pts = a + (b - a) * np.linspace(0.0, 1.0, n + 1)
-        vals = eq.scaled_value(pts)
+        pts = (a + (b - a) * np.linspace(0.0, 1.0, n + 1)).tolist()
+        vals = [eq.scaled_value(p) for p in pts]
         stack = [(pts[i], pts[i + 1], vals[i], vals[i + 1]) for i in range(n)]
         while stack:
             budget -= 1
@@ -745,7 +767,7 @@ def _stack_walk_count(eq, region):
             dphi = np.angle(fb / fa)
             if abs(dphi) > 0.8 and abs(zb - za) > 1e-12:
                 zm = 0.5 * (za + zb)
-                fm = complex(eq.scaled_value(zm))
+                fm = eq.scaled_value(zm)
                 stack.append((za, zm, fa, fm))
                 stack.append((zm, zb, fm, fb))
             else:
@@ -783,6 +805,24 @@ def test_level_walk_matches_the_stack_walk():
                         for bounds in regions]
     assert outcomes[:8] == [33, 11, 80] + [ValueError] * 3 + [3, ValueError]
     assert len(set(outcomes[8:])) >= 8
+
+
+@pytest.mark.parametrize("bounds, calls", [
+    ((-10.0, 10.0, -100.0, 100.0), 934), ((-1.0, 3.0, -1.0, 1.0), 260)],
+    ids=["wide", "rest"])
+def test_winding_walk_evaluations(monkeypatch, bounds, calls):
+    # a deterministic cost gate: the values of f the walk takes, as
+    # measured; a walk that halves its segments otherwise takes more
+    taken = [0]
+    scaled = CharEq.scaled_value
+
+    def counted(self, z):
+        taken[0] += 1
+        return scaled(self, z)
+
+    monkeypatch.setattr(CharEq, "scaled_value", counted)
+    argument_principle_count(CharEq(), Region(*bounds))
+    assert 0 < taken[0] <= calls
 
 
 def test_winding_walk_stops_at_its_budget():
