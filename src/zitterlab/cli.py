@@ -5,7 +5,8 @@ series-verify, potential, report.  Machine outputs are CSV with a
 header row, JSON lines, or binary PPM; every float is printed at 17
 significant digits so identical invocations produce byte-identical
 files.  A CSV streams in row blocks, each computed (the simulate
-residual audit included), formatted and written in one pass; a PPM
+residual audit included), formatted and written in one pass, with each
+distinct value of an array column formatted once per block; a PPM
 streams in slabs of image rows, each rendered and written in one pass.
 Output of more than one block is made on two CPUs where it can: when
 the output has an OS file descriptor (a file, or a stdout that is a
@@ -183,18 +184,22 @@ def _write_csv(path: str, header: str, n: int, columns,
     """Write a CSV to path ('-' = stdout): the header row, then n rows,
     columns(k) giving the float columns of the rows in the slice k, as
     arrays or lists of floats.  Every value prints as _fmt's
-    format(v, ".17g") would, and non-finite ones as non_finite."""
+    format(v, ".17g") would, and non-finite ones as non_finite.  In each
+    block, an array column whose values repeat has each distinct value
+    formatted once (_shared_text); the others are formatted per value."""
     width = header.count(",") + 1
-    row = ",".join(["%.17g"] * width) + "\n"
     count = _block_count(n, _CSV_BLOCK)
     size = -(-n // count) if count else 0
 
     def text(j: int) -> str:
         cols = columns(slice(j * size, (j + 1) * size))
         values = [0.0] * (width * len(cols[0]))
+        spec = ["%.17g"] * width
         for i, col in enumerate(cols):   # in the order the rows print them
-            values[i::width] = col.tolist() if hasattr(col, "tolist") else col
-        text = (row * len(cols[0])) % tuple(values)
+            if hasattr(col, "tolist"):
+                spec[i], col = _shared_text(col)
+            values[i::width] = col
+        text = ((",".join(spec) + "\n") * len(cols[0])) % tuple(values)
         # "%.17g" spells a finite value with no letter but "e", so every
         # "inf" and "nan" in the text is a non-finite value.  An "i"
         # marks an infinity: one memchr, where a search for "inf" takes
@@ -206,6 +211,23 @@ def _write_csv(path: str, header: str, n: int, columns,
     with _open_out(path) as fh:
         fh.write(header + "\n")
         _write_blocks(fh, count, text)
+
+
+def _shared_text(col) -> tuple[str, list]:
+    """The row-template field and the values of the float array col.
+    Where a bit pattern repeats, it is formatted once with "%.17g" and
+    placed by np.unique's inverse, as text for "%s"; keyed on bits, -0.0
+    keeps its "-0" apart from 0.0, and each NaN prints "nan" as it would
+    alone.  A column with no repeat is handed over as floats for "%.17g",
+    since there is nothing to share."""
+    import numpy as np   # loaded already: col is an array
+    bits, place = np.unique(col.view(np.int64), return_inverse=True)
+    if bits.size == col.size:
+        return "%.17g", col.tolist()
+    # one "%" over the distinct values, as the block's own is
+    text = ("\n".join(["%.17g"] * bits.size)
+            % tuple(bits.view(np.float64).tolist())).split("\n")
+    return "%s", np.array(text, dtype=object)[place].tolist()
 
 
 def _write_blocks(fh, count: int, block) -> None:

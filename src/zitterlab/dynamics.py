@@ -93,7 +93,7 @@ import numpy as np
 from .geometry import _lightcone
 from .model import KinematicState, lorentz_gamma
 from .trajectory import (SeedHistory, SuperluminalError, Trajectory,
-                         cubic_slope, cubic_value, pchip)
+                         cubic_slope, cubic_value, pchip_at)
 
 # reach in rows of the five-point stencil of _fd5
 _HALF = 2
@@ -115,24 +115,24 @@ class TooFewSamplesError(ValueError):
 
 def _emit(t, u, b, a, drift):
     """Arrival time and comoving position from emitter states; t_a is
-    inf or nan where an acceleration overflows them."""
+    inf or nan where an acceleration overflows them, so _march calls
+    this under np.errstate(over="ignore", invalid="ignore")."""
     g2 = 1.0 / ((1.0 - b) * (1.0 + b))
-    with np.errstate(over="ignore", invalid="ignore"):
-        y = g2 ** 3 * a * a
-        r = np.sqrt(g2) * np.sqrt(1.0 + y) + g2 * g2 * b * a
-        t_a = t + r
-        u_a = u + r * (b - drift) + g2 * a
+    y = g2 ** 3 * a * a
+    r = np.sqrt(g2) * np.sqrt(1.0 + y) + g2 * g2 * b * a
+    t_a = t + r
+    u_a = u + r * (b - drift) + g2 * a
     return t_a, u_a
 
 
-def _emitters(t, u_s, i, grid, drift):
-    """The emitter states (t, u, beta, beta_dot) of grid rows i, from the
-    smoothed channel u_s, refusing |beta| >= 1."""
-    du, d2u = _fd5(u_s, i, grid)
+def _emitters(t, u_s, lo, hi, grid, drift):
+    """The emitter states (t, u, beta, beta_dot) of grid rows lo to
+    hi - 1, from the smoothed channel u_s, refusing |beta| >= 1."""
+    du, d2u = _fd5(u_s, lo, hi, grid)
     beta = drift + du
     if np.any(np.abs(beta) >= 1.0):
         raise SuperluminalError("recovered |beta| >= 1 during marching")
-    return t[i], u_s[i], beta, d2u
+    return t[lo:hi], u_s[lo:hi], beta, d2u
 
 
 def _grid_rows(seed: SeedHistory, t_end: float,
@@ -173,8 +173,11 @@ def _march(seed: SeedHistory, t_end: float, grid: float, kernel: np.ndarray,
     the kernel's reach covers (an odd, unit-sum kernel; one tap leaves
     the rows as they are), and re-emits every smoothed row whose _fd5
     stencil is complete, until the output rows' stencils are covered.
-    Under partial=True a march cut short by the light barrier or an
-    arrival fold returns the rows it settled.
+    A pass builds nothing it throws away: pchip_at takes PCHIP's values
+    at the new grid rows without a spline, _emitters and _fd5 read the
+    contiguous emitter rows as slices, and one error state covers every
+    pass.  Under partial=True a march cut short by the light barrier or
+    an arrival fold returns the rows it settled.
     """
     k0, n_fwd = _grid_rows(seed, t_end, grid)
     n_out = k0 + n_fwd + 1
@@ -187,7 +190,8 @@ def _march(seed: SeedHistory, t_end: float, grid: float, kernel: np.ndarray,
     s_b = drift + s_v
     if np.any(np.abs(s_b) >= 1.0):
         raise SuperluminalError("seed history reaches |beta| >= 1")
-    t_a, u_a = _emit(s_t, s_u, s_b, s_a, drift)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t_a, u_a = _emit(s_t, s_u, s_b, s_a, drift)
     if not (np.all(np.diff(t_a) > 0.0) and np.isfinite(t_a[-1])):
         raise ArrivalOrderError("seed emissions gave non-monotone arrivals")
     if k0 < half_k + 8:
@@ -214,48 +218,51 @@ def _march(seed: SeedHistory, t_end: float, grid: float, kernel: np.ndarray,
 
     aborted: Exception | None = None
     try:
-        while True:
-            at = np.concatenate([tail_t, t_a])
-            au = np.concatenate([tail_u, u_a])
-            # the raw channel takes every row two steps short of the last
-            # arrival
-            hi = k0 - 1 + int(np.searchsorted(t_grid[k0:], at[-1] - 2.0 * grid,
-                                              side="right"))
-            hi = min(hi, t_grid.size - 1)
-            if hi > cov:
-                u_raw[cov + 1:hi + 1] = pchip(at, au)(t_grid[cov + 1:hi + 1])
-                cov = hi
-            tail_t, tail_u = at[-6:], au[-6:]
-            # smooth every row whose kernel the raw channel now covers
-            if cov - half_k > smo:
-                u_s[smo + 1:cov - half_k + 1] = np.convolve(
-                    u_raw[smo + 1 - half_k:cov + 1], kernel, mode="valid")
-                smo = cov - half_k
-            if smo >= n_out + 1:      # the last output row's stencil
-                break
-            t, u, b, a = _emitters(t_grid, u_s, np.arange(nxt, smo - 1),
-                                   grid, drift)
-            if t.size == 0:
-                raise RuntimeError("marching starved: no recovered emitters "
-                                   "ahead of the pointer")
-            nxt += t.size
-            t_a, u_a = _emit(t, u, b, a, drift)
-            # Past the end of the output grid, arrivals serve only the
-            # stencils of its last rows: keep the first one there and
-            # the 2 * _HALF after it.  Later ones come from rows t_end
-            # never needs, whose ultraviolet-fouled states can fold the
-            # arrival order, and a pass re-emits every ready row, so it
-            # reaches them: untrimmed, the pinned march
-            # "filtered-uniform-kick-trim" folds at t = 2.639 of its 3.
-            past = np.flatnonzero(t_a >= t_grid[-1])
-            if past.size:
-                keep = past[0] + 2 * _HALF + 1
-                t_a, u_a = t_a[:keep], u_a[:keep]
-            if not (t_a[0] > last_arrival and np.all(np.diff(t_a) > 0.0)
-                    and np.isfinite(t_a[-1])):
-                raise ArrivalOrderError("non-monotone arrival times; the run "
-                                        "is reported, not reordered")
-            last_arrival = t_a[-1]
+        # one error state for every pass: overflowing accelerations (see
+        # _emit) and flat secants (_pchip_slopes)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            while True:
+                at = np.concatenate([tail_t, t_a])
+                au = np.concatenate([tail_u, u_a])
+                # the raw channel takes every row two steps short of the
+                # last arrival
+                hi = k0 - 1 + int(np.searchsorted(
+                    t_grid[k0:], at[-1] - 2.0 * grid, side="right"))
+                hi = min(hi, t_grid.size - 1)
+                if hi > cov:
+                    u_raw[cov + 1:hi + 1] = pchip_at(at, au,
+                                                     t_grid[cov + 1:hi + 1])
+                    cov = hi
+                tail_t, tail_u = at[-6:], au[-6:]
+                # smooth every row whose kernel the raw channel now covers
+                if cov - half_k > smo:
+                    u_s[smo + 1:cov - half_k + 1] = np.convolve(
+                        u_raw[smo + 1 - half_k:cov + 1], kernel, mode="valid")
+                    smo = cov - half_k
+                if smo >= n_out + 1:      # the last output row's stencil
+                    break
+                t, u, b, a = _emitters(t_grid, u_s, nxt, smo - 1, grid, drift)
+                if t.size == 0:
+                    raise RuntimeError("marching starved: no recovered "
+                                       "emitters ahead of the pointer")
+                nxt += t.size
+                t_a, u_a = _emit(t, u, b, a, drift)
+                # Past the end of the output grid, arrivals serve only the
+                # stencils of its last rows: keep the first one there and
+                # the 2 * _HALF after it.  Later ones come from rows t_end
+                # never needs, whose ultraviolet-fouled states can fold
+                # the arrival order, and a pass re-emits every ready row,
+                # so it reaches them: untrimmed, the pinned march
+                # "filtered-uniform-kick-trim" folds at t = 2.639 of its 3.
+                past = np.flatnonzero(t_a >= t_grid[-1])
+                if past.size:
+                    keep = past[0] + 2 * _HALF + 1
+                    t_a, u_a = t_a[:keep], u_a[:keep]
+                if not (t_a[0] > last_arrival and np.all(np.diff(t_a) > 0.0)
+                        and np.isfinite(t_a[-1])):
+                    raise ArrivalOrderError("non-monotone arrival times; the "
+                                            "run is reported, not reordered")
+                last_arrival = t_a[-1]
     except (SuperluminalError, ArrivalOrderError) as exc:
         if not partial:
             raise
@@ -270,7 +277,7 @@ def _march(seed: SeedHistory, t_end: float, grid: float, kernel: np.ndarray,
     # one block holds the output rows (x in place of u once it is known)
     rows = np.empty((3, last + 1))
     rows[:, :k0 + 1] = s_u, s_b, s_a
-    du, d2u = _fd5(u_s, np.arange(k0 + 1, last + 1), grid)
+    du, d2u = _fd5(u_s, k0 + 1, last + 1, grid)
     rows[:, k0 + 1:] = u_s[k0 + 1:last + 1], drift + du, d2u
     # The marching check sees beta where it is recovered only; a run
     # whose coverage outpaces its emissions can finish with a
@@ -312,13 +319,15 @@ def _filter_kernel(grid: float, sigma: float, span: float) -> np.ndarray:
     return w / w.sum()
 
 
-def _fd5(u: np.ndarray, i: np.ndarray,
+def _fd5(u: np.ndarray, lo: int, hi: int,
          grid: float) -> tuple[np.ndarray, np.ndarray]:
-    """Five-point centered first and second differences of u at i."""
-    du = (u[i - 2] - 8.0 * u[i - 1]
-          + 8.0 * u[i + 1] - u[i + 2]) / (12.0 * grid)
-    d2u = (-u[i - 2] + 16.0 * u[i - 1] - 30.0 * u[i]
-           + 16.0 * u[i + 1] - u[i + 2]) / (12.0 * grid * grid)
+    """Five-point centered first and second differences of u at rows lo
+    to hi - 1, read as slices."""
+    m2, m1, p1, p2 = (u[lo - 2:hi - 2], u[lo - 1:hi - 1], u[lo + 1:hi + 1],
+                      u[lo + 2:hi + 2])
+    du = (m2 - 8.0 * m1 + 8.0 * p1 - p2) / (12.0 * grid)
+    d2u = (-m2 + 16.0 * m1 - 30.0 * u[lo:hi]
+           + 16.0 * p1 - p2) / (12.0 * grid * grid)
     return du, d2u
 
 

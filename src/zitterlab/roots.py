@@ -375,6 +375,10 @@ def argument_principle_count(eq: CharEq, region: Region) -> int:
             raise ValueError(f"the double root at 0 lies {abs(near):.3g} from "
                              f"the contour, nearer than the walk resolves "
                              f"({limit:.3g})")
+        # the first level's n segments meet the budget before their
+        # n + 1 points are evaluated, as the pass below would meet them
+        if budget - n <= 0:
+            raise RuntimeError("argument-principle walk did not converge")
         # t = i / n as numpy.linspace rounds it, i * (1 / n), and 1 last
         step = 1.0 / n
         pts = [a + (b - a) * (i * step) for i in range(n)] + [a + (b - a)]

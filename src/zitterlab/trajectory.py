@@ -8,7 +8,9 @@ same way, and acceleration is the derivative of the velocity channel.
 
 HermiteSpline is the package's one piecewise cubic; pchip builds it as
 the monotone PCHIP of Fritsch & Carlson (1980, SIAM J. Numer. Anal.
-17:238) that the marchers resample with.
+17:238).  The marchers resample with the same PCHIP through pchip_at,
+which shares its knot slopes (_pchip_slopes) and takes its values at
+grid rows without building the spline.
 
 A SeedHistory prescribes the past of the particle on [-span, 0], which
 the delay equation needs before it can march forward.  Histories are
@@ -102,22 +104,52 @@ def _pchip_end(h0, h1, m0, m1):
     return d
 
 
-def pchip(x: np.ndarray, y: np.ndarray) -> HermiteSpline:
-    """Monotone cubic through (x, y), at least three knots.  Its knot
-    slopes are the weighted harmonic mean of the neighbouring secants,
-    or zero where they differ in sign or either is flat."""
-    h = np.diff(x)
-    m = np.diff(y) / h
+def _pchip_slopes(h: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """PCHIP's knot slopes from the knot spacings h and the secants m:
+    the weighted harmonic mean of the neighbouring secants, or zero
+    where they differ in sign or either is flat.  Flat secants divide
+    by zero; call under np.errstate(divide="ignore", invalid="ignore")."""
     w1 = 2 * h[1:] + h[:-1]
     w2 = h[1:] + 2 * h[:-1]
-    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
-    d = np.empty_like(y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
-        d[1:-1] = np.where(flat, 0.0, 1.0 / whmean)
+    sign = np.sign(m)
+    # a flat secant differs in sign from a sloped one, so only a flat
+    # pair needs its own test
+    flat = (sign[1:] != sign[:-1]) | (sign[1:] == 0)
+    d = np.empty(h.size + 1)
+    whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+    d[1:-1] = np.where(flat, 0.0, 1.0 / whmean)
     d[0] = _pchip_end(h[0], h[1], m[0], m[1])
     d[-1] = _pchip_end(h[-1], h[-2], m[-1], m[-2])
+    return d
+
+
+def pchip(x: np.ndarray, y: np.ndarray) -> HermiteSpline:
+    """Monotone cubic through (x, y), at least three knots, with
+    _pchip_slopes' knot slopes."""
+    h = np.diff(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = _pchip_slopes(h, np.diff(y) / h)
     return HermiteSpline(x, y, d)
+
+
+def pchip_at(x: np.ndarray, y: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """pchip(x, y)(t), bit for bit, at times t (at least one, in
+    increasing order) without building the spline: HermiteSpline's
+    cubics are formed only on the intervals from the first t's to the
+    last t's and summed by cubic_value.  Call under
+    np.errstate(divide="ignore", invalid="ignore"), as _pchip_slopes."""
+    h = x[1:] - x[:-1]      # np.diff, without its call overhead
+    m = (y[1:] - y[:-1]) / h
+    d = _pchip_slopes(h, m)
+    # HermiteSpline.interval: the inner knots' count at or below each t
+    # is the interval index, the end intervals taking everything beyond
+    i = x[1:-1].searchsorted(t, side="right")
+    lo, hi = int(i[0]), int(i[-1]) + 1
+    dx, slope, d0 = h[lo:hi], m[lo:hi], d[lo:hi]
+    s = (d0 + d[lo + 1:hi + 1] - 2 * slope) / dx
+    c = (s / dx, (slope - d0) / dx - s, d0, y[lo:hi])
+    j = i - lo
+    return cubic_value([ck[j] for ck in c], x[lo:hi][j], t)
 
 
 @dataclass(frozen=True)

@@ -446,6 +446,71 @@ def test_trajectory_csv_special_residuals(uniform_run, capsys, monkeypatch):
                      "-2.5e-300"]
 
 
+def _bits(pattern):
+    return np.array([pattern], dtype=np.uint64).view(np.float64)[0].item()
+
+
+def _near(v):
+    return [math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf)]
+
+
+# The values a block's shared formatting must print as format(v, ".17g")
+# does: both zeros, NaNs with payloads and with the sign bit, both
+# infinities, subnormals, and the neighbours of the "%g" switch points
+_CELL_VALUES = [
+    0.0, -0.0, math.nan, -math.nan, _bits(0x7FF8000000000001),
+    _bits(0xFFF800000000BEEF), _bits(0x7FF0000000000001), math.inf,
+    -math.inf, 5e-324, -5e-324, 2.225073858507201e-308,
+    2.2250738585072014e-308, 1.0, -1.0, 0.1, 1e308,
+    *_near(1e-5), *_near(-1e-5), *_near(1e-4), *_near(1e16), *_near(1e17),
+    *_near(-1e17)]
+_CELLS = st.one_of(st.sampled_from(_CELL_VALUES), st.floats())
+
+
+def _csv_column(n):
+    # mixed cells (the sampled ones repeat), a constant run, or n values
+    # that are all distinct: consecutive bit patterns up from a float
+    return st.one_of(
+        st.lists(_CELLS, min_size=n, max_size=n),
+        _CELLS.map(lambda v: [v] * n),
+        st.floats(-1e300, 1e300).map(lambda a: (
+            np.array([a]).view(np.int64) + np.arange(n)
+        ).view(np.float64).tolist()))
+
+
+@st.composite
+def _csv_blocks(draw):
+    n = draw(st.integers(1, 80))
+    cols = draw(st.lists(_csv_column(n), min_size=1, max_size=5))
+    return cols, draw(st.integers(1, n)), draw(st.sampled_from(["nan",
+                                                                "null"]))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(case=_csv_blocks())
+@example(case=([[-0.0, 0.0] * 50, [math.nan] * 100], 100, "null"))
+@example(case=([[1.0], [-math.nan]], 1, "nan"))
+def test_shared_formatting_prints_each_value_alone(case):
+    # the array columns of each block, one-row blocks included, print
+    # the text of one format(v, ".17g") per value
+    cols, block, non_finite = case
+    arrays = [np.array(col, dtype=np.float64) for col in cols]
+    header = ",".join(f"c{i}" for i in range(len(cols)))
+    want = header + "\n" + "".join(",".join(
+        format(v, ".17g") if math.isfinite(v) else non_finite for v in row)
+        + "\n" for row in zip(*cols))
+    out = io.StringIO()
+    kept = cli._CSV_BLOCK
+    cli._CSV_BLOCK = block
+    try:
+        with contextlib.redirect_stdout(out):
+            cli._write_csv("-", header, len(cols[0]),
+                           lambda k: [a[k] for a in arrays], non_finite)
+    finally:
+        cli._CSV_BLOCK = kept
+    assert out.getvalue() == want
+
+
 def _forks(monkeypatch):
     # two CPUs allowed whatever the machine, and two lists that gain an
     # entry at each os.fork and each os.waitpid, the latter its result

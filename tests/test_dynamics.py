@@ -20,7 +20,8 @@ from zitterlab.dynamics import (
 )
 from zitterlab.model import KinematicState, lorentz_gamma
 from zitterlab.roots import dominant_real_root
-from zitterlab.trajectory import SeedHistory, SuperluminalError, Trajectory
+from zitterlab.trajectory import (HermiteSpline, SeedHistory, SuperluminalError,
+                                  Trajectory)
 
 DRIFT_RATES = {0.5: 1.5530278832448012, 0.9: 0.78167355945714945}
 
@@ -631,3 +632,19 @@ def test_march_pass_counts(monkeypatch, march, passes):
     monkeypatch.setattr(dynamics, "_emitters", counted)
     march()
     assert 0 < len(calls) <= passes
+
+
+def test_march_passes_build_no_spline(monkeypatch):
+    # a work gate: a pass takes PCHIP's values at the grid rows without
+    # building a HermiteSpline, so the filtered uniform run builds only
+    # the returned Trajectory's two (one per pass besides, 697 in all,
+    # when each pass built its PCHIP whole)
+    built = []
+    init = HermiteSpline.__init__
+
+    def counted(self, *args):
+        built.append(None)
+        init(self, *args)
+    monkeypatch.setattr(HermiteSpline, "__init__", counted)
+    propagate_filtered(SeedHistory.uniform_motion(0.3), 100.0)
+    assert len(built) == 2

@@ -825,10 +825,22 @@ def test_winding_walk_evaluations(monkeypatch, bounds, calls):
     assert 0 < taken[0] <= calls
 
 
-def test_winding_walk_stops_at_its_budget():
-    # 2 * (64 + 100,000) first steps, past the budget of 200,000 segments
+def test_winding_walk_stops_at_its_budget(monkeypatch):
+    # 2 * (64 + 100,000) first steps, past the budget of 200,000
+    # segments.  The last edge's first level is refused before its
+    # points are evaluated: the walk takes 100,135 values of f where it
+    # took 200,138 when each edge evaluated first and counted after
+    taken = [0]
+    scaled = CharEq.scaled_value
+
+    def counted(self, z):
+        taken[0] += 1
+        return scaled(self, z)
+
+    monkeypatch.setattr(CharEq, "scaled_value", counted)
     with pytest.raises(RuntimeError, match="walk did not converge"):
         argument_principle_count(CharEq(), Region(-1.0, 3.0, -1.0, 5e4))
+    assert 0 < taken[0] <= 100135
 
 
 def test_census_counts_branches():

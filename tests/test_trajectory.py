@@ -1,16 +1,17 @@
 """The numpy cubic interpolant against scipy's, bit for bit.
 
 HermiteSpline replaces scipy's CubicHermiteSpline in Trajectory, and
-pchip its PchipInterpolator in the marchers.  Every march output
-depends on those values to the last bit, so the oracle is exact
-equality, signed zeros included.
+pchip its PchipInterpolator; the marchers take pchip's values at their
+grid rows through pchip_at.  Every march output depends on those values
+to the last bit, so the oracle is exact equality, signed zeros
+included.
 """
 
 import numpy as np
 import pytest
 from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
-from zitterlab.trajectory import HermiteSpline, pchip
+from zitterlab.trajectory import HermiteSpline, pchip, pchip_at
 
 
 def _knots():
@@ -76,3 +77,32 @@ def test_pchip_matches_scipy_bitwise(case):
     assert _same_bits(ours(q), ref(q))
     assert _same_bits(ours.derivative(q), ref.derivative()(q))
 
+
+def _grid_case(rng):
+    """Random strictly increasing knots with flat runs, sign changes and
+    repeated values, and increasing rows on a uniform grid that starts
+    and ends beyond the knots and holds some knots exactly."""
+    n = int(rng.integers(3, 60))
+    x = np.cumsum(rng.uniform(1e-3, 2.0, n)) - rng.uniform(0.0, 20.0)
+    y = rng.normal(size=n) * 10.0 ** rng.uniform(-9.0, 2.0)
+    for _ in range(int(rng.integers(0, 4))):    # flat secants, zeros
+        k = int(rng.integers(0, n - 1))
+        y[k:k + int(rng.integers(2, 5))] = rng.choice([0.0, -0.0, y[k]])
+    span = x[-1] - x[0]
+    t = np.linspace(x[0] - 0.1 * span, x[-1] + 0.1 * span,
+                    int(rng.integers(1, 200)))
+    on = rng.choice(n, size=min(n, t.size), replace=False)
+    t[rng.choice(t.size, size=on.size, replace=False)] = x[on]
+    return x, y, np.sort(t)
+
+
+def test_pchip_at_matches_the_spline_bitwise():
+    # the scipy test's knots and end cases, then 300 random ones
+    rng = np.random.default_rng(28)
+    cases = [(x, y, np.sort(_queries(x)))
+             for x, y in [_knots()[:2], *END_CASES]]
+    cases += [_grid_case(rng) for _ in range(300)]
+    for x, y, t in cases:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            got = pchip_at(x, y, t)
+        assert _same_bits(got, pchip(x, y)(t))
