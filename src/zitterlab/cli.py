@@ -219,8 +219,11 @@ def _shared_text(col) -> tuple[str, list]:
     placed by np.unique's inverse, as text for "%s"; keyed on bits, -0.0
     keeps its "-0" apart from 0.0, and each NaN prints "nan" as it would
     alone.  A column with no repeat is handed over as floats for "%.17g",
-    since there is nothing to share."""
+    since there is nothing to share; one that strictly increases (the t
+    column, a uniform run's x) is known to have none without the sort."""
     import numpy as np   # loaded already: col is an array
+    if col.size > 1 and (col[1:] > col[:-1]).all():
+        return "%.17g", col.tolist()
     bits, place = np.unique(col.view(np.int64), return_inverse=True)
     if bits.size == col.size:
         return "%.17g", col.tolist()

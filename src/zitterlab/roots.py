@@ -30,7 +30,7 @@ indexing).  Only 0 is a multiple root: f = f' = 0 forces z^2 = z, and
 f(1) != 0.  Censuses are enumerated branch by branch and certified:
 the total multiplicity must equal the argument-principle winding count
 (Delves & Lyness 1967) on a contour kept clear of every root, or they
-raise.
+raise.  The count is a proof (argument_principle_count).
 
 Numerics notes:
 
@@ -47,15 +47,9 @@ Numerics notes:
   the formula numpy's complex expm1 uses, and the damping factor is
   math.exp's.  The census, the winding walk and the spectrum run on it
   without numpy.
-* The domain-coloring render evaluates f on a pixel grid whose real
-  part is set by the column and imaginary part by the row.  It takes
-  the same libm factors once per column and per row, and forms z^2 + z
-  in real arithmetic in the order Python's complex multiply takes it
-  (numpy's complex multiply may fuse a multiply and an add).  So it
-  gets CharEq.value and CharEq.scaled_value bit for bit with only
-  multiplies and adds per pixel.  It colors blocks of rows into one
-  preallocated image, so its memory stays bounded.  The render alone
-  imports numpy.
+* The domain-coloring render gets CharEq's values bit for bit from
+  the same libm factors, taken once per pixel column and row
+  (render_domain_coloring).  It alone imports numpy.
 """
 
 from __future__ import annotations
@@ -76,24 +70,18 @@ _TWO_PI = 2.0 * math.pi
 _FIXED_POINT_STEPS = 40
 _NEWTON_STEPS = 3
 # The winding walk's first steps are at most 1/_EDGE_STEPS of an edge and
-# _WALK_STEP long.  Within a quarter step of the contour the double root
-# at 0 can turn the phase by nearly a full turn per step, which the walk
-# reads as none, and within ~1e-6 |f| ~ |z|^2 / 2 trips its 1e-12 guard;
-# so the walk refuses 0 nearer than max(step / 4, 1e-5).  Certification
-# keeps 0 max(side / 240, 1e-5) off the contour: moving edges off the
-# roots lengthens a side by at most two clearances, and
-# (1 + 2 / 240) / 256 < 1 / 240.  A simple root turns the phase by < pi
-# and needs only a rounding margin.
+# _WALK_STEP long; it halves unproven segments down to _FLOOR (1 + |z|)
+# (argument_principle_count).  An edge delta off the double root at 0
+# costs ~1/delta values of f: the walk refuses 0 nearer than _CLEARANCE,
+# and certification keeps it _CLEARANCE max(side, 1) off the contour.
 _EDGE_STEPS = 64
-_CLEARANCE = 1.0 / 240.0
-_ORIGIN_CLEARANCE = 1e-5
-_SIMPLE_CLEARANCE = 1e-9
-# e^z turns the phase by 1 rad per unit of Im z; steps of at most 0.5
-# keep the walk from wrapping a full turn into a small jump.
 _WALK_STEP = 0.5
-# Segments the winding walk takes before it gives up.  It takes each
-# first step once, so find_roots refuses a region whose edges need this
-# many (a perimeter of about 100,000) before it enumerates a branch.
+_FLOOR = 2.0 ** -48
+_ROUNDING = 256.0 * sys.float_info.epsilon
+_CLEARANCE = 1.0 / 240.0
+_SIMPLE_CLEARANCE = 1e-9   # a simple root needs only a rounding margin
+# Segments the winding walk takes before it gives up: find_roots refuses
+# a region whose first steps alone need this many (perimeter ~100,000).
 _WALK_BUDGET = 200000
 
 # Re z beyond which evaluation switches to the rescaled form
@@ -211,10 +199,10 @@ def find_roots(eq: CharEq, region: Region,
     Only branches ceil((y0 - pi) / 2pi) .. floor((y1 + pi) / 2pi), with
     y0 and y1 widened to cover the contour _certify moves off 0, can
     reach the region; _census enumerates them.  _certify raises
-    RuntimeError unless the census matches the winding count.  A region
-    whose edges need _WALK_BUDGET first steps of the walk, which could
-    never finish, raises ValueError first.  `grid_density` is accepted
-    and ignored: there is no seed grid.
+    RuntimeError unless the census matches the proven winding count on
+    the region kept _CLEARANCE max(side, 1) off 0.  A region whose edges
+    need _WALK_BUDGET first steps of the walk, which could never finish,
+    raises ValueError first.  `grid_density` is accepted and ignored.
     """
     # a side the length of the whole budget decides alone, and the clip
     # keeps a side near the float limit countable
@@ -224,12 +212,12 @@ def find_roots(eq: CharEq, region: Region,
         raise ValueError(f"region {region} is too large to certify: its "
                          f"edges need {_WALK_BUDGET} or more winding-walk "
                          f"steps (a perimeter of about {cap:g})")
-    clear = max(_CLEARANCE * max(region.x1 - region.x0, region.y1 - region.y0),
-                _ORIGIN_CLEARANCE)
+    clear = _CLEARANCE * max(region.x1 - region.x0, region.y1 - region.y0,
+                             1.0)
     ks = range(math.ceil((region.y0 - 3.0 * clear - math.pi) / _TWO_PI),
                math.floor((region.y1 + 3.0 * clear + math.pi) / _TWO_PI) + 1)
     census = _census(eq, ks)
-    _certify(eq, region, [r for _, r in census], clear)
+    _certify(eq, region, [r for _, r in census])
     inside = [(k, r) for k, r in census if region.contains(r.value)]
     roots = sorted((r for _, r in inside),
                    key=lambda r: (r.value.real, r.value.imag))
@@ -309,14 +297,15 @@ def _edge_steps(length: float) -> int:
     return max(_EDGE_STEPS, math.ceil(length / _WALK_STEP))
 
 
-def _certify(eq: CharEq, region: Region, roots: list[Root],
-             clear: float) -> None:
+def _certify(eq: CharEq, region: Region, roots: list[Root]) -> None:
     """Match the census to the winding count, or raise RuntimeError.
 
     The contour is the region, each edge moved outward past every root
-    nearer than `clear` (0) or _SIMPLE_CLEARANCE (any other root).
+    nearer than _CLEARANCE max(side, 1) (0: the walk costs ~1/distance
+    values of f there) or _SIMPLE_CLEARANCE (any other root).
     """
     x0, x1, y0, y1 = region.x0, region.x1, region.y0, region.y1
+    clear = _CLEARANCE * max(x1 - x0, y1 - y0, 1.0)
     edges = None
     while edges != (x0, x1, y0, y1):
         edges = (x0, x1, y0, y1)
@@ -345,24 +334,36 @@ def _certify(eq: CharEq, region: Region, roots: list[Root],
 # ---------------------------------------------------------------------
 
 def argument_principle_count(eq: CharEq, region: Region) -> int:
-    """Zeros (with multiplicity) inside region by boundary phase walk.
+    """Zeros (with multiplicity) inside region, by a proven phase walk.
 
-    Walks the rectangle boundary accumulating the wrapped phase change
-    of the rescaled characteristic value (rescaling by a positive real
-    factor leaves the phase untouched), from at least _EDGE_STEPS steps
-    per edge of at most _WALK_STEP.  Each edge runs in level passes:
-    one pass takes every segment of a level and halves those whose
-    phase jump exceeds ~0.8 rad into the next level; the walk gives up
-    after _WALK_BUDGET segments in all.  Raises ValueError if
-    the boundary runs too close to a zero for the walk to be
-    trustworthy: if a sample lands within |f| < 1e-12 of one, or if the
-    double root at 0 lies nearer an edge than a quarter of that edge's
-    first step or _ORIGIN_CLEARANCE, where one step can turn the phase
-    by a full turn unseen.
+    It sums the phase turn of s = e^(-max(Re z, 0)) f along the edges,
+    from at least _EDGE_STEPS first steps per edge of at most _WALK_STEP,
+    in level passes.  A segment [a, b] of length h adds Arg(s(b) / s(a))
+    exactly when L h + e(a) + e(b) < |s(a)|, L = max(|2a + 1|, |2b + 1|)
+    e^(-x) + e^(max(Re a, Re b) - x), x = max(Re a, 0), and is halved
+    into the next level otherwise: g = e^(-x) f is s(a) at a and |g'| <=
+    L on [a, b], so g stays within L h of s(a), off 0 (Moore, Kearfott &
+    Cloud 2009).  With libm within 2 ulp and u = eps / 2, z z + z, expm1,
+    their difference and the damping d = e^(-max(Re z, 0)) err by u (6
+    |z|^2 + 2 |z|), u (19 e^Re z + 30), u (2 |z|^2 + 2 |z| + 4 e^Re z + 6)
+    and 8 u |f| d to first order: s, in either form, by err(z) <= 38 eps
+    ((1 + |z|)^2 d + 1).  The computed s(a), and s(b) e^(Re b - Re a)
+    with s(b)'s phase, lie within err(a) and e^(1/2) err(b) of g's path,
+    and L, h and |s(a)| round by 15 u |s(a)|: e(z) = _ROUNDING ((1 +
+    |z|)^2 d + 1) needs _ROUNDING >= 63 eps; 256 eps is four times over.
+    The points keep an edge's fixed coordinate exactly and end on its
+    corners, so the terms sum to 2 pi times the count; along an edge
+    they stray by ~eps |z|, <= 2e-11 within the budget's perimeter, far
+    under _SIMPLE_CLEARANCE.
+
+    ValueError: an unproven segment shorter than _FLOOR (1 + |a|), or 0
+    within _CLEARANCE of the contour (proven segments shrink as delta^2
+    at a distance delta from 0: an edge costs ~1/delta values of f).
+    RuntimeError: past _WALK_BUDGET segments.
     """
-    corners = [complex(region.x0, region.y0), complex(region.x1, region.y0),
-               complex(region.x1, region.y1), complex(region.x0, region.y1),
-               complex(region.x0, region.y0)]
+    x0, x1, y0, y1 = region.x0, region.x1, region.y0, region.y1
+    corners = [complex(x0, y0), complex(x1, y0), complex(x1, y1),
+               complex(x0, y1), complex(x0, y0)]
     total = 0.0
     budget = _WALK_BUDGET
     for a, b in zip(corners[:-1], corners[1:]):
@@ -370,44 +371,48 @@ def argument_principle_count(eq: CharEq, region: Region) -> int:
         # the point of the edge nearest 0
         near = complex(min(max(0.0, min(a.real, b.real)), max(a.real, b.real)),
                        min(max(0.0, min(a.imag, b.imag)), max(a.imag, b.imag)))
-        limit = max(abs(b - a) / n / 4.0, _ORIGIN_CLEARANCE)
-        if abs(near) < limit:
-            raise ValueError(f"the double root at 0 lies {abs(near):.3g} from "
-                             f"the contour, nearer than the walk resolves "
-                             f"({limit:.3g})")
-        # the first level's n segments meet the budget before their
-        # n + 1 points are evaluated, as the pass below would meet them
+        if abs(near) < _CLEARANCE:
+            raise ValueError(f"the double root at 0 lies {abs(near):.3g} "
+                             f"from the contour, nearer than {_CLEARANCE:.3g}")
+        # the first level meets the budget before its points are evaluated
         if budget - n <= 0:
             raise RuntimeError("argument-principle walk did not converge")
-        # t = i / n as numpy.linspace rounds it, i * (1 / n), and 1 last
+        # t = i / n as numpy.linspace rounds it, i * (1 / n), and b last
         step = 1.0 / n
-        pts = [a + (b - a) * (i * step) for i in range(n)] + [a + (b - a)]
-        vals = [eq.scaled_value(p) for p in pts]
-        level = list(zip(pts, pts[1:], vals, vals[1:]))
-        # one level of segments per pass: each too-coarse one is halved
-        # into the next level, the others add their phase jump
+        pts = [_point(eq, a + (b - a) * (i * step)) for i in range(n)]
+        level = list(zip(pts, pts[1:] + [_point(eq, b)]))
         while level:
             budget -= len(level)
             if budget <= 0:
                 raise RuntimeError("argument-principle walk did not converge")
             finer = []
-            for za, zb, fa, fb in level:
-                if min(abs(fa), abs(fb)) < 1e-12:
+            for pa, pb in level:
+                (za, fa, ea, ma), (zb, fb, eb, mb) = pa, pb
+                xa, xb = za.real, zb.real
+                x = xa if xa > 0.0 else 0.0
+                lip = ((ma if ma > mb else mb) * math.exp(-x)
+                       + math.exp((xa if xa > xb else xb) - x))
+                if lip * abs(zb - za) + ea + eb < abs(fa):
+                    total += cmath.phase(fb / fa)
+                elif abs(zb - za) < _FLOOR * (1.0 + abs(za)):
                     raise ValueError(
                         "characteristic zero too close to the contour")
-                dphi = cmath.phase(fb / fa)
-                if abs(dphi) > 0.8 and abs(zb - za) > 1e-12:
-                    zm = 0.5 * (za + zb)
-                    fm = eq.scaled_value(zm)
-                    finer += [(za, zm, fa, fm), (zm, zb, fm, fb)]
                 else:
-                    total += dphi
+                    pm = _point(eq, 0.5 * (za + zb))
+                    finer += [(pa, pm), (pm, pb)]
             level = finer
-    winding = total / (2.0 * math.pi)
-    count = int(round(winding))
-    if abs(winding - count) > 0.05:
-        raise RuntimeError(f"non-integer winding {winding!r}; contour too coarse")
+    count = round(total / _TWO_PI)
+    if abs(total / _TWO_PI - count) > 0.05:
+        raise RuntimeError(f"non-integer winding {total / _TWO_PI!r}")
     return count
+
+
+def _point(eq: CharEq, z: complex) -> tuple:
+    """(z, s(z), e(z), |2z + 1|) for the winding walk."""
+    r = 1.0 + abs(z)
+    damp = math.exp(-z.real) if z.real > 0.0 else 1.0
+    return (z, eq.scaled_value(z), _ROUNDING * (r * r * damp + 1.0),
+            abs(2.0 * z + 1.0))
 
 
 # ---------------------------------------------------------------------
@@ -449,7 +454,7 @@ def spectrum(beta: float, count: int = 10) -> Spectrum:
         raise RuntimeError("spectrum branches misordered")
     strip = Region(-3.0, max(w.real for w in found) + 3.0,
                    0.5, found[-1].imag + math.pi)
-    _certify(eq, strip, list(upper.values()), _ORIGIN_CLEARANCE)
+    _certify(eq, strip, list(upper.values()))
     # the least-squares line through (n, eta_n), about the centroid
     ns = range(1, count + 1)
     n_mean, eta_mean = sum(ns) / count, sum(etas) / count
@@ -477,15 +482,10 @@ def render_domain_coloring(eq: CharEq, region: Region,
     fans.  Pixel centers sample the region with row 0 at Im = y1 (image
     convention).
 
-    The grid is separable: CharEq builds f from libm's expm1(x),
-    exp(x), e^(-max(x, 0)), cos(y), sin(y) and sin(y/2), so those are
-    taken once per column and per row (_grid_values) and f and its
-    rescaled value come out bit for bit as CharEq.value and
-    CharEq.scaled_value give them, without a complex exponential per
-    pixel.  The coloring then runs in slabs of _RENDER_ROWS rows
-    (render_slabs) written into one image, so its float temporaries
-    stay small.  Pure elementwise float math: byte-identical output for
-    identical inputs.
+    f's libm factors are taken once per column and per row, bit for bit
+    CharEq's (_grid_values), and the coloring runs in slabs of
+    _RENDER_ROWS rows (render_slabs) written into one image.  Pure
+    elementwise float math: byte-identical output for identical inputs.
     """
     import numpy as np
     count, slab = render_slabs(region, size)
@@ -525,7 +525,9 @@ def render_slabs(region: Region, size: tuple[int, int]):
             r0 = (yield pixels) * _RENDER_ROWS
             with np.errstate(all="ignore"):
                 v, f = _grid_values(cols, ys[r0:r0 + _RENDER_ROWS])
-                hue = (np.angle(f) / (2.0 * math.pi)) % 1.0
+                # in [-0.5, 0.5], where numpy's "% 1.0" is this add
+                hue = np.angle(f) / (2.0 * math.pi)
+                hue = np.where(hue < 0.0, hue + 1.0, hue)
                 mag = np.abs(v)
                 band = np.where(np.isfinite(mag) & (mag < 2.0 ** 52),
                                 mag - np.floor(mag), 1.0)
@@ -594,16 +596,17 @@ def _grid_values(cols, ys):
 def _hsv_to_rgb(h, s, v):
     """(..., 3) RGB of same-shape h, s, v arrays, h in [0, 1]."""
     import numpy as np
-    # (r, g, b) of hue sector floor(6 h) mod 6, as indices into (v, p, q, t)
+    # (r, g, b) of hue sector floor(6 h), as indices into (v, p, q, t);
+    # sector 6 (h = 1) is sector 0
     sectors = np.array([[0, 3, 1], [2, 0, 1], [1, 0, 3],
-                        [1, 2, 0], [3, 1, 0], [0, 1, 2]])
+                        [1, 2, 0], [3, 1, 0], [0, 1, 2], [0, 3, 1]])
     i = np.floor(h * 6.0)
     fr = h * 6.0 - i
     p = v * (1.0 - s)
     q = v * (1.0 - s * fr)
     t = v * (1.0 - s * (1.0 - fr))
     # one flat take: pixel k's candidates sit at 4k .. 4k + 3
-    pick = sectors.take(i.astype(int) % 6, axis=0)
+    pick = sectors.take(i.astype(int), axis=0)
     pick += np.arange(0, 4 * h.size, 4).reshape(h.shape + (1,))
     return np.stack([v, p, q, t], axis=-1).take(pick)
 

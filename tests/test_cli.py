@@ -511,6 +511,25 @@ def test_shared_formatting_prints_each_value_alone(case):
     assert out.getvalue() == want
 
 
+def test_increasing_columns_are_not_sorted(capsys, monkeypatch):
+    # a column that strictly increases cannot repeat a value, so it is
+    # formatted per value without np.unique: the t column always, and a
+    # uniform run's x.  The 103,001-row filtered uniform CSV has eight
+    # blocks of five columns, and sorts three columns of each
+    calls = []
+    unique = np.unique
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counted)
+    code, out, _ = _run(capsys, "simulate", "--seed", "uniform", "--beta",
+                        "0.3", "--tend", "100", "--out", "-")
+    assert code == 0 and out.count("\n") == 1 + 103001
+    assert len(calls) == 3 * 8
+
+
 def _forks(monkeypatch):
     # two CPUs allowed whatever the machine, and two lists that gain an
     # entry at each os.fork and each os.waitpid, the latter its result

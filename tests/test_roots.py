@@ -722,6 +722,19 @@ def test_roots_on_the_edge_belong_to_the_region(bounds):
     assert rs.seeds_total >= rs.seeds_converged == 1
 
 
+@pytest.mark.parametrize("k", [30, 1000, 15000])
+def test_edges_through_a_high_ladder_root_belong_to_the_region(k):
+    # certification moves such an edge 1e-9 off the root, where the
+    # proof must still pass: its rounding allowance is damped as the
+    # rescaled f is (e^Re z ~ |z|^2 there), and its floor, 2^-48 (1 +
+    # |z|), stays under 1e-9 up to |z| ~ 1e5
+    z = rootsmod._upper_branches(CharEq(), {k})[k].value
+    for bounds in [(-1.0, z.real, z.imag - 5.0, z.imag + 5.0),
+                   (z.real - 1.0, z.real + 1.0, z.imag, z.imag + 3.0)]:
+        assert [r.value for r in find_roots(CharEq(),
+                                            Region(*bounds)).roots] == [z]
+
+
 @pytest.mark.parametrize("bounds", [(0.0, 3.0, -1.0, 1.5),
                                     (-1e-3, 3.0, -1.0, 1.5),
                                     (1e-3, 3.0, -1.0, 1.5),
@@ -740,9 +753,23 @@ def test_winding_walk_counts_the_origin_a_quarter_step_off():
     assert argument_principle_count(CharEq(), reg) == 3
 
 
+def _segment_proven(za, zb, fa):
+    # the winding walk's segment rule: the bound on |f'|, damped as the
+    # rescaled f is at za, and the rounding allowances at both ends keep
+    # f off 0 along [za, zb]
+    def allowance(z):
+        return rootsmod._ROUNDING * (
+            (1.0 + abs(z)) ** 2 * math.exp(-max(z.real, 0.0)) + 1.0)
+
+    xa = max(za.real, 0.0)
+    bound = (max(abs(2.0 * za + 1.0), abs(2.0 * zb + 1.0)) * math.exp(-xa)
+             + math.exp(max(za.real, zb.real) - xa))
+    return bound * abs(zb - za) + allowance(za) + allowance(zb) < abs(fa)
+
+
 def _stack_walk_count(eq, region):
     # the winding walk one segment at a time, popped off a stack, with
-    # the package's budget, |f| guard and origin guard
+    # the package's budget, origin clearance, floor and segment rule
     corners = [complex(region.x0, region.y0), complex(region.x1, region.y0),
                complex(region.x1, region.y1), complex(region.x0, region.y1),
                complex(region.x0, region.y0)]
@@ -752,9 +779,10 @@ def _stack_walk_count(eq, region):
         n = rootsmod._edge_steps(abs(b - a))
         near = complex(min(max(0.0, min(a.real, b.real)), max(a.real, b.real)),
                        min(max(0.0, min(a.imag, b.imag)), max(a.imag, b.imag)))
-        if abs(near) < max(abs(b - a) / n / 4.0, rootsmod._ORIGIN_CLEARANCE):
+        if abs(near) < rootsmod._CLEARANCE:
             raise ValueError("double root at 0 near the contour")
         pts = (a + (b - a) * np.linspace(0.0, 1.0, n + 1)).tolist()
+        pts[-1] = b
         vals = [eq.scaled_value(p) for p in pts]
         stack = [(pts[i], pts[i + 1], vals[i], vals[i + 1]) for i in range(n)]
         while stack:
@@ -762,21 +790,109 @@ def _stack_walk_count(eq, region):
             if budget <= 0:
                 raise RuntimeError("argument-principle walk did not converge")
             za, zb, fa, fb = stack.pop()
-            if min(abs(fa), abs(fb)) < 1e-12:
+            if _segment_proven(za, zb, fa):
+                total += np.angle(fb / fa)
+            elif abs(zb - za) < rootsmod._FLOOR * (1.0 + abs(za)):
                 raise ValueError("characteristic zero too close to the contour")
-            dphi = np.angle(fb / fa)
-            if abs(dphi) > 0.8 and abs(zb - za) > 1e-12:
+            else:
                 zm = 0.5 * (za + zb)
                 fm = eq.scaled_value(zm)
                 stack.append((za, zm, fa, fm))
                 stack.append((zm, zb, fm, fb))
-            else:
-                total += dphi
     winding = total / (2.0 * math.pi)
     count = int(round(winding))
     if abs(winding - count) > 0.05:
         raise RuntimeError(f"non-integer winding {winding!r}")
     return count
+
+
+_FIX = 200   # bits after the binary point of _scaled_f_exact's values
+
+
+def _scaled_f_exact(a, b, m=256):
+    # e^(-max(Re a, 0)) f at a + (b - a) k / m, k = 0 .. m, within
+    # ~1e-50: the exponentials from mpmath at 60 digits, z^2 + z + 1 and
+    # the products in binary fixed point (ints scaled by 2^_FIX), as
+    # (re, im) pairs of those ints
+    import mpmath
+    one = 1 << _FIX
+
+    def fix(v):
+        return int(mpmath.mpf(v) * one)
+
+    with mpmath.workdps(60):
+        x = max(a.real, 0.0)
+        damp = fix(mpmath.exp(-x))
+        e = mpmath.exp(mpmath.mpc(a) - x)
+        w = mpmath.exp((mpmath.mpc(b) - mpmath.mpc(a)) / m)
+        er, ei, wr, wi = fix(e.real), fix(e.imag), fix(w.real), fix(w.imag)
+    zr, zi = fix(a.real), fix(a.imag)
+    dr, di = (fix(b.real) - zr) // m, (fix(b.imag) - zi) // m
+    out = []
+    for k in range(m + 1):
+        pr, pi = zr + k * dr, zi + k * di
+        qr = ((pr * pr - pi * pi) >> _FIX) + pr + one
+        qi = ((2 * pr * pi) >> _FIX) + pi
+        out.append((((qr * damp) >> _FIX) - er, ((qi * damp) >> _FIX) - ei))
+        er, ei = (er * wr - ei * wi) >> _FIX, (er * wi + ei * wr) >> _FIX
+    return out
+
+
+def _proven_segments(rng, per_kind):
+    # per_kind segments of each kind that the walk's rule accepts: along
+    # an axis, 1e-6 to 0.5 long, from random points, from points 1e-3
+    # to 1 off a census root, across Re z = 0, and at Re z in [690, 760]
+    eq = CharEq()
+    roots = [r.value for r in
+             find_roots(eq, Region(-10.0, 10.0, -100.0, 100.0)).roots]
+    starts = {
+        "random": lambda: complex(rng.uniform(-5.0, 20.0),
+                                  rng.uniform(-300.0, 300.0)),
+        "root": lambda: roots[rng.integers(len(roots))] + cmath.rect(
+            10.0 ** rng.uniform(-3.0, 0.0), rng.uniform(0.0, 2.0 * math.pi)),
+        "axis": lambda: complex(0.0, rng.uniform(-50.0, 50.0)),
+        "far": lambda: complex(rng.uniform(690.0, 760.0),
+                               rng.uniform(-300.0, 300.0)),
+    }
+    segments = []
+    for kind, start in starts.items():
+        kept = 0
+        for _ in range(50 * per_kind):
+            a = start()
+            h = 10.0 ** rng.uniform(-6.0, math.log10(0.5))
+            if kind == "axis":
+                a -= h * rng.uniform(0.0, 1.0)
+            step = 1.0 if kind == "axis" else (1.0, -1.0, 1j, -1j)[
+                rng.integers(4)]
+            b = a + h * step
+            if _segment_proven(a, b, eq.scaled_value(a)):
+                segments.append((a, b))
+                kept += 1
+                if kept == per_kind:
+                    break
+        assert kept == per_kind, kind
+    return segments
+
+
+def test_segment_rule_is_proven_by_exact_values():
+    # the rule's premise, checked by an independent route: on every
+    # segment it accepts, the exact f at 257 points stays in the disc
+    # |f(z) - f(a)| < |f(a)|, which misses 0, and the phase turn summed
+    # over those points' steps is the walk's principal angle
+    pytest.importorskip("mpmath")
+    eq = CharEq()
+    segments = _proven_segments(np.random.default_rng(20261020), 500)
+    assert len(segments) == 2000
+    for a, b in segments:
+        vals = _scaled_f_exact(a, b)
+        ar, ai = vals[0]
+        for vr, vi in vals[1:]:
+            assert (vr - ar) ** 2 + (vi - ai) ** 2 < ar * ar + ai * ai
+        turn = sum(math.atan2(float(ur * vi - ui * vr),
+                              float(ur * vr + ui * vi))
+                   for (ur, ui), (vr, vi) in zip(vals, vals[1:]))
+        assert abs(turn - cmath.phase(eq.scaled_value(b)
+                                      / eq.scaled_value(a))) < 1e-9
 
 
 def _walk_outcome(walk, bounds):
@@ -826,10 +942,13 @@ def test_winding_walk_evaluations(monkeypatch, bounds, calls):
 
 
 def test_winding_walk_stops_at_its_budget(monkeypatch):
-    # 2 * (64 + 100,000) first steps, past the budget of 200,000
+    # 2 * (64 + 100,002) first steps, past the budget of 200,000
     # segments.  The last edge's first level is refused before its
-    # points are evaluated: the walk takes 100,135 values of f where it
-    # took 200,138 when each edge evaluated first and counted after
+    # points are evaluated: the walk takes 100,139 values of f where it
+    # took 200,138 when each edge evaluated first and counted after.
+    # The proof halves the right edge's six first steps over Im z in
+    # [-1, 2], where |f(3 + iy)| is least; the 0.8 rad rule halved two
+    # of them (100,135 values)
     taken = [0]
     scaled = CharEq.scaled_value
 
@@ -840,7 +959,52 @@ def test_winding_walk_stops_at_its_budget(monkeypatch):
     monkeypatch.setattr(CharEq, "scaled_value", counted)
     with pytest.raises(RuntimeError, match="walk did not converge"):
         argument_principle_count(CharEq(), Region(-1.0, 3.0, -1.0, 5e4))
-    assert 0 < taken[0] <= 100135
+    assert 0 < taken[0] <= 100139
+
+
+def _counting(monkeypatch):
+    taken = [0]
+    scaled = CharEq.scaled_value
+
+    def counted(self, z):
+        taken[0] += 1
+        return scaled(self, z)
+
+    monkeypatch.setattr(CharEq, "scaled_value", counted)
+    return taken
+
+
+@pytest.mark.parametrize("bounds, calls", [
+    ((0.0, 3.0, -1.0, 1.0), 1631), ((-1.0, 3.0, 0.0, 1.0), 1371),
+    ((0.0, 3.0, -1.0, 1.5), 1553), ((0.0, 3.0, 0.0, 3.0), 2593),
+    ((-1.0, dominant_real_root(), -1.0, 0.0), 2259),
+    ((-1e-6, 1e-6, -1e-6, 1e-6), 7933)])
+def test_census_evaluations_beside_the_origin(monkeypatch, bounds, calls):
+    # the walk's work, as measured: the proof walks the contour that
+    # certification keeps _CLEARANCE max(side, 1) off 0 in segments that
+    # shrink as the square of their distance from 0, at ~1/distance
+    # values of f an edge.  A rule that proves more or fewer segments
+    # takes another count.  The 0.8 rad rule took 261 to 298 here
+    taken = _counting(monkeypatch)
+    find_roots(CharEq(), Region(*bounds))
+    assert taken[0] == calls
+
+
+@pytest.mark.parametrize("bounds, calls", [
+    ((0.0, 3.0, -1.0, 1.5), 195), ((-3.0, 3.0, -1.0, 0.0), 130),
+    ((-1e-6, 1e-6, -1e-6, 1e-6), 0),
+    ((dominant_real_root(), 3.0, -1.0, 1.0), 1200),
+    ((-1.0, dominant_real_root(), -1.0, 1.0), 1070)])
+def test_winding_walk_refusal_evaluations(monkeypatch, bounds, calls):
+    # a refusal's work, as measured: an edge within _CLEARANCE of 0 is
+    # refused before its points are evaluated.  An edge through the
+    # real root halves the segments about it down to the floor, 2^-48
+    # (1 + |z|) long; the 0.8 rad rule's 1e-12 guard stopped it at 260
+    # and 130 values
+    taken = _counting(monkeypatch)
+    with pytest.raises(ValueError, match="double root at 0|too close"):
+        argument_principle_count(CharEq(), Region(*bounds))
+    assert taken[0] == calls
 
 
 def test_census_counts_branches():
