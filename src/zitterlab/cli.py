@@ -8,14 +8,9 @@ files.  A CSV streams in row blocks, each computed (the simulate
 residual audit included), formatted and written in one pass, with each
 distinct value of an array column formatted once per block; a PPM
 streams in slabs of image rows, each rendered and written in one pass.
-Output of more than one block is made on two CPUs where it can: when
-the output has an OS file descriptor (a file, or a stdout that is a
-pipe, file or terminal) and the process may run on two CPUs, the CLI
-forks a child that makes every other block and hands it back whole
-over a pipe; the CLI alone writes (_write_blocks).  The bytes, and on
-failure the file prefix, stderr line and exit code, are those of one
-process.  Exit codes: 0 success, 1 a computation failed or a check did
-not pass, 2 bad usage.
+On a failure the blocks before the failing one are written.  Exit
+codes: 0 success, 1 a computation failed or a check did not pass, 2 bad
+usage.
 
 A constants file (flat `key = value`, see model.CONFIG_KEYS) can be
 supplied with --constants or the ZITTERLAB_CONSTANTS variable; it is
@@ -46,7 +41,6 @@ import math
 import os
 import re
 import sys
-import warnings
 
 from .model import (
     ConstantsError,
@@ -165,18 +159,8 @@ def _write_text(path: str, text: str) -> None:
 # Rows per block of _write_csv at most: each block is computed,
 # formatted and written in one pass, so no full-length column or
 # whole-file text is held.  Fewer would spread the light-cone solve's
-# numpy calls over fewer times.  Where the output is an OS file and two
-# CPUs are allowed, a forked child formats every other block and the
-# CLI writes them all (_write_blocks).
+# numpy calls over fewer times.
 _CSV_BLOCK = 16384
-
-
-def _block_count(n: int, most: int) -> int:
-    """The number of blocks of at most `most` items each that n items
-    take, made even when more than one, so that the CLI and a forked
-    child take as many blocks."""
-    count = -(-n // most)
-    return count + count % 2 if count > 1 else count
 
 
 def _write_csv(path: str, header: str, n: int, columns,
@@ -188,10 +172,10 @@ def _write_csv(path: str, header: str, n: int, columns,
     block, an array column whose values repeat has each distinct value
     formatted once (_shared_text); the others are formatted per value."""
     width = header.count(",") + 1
-    count = _block_count(n, _CSV_BLOCK)
-    size = -(-n // count) if count else 0
+    count = -(-n // _CSV_BLOCK)
+    size = -(-n // count) if count else 0   # the last block maybe shorter
 
-    def text(j: int) -> str:
+    def text(j: int) -> str:   # a block's temporaries go as it returns
         cols = columns(slice(j * size, (j + 1) * size))
         values = [0.0] * (width * len(cols[0]))
         spec = ["%.17g"] * width
@@ -210,7 +194,8 @@ def _write_csv(path: str, header: str, n: int, columns,
 
     with _open_out(path) as fh:
         fh.write(header + "\n")
-        _write_blocks(fh, count, text)
+        for j in range(count):
+            fh.write(text(j))
 
 
 def _shared_text(col) -> tuple[str, list]:
@@ -231,94 +216,6 @@ def _shared_text(col) -> tuple[str, list]:
     text = ("\n".join(["%.17g"] * bits.size)
             % tuple(bits.view(np.float64).tolist())).split("\n")
     return "%s", np.array(text, dtype=object)[place].tolist()
-
-
-def _write_blocks(fh, count: int, block) -> None:
-    """Write block(0), ..., block(count - 1) to fh, in that order: str
-    blocks to a text stream, bytes blocks to a binary one.
-
-    Only this process writes fh.  Where _forkable allows, a forked child
-    makes the odd blocks (_write_forked).  From the first block it did
-    not hand over whole, every block is made here, so a failure raises
-    as it would with no child, with the blocks before it written."""
-    start = _write_forked(fh, count, block) if _forkable(fh, count) else 0
-    for j in range(start, count):
-        fh.write(block(j))
-
-
-def _forkable(fh, count: int) -> bool:
-    """Whether count blocks written to fh are worth a forked child that
-    makes half of them on a CPU of its own."""
-    if count < 2 or not (hasattr(os, "fork")
-                         and hasattr(os, "sched_getaffinity")):
-        return False
-    try:
-        fh.fileno()
-    except (OSError, ValueError):   # io.UnsupportedOperation is both
-        return False
-    return len(os.sched_getaffinity(0)) > 1
-
-
-def _write_forked(fh, count: int, block) -> int:
-    """Write count (even) blocks to fh, the odd ones made by a forked
-    child and sent here as frames of bytes over a pipe, and return the
-    first block not written: count, or the first frame cut short.  The
-    child writes only the pipe and ends with os._exit, so no buffer it
-    inherited reaches an output; it is reaped before this returns or
-    raises."""
-    # the bytes under a text stream; a binary stream takes them itself
-    raw = getattr(fh, "buffer", fh)
-    read_fd, write_fd = os.pipe()
-    with warnings.catch_warnings():
-        # Python 3.12 warns that a child forked from a threaded process
-        # (OpenBLAS starts a pool where OPENBLAS_NUM_THREADS allows more
-        # than one thread) may deadlock in those threads' locks; the
-        # child makes no BLAS call
-        warnings.simplefilter("ignore", DeprecationWarning)
-        pid = os.fork()
-    if pid == 0:
-        try:
-            os.close(read_fd)
-            with open(write_fd, "wb") as frames:
-                for j in range(1, count, 2):
-                    data = block(j)
-                    _send_frame(frames, data if raw is fh
-                                else data.encode(fh.encoding))
-        finally:
-            os._exit(0)
-    os.close(write_fd)
-    try:
-        with open(read_fd, "rb") as frames:
-            for j in range(0, count, 2):
-                fh.write(block(j))
-                frame = _read_frame(frames)
-                if frame is None:   # the child stopped at block j + 1
-                    return j + 1
-                fh.flush()   # block j goes out before the frame
-                raw.write(frame)
-                del frame   # one frame is held at a time
-        return count
-    finally:
-        os.waitpid(pid, 0)   # the pipe is closed, so the child ends
-
-
-def _send_frame(frames, block: bytes) -> None:
-    """Send block as a frame: its length as 8 big-endian bytes, then it,
-    flushed, so no tail of it waits in the buffer for the next block."""
-    frames.write(len(block).to_bytes(8, "big"))
-    frames.write(block)
-    frames.flush()
-
-
-def _read_frame(frames) -> bytes | None:
-    """The block of the next frame on frames, or None if the stream ends
-    before the frame does."""
-    head = frames.read(8)
-    if len(head) < 8:
-        return None
-    size = int.from_bytes(head, "big")
-    block = frames.read(size)
-    return block if len(block) == size else None
 
 
 def _load_constants(path: str | None) -> PhysicalConstants:
@@ -346,8 +243,8 @@ def cmd_render(args, _constants) -> int:
     slabs, slab = render_slabs(args.region, args.size)
     with _open_out(args.out, binary=True) as fh:
         fh.write(ppm_header(args.size))
-        _write_blocks(fh, _block_count(slabs, 1),
-                      lambda j: slab(j).tobytes())
+        for j in range(slabs):
+            fh.write(slab(j).tobytes())
     return 0
 
 
@@ -428,17 +325,14 @@ def _simulate_report(args, traj, drift: float) -> tuple[str, str | None]:
         rec("saturation_amplitude", peak, None,
             f"peak |beta - drift| over the forward run; run {state}"),
     ]
-    flips = sign_changes(b)
-    if flips >= 4:
-        try:
+    peaks = []
+    if sign_changes(b) >= 4:
+        with contextlib.suppress(TooFewSamplesError):
             peaks = estimate_spectrum(traj, (0.0, reached))
-            for p in peaks:
-                lines.append(rec("peak_frequency", p.frequency, None,
-                                 "Hann-window spectral peak, cycles per "
-                                 "time unit"))
-        except TooFewSamplesError:
-            flips = 0
-    if flips < 4:
+    for p in peaks:
+        lines.append(rec("peak_frequency", p.frequency, None,
+                         "Hann-window spectral peak, cycles per time unit"))
+    if not peaks:   # too few flips or samples, or no interior maximum
         lines.append(rec("peak_frequency", None, None,
                          "no oscillatory window to measure: the run is "
                          "monotone after the kick"))

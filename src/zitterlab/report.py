@@ -247,10 +247,11 @@ def _check_saturation_amplitude():
 def _check_oscillation_fundamental():
     from .dynamics import estimate_spectrum, sign_changes
     traj = _long_run_attempt()
-    if sign_changes(traj.beta[traj.t >= 0.0]) < 4:
-        return _ETA_FIRST / (2.0 * math.pi), None, None, True
-    got = estimate_spectrum(traj, (0.0, float(traj.t[-1])))
-    return _ETA_FIRST / (2.0 * math.pi), got[0].frequency, None, True
+    got = (estimate_spectrum(traj, (0.0, float(traj.t[-1])))
+           if sign_changes(traj.beta[traj.t >= 0.0]) >= 4 else [])
+    # null with fewer than 4 flips or no interior spectral maximum
+    return (_ETA_FIRST / (2.0 * math.pi), got[0].frequency if got else None,
+            None, True)
 
 
 # --- physical numbers ------------------------------------------------

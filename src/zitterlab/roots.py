@@ -302,7 +302,8 @@ def _certify(eq: CharEq, region: Region, roots: list[Root]) -> None:
 
     The contour is the region, each edge moved outward past every root
     nearer than _CLEARANCE max(side, 1) (0: the walk costs ~1/distance
-    values of f there) or _SIMPLE_CLEARANCE (any other root).
+    values of f there) or max(_SIMPLE_CLEARANCE, 2^-45 |z|) (any other
+    root z).
     """
     x0, x1, y0, y1 = region.x0, region.x1, region.y0, region.y1
     clear = _CLEARANCE * max(x1 - x0, y1 - y0, 1.0)
@@ -311,7 +312,10 @@ def _certify(eq: CharEq, region: Region, roots: list[Root]) -> None:
         edges = (x0, x1, y0, y1)
         for r in roots:
             z = r.value
-            d = clear if r.multiplicity > 1 else _SIMPLE_CLEARANCE
+            # a simple root: past the walk's floor 2^-48 (1 + |z|) and
+            # the root's own rounding eps |z|
+            d = (clear if r.multiplicity > 1 else
+                 max(_SIMPLE_CLEARANCE, 8.0 * _FLOOR * abs(z)))
             if y0 - d < z.imag < y1 + d:
                 x0 = z.real - d if abs(z.real - x0) < d else x0
                 x1 = z.real + d if abs(z.real - x1) < d else x1
@@ -353,8 +357,8 @@ def argument_principle_count(eq: CharEq, region: Region) -> int:
     |z|)^2 d + 1) needs _ROUNDING >= 63 eps; 256 eps is four times over.
     The points keep an edge's fixed coordinate exactly and end on its
     corners, so the terms sum to 2 pi times the count; along an edge
-    they stray by ~eps |z|, <= 2e-11 within the budget's perimeter, far
-    under _SIMPLE_CLEARANCE.
+    they stray by ~eps |z|, far under the 2^-45 |z| and _SIMPLE_CLEARANCE
+    that _certify keeps a simple root off the contour.
 
     ValueError: an unproven segment shorter than _FLOOR (1 + |a|), or 0
     within _CLEARANCE of the contour (proven segments shrink as delta^2
@@ -499,10 +503,10 @@ def render_domain_coloring(eq: CharEq, region: Region,
 def render_slabs(region: Region, size: tuple[int, int]):
     """The domain coloring of region at size (render_domain_coloring)
     in slabs of _RENDER_ROWS image rows, the last one maybe shorter:
-    (count, slab), slab(j) the uint8 (rows, W, 3) pixels of slab j, or
-    of no rows from j = count on.  The column factors are taken here,
-    once for every slab; a region whose pixel centres pass the float
-    range raises ValueError here, before any slab."""
+    (count, slab), slab(j) the uint8 (rows, W, 3) pixels of slab j for
+    j < count.  The column factors are taken here, once for every slab;
+    a region whose pixel centres pass the float range raises ValueError
+    here, before any slab."""
     import numpy as np
     w, h = size
     if w < 1 or h < 1:

@@ -50,11 +50,9 @@ class HermiteSpline:
 
     def __init__(self, x: np.ndarray, y: np.ndarray, dydx: np.ndarray):
         dx = np.diff(x)
-        slope = np.diff(y) / dx
-        t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
         self.x = x
-        self.c = np.stack((t / dx, (slope - dydx[:-1]) / dx - t,
-                           dydx[:-1], y[:-1]))
+        self.c = np.stack(_hermite_cubics(dx, np.diff(y) / dx, dydx[:-1],
+                                          dydx[1:], y[:-1]))
 
     def interval(self, t):
         """Index i of the interval [x_i, x_i+1) that holds each t, the end
@@ -74,6 +72,14 @@ class HermiteSpline:
         """First derivative: the rows (3 c0, 2 c1, c2), same power sum."""
         t = np.asarray(t, dtype=float)
         return cubic_slope(*self.cubics(self.interval(t)), t)
+
+
+def _hermite_cubics(dx, slope, d0, d1, y0):
+    """The rows (c0, c1, c2, c3) of the cubics on intervals of widths
+    dx and secants slope, through values y0 with slopes d0 at their
+    left knots and slopes d1 at their right ones."""
+    t = (d0 + d1 - 2 * slope) / dx
+    return t / dx, (slope - d0) / dx - t, d0, y0
 
 
 def cubic_value(c, knot, t):
@@ -145,9 +151,8 @@ def pchip_at(x: np.ndarray, y: np.ndarray, t: np.ndarray) -> np.ndarray:
     # is the interval index, the end intervals taking everything beyond
     i = x[1:-1].searchsorted(t, side="right")
     lo, hi = int(i[0]), int(i[-1]) + 1
-    dx, slope, d0 = h[lo:hi], m[lo:hi], d[lo:hi]
-    s = (d0 + d[lo + 1:hi + 1] - 2 * slope) / dx
-    c = (s / dx, (slope - d0) / dx - s, d0, y[lo:hi])
+    c = _hermite_cubics(h[lo:hi], m[lo:hi], d[lo:hi], d[lo + 1:hi + 1],
+                        y[lo:hi])
     j = i - lo
     return cubic_value([ck[j] for ck in c], x[lo:hi][j], t)
 

@@ -5,12 +5,12 @@ import json
 import math
 import os
 import shlex
-import signal
 import subprocess
 import sys
 import time
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,8 +20,9 @@ from hypothesis import strategies as st
 import zitterlab
 from zitterlab import cli
 from zitterlab import potential as potmod
+from zitterlab import report
 from zitterlab.cli import _count_arg, _size_arg, main
-from zitterlab.dynamics import propagate_filtered
+from zitterlab.dynamics import estimate_spectrum, propagate_filtered
 from zitterlab.model import (
     CONFIG_KEYS,
     ConstantsError,
@@ -39,7 +40,7 @@ from zitterlab.roots import (
     find_roots,
     render_domain_coloring,
 )
-from zitterlab.trajectory import SeedHistory
+from zitterlab.trajectory import SeedHistory, Trajectory
 
 
 def _run(capsys, *argv):
@@ -514,7 +515,7 @@ def test_shared_formatting_prints_each_value_alone(case):
 def test_increasing_columns_are_not_sorted(capsys, monkeypatch):
     # a column that strictly increases cannot repeat a value, so it is
     # formatted per value without np.unique: the t column always, and a
-    # uniform run's x.  The 103,001-row filtered uniform CSV has eight
+    # uniform run's x.  The 103,001-row filtered uniform CSV has seven
     # blocks of five columns, and sorts three columns of each
     calls = []
     unique = np.unique
@@ -527,60 +528,48 @@ def test_increasing_columns_are_not_sorted(capsys, monkeypatch):
     code, out, _ = _run(capsys, "simulate", "--seed", "uniform", "--beta",
                         "0.3", "--tend", "100", "--out", "-")
     assert code == 0 and out.count("\n") == 1 + 103001
-    assert len(calls) == 3 * 8
+    assert len(calls) == 3 * 7
 
 
-def _forks(monkeypatch):
-    # two CPUs allowed whatever the machine, and two lists that gain an
-    # entry at each os.fork and each os.waitpid, the latter its result
-    forks, reaps = [], []
-    fork, waitpid = os.fork, os.waitpid
-
-    def counted():
-        forks.append(None)
-        return fork()
-
-    def reaped(pid, options):
-        reaps.append(waitpid(pid, options))
-        return reaps[-1]
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(os, "fork", counted)
-    monkeypatch.setattr(os, "waitpid", reaped)
-    return forks, reaps
+# 100 rows: seven slabs of at most 16 rows
+_RENDER = ["render", "--region", "-1,3,-15,15", "--size", "64x100"]
 
 
-def test_two_process_csv_matches_rowwise_fmt(uniform_run, tmp_path,
-                                             monkeypatch):
-    # 13,001 rows at blocks of at most 2,000: seven blocks round up to
-    # eight of 1,626 rows, the last of 1,619
-    forks, reaps = _forks(monkeypatch)
-    monkeypatch.setattr(cli, "_CSV_BLOCK", 2000)
-    path = tmp_path / "run.csv"
-    cli._write_trajectory_csv(str(path), uniform_run)
-    assert len(forks) == 1
-    assert len(reaps) == 1
-    res = cli._residuals(uniform_run, slice(None))
-    _assert_same_text(path.read_text(),
-                      _rowwise_trajectory_csv(uniform_run, res))
+@pytest.fixture(scope="module")
+def render_ppm():
+    # the header, then the library's whole image
+    image = render_domain_coloring(CharEq(), Region(-1.0, 3.0, -15.0, 15.0),
+                                   (64, 100))
+    return b"P6\n64 100\n255\n" + image.tobytes()
 
 
-def test_no_fork_without_a_descriptor_or_a_second_block(
-        uniform_run, tmp_path, capsys, monkeypatch):
+def test_the_cli_writes_every_block_itself(uniform_run, render_ppm, tmp_path,
+                                           capsysbinary, monkeypatch):
+    # 13,001 rows at blocks of at most 2,000: seven blocks of 1,858 rows,
+    # the last of 1,853; and a render of seven slabs.  Each is written
+    # in this process, to a file and to stdout, as its reference
     def fork():
         raise AssertionError("forked")
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(os, "fork", fork)
     monkeypatch.setattr(cli, "_CSV_BLOCK", 2000)
-    # capsys's stdout has no file descriptor
-    text = _trajectory_csv(capsys, uniform_run)
-    monkeypatch.setattr(cli, "_CSV_BLOCK", uniform_run.t.size)
+    want = _rowwise_trajectory_csv(uniform_run,
+                                   cli._residuals(uniform_run, slice(None)))
     path = tmp_path / "run.csv"
     cli._write_trajectory_csv(str(path), uniform_run)
-    assert path.read_text() == text
+    _assert_same_text(path.read_text(), want)
+    cli._write_trajectory_csv("-", uniform_run)
+    out, err = capsysbinary.readouterr()
+    assert err == b""
+    _assert_same_text(out.decode(), want)
+    path = tmp_path / "r.ppm"
+    assert main(_RENDER + ["--out", str(path)]) == 0
+    assert path.read_bytes() == render_ppm
+    assert main(_RENDER + ["--out", "-"]) == 0
+    assert capsysbinary.readouterr() == (render_ppm, b"")
 
 
-# rows of the 13,001-row run whose residuals fail, in blocks of 1,626:
-# the child formats blocks 1 and 7 (the last), the CLI 2 and 6
+# rows of the 13,001-row run whose residuals fail, in blocks of 1,858:
+# blocks 1, 2, 5 and 6 (the last)
 @pytest.mark.parametrize("row, error", [
     (2000, OverflowError), (4000, MemoryError), (10000, OSError),
     (12000, ArithmeticError)], ids=["child", "parent", "parent-late",
@@ -595,168 +584,13 @@ def test_failing_block_fails_as_in_one_process(tmp_path, capsys, monkeypatch,
         return residuals(traj, k)
     monkeypatch.setattr(cli, "_residuals", failing)
     monkeypatch.setattr(cli, "_CSV_BLOCK", 2000)
-    argv = ["simulate", "--seed", "uniform", "--beta", "0.4", "--tend", "10"]
-    runs = []
-    for forked in (True, False):
-        with monkeypatch.context() as m:
-            forks, reaps = _forks(m)
-            if not forked:
-                m.setattr(cli, "_forkable", lambda fh, count: False)
-            path = tmp_path / f"{forked}.csv"
-            runs.append((_run(capsys, *argv, "--out", str(path)),
-                         path.read_text()))
-            assert len(forks) == forked
-            assert len(reaps) == forked
-    assert runs[0] == runs[1]
-    (code, out, err), text = runs[0]
+    path = tmp_path / "run.csv"
+    code, out, err = _run(capsys, "simulate", "--seed", "uniform", "--beta",
+                          "0.4", "--tend", "10", "--out", str(path))
     assert (code, out) == (1, "")
     assert err.startswith("zitterlab: ") and err.count("\n") == 1
     assert f"no residual at row {row}" in err
-    assert text.count("\n") == 1 + row // 1626 * 1626
-
-
-def test_a_cut_off_frame_yields_no_block():
-    # a stream that ends inside the 8-byte length or inside the block
-    # gives no block, so the CLI formats that block itself
-    stream = io.BytesIO()
-    cli._send_frame(stream, b"1,2\n" * 50)
-    frame = stream.getvalue()
-    assert cli._read_frame(io.BytesIO(frame)) == b"1,2\n" * 50
-    for cut in range(len(frame)):
-        assert cli._read_frame(io.BytesIO(frame[:cut])) is None
-
-
-@pytest.fixture(scope="module")
-def uniform_csv(uniform_run):
-    return _rowwise_trajectory_csv(uniform_run,
-                                   cli._residuals(uniform_run, slice(None)))
-
-
-def _killed_in_its_second_frame(monkeypatch):
-    # the child dies halfway through the body of its second frame (block
-    # 3), as the OOM killer might kill it
-    send = cli._send_frame
-    sent = []
-
-    def killed(frames, block):
-        if sent:
-            whole = io.BytesIO()
-            send(whole, block)
-            frames.write(whole.getvalue()[:8 + len(block) // 2])
-            frames.flush()
-            os.kill(os.getpid(), signal.SIGKILL)
-        sent.append(None)
-        send(frames, block)
-    monkeypatch.setattr(cli, "_send_frame", killed)
-
-
-def test_cut_off_frame_is_formatted_by_the_cli(uniform_run, uniform_csv,
-                                               tmp_path, monkeypatch):
-    # the CLI writes none of block 3 of 8 and formats blocks 3 to 7
-    # itself
-    forks, reaps = _forks(monkeypatch)
-    _killed_in_its_second_frame(monkeypatch)
-    monkeypatch.setattr(cli, "_CSV_BLOCK", 2000)
-    path = tmp_path / "run.csv"
-    cli._write_trajectory_csv(str(path), uniform_run)
-    assert len(forks) == 1
-    assert len(reaps) == 1
-    assert os.WTERMSIG(reaps[0][1]) == signal.SIGKILL
-    _assert_same_text(path.read_text(), uniform_csv)
-
-
-# 100 rows: seven slabs of at most 16 rows, in eight blocks, the last
-# one empty
-_RENDER = ["render", "--region", "-1,3,-15,15", "--size", "64x100"]
-
-
-@pytest.fixture(scope="module")
-def render_ppm():
-    # the one-process bytes: the header, then the library's whole image
-    image = render_domain_coloring(CharEq(), Region(-1.0, 3.0, -15.0, 15.0),
-                                   (64, 100))
-    return b"P6\n64 100\n255\n" + image.tobytes()
-
-
-def test_render_forks_for_a_file_only(render_ppm, tmp_path, capsysbinary,
-                                      monkeypatch):
-    forks, reaps = _forks(monkeypatch)
-    path = tmp_path / "r.ppm"
-    assert main(_RENDER + ["--out", str(path)]) == 0
-    assert len(forks) == 1
-    assert len(reaps) == 1
-    assert path.read_bytes() == render_ppm
-    # capsys's stdout has no file descriptor
-    assert main(_RENDER + ["--out", "-"]) == 0
-    assert len(forks) == 1
-    assert capsysbinary.readouterr() == (render_ppm, b"")
-
-
-def test_cut_off_render_frame_is_rendered_by_the_cli(render_ppm, tmp_path,
-                                                     monkeypatch):
-    # the CLI writes none of block 3 of 8 and renders blocks 3 to 7
-    # itself
-    forks, reaps = _forks(monkeypatch)
-    _killed_in_its_second_frame(monkeypatch)
-    path = tmp_path / "r.ppm"
-    assert main(_RENDER + ["--out", str(path)]) == 0
-    assert len(forks) == 1
-    assert len(reaps) == 1
-    assert os.WTERMSIG(reaps[0][1]) == signal.SIGKILL
-    assert path.read_bytes() == render_ppm
-
-
-class _PidLoggedFile(io.FileIO):
-    # a file that appends the id of the process behind each of its
-    # writes, whatever buffer it came through, to the side file NAME.pids
-    def write(self, b):
-        with open(self.name + ".pids", "a") as log:
-            log.write(f"{os.getpid()}\n")
-        return super().write(b)
-
-
-def test_only_the_cli_writes_the_csv(uniform_run, uniform_csv, tmp_path,
-                                     monkeypatch):
-    forks, reaps = _forks(monkeypatch)
-    monkeypatch.setattr(cli, "_CSV_BLOCK", 2000)
-    monkeypatch.setattr(cli, "_open_out", lambda path: io.TextIOWrapper(
-        io.BufferedWriter(_PidLoggedFile(path, "w")), encoding="utf-8",
-        newline=""))
-    path = tmp_path / "run.csv"
-    cli._write_trajectory_csv(str(path), uniform_run)
-    assert len(forks) == 1
-    assert len(reaps) == 1
-    pids = (tmp_path / "run.csv.pids").read_text().split()
-    assert pids and set(pids) == {str(os.getpid())}
-    _assert_same_text(path.read_text(), uniform_csv)
-
-
-def _warn_as_python_3_12_forks():
-    warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use "
-                  "of fork() may lead to deadlocks in the child.",
-                  DeprecationWarning)
-
-
-def test_python_3_12_fork_warning_is_ignored(uniform_run, uniform_csv,
-                                             tmp_path, monkeypatch):
-    # os.fork warns from a threaded process on Python 3.12, and under
-    # this suite's filterwarnings = error that warning raises unless the
-    # CLI ignores it around its fork
-    with pytest.raises(DeprecationWarning, match="multi-threaded"):
-        _warn_as_python_3_12_forks()
-    fork = os.fork
-
-    def warning_fork():
-        _warn_as_python_3_12_forks()
-        return fork()
-    monkeypatch.setattr(os, "fork", warning_fork)
-    forks, reaps = _forks(monkeypatch)
-    monkeypatch.setattr(cli, "_CSV_BLOCK", 2000)
-    path = tmp_path / "run.csv"
-    cli._write_trajectory_csv(str(path), uniform_run)
-    assert len(forks) == 1
-    assert len(reaps) == 1
-    _assert_same_text(path.read_text(), uniform_csv)
+    assert path.read_text().count("\n") == 1 + row // 1858 * 1858
 
 
 def _src_env(**extra):
@@ -769,8 +603,7 @@ def _src_env(**extra):
     return env
 
 
-# 33,001 rows: three blocks of at most 16,384 round up to four of 8,251,
-# the last of 8,248
+# 33,001 rows: three blocks of 11,001
 _MULTI_BLOCK = ["simulate", "--seed", "uniform", "--beta", "0.4", "--tend",
                 "30", "--out", "-"]
 
@@ -902,6 +735,33 @@ def test_simulate_report_keeps_its_records_when_the_rate_run_fails(capsys):
     assert recs[0]["target"] == dominant_real_root() / lorentz_gamma(0.99)
     assert recs[0]["detail"].endswith(f" [error: {failure}]")
     assert recs[1]["detail"].endswith("run completed to t = 1")
+
+
+def _alternating_run():
+    # 512 samples of beta = +-1e-3, the sign flipping at each (511
+    # flips): the power rises to the Nyquist bin, so the spectrum has no
+    # interior maximum and estimate_spectrum no peak
+    t = np.arange(512) * 0.01
+    beta = 1e-3 * (-1.0) ** np.arange(512)
+    traj = Trajectory(t, np.cumsum(beta) * 0.01, beta, np.zeros(512))
+    assert estimate_spectrum(traj, (0.0, float(t[-1]))) == []
+    return traj
+
+
+def test_simulate_report_without_a_spectral_peak():
+    args = SimpleNamespace(seed="uniform", amp=1e-6)
+    text, failed = cli._simulate_report(args, _alternating_run(), 0.0)
+    recs = [json.loads(line) for line in text.splitlines()]
+    assert failed is None
+    assert [r["record"] for r in recs] == [
+        "growth_rate", "saturation_amplitude", "peak_frequency"]
+    assert recs[2]["value"] is None
+
+
+def test_oscillation_fundamental_without_a_spectral_peak(monkeypatch):
+    monkeypatch.setattr(report, "_long_run_attempt", _alternating_run)
+    assert report._check_oscillation_fundamental() == (
+        report._ETA_FIRST / (2.0 * math.pi), None, None, True)
 
 
 def test_simulate_report_on_a_negative_drift(capsys):

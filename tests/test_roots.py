@@ -722,12 +722,13 @@ def test_roots_on_the_edge_belong_to_the_region(bounds):
     assert rs.seeds_total >= rs.seeds_converged == 1
 
 
-@pytest.mark.parametrize("k", [30, 1000, 15000])
+@pytest.mark.parametrize("k", [30, 1000, 15000, 100000, 1000000])
 def test_edges_through_a_high_ladder_root_belong_to_the_region(k):
-    # certification moves such an edge 1e-9 off the root, where the
-    # proof must still pass: its rounding allowance is damped as the
-    # rescaled f is (e^Re z ~ |z|^2 there), and its floor, 2^-48 (1 +
-    # |z|), stays under 1e-9 up to |z| ~ 1e5
+    # certification moves such an edge max(1e-9, 2^-45 |z|) off the
+    # root, where the proof must still pass: its rounding allowance is
+    # damped as the rescaled f is (e^Re z ~ |z|^2 there), and its floor,
+    # 2^-48 (1 + |z|), stays under that clearance at every |z|: 1e-9
+    # alone falls under it past |z| ~ 1e5 (branch 100,000, |z| ~ 6.3e5)
     z = rootsmod._upper_branches(CharEq(), {k})[k].value
     for bounds in [(-1.0, z.real, z.imag - 5.0, z.imag + 5.0),
                    (z.real - 1.0, z.real + 1.0, z.imag, z.imag + 3.0)]:
