@@ -543,24 +543,45 @@ def render_ppm():
     return b"P6\n64 100\n255\n" + image.tobytes()
 
 
-def test_the_cli_writes_every_block_itself(uniform_run, render_ppm, tmp_path,
-                                           capsysbinary, monkeypatch):
-    # 13,001 rows at blocks of at most 2,000: seven blocks of 1,858 rows,
-    # the last of 1,853; and a render of seven slabs.  Each is written
-    # in this process, to a file and to stdout, as its reference
+def _no_fork(monkeypatch):
+    # every block is made and written in this process
     def fork():
         raise AssertionError("forked")
     monkeypatch.setattr(os, "fork", fork)
+
+
+# The next three tests keep the names they had when a second process
+# made every other block; each now checks the one process's output
+
+def test_two_process_csv_matches_rowwise_fmt(uniform_run, tmp_path,
+                                             monkeypatch):
+    # 13,001 rows at blocks of at most 2,000: seven blocks of 1,858
+    # rows, the last of 1,853
+    _no_fork(monkeypatch)
     monkeypatch.setattr(cli, "_CSV_BLOCK", 2000)
-    want = _rowwise_trajectory_csv(uniform_run,
-                                   cli._residuals(uniform_run, slice(None)))
     path = tmp_path / "run.csv"
     cli._write_trajectory_csv(str(path), uniform_run)
-    _assert_same_text(path.read_text(), want)
-    cli._write_trajectory_csv("-", uniform_run)
-    out, err = capsysbinary.readouterr()
-    assert err == b""
-    _assert_same_text(out.decode(), want)
+    res = cli._residuals(uniform_run, slice(None))
+    _assert_same_text(path.read_text(),
+                      _rowwise_trajectory_csv(uniform_run, res))
+
+
+def test_no_fork_without_a_descriptor_or_a_second_block(
+        uniform_run, tmp_path, capsys, monkeypatch):
+    # seven blocks to stdout print the text of one block to a file
+    _no_fork(monkeypatch)
+    monkeypatch.setattr(cli, "_CSV_BLOCK", 2000)
+    text = _trajectory_csv(capsys, uniform_run)
+    monkeypatch.setattr(cli, "_CSV_BLOCK", uniform_run.t.size)
+    path = tmp_path / "run.csv"
+    cli._write_trajectory_csv(str(path), uniform_run)
+    assert path.read_text() == text
+
+
+def test_render_forks_for_a_file_only(render_ppm, tmp_path, capsysbinary,
+                                      monkeypatch):
+    # seven slabs, to a file and to stdout, give the library's image
+    _no_fork(monkeypatch)
     path = tmp_path / "r.ppm"
     assert main(_RENDER + ["--out", str(path)]) == 0
     assert path.read_bytes() == render_ppm
