@@ -239,12 +239,12 @@ def cmd_roots(args, _constants) -> int:
 
 def cmd_render(args, _constants) -> int:
     from .roots import ppm_header, render_slabs
-    # a region past the float range fails here, before the output exists
-    slabs, slab = render_slabs(args.region, args.size)
+    # a bad size or region fails here, before the output exists
+    slabs = render_slabs(args.region, args.size)
     with _open_out(args.out, binary=True) as fh:
         fh.write(ppm_header(args.size))
-        for j in range(slabs):
-            fh.write(slab(j).tobytes())
+        for pixels in slabs:
+            fh.write(pixels.tobytes())
     return 0
 
 
@@ -295,8 +295,7 @@ def _simulate_report(args, traj, drift: float) -> tuple[str, str | None]:
     """The --report records, and why the growth-rate run failed (None
     when it did not); a failed rate run leaves the other records."""
     import numpy as np
-    from .dynamics import (TooFewSamplesError, estimate_spectrum,
-                           perturbed_uniform_run, sign_changes)
+    from .dynamics import oscillation_peaks, perturbed_uniform_run
     gamma = lorentz_gamma(drift)
     target = dominant_real_root() / gamma
     kick = args.amp if args.seed != "uniform" else 1e-6
@@ -325,17 +324,12 @@ def _simulate_report(args, traj, drift: float) -> tuple[str, str | None]:
         rec("saturation_amplitude", peak, None,
             f"peak |beta - drift| over the forward run; run {state}"),
     ]
-    peaks = []
-    if sign_changes(b) >= 4:
-        with contextlib.suppress(TooFewSamplesError):
-            peaks = estimate_spectrum(traj, (0.0, reached))
+    peaks, why_none = oscillation_peaks(traj, drift)
     for p in peaks:
         lines.append(rec("peak_frequency", p.frequency, None,
                          "Hann-window spectral peak, cycles per time unit"))
-    if not peaks:   # too few flips or samples, or no interior maximum
-        lines.append(rec("peak_frequency", None, None,
-                         "no oscillatory window to measure: the run is "
-                         "monotone after the kick"))
+    if not peaks:
+        lines.append(rec("peak_frequency", None, None, why_none))
     return "\n".join(lines) + "\n", failed
 
 

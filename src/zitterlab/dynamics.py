@@ -561,6 +561,21 @@ def estimate_spectrum(traj: Trajectory,
             for f, p in zip((k + shift) * freqs[1], power[k])]
 
 
+def oscillation_peaks(traj: Trajectory,
+                      drift: float = 0.0) -> tuple[list[SpectralPeak], str]:
+    """The spectral peaks of beta - drift after t = 0 (estimate_spectrum
+    over [0, t1]), or no peaks and which case held: fewer than 4 sign
+    flips, fewer than 256 samples, or no interior maximum."""
+    if sign_changes(traj.beta[traj.t >= 0.0] - drift) < 4:
+        return [], ("no oscillatory window to measure: the run is "
+                    "monotone after the kick")
+    try:
+        peaks = estimate_spectrum(traj, (0.0, traj.t1))
+    except TooFewSamplesError as exc:
+        return [], f"too few samples for a spectrum: {exc}"
+    return peaks, "" if peaks else "the spectrum has no interior maximum"
+
+
 def perturbed_uniform_run(beta: float, kick: float = 1e-6) -> GrowthRate:
     """Growth rate of a mode-kicked drift state (lab-frame units c/d).
 

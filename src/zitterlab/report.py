@@ -225,16 +225,14 @@ def _long_run_attempt():
 
 
 def _check_long_run_bounded():
-    import numpy as np
     from .dynamics import sign_changes
     traj = _long_run_attempt()
-    fwd = traj.beta[traj.t >= 0.0]
     reached = float(traj.t[-1])
-    bounded = "aborted" not in traj.metadata and bool(
-        np.all(np.abs(fwd) < 1.0))
-    oscillates = sign_changes(fwd) >= 4
-    return 100.0, reached, 0.0, bool(bounded and oscillates
-                                     and reached >= 100.0)
+    # a Trajectory refuses |beta| >= 1 at every knot, so a run that did
+    # not abort stayed bounded
+    bounded = "aborted" not in traj.metadata
+    oscillates = sign_changes(traj.beta[traj.t >= 0.0]) >= 4
+    return 100.0, reached, 0.0, bounded and oscillates and reached >= 100.0
 
 
 def _check_saturation_amplitude():
@@ -245,11 +243,9 @@ def _check_saturation_amplitude():
 
 
 def _check_oscillation_fundamental():
-    from .dynamics import estimate_spectrum, sign_changes
-    traj = _long_run_attempt()
-    got = (estimate_spectrum(traj, (0.0, float(traj.t[-1])))
-           if sign_changes(traj.beta[traj.t >= 0.0]) >= 4 else [])
-    # null with fewer than 4 flips or no interior spectral maximum
+    from .dynamics import oscillation_peaks
+    # null with fewer than 4 flips or 256 samples, or no interior maximum
+    got, _ = oscillation_peaks(_long_run_attempt())
     return (_ETA_FIRST / (2.0 * math.pi), got[0].frequency if got else None,
             None, True)
 

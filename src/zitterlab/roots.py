@@ -487,26 +487,27 @@ def render_domain_coloring(eq: CharEq, region: Region,
     convention).
 
     f's libm factors are taken once per column and per row, bit for bit
-    CharEq's (_grid_values), and the coloring runs in slabs of
-    _RENDER_ROWS rows (render_slabs) written into one image.  Pure
-    elementwise float math: byte-identical output for identical inputs.
+    CharEq's (_grid_values), and the image is filled from render_slabs'
+    slabs of _RENDER_ROWS rows.  Pure elementwise float math:
+    byte-identical output for identical inputs.
     """
     import numpy as np
-    count, slab = render_slabs(region, size)
     w, h = size
     image = np.empty((h, w, 3), dtype=np.uint8)
-    for j in range(count):
-        image[j * _RENDER_ROWS:(j + 1) * _RENDER_ROWS] = slab(j)
+    r0 = 0
+    for pixels in render_slabs(region, size):
+        image[r0:r0 + len(pixels)] = pixels
+        r0 += len(pixels)
     return image
 
 
 def render_slabs(region: Region, size: tuple[int, int]):
-    """The domain coloring of region at size (render_domain_coloring)
-    in slabs of _RENDER_ROWS image rows, the last one maybe shorter:
-    (count, slab), slab(j) the uint8 (rows, W, 3) pixels of slab j for
-    j < count.  The column factors are taken here, once for every slab;
-    a region whose pixel centres pass the float range raises ValueError
-    here, before any slab."""
+    """The domain coloring of region at size (render_domain_coloring),
+    as an iterator of uint8 (rows, W, 3) slabs of _RENDER_ROWS image
+    rows each, the last one maybe shorter.  The size and the pixel
+    centres are checked here, when called: a bad size, or a region whose
+    pixel centres pass the float range, raises ValueError before any
+    slab is made.  The column factors are taken once for every slab."""
     import numpy as np
     w, h = size
     if w < 1 or h < 1:
@@ -516,35 +517,31 @@ def render_slabs(region: Region, size: tuple[int, int]):
         ys = region.y1 - (np.arange(h) + 0.5) * (region.y1 - region.y0) / h
     if not np.isfinite(np.concatenate([xs, ys])).all():
         raise ValueError(f"the pixel centres of {region} pass the float range")
-    cols = _column_factors(xs)
+    return _slabs(_column_factors(xs), ys)
 
-    def slabs():
-        # slab j for each j sent.  A slab's temporaries are released
-        # only as the next slab's replace them, as in a loop.  Released
-        # all at once, at a return, they left the heap's top free, the C
-        # allocator handed it back to the OS, and every 1600-wide slab
-        # faulted its ~5 MB in afresh: a third of its time
-        pixels = None
-        while True:
-            r0 = (yield pixels) * _RENDER_ROWS
-            with np.errstate(all="ignore"):
-                v, f = _grid_values(cols, ys[r0:r0 + _RENDER_ROWS])
-                # in [-0.5, 0.5], where numpy's "% 1.0" is this add
-                hue = np.angle(f) / (2.0 * math.pi)
-                hue = np.where(hue < 0.0, hue + 1.0, hue)
-                mag = np.abs(v)
-                band = np.where(np.isfinite(mag) & (mag < 2.0 ** 52),
-                                mag - np.floor(mag), 1.0)
-            bad = ~np.isfinite(f)
-            hue = np.where(bad, 0.0, hue)
-            val = np.where(bad, 1.0, 0.55 + 0.40 * band)
-            sat = np.where(bad, 0.0, 0.88)
-            rgb = _hsv_to_rgb(hue, sat, val)
-            pixels = np.clip(np.floor(rgb * 256.0), 0.0,
-                             255.0).astype(np.uint8)
-    slab = slabs()
-    next(slab)   # to the first yield
-    return -(-h // _RENDER_ROWS), slab.send
+
+def _slabs(cols, ys):
+    """render_slabs' slabs, one per _RENDER_ROWS rows of ys."""
+    import numpy as np
+    # A slab's temporaries are released only as the next slab's replace
+    # them.  Released all at once, at a return, they left the heap's top
+    # free, the C allocator handed it back to the OS, and every
+    # 1600-wide slab faulted its ~5 MB in afresh: a third of its time
+    for r0 in range(0, ys.size, _RENDER_ROWS):
+        with np.errstate(all="ignore"):
+            v, f = _grid_values(cols, ys[r0:r0 + _RENDER_ROWS])
+            # in [-0.5, 0.5], where numpy's "% 1.0" is this add
+            hue = np.angle(f) / (2.0 * math.pi)
+            hue = np.where(hue < 0.0, hue + 1.0, hue)
+            mag = np.abs(v)
+            band = np.where(np.isfinite(mag) & (mag < 2.0 ** 52),
+                            mag - np.floor(mag), 1.0)
+        bad = ~np.isfinite(f)
+        hue = np.where(bad, 0.0, hue)
+        val = np.where(bad, 1.0, 0.55 + 0.40 * band)
+        sat = np.where(bad, 0.0, 0.88)
+        rgb = _hsv_to_rgb(hue, sat, val)
+        yield np.clip(np.floor(rgb * 256.0), 0.0, 255.0).astype(np.uint8)
 
 
 def _column_factors(xs):

@@ -122,22 +122,16 @@ class KinPoly:
         return cls({exps: Q(1)})
 
     # -- ring operations ---------------------------------------------
-    def __add__(self, other):
-        if not isinstance(other, KinPoly):
-            other = KinPoly.const(other)
+    def __add__(self, other: "KinPoly") -> "KinPoly":
         out = dict(self.terms)
         for e, c in other.terms.items():
             _accumulate(out, e, c)
         return KinPoly(out)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return KinPoly({e: -c for e, c in self.terms.items()})
 
-    def __sub__(self, other):
-        if not isinstance(other, KinPoly):
-            other = KinPoly.const(other)
+    def __sub__(self, other: "KinPoly") -> "KinPoly":
         return self + (-other)
 
     def __rsub__(self, other):
@@ -168,9 +162,6 @@ class KinPoly:
         if isinstance(other, KinPoly):
             return self.mul(other)
         return KinPoly({e: c * Q(other) for e, c in self.terms.items()}) if other else KinPoly()
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -291,17 +282,12 @@ class TruncatedSeries:
         self._check(other)
         return replace(self, coeffs=tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __neg__(self):
-        return replace(self, coeffs=tuple(-a for a in self.coeffs))
-
     def scale(self, factor) -> "TruncatedSeries":
         if not isinstance(factor, KinPoly):
             factor = KinPoly.const(factor)
         return replace(self, coeffs=tuple(self._cmul(c, factor) for c in self.coeffs))
 
-    def __mul__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return self.scale(other)
+    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check(other)
         out = [KinPoly() for _ in range(self.order + 1)]
         for i, a in enumerate(self.coeffs):

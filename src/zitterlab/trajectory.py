@@ -6,11 +6,11 @@ beta_dot) plus dense evaluators.  Position uses cubic Hermite data
 stored velocity by construction; velocity uses (beta, beta_dot) the
 same way, and acceleration is the derivative of the velocity channel.
 
-HermiteSpline is the package's one piecewise cubic; pchip builds it as
-the monotone PCHIP of Fritsch & Carlson (1980, SIAM J. Numer. Anal.
-17:238).  The marchers resample with the same PCHIP through pchip_at,
-which shares its knot slopes (_pchip_slopes) and takes its values at
-grid rows without building the spline.
+HermiteSpline is the package's one piecewise cubic.  The marchers
+resample with the monotone PCHIP of Fritsch & Carlson (1980, SIAM J.
+Numer. Anal. 17:238) through pchip_at, which takes its knot slopes
+from _pchip_slopes and its values at grid rows from HermiteSpline's
+cubics, without building a spline.
 
 A SeedHistory prescribes the past of the particle on [-span, 0], which
 the delay equation needs before it can march forward.  Histories are
@@ -129,20 +129,11 @@ def _pchip_slopes(h: np.ndarray, m: np.ndarray) -> np.ndarray:
     return d
 
 
-def pchip(x: np.ndarray, y: np.ndarray) -> HermiteSpline:
-    """Monotone cubic through (x, y), at least three knots, with
-    _pchip_slopes' knot slopes."""
-    h = np.diff(x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d = _pchip_slopes(h, np.diff(y) / h)
-    return HermiteSpline(x, y, d)
-
-
 def pchip_at(x: np.ndarray, y: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """pchip(x, y)(t), bit for bit, at times t (at least one, in
-    increasing order) without building the spline: HermiteSpline's
-    cubics are formed only on the intervals from the first t's to the
-    last t's and summed by cubic_value.  Call under
+    """The monotone cubic through (x, y), at least three knots, with
+    _pchip_slopes' knot slopes, at times t (at least one, in increasing
+    order): HermiteSpline's cubics are formed only on the intervals from
+    the first t's to the last t's and summed by cubic_value.  Call under
     np.errstate(divide="ignore", invalid="ignore"), as _pchip_slopes."""
     h = x[1:] - x[:-1]      # np.diff, without its call overhead
     m = (y[1:] - y[:-1]) / h

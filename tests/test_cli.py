@@ -22,7 +22,11 @@ from zitterlab import cli
 from zitterlab import potential as potmod
 from zitterlab import report
 from zitterlab.cli import _count_arg, _size_arg, main
-from zitterlab.dynamics import estimate_spectrum, propagate_filtered
+from zitterlab.dynamics import (
+    estimate_spectrum,
+    propagate_filtered,
+    sign_changes,
+)
 from zitterlab.model import (
     CONFIG_KEYS,
     ConstantsError,
@@ -182,6 +186,26 @@ def test_report_timings_go_to_stderr_only(capsys, only):
     assert [line.split()[:3] for line in lines] == \
         [["zitterlab:", "timing", check_id] for check_id in ran]
     assert all(float(line.split()[3]) >= 0.0 for line in lines)
+
+
+def test_report_isolates_a_raising_check(monkeypatch):
+    # the raising check is recorded as failed with its exception, and the
+    # checks after it still run
+    def boom():
+        raise ZeroDivisionError("no luck")
+    monkeypatch.setattr(report, "REGISTRY", (
+        report.Check("first", "one", lambda: (1.0, 1.0, 0.0, True)),
+        report.Check("second", "two", boom),
+        report.Check("third", "three", lambda: (None, 2.0, None, True))))
+    ran = []
+    records = run_report(on_timing=lambda check_id, _: ran.append(check_id))
+    assert ran == ["first", "second", "third"]
+    assert records[1] == {
+        "check_id": "second", "detail": "two [error: ZeroDivisionError: "
+        "no luck]", "expected": None, "measured": None, "tolerance": None,
+        "pass": False}
+    assert [r["pass"] for r in records] == [True, False, True]
+    assert records[2]["measured"] == 2.0
 
 
 def test_series_verify_all_pass(capsys):
@@ -641,8 +665,8 @@ def test_piped_csv_matches_the_one_process_run(capsys):
     assert (code, err) == (0, "")
     outs = {}
     for threads in ("1", "4"):
-        # the OpenBLAS pool that four threads start must not make the
-        # fork warn
+        # an OpenBLAS pool of four threads changes no byte and writes
+        # nothing to stderr
         out, err = _simulate_process(threads).communicate(timeout=120)
         assert err == b""
         outs[threads] = out
@@ -670,7 +694,8 @@ def test_closed_pipe_fails_once_and_leaves_no_child():
     assert proc.wait(timeout=120) == 1
     err = proc.stderr.read1()
     assert err == b"zitterlab: [Errno 32] Broken pipe\n"
-    # a child that outlived the CLI would still hold the stderr pipe
+    # the CLI wrote its one error line and exited: no process of its
+    # own still holds the stderr pipe
     assert _at_eof(proc.stderr)
     proc.stderr.close()
 
@@ -709,6 +734,17 @@ def test_simulate_refuses_off_grid_ends(tmp_path, capsys, tend, message,
                         "--beta", "0.3", "--amp", "1e-3", "--tend", tend,
                         "--dt", "0.01", *integrator, "--out", str(path))
     assert code == 1 and message in err
+    assert not path.exists()
+
+
+def test_simulate_refuses_a_kernel_past_the_delay(tmp_path, capsys):
+    # argparse takes any positive span; the march refuses one that would
+    # need the future
+    path = tmp_path / "run.csv"
+    assert _run(capsys, "simulate", "--kernel-span", "0.95", "--tend", "1",
+                "--out", str(path)) == (
+        1, "", "zitterlab: kernel_span must sit inside the minimum delay, "
+        "got 0.95\n")
     assert not path.exists()
 
 
@@ -777,10 +813,37 @@ def test_simulate_report_without_a_spectral_peak():
     assert [r["record"] for r in recs] == [
         "growth_rate", "saturation_amplitude", "peak_frequency"]
     assert recs[2]["value"] is None
+    assert recs[2]["detail"] == "the spectrum has no interior maximum"
 
 
 def test_oscillation_fundamental_without_a_spectral_peak(monkeypatch):
     monkeypatch.setattr(report, "_long_run_attempt", _alternating_run)
+    assert report._check_oscillation_fundamental() == (
+        report._ETA_FIRST / (2.0 * math.pi), None, None, True)
+
+
+def _short_oscillating_run():
+    # 100 samples of beta = 1e-3 sin(10 pi t): 9 sign flips, but fewer
+    # samples than a spectrum needs
+    t = np.arange(100) * 0.01
+    beta = 1e-3 * np.sin(10.0 * math.pi * t)
+    traj = Trajectory(t, np.zeros(100), beta, np.zeros(100))
+    assert sign_changes(beta) == 9
+    return traj
+
+
+def test_simulate_report_on_too_few_samples():
+    args = SimpleNamespace(seed="uniform", amp=1e-6)
+    text, failed = cli._simulate_report(args, _short_oscillating_run(), 0.0)
+    rec = json.loads(text.splitlines()[2])
+    assert failed is None
+    assert (rec["record"], rec["value"]) == ("peak_frequency", None)
+    assert rec["detail"] == ("too few samples for a spectrum: 100 samples "
+                             "in window, need >= 256")
+
+
+def test_oscillation_fundamental_on_too_few_samples(monkeypatch):
+    monkeypatch.setattr(report, "_long_run_attempt", _short_oscillating_run)
     assert report._check_oscillation_fundamental() == (
         report._ETA_FIRST / (2.0 * math.pi), None, None, True)
 

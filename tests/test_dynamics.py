@@ -21,7 +21,7 @@ from zitterlab.dynamics import (
 from zitterlab.model import KinematicState, lorentz_gamma
 from zitterlab.roots import dominant_real_root
 from zitterlab.trajectory import (HermiteSpline, SeedHistory, SuperluminalError,
-                                  Trajectory)
+                                  Trajectory, TrajectoryDomainError)
 
 DRIFT_RATES = {0.5: 1.5530278832448012, 0.9: 0.78167355945714945}
 
@@ -41,10 +41,31 @@ def test_trajectory_dense_output_matches_knots():
 
 def test_trajectory_rejects_bad_knots():
     t = np.linspace(0.0, 1.0, 11)
-    with pytest.raises(ValueError):
-        Trajectory(t, t, np.full(11, 1.0), np.zeros(11))
-    with pytest.raises(ValueError):
-        Trajectory(t[::-1], t, np.zeros(11), np.zeros(11))
+    z = np.zeros(11)
+    with pytest.raises(SuperluminalError):
+        Trajectory(t, t, np.full(11, 1.0), z)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        Trajectory(t[::-1], t, z, z)
+    with pytest.raises(ValueError, match="knot array beta has wrong shape"):
+        Trajectory(t, t, z[:10], z)
+    with pytest.raises(ValueError, match="knot array x has wrong shape"):
+        Trajectory(t, np.zeros((11, 1)), z, z)
+    with pytest.raises(ValueError, match="non-finite values in knot array "
+                                         "beta_dot"):
+        Trajectory(t, t, z, np.where(t > 0.5, np.nan, 0.0))
+    with pytest.raises(ValueError, match="at least two knots"):
+        Trajectory(t[:1], t[:1], z[:1], z[:1])
+
+
+def test_trajectory_refuses_times_outside_its_span():
+    t = np.linspace(0.0, 1.0, 11)
+    traj = Trajectory(t, t, np.zeros(11), np.zeros(11))
+    # within 1e-12 of an end is read at the end
+    assert traj.position(1.0 + 1e-13) == traj.position(1.0)
+    for bad in (-1e-9, 1.0 + 1e-9):
+        for channel in (traj.position, traj.velocity, traj.acceleration):
+            with pytest.raises(TrajectoryDomainError, match=r"\[0.0, 1.0\]"):
+                channel([0.5, bad])
 
 
 def test_seed_histories():
@@ -286,6 +307,27 @@ def test_spectrum_needs_samples():
         estimate_spectrum(traj, (0.0, 0.1))
 
 
+def test_spectrum_needs_uniform_sampling():
+    t = np.linspace(0.0, 3.0, 301) ** 2
+    traj = Trajectory(t, np.zeros_like(t), 1e-3 * np.sin(t), np.zeros_like(t))
+    with pytest.raises(ValueError, match="needs uniform sampling"):
+        estimate_spectrum(traj, (0.0, 9.0))
+
+
+@pytest.mark.parametrize("beta, window, message", [
+    # three samples in the window
+    (1e-3 * np.arange(1.0, 7.0), (0.0, 2.0), "fewer than 4 samples"),
+    # growing, but only two samples off zero
+    (np.array([0.0, 0.0, 0.0, 0.0, 1e-3, 2e-3]), (0.0, 5.0),
+     "not enough nonzero samples"),
+], ids=["samples", "nonzero"])
+def test_growth_rate_needs_samples(beta, window, message):
+    t = np.arange(6.0)
+    traj = Trajectory(t, np.zeros(6), beta, np.zeros(6))
+    with pytest.raises(DegenerateSignalError, match=message):
+        estimate_growth_rate(traj, window)
+
+
 def test_perturbed_uniform_run_contract(rate_runs):
     est = rate_runs[0.5]
     assert est.mode in ("direct", "envelope")
@@ -388,6 +430,43 @@ def test_filtered_refuses_an_off_grid_end():
 def test_march_refuses_an_end_inside_half_a_step(march):
     with pytest.raises(ValueError, match="shorter than half the grid step"):
         march(SeedHistory.rest_kick(1e-6), 1e-4)
+
+
+_KICK = SeedHistory.rest_kick(1e-6)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: propagate_filtered(_KICK, 1.0, kernel_span=0.95),
+     "kernel_span must sit inside the minimum delay, got 0.95"),
+    (lambda: propagate_filtered(_KICK, 1.0, kernel_span=0.0),
+     "kernel_span must sit inside the minimum delay, got 0.0"),
+    (lambda: propagate_filtered(_KICK, 1.0, sigma=0.0),
+     "sigma must be positive, got 0.0"),
+    (lambda: propagate_filtered(_KICK, 1.0, sigma=math.nan),
+     "sigma must be positive, got nan"),
+    (lambda: propagate_exact(_KICK, 1.0, 0.0),
+     "grid must be positive, got 0.0"),
+    (lambda: propagate_filtered(_KICK, 1.0, -1e-3),
+     "grid must be positive, got -0.001"),
+    (lambda: propagate_exact(_KICK, 1.0, math.inf),
+     "grid must be positive, got inf"),
+    (lambda: propagate_filtered(_KICK, 1.0, math.nan),
+     "grid must be positive, got nan"),
+    (lambda: integrate_truncated(KinematicState(), 0.0),
+     "t_end must be positive, got 0.0"),
+    (lambda: integrate_truncated(KinematicState(), math.inf),
+     "t_end must be positive, got inf"),
+    (lambda: integrate_truncated(KinematicState(), 1.0, 0.0),
+     "bad step 0.0"),
+    (lambda: integrate_truncated(KinematicState(), 1.0, 2.0),
+     "bad step 2.0"),
+], ids=["span-0.95", "span-0", "sigma-0", "sigma-nan", "exact-grid-0",
+        "filtered-grid-negative", "exact-grid-inf", "filtered-grid-nan",
+        "truncated-t_end-0", "truncated-t_end-inf", "truncated-step-0",
+        "truncated-step-past-t_end"])
+def test_marches_refuse_bad_arguments(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 # --- pinned march outputs ----------------------------------------------

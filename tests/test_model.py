@@ -169,6 +169,12 @@ def test_zitter_period_formula():
                                                 rel=1e-15)
 
 
+@pytest.mark.parametrize("r", [0.0, -1e-15, math.nan])
+def test_zitter_period_needs_a_positive_radius(r):
+    with pytest.raises(ValueError, match="radius must be positive"):
+        zitter_period(r)
+
+
 @pytest.mark.parametrize("value, token", [
     (np.int64(-7), "-7"), (np.uint8(200), "200"), (np.float32(0.5), "0.5"),
     (np.float64(0.1), "0.10000000000000001"), (np.float64("inf"), "null"),

@@ -3,12 +3,13 @@ import functools
 import hashlib
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from conftest import LAMBDA_STAR
 
-from zitterlab import model
+from zitterlab import cli, model
 from zitterlab import roots as rootsmod
 from zitterlab.model import lorentz_gamma
 from zitterlab.roots import (
@@ -419,14 +420,44 @@ def test_write_ppm_layout():
     # the header and slab bytes as `render` writes them: row 0, pixel 0
     # follows the 11-byte header, and the file holds 3 bytes a pixel
     region, size = Region(-1.0, 3.0, -15.0, 15.0), (3, 2)
-    count, slab = render_slabs(region, size)
-    blob = ppm_header(size) + b"".join(slab(j).tobytes()
-                                       for j in range(count))
+    blob = ppm_header(size) + b"".join(pixels.tobytes() for pixels
+                                       in render_slabs(region, size))
     image = render_domain_coloring(CharEq(), region, size)
     assert blob.startswith(b"P6\n3 2\n255\n")
     assert len(blob) == 11 + 18
     assert blob[11:14] == image[0, 0].tobytes()
     assert blob[11:] == image.tobytes()
+
+
+def test_render_slabs_concatenate_to_the_image():
+    # 37 rows: slabs of 16, 16 and 5
+    region, size = Region(-1.0, 3.0, -15.0, 15.0), (5, 37)
+    slabs = list(render_slabs(region, size))
+    assert [s.shape for s in slabs] == [(16, 5, 3), (16, 5, 3), (5, 5, 3)]
+    assert np.array_equal(np.concatenate(slabs),
+                          render_domain_coloring(CharEq(), region, size))
+
+
+@pytest.mark.parametrize("region, size, message", [
+    (Region(-1.0, 3.0, -15.0, 15.0), (0, 4), "bad image size"),
+    (Region(-1.0, 3.0, -15.0, 15.0), (4, -1), "bad image size"),
+    # (k + 0.5) * 1e308 overflows where the pixel centres would not
+    (Region(0.0, 1.0, -1e308, 0.0), (1, 3), "pass the float range"),
+], ids=["width", "height", "float-range"])
+def test_render_slabs_refuses_when_called(monkeypatch, tmp_path, region,
+                                          size, message):
+    # the call raises, not the first slab: no slab is begun, and the
+    # render command opens no file
+    def grid_values(*_):
+        raise AssertionError("a slab was made")
+    monkeypatch.setattr(rootsmod, "_grid_values", grid_values)
+    with pytest.raises(ValueError, match=message):
+        render_slabs(region, size)
+    path = tmp_path / "x.ppm"
+    args = SimpleNamespace(region=region, size=size, out=str(path))
+    with pytest.raises(ValueError, match=message):
+        cli.cmd_render(args, None)
+    assert not path.exists()
 
 
 # --- independent census: Newton from a seed grid ----------------------
@@ -550,7 +581,8 @@ ORACLE_REGIONS = {
     "upper_only": ((-3.0, 9.0, 0.5, 60.0), 4.0),
     "lower_only": ((-3.0, 9.0, -60.0, -0.5), 4.0),
     "upper_from_axis": ((-1.0, 8.0, 0.0, 20.0), 4.0),
-    # |f| ~ |z|^2 / 2 would trip the walk's guard on this contour
+    # 0 lies 1e-6 inside every edge: certification moves each edge
+    # _CLEARANCE off the double root before the walk counts it
     "micro_origin": ((-1e-6, 1e-6, -1e-6, 1e-6), 4e6),
 }
 
@@ -748,8 +780,10 @@ def test_winding_walk_refuses_the_origin_near_its_contour(bounds):
         argument_principle_count(CharEq(), Region(*bounds))
 
 
-def test_winding_walk_counts_the_origin_a_quarter_step_off():
-    # a quarter of the left edge's first step 2.5/64 keeps 0 resolvable
+def test_winding_walk_counts_the_origin_just_past_its_clearance():
+    # 0 lies 2.5/256 (2.3 _CLEARANCE) off the left edge: the walk halves
+    # the segments beside the double root until each is proven, and
+    # counts it with the rest root
     reg = Region(-2.5 / 64 / 4, 3.0, -1.0, 1.5)
     assert argument_principle_count(CharEq(), reg) == 3
 

@@ -1,9 +1,9 @@
 """The numpy cubic interpolant against scipy's, bit for bit.
 
 HermiteSpline replaces scipy's CubicHermiteSpline in Trajectory, and
-pchip its PchipInterpolator; the marchers take pchip's values at their
-grid rows through pchip_at.  Every march output depends on those values
-to the last bit, so the oracle is exact equality, signed zeros
+the marchers take PchipInterpolator's values at their grid rows through
+pchip_at, which builds no spline.  Every march output depends on those
+values to the last bit, so the oracle is exact equality, signed zeros
 included.
 """
 
@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
-from zitterlab.trajectory import HermiteSpline, pchip, pchip_at
+from zitterlab.trajectory import HermiteSpline, pchip_at
 
 
 def _knots():
@@ -70,12 +70,10 @@ def test_hermite_matches_scipy_bitwise(case):
 @pytest.mark.parametrize("case", range(1 + len(END_CASES)))
 def test_pchip_matches_scipy_bitwise(case):
     x, y = _knots()[:2] if case == 0 else END_CASES[case - 1]
-    q = _queries(x)
-    ours = pchip(x, y)
-    ref = PchipInterpolator(x, y)
-    assert _same_bits(ours.c, ref.c)
-    assert _same_bits(ours(q), ref(q))
-    assert _same_bits(ours.derivative(q), ref.derivative()(q))
+    q = np.sort(_queries(x))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ours = pchip_at(x, y, q)
+    assert _same_bits(ours, PchipInterpolator(x, y)(q))
 
 
 def _grid_case(rng):
@@ -105,4 +103,4 @@ def test_pchip_at_matches_the_spline_bitwise():
     for x, y, t in cases:
         with np.errstate(divide="ignore", invalid="ignore"):
             got = pchip_at(x, y, t)
-        assert _same_bits(got, pchip(x, y)(t))
+        assert _same_bits(got, PchipInterpolator(x, y)(t))
