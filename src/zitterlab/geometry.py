@@ -77,9 +77,10 @@ class RetardedGeometry:
     t_r: float
 
     def __post_init__(self):
-        if self.r < 1.0 - 1e-9:
+        # each check is written so that NaN fails it
+        if not self.r >= 1.0 - 1e-9:
             raise ValueError(f"delay distance r = {self.r!r} below d")
-        if abs(self.r * self.r - self.l * self.l - 1.0) > 1e-6:
+        if not abs(self.r * self.r - self.l * self.l - 1.0) <= 1e-6:
             raise ValueError("r^2 = l^2 + 1 violated")
 
 
@@ -139,7 +140,7 @@ def _relocate(traj: Trajectory, i, s):
     away = (s < traj.t[i]) | (s >= traj.t[i + 1])
     if away.any():
         i = i.copy()
-        i[away] = traj.interval(s[away])
+        i[away] = traj.locate(s[away])[1]
     return i
 
 
@@ -167,7 +168,7 @@ def _enclose(traj: Trajectory, lo, hi, ts, x_t, beta):
     with np.errstate(divide="ignore", invalid="ignore"):
         s = np.fmin(np.fmax(
             ts - 1.0 / np.sqrt((1.0 - beta) * (1.0 + beta)), lo), hi)
-        i = traj.interval(s)
+        i = traj.locate(s)[1]
         last = s
         s, i, slope = _newton_step(traj, i, s, ts, x_t, lo, hi)
         # a time whose last step spanned more than its window steps on
@@ -230,7 +231,7 @@ def _halve(traj: Trajectory, lo, hi, a, b, i, ts, x_t) -> np.ndarray:
 def _lightcone(traj: Trajectory, ts: np.ndarray):
     """The light-cone solve of the flat times ts: t_r, x(t), x(t_r) and
     the knot interval of t_r, the last two as position() and
-    interval() give them."""
+    locate() give them."""
     tc, i_t = traj.locate(ts)
     x_t = cubic_value(*traj.position_cubics(i_t), tc)
     hi = ts - 1.0
@@ -240,9 +241,9 @@ def _lightcone(traj: Trajectory, ts: np.ndarray):
     lo = _reach_back(traj, ts, x_t)
     a, b, i = _enclose(traj, lo, hi, ts, x_t, beta)
     s = _halve(traj, lo, hi, a, b, i, ts, x_t)
-    i_r = traj.interval(s)
+    i_r = traj.locate(s)[1]
     x_r = cubic_value(*traj.position_cubics(i_r), s)
-    if np.max(np.abs(_gap(ts, x_t, s, x_r))) > 1e-10:
+    if not np.max(np.abs(_gap(ts, x_t, s, x_r))) <= 1e-10:   # NaN fails
         raise RuntimeError("light-cone solve did not converge")
     return s, x_t, x_r, i_r
 

@@ -6,11 +6,12 @@ beta_dot) plus dense evaluators.  Position uses cubic Hermite data
 stored velocity by construction; velocity uses (beta, beta_dot) the
 same way, and acceleration is the derivative of the velocity channel.
 
-HermiteSpline is the package's one piecewise cubic.  The marchers
-resample with the monotone PCHIP of Fritsch & Carlson (1980, SIAM J.
-Numer. Anal. 17:238) through pchip_at, which takes its knot slopes
-from _pchip_slopes and its values at grid rows from HermiteSpline's
-cubics, without building a spline.
+_hermite_cubics forms the package's one piecewise cubic and _interval
+is its one interval rule.  A Trajectory forms its two channels' cubics
+once, when it is built.  The marchers resample with the monotone PCHIP
+of Fritsch & Carlson (1980, SIAM J. Numer. Anal. 17:238) through
+pchip_at, which takes its knot slopes from _pchip_slopes and forms
+cubics only on the intervals that its grid rows fall in.
 
 A SeedHistory prescribes the past of the particle on [-span, 0], which
 the delay equation needs before it can march forward.  Histories are
@@ -38,53 +39,27 @@ class SuperluminalError(ValueError):
     """|beta| reached 1 where the model requires subluminal motion."""
 
 
-class HermiteSpline:
-    """Piecewise cubic through values y with slopes dydx at knots x.
-
-    Interval [x_i, x_i+1) holds the rows (c0, c1, c2, c3) of
-    c0 s^3 + c1 s^2 + c2 s + c3, s = t - x_i; the last interval is
-    closed and the end cubics extrapolate.  Values are power sums with
-    s^k built by repeated multiplication, not Horner: the reference
-    order, which the tests hold bit for bit.  x must increase strictly.
-    """
-
-    def __init__(self, x: np.ndarray, y: np.ndarray, dydx: np.ndarray):
-        dx = np.diff(x)
-        self.x = x
-        self.c = np.stack(_hermite_cubics(dx, np.diff(y) / dx, dydx[:-1],
-                                          dydx[1:], y[:-1]))
-
-    def interval(self, t):
-        """Index i of the interval [x_i, x_i+1) that holds each t, the end
-        intervals taking everything beyond them."""
-        return np.clip(np.searchsorted(self.x, t, side="right") - 1,
-                       0, self.x.size - 2)
-
-    def cubics(self, i):
-        """The rows (4, n) and left knots of intervals i, for cubic_value."""
-        return np.take(self.c, i, axis=1), self.x[i]
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        return cubic_value(*self.cubics(self.interval(t)), t)
-
-    def derivative(self, t):
-        """First derivative: the rows (3 c0, 2 c1, c2), same power sum."""
-        t = np.asarray(t, dtype=float)
-        return cubic_slope(*self.cubics(self.interval(t)), t)
-
-
 def _hermite_cubics(dx, slope, d0, d1, y0):
-    """The rows (c0, c1, c2, c3) of the cubics on intervals of widths
-    dx and secants slope, through values y0 with slopes d0 at their
-    left knots and slopes d1 at their right ones."""
+    """The rows (c0, c1, c2, c3) of the cubics c0 s^3 + c1 s^2 + c2 s +
+    c3, s = t - x_i, on intervals [x_i, x_i+1) of widths dx and secants
+    slope, through values y0 with slopes d0 at their left knots and
+    slopes d1 at their right ones."""
     t = (d0 + d1 - 2 * slope) / dx
     return t / dx, (slope - d0) / dx - t, d0, y0
 
 
+def _interval(x, t):
+    """Index i of the interval [x_i, x_i+1) of the increasing knots x
+    that holds each t: the count of inner knots at or below t, so the
+    end intervals take everything beyond them and NaN the last."""
+    return x[1:-1].searchsorted(t, side="right")
+
+
 def cubic_value(c, knot, t):
-    """c0 s^3 + c1 s^2 + c2 s + c3 at s = t - knot, for rows c and left
-    knots gathered by HermiteSpline.cubics."""
+    """c0 s^3 + c1 s^2 + c2 s + c3 at s = t - knot, for rows c of
+    _hermite_cubics and their left knots.  A power sum with s^k built
+    by repeated multiplication, not Horner: the reference order, which
+    the tests hold bit for bit."""
     c0, c1, c2, c3 = c
     s = t - knot
     s2 = s * s
@@ -132,15 +107,13 @@ def _pchip_slopes(h: np.ndarray, m: np.ndarray) -> np.ndarray:
 def pchip_at(x: np.ndarray, y: np.ndarray, t: np.ndarray) -> np.ndarray:
     """The monotone cubic through (x, y), at least three knots, with
     _pchip_slopes' knot slopes, at times t (at least one, in increasing
-    order): HermiteSpline's cubics are formed only on the intervals from
-    the first t's to the last t's and summed by cubic_value.  Call under
+    order): _hermite_cubics forms the cubics only on the intervals from
+    the first t's to the last t's, and cubic_value sums them.  Call under
     np.errstate(divide="ignore", invalid="ignore"), as _pchip_slopes."""
     h = x[1:] - x[:-1]      # np.diff, without its call overhead
     m = (y[1:] - y[:-1]) / h
     d = _pchip_slopes(h, m)
-    # HermiteSpline.interval: the inner knots' count at or below each t
-    # is the interval index, the end intervals taking everything beyond
-    i = x[1:-1].searchsorted(t, side="right")
+    i = _interval(x, t)
     lo, hi = int(i[0]), int(i[-1]) + 1
     c = _hermite_cubics(h[lo:hi], m[lo:hi], d[lo:hi], d[lo + 1:hi + 1],
                         y[lo:hi])
@@ -168,16 +141,17 @@ class Trajectory:
                 raise ValueError(f"non-finite values in knot array {name}")
         if self.t.size < 2:
             raise ValueError("a trajectory needs at least two knots")
-        if not np.all(np.diff(self.t) > 0):
+        h = np.diff(self.t)
+        if not np.all(h > 0):
             raise ValueError("knot times must be strictly increasing")
         if np.any(np.abs(self.beta) >= 1.0):
             raise SuperluminalError("|beta| >= 1 at a trajectory knot")
         for arr in (self.t, self.x, self.beta, self.beta_dot):
             arr.setflags(write=False)
-        object.__setattr__(self, "_x_spline",
-                           HermiteSpline(self.t, self.x, self.beta))
-        object.__setattr__(self, "_b_spline",
-                           HermiteSpline(self.t, self.beta, self.beta_dot))
+        for name, y, dydx in (("_x_cubics", self.x, self.beta),
+                              ("_b_cubics", self.beta, self.beta_dot)):
+            object.__setattr__(self, name, np.stack(_hermite_cubics(
+                h, np.diff(y) / h, dydx[:-1], dydx[1:], y[:-1])))
 
     @property
     def t0(self) -> float:
@@ -187,43 +161,40 @@ class Trajectory:
     def t1(self) -> float:
         return float(self.t[-1])
 
-    def _check_domain(self, t):
-        t = np.asarray(t, dtype=float)
-        t0, t1 = self.t0, self.t1
-        if (t < t0 - 1e-12).any() or (t > t1 + 1e-12).any():
-            raise TrajectoryDomainError(
-                f"time outside covered span [{t0}, {t1}]")
-        return t.clip(t0, t1)
-
-    def position(self, t):
-        return self._x_spline(self._check_domain(t))
-
-    def interval(self, t):
-        """Knot interval index of each t; every channel shares the knots."""
-        return self.locate(t)[1]
-
     def locate(self, t):
         """Each t clipped to the span, as the evaluators read it, and its
         knot interval: with the cubics of those intervals, cubic_value
-        gives what position and velocity give."""
-        t = self._check_domain(t)
-        return t, self._x_spline.interval(t)
+        gives what position and velocity give.  A t more than 1e-12
+        outside the span, or NaN, raises TrajectoryDomainError."""
+        t = np.asarray(t, dtype=float)
+        t0, t1 = self.t0, self.t1
+        if not ((t >= t0 - 1e-12) & (t <= t1 + 1e-12)).all():
+            raise TrajectoryDomainError(
+                f"time outside covered span [{t0}, {t1}]")
+        t = t.clip(t0, t1)
+        return t, _interval(self.t, t)
 
     def position_cubics(self, i):
         """The position cubics of knot intervals i and their left knots;
         cubic_value evaluates them at times inside those intervals."""
-        return self._x_spline.cubics(i)
+        return self._x_cubics.take(i, axis=1), self.t[i]
 
     def velocity_cubics(self, i):
         """The velocity cubics of knot intervals i and their left knots:
         cubic_value gives beta and cubic_slope beta_dot there."""
-        return self._b_spline.cubics(i)
+        return self._b_cubics.take(i, axis=1), self.t[i]
+
+    def position(self, t):
+        t, i = self.locate(t)
+        return cubic_value(*self.position_cubics(i), t)
 
     def velocity(self, t):
-        return self._b_spline(self._check_domain(t))
+        t, i = self.locate(t)
+        return cubic_value(*self.velocity_cubics(i), t)
 
     def acceleration(self, t):
-        return self._b_spline.derivative(self._check_domain(t))
+        t, i = self.locate(t)
+        return cubic_slope(*self.velocity_cubics(i), t)
 
 
 # ---------------------------------------------------------------------

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from conftest import LAMBDA_STAR
 
-from zitterlab import dynamics
+from zitterlab import dynamics, trajectory
 from zitterlab.dynamics import (
     ArrivalOrderError,
     DegenerateSignalError,
@@ -20,8 +20,8 @@ from zitterlab.dynamics import (
 )
 from zitterlab.model import KinematicState, lorentz_gamma
 from zitterlab.roots import dominant_real_root
-from zitterlab.trajectory import (HermiteSpline, SeedHistory, SuperluminalError,
-                                  Trajectory, TrajectoryDomainError)
+from zitterlab.trajectory import (SeedHistory, SuperluminalError, Trajectory,
+                                  TrajectoryDomainError)
 
 DRIFT_RATES = {0.5: 1.5530278832448012, 0.9: 0.78167355945714945}
 
@@ -62,7 +62,7 @@ def test_trajectory_refuses_times_outside_its_span():
     traj = Trajectory(t, t, np.zeros(11), np.zeros(11))
     # within 1e-12 of an end is read at the end
     assert traj.position(1.0 + 1e-13) == traj.position(1.0)
-    for bad in (-1e-9, 1.0 + 1e-9):
+    for bad in (-1e-9, 1.0 + 1e-9, math.nan):
         for channel in (traj.position, traj.velocity, traj.acceleration):
             with pytest.raises(TrajectoryDomainError, match=r"\[0.0, 1.0\]"):
                 channel([0.5, bad])
@@ -714,16 +714,19 @@ def test_march_pass_counts(monkeypatch, march, passes):
 
 
 def test_march_passes_build_no_spline(monkeypatch):
-    # a work gate: a pass takes PCHIP's values at the grid rows without
-    # building a HermiteSpline, so the filtered uniform run builds only
-    # the returned Trajectory's two (one per pass besides, 697 in all,
-    # when each pass built its PCHIP whole)
-    built = []
-    init = HermiteSpline.__init__
+    # a work gate: a pass forms PCHIP's cubics only on the intervals
+    # that its grid rows fall in.  The filtered run forms 2 x 103,000
+    # interval rows for the returned Trajectory and 100,904 over its 695
+    # passes; the exact run 2 x 53,000 and 50,004 over its 48 passes.
+    formed = []
+    cubics = trajectory._hermite_cubics
 
-    def counted(self, *args):
-        built.append(None)
-        init(self, *args)
-    monkeypatch.setattr(HermiteSpline, "__init__", counted)
+    def counted(dx, *args):
+        formed.append(dx.size)
+        return cubics(dx, *args)
+    monkeypatch.setattr(trajectory, "_hermite_cubics", counted)
     propagate_filtered(SeedHistory.uniform_motion(0.3), 100.0)
-    assert len(built) == 2
+    assert (len(formed), sum(formed)) == (697, 306_904)
+    formed.clear()
+    propagate_exact(SeedHistory.uniform_motion(0.3), 50.0)
+    assert (len(formed), sum(formed)) == (50, 156_004)

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from zitterlab import geometry
-from zitterlab.dynamics import propagate_exact, propagate_filtered
+from zitterlab.dynamics import (propagate_exact, propagate_filtered,
+                                residual_eom_many)
 from zitterlab.geometry import (
     HistoryTooShortError,
     RetardedGeometry,
@@ -20,7 +21,7 @@ from zitterlab.geometry import (
     y_parameter,
 )
 from zitterlab.model import KinematicState, lorentz_gamma
-from zitterlab.trajectory import SeedHistory, Trajectory
+from zitterlab.trajectory import SeedHistory, Trajectory, TrajectoryDomainError
 
 
 def _hand_geometry(beta, beta_dot):
@@ -219,6 +220,17 @@ def test_vector_solver_needs_history(beta, t, why):
     traj = _uniform_traj(beta, t0=-0.5)
     with pytest.raises(HistoryTooShortError, match=why):
         solve_retarded_time_many(traj, np.array([4.0, t]))
+
+
+def test_solves_refuse_a_nan_time():
+    # NaN fails every comparison, so each check is written to fail on it
+    traj = propagate_exact(SeedHistory.uniform_motion(0.3), 2.0)
+    with pytest.raises(TrajectoryDomainError):
+        solve_retarded_time(traj, math.nan)
+    with pytest.raises(TrajectoryDomainError):
+        solve_retarded_time_many(traj, np.array([1.5, math.nan]))
+    with pytest.raises(TrajectoryDomainError):
+        residual_eom_many(traj, np.array([1.5, math.nan]))
 
 
 def test_vector_solver_empty_input():
@@ -476,6 +488,10 @@ def test_geometry_validation():
         RetardedGeometry(r=0.5, l=0.0, t_r=0.0)
     with pytest.raises(ValueError):
         RetardedGeometry(r=2.0, l=0.5, t_r=0.0)
+    with pytest.raises(ValueError, match="below d"):
+        RetardedGeometry(r=math.nan, l=math.nan, t_r=math.nan)
+    with pytest.raises(ValueError, match="violated"):
+        RetardedGeometry(r=2.0, l=math.nan, t_r=0.0)
 
 
 def variational_delay(state, delta_ydot, delta_gamma):

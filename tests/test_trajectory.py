@@ -1,17 +1,19 @@
 """The numpy cubic interpolant against scipy's, bit for bit.
 
-HermiteSpline replaces scipy's CubicHermiteSpline in Trajectory, and
-the marchers take PchipInterpolator's values at their grid rows through
-pchip_at, which builds no spline.  Every march output depends on those
-values to the last bit, so the oracle is exact equality, signed zeros
-included.
+Trajectory forms its cubics with _hermite_cubics where scipy's
+CubicHermiteSpline once stood, and reads them on the intervals that
+_interval gives.  The marchers take PchipInterpolator's values at their
+grid rows through pchip_at, which shares both and builds no spline.
+Every march output depends on those values to the last bit, so the
+oracle is exact equality, signed zeros included.
 """
 
 import numpy as np
 import pytest
 from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
-from zitterlab.trajectory import HermiteSpline, pchip_at
+from zitterlab.trajectory import (Trajectory, _hermite_cubics, _interval,
+                                  cubic_slope, cubic_value, pchip_at)
 
 
 def _knots():
@@ -60,11 +62,34 @@ SIGNED_ZERO_CASE = (np.array([0.0, 1.0, 2.0]), np.array([-0.0, -1.0, -1.5]),
 def test_hermite_matches_scipy_bitwise(case):
     x, y, dydx = _knots() if case == 0 else SIGNED_ZERO_CASE
     q = _queries(x)
-    ours = HermiteSpline(x, y, dydx)
+    dx = np.diff(x)
+    c = np.stack(_hermite_cubics(dx, np.diff(y) / dx, dydx[:-1], dydx[1:],
+                                 y[:-1]))
+    i = _interval(x, q)
     ref = CubicHermiteSpline(x, y, dydx)
-    assert _same_bits(ours.c, ref.c)
-    assert _same_bits(ours(q), ref(q))
-    assert _same_bits(ours.derivative(q), ref.derivative()(q))
+    assert _same_bits(c, ref.c)
+    assert _same_bits(cubic_value(c[:, i], x[i], q), ref(q))
+    assert _same_bits(cubic_slope(c[:, i], x[i], q), ref.derivative()(q))
+    # the interval rule is searchsorted's, clipped to the end intervals,
+    # NaN included
+    q = np.append(q, np.nan)
+    assert np.array_equal(_interval(x, q), np.clip(
+        np.searchsorted(x, q, side="right") - 1, 0, x.size - 2))
+
+
+def test_trajectory_matches_scipy_bitwise():
+    t, x, _ = _knots()
+    rng = np.random.default_rng(32)
+    beta = rng.uniform(-0.9, 0.9, t.size)
+    beta_dot = rng.normal(size=t.size)
+    q = _queries(t)
+    q = q[(q >= t[0]) & (q <= t[-1])]
+    traj = Trajectory(t, x, beta, beta_dot)
+    position = CubicHermiteSpline(t, x, beta)
+    velocity = CubicHermiteSpline(t, beta, beta_dot)
+    assert _same_bits(traj.position(q), position(q))
+    assert _same_bits(traj.velocity(q), velocity(q))
+    assert _same_bits(traj.acceleration(q), velocity.derivative()(q))
 
 
 @pytest.mark.parametrize("case", range(1 + len(END_CASES)))
