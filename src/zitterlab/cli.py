@@ -244,7 +244,7 @@ def cmd_render(args, _constants) -> int:
     with _open_out(args.out, binary=True) as fh:
         fh.write(ppm_header(args.size))
         for pixels in slabs:
-            fh.write(pixels.tobytes())
+            fh.write(pixels)
     return 0
 
 

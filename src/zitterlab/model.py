@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
 
 # CODATA 2018 defaults, SI units
 C_LIGHT = 299792458.0            # m / s (exact)
@@ -231,6 +230,8 @@ def parse_constants_file(path: str) -> PhysicalConstants:
     refuses to parse or float refuses to take, and any text that is not
     UTF-8.  Blank lines and `#` comments are skipped.
     """
+    # here, not at the top: only a constants file needs decimal
+    from decimal import Decimal, InvalidOperation
     values: dict[str, float] = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:

@@ -87,8 +87,8 @@ _WALK_BUDGET = 200000
 # Re z beyond which evaluation switches to the rescaled form
 _SCALE_SWITCH = 700.0
 
-# rows per block of render_domain_coloring: a 1600-wide block's float
-# temporaries stay near the cache, and memory stays bounded
+# rows per slab of render_slabs: a 1600-wide slab's work arrays (~1.9 MB)
+# stay near the cache, and memory stays bounded
 _RENDER_ROWS = 16
 
 
@@ -484,12 +484,13 @@ def render_domain_coloring(eq: CharEq, region: Region,
     luminance ramps between integer-|f| level curves so every
     unit-modulus band reads as one stripe and zeros show as full hue
     fans.  Pixel centers sample the region with row 0 at Im = y1 (image
-    convention).
+    convention).  Non-finite values are white.
 
     f's libm factors are taken once per column and per row, bit for bit
     CharEq's (_grid_values), and the image is filled from render_slabs'
-    slabs of _RENDER_ROWS rows.  Pure elementwise float math:
-    byte-identical output for identical inputs.
+    slabs of _RENDER_ROWS rows, each made in the one set of work arrays
+    and coloured byte by byte (_hsv_to_rgb).  Pure elementwise float
+    math: byte-identical output for identical inputs.
     """
     import numpy as np
     w, h = size
@@ -504,10 +505,12 @@ def render_domain_coloring(eq: CharEq, region: Region,
 def render_slabs(region: Region, size: tuple[int, int]):
     """The domain coloring of region at size (render_domain_coloring),
     as an iterator of uint8 (rows, W, 3) slabs of _RENDER_ROWS image
-    rows each, the last one maybe shorter.  The size and the pixel
-    centres are checked here, when called: a bad size, or a region whose
-    pixel centres pass the float range, raises ValueError before any
-    slab is made.  The column factors are taken once for every slab."""
+    rows each, the last one maybe shorter.  Each slab is a fresh array
+    the caller owns; the work arrays behind them are made once per
+    image.  The size and the pixel centres are checked here, when
+    called: a bad size, or a region whose pixel centres pass the float
+    range, raises ValueError before any slab is made.  The column
+    factors are taken once for every slab."""
     import numpy as np
     w, h = size
     if w < 1 or h < 1:
@@ -523,25 +526,34 @@ def render_slabs(region: Region, size: tuple[int, int]):
 def _slabs(cols, ys):
     """render_slabs' slabs, one per _RENDER_ROWS rows of ys."""
     import numpy as np
-    # A slab's temporaries are released only as the next slab's replace
-    # them.  Released all at once, at a return, they left the heap's top
-    # free, the C allocator handed it back to the OS, and every
-    # 1600-wide slab faulted its ~5 MB in afresh: a third of its time
+    # One set of slab-sized work arrays, made here, serves every slab,
+    # and every ufunc writes into it with out=.  Fresh temporaries for
+    # each slab cost ~15 allocations and the page faults of the memory
+    # the C allocator handed back to the OS between slabs.
+    shape = (min(_RENDER_ROWS, ys.size), cols[0].size)
+    work = (np.empty(shape, complex), np.empty(shape, complex),
+            np.empty(shape), np.empty(shape), np.empty(shape),
+            np.empty(shape, bool), np.empty(shape, np.intp),
+            np.empty(shape, "<u4"), np.empty(shape, np.uint32))
     for r0 in range(0, ys.size, _RENDER_ROWS):
+        rows = ys[r0:r0 + _RENDER_ROWS]
+        v, f, hue, band, mag, white, *ints = (a[:rows.size] for a in work)
         with np.errstate(all="ignore"):
-            v, f = _grid_values(cols, ys[r0:r0 + _RENDER_ROWS])
-            # in [-0.5, 0.5], where numpy's "% 1.0" is this add
-            hue = np.angle(f) / (2.0 * math.pi)
-            hue = np.where(hue < 0.0, hue + 1.0, hue)
-            mag = np.abs(v)
-            band = np.where(np.isfinite(mag) & (mag < 2.0 ** 52),
-                            mag - np.floor(mag), 1.0)
-        bad = ~np.isfinite(f)
-        hue = np.where(bad, 0.0, hue)
-        val = np.where(bad, 1.0, 0.55 + 0.40 * band)
-        sat = np.where(bad, 0.0, 0.88)
-        rgb = _hsv_to_rgb(hue, sat, val)
-        yield np.clip(np.floor(rgb * 256.0), 0.0, 255.0).astype(np.uint8)
+            _grid_values(cols, rows, (v, f, hue, band, mag))
+            # np.angle(f) / 2 pi in [-0.5, 0.5], where numpy's "% 1.0"
+            # is this add
+            np.arctan2(f.imag, f.real, out=hue)
+            hue /= 2.0 * math.pi
+            np.add(hue, 1.0, out=hue, where=np.less(hue, 0.0, out=white))
+            # |v| past its integer level; 1.0 unless |v| < 2^52
+            np.absolute(v, out=mag)
+            np.subtract(mag, np.floor(mag, out=band), out=band)
+            np.logical_not(np.less(mag, 2.0 ** 52, out=white), out=white)
+            np.copyto(band, 1.0, where=white)
+        band *= 0.40
+        band += 0.55
+        np.logical_not(np.isfinite(f, out=white), out=white)
+        yield _hsv_to_rgb(hue, band, white, (mag, *ints))
 
 
 def _column_factors(xs):
@@ -558,7 +570,7 @@ def _column_factors(xs):
     return xs, em1, ex, damp, ~(xs < _SCALE_SWITCH)
 
 
-def _grid_values(cols, ys):
+def _grid_values(cols, ys, out=None):
     """(f(z), e^(-max(Re z, 0)) f(z)) on z = xs + i ys, one row per y
     of the float array ys.
 
@@ -566,50 +578,97 @@ def _grid_values(cols, ys):
     factors are taken once per column (_column_factors) and per row
     here, and only the multiplies and adds run per pixel.  Columns past
     _SCALE_SWITCH take scaled_value's split form, where e^(z - x) is
-    cos(y) + i sin(y).
+    cos(y) + i sin(y).  out: two complex arrays of shape (ys.size,
+    xs.size), which receive the two values and are returned, then three
+    float ones of that shape for scratch; None makes them.
     """
     import numpy as np
     xs, em1, ex, damp, far = cols
+    if out is None:
+        shape = (ys.size, xs.size)
+        out = (np.empty(shape, complex), np.empty(shape, complex),
+               np.empty(shape), np.empty(shape), np.empty(shape))
+    v, f, re, im, tmp = out
     # libm, as for the columns: numpy's float64 sin and cos need not match
     cos = np.array([math.cos(y) for y in ys.tolist()])[:, None]
     sin = np.array([math.sin(y) for y in ys.tolist()])[:, None]
     half = np.array([math.sin(y / 2) for y in ys.tolist()])[:, None]
     y = ys[:, None]
     # z^2 + z as Python's complex arithmetic forms it: (x x - y y + x)
-    # + i (x y + y x + y), each product rounded on its own
-    w = np.empty((ys.size, xs.size), dtype=complex)
-    np.subtract(xs * xs, y * y, out=w.real)
-    w.real += xs
-    np.multiply(xs, y, out=w.imag)
-    w.imag *= 2.0
-    w.imag += y
-    v = w.copy()
-    v.real -= em1 * cos - 2.0 * half * half
-    v.imag -= ex * sin
-    f = v * damp
+    # + i (x y + y x + y), each product rounded on its own; the parts
+    # stay in contiguous planes until v's are formed
+    np.subtract(xs * xs, y * y, out=re)
+    re += xs
+    np.multiply(xs, y, out=im)
+    im *= 2.0
+    im += y
+    np.multiply(em1, cos, out=tmp)
+    tmp -= 2.0 * half * half
+    np.subtract(re, tmp, out=v.real)
+    np.multiply(ex, sin, out=tmp)
+    np.subtract(im, tmp, out=v.imag)
+    np.multiply(v, damp, out=f)
     if far.any():
+        w = np.empty((ys.size, np.count_nonzero(far)), dtype=complex)
+        w.real, w.imag = re[:, far], im[:, far]
         rot = np.empty(cos.shape, dtype=complex)
         rot.real, rot.imag = cos, sin
-        f[:, far] = (w[:, far] + 1.0) * damp[far] - rot
+        f[:, far] = (w + 1.0) * damp[far] - rot
     return v, f
 
 
-def _hsv_to_rgb(h, s, v):
-    """(..., 3) RGB of same-shape h, s, v arrays, h in [0, 1]."""
+def _hsv_to_rgb(h, v, white, work=None):
+    """The uint8 (..., 3) RGB of same-shape pixels of hue h in [0, 1],
+    saturation 0.88 and value v in [0, 1), and white where the bool
+    array white is true, whatever h and v hold there.  h and v are
+    overwritten.
+
+    A channel is clip(floor(256 x), 0, 255) of the x among (v, p, q, t)
+    that the hue sector floor(6 h) picks; for x in [0, 1) that is the
+    cast of 256 x.  The quantisation is elementwise, so the four bytes
+    are taken first, packed into one uint32, and each channel is that
+    word shifted right by its sector's byte.  work: a float, an intp, a
+    "<u4" and a uint32 array of h's shape, or None for fresh ones.
+    """
     import numpy as np
-    # (r, g, b) of hue sector floor(6 h), as indices into (v, p, q, t);
-    # sector 6 (h = 1) is sector 0
-    sectors = np.array([[0, 3, 1], [2, 0, 1], [1, 0, 3],
-                        [1, 2, 0], [3, 1, 0], [0, 1, 2], [0, 3, 1]])
-    i = np.floor(h * 6.0)
-    fr = h * 6.0 - i
-    p = v * (1.0 - s)
-    q = v * (1.0 - s * fr)
-    t = v * (1.0 - s * (1.0 - fr))
-    # one flat take: pixel k's candidates sit at 4k .. 4k + 3
-    pick = sectors.take(i.astype(int), axis=0)
-    pick += np.arange(0, 4 * h.size, 4).reshape(h.shape + (1,))
-    return np.stack([v, p, q, t], axis=-1).take(pick)
+    if work is None:
+        work = (np.empty(h.shape), np.empty(h.shape, np.intp),
+                np.empty(h.shape, "<u4"), np.empty(h.shape, np.uint32))
+    x, sector, packed, word = work
+    lanes = packed.view(np.uint8).reshape(h.shape + (4,))
+    # white pixels are settled before the casts, so no NaN is cast
+    h *= 6.0
+    np.copyto(h, 0.0, where=white)
+    np.floor(h, out=x)
+    np.copyto(sector, x, casting="unsafe")
+    h -= x
+    # v is scaled first: p, q and t then come out scaled by 256 bit for
+    # bit, since a power-of-two scale commutes with rounding
+    v *= 256.0
+    np.copyto(v, 0.0, where=white)
+    np.copyto(lanes[..., 0], v, casting="unsafe")
+    np.multiply(v, 1.0 - 0.88, out=x)
+    np.copyto(lanes[..., 1], x, casting="unsafe")
+    np.multiply(h, 0.88, out=x)
+    np.subtract(1.0, x, out=x)
+    x *= v
+    np.copyto(lanes[..., 2], x, casting="unsafe")
+    np.subtract(1.0, h, out=h)
+    h *= 0.88
+    np.subtract(1.0, h, out=h)
+    h *= v
+    np.copyto(lanes[..., 3], h, casting="unsafe")
+    np.copyto(packed, 0xFFFFFFFF, where=white)
+    # the byte shifts of (r, g, b), indexed by sector; sector 6 (h = 1)
+    # is sector 0
+    shifts = 8 * np.array([[0, 2, 1, 1, 3, 0, 0], [3, 0, 0, 2, 1, 1, 3],
+                           [1, 1, 3, 0, 0, 2, 1]], dtype=np.uint32)
+    rgb = np.empty(h.shape + (3,), dtype=np.uint8)
+    for channel, shift in enumerate(shifts):
+        np.take(shift, sector, out=word)
+        np.right_shift(packed, word, out=word)
+        np.copyto(rgb[..., channel], word, casting="unsafe")
+    return rgb
 
 
 def ppm_header(size: tuple[int, int]) -> bytes:

@@ -613,6 +613,23 @@ def test_render_forks_for_a_file_only(render_ppm, tmp_path, capsysbinary,
     assert capsysbinary.readouterr() == (render_ppm, b"")
 
 
+def test_render_at_the_benchmark_size(tmp_path, capsysbinary):
+    # the 1600 x 1200 render perfbench's explore workload runs, to a file
+    # and to stdout: the header, then test_roots' pinned image
+    from test_roots import PINNED_RENDERS
+    want = PINNED_RENDERS["explore-like"][2]
+    argv = ["render", "--region", "-1.5395,3.1174,-15.7157,15.7157",
+            "--size", "1600x1200", "--out"]
+    path = tmp_path / "r.ppm"
+    assert main(argv + [str(path)]) == 0
+    assert main(argv + ["-"]) == 0
+    out, err = capsysbinary.readouterr()
+    assert err == b"" and out == path.read_bytes()
+    header = b"P6\n1600 1200\n255\n"
+    assert out.startswith(header) and len(out) == len(header) + 5760000
+    assert hashlib.sha256(out[len(header):]).hexdigest() == want
+
+
 # rows of the 13,001-row run whose residuals fail, in blocks of 1,858:
 # blocks 1, 2, 5 and 6 (the last)
 @pytest.mark.parametrize("row, error", [
@@ -1219,9 +1236,9 @@ def _fresh_python(code, *args):
     return proc.stdout
 
 
-# prints, as a JSON list, which modules of numpy, scipy and the package
-# are loaded after main(argv) ran (stdout discarded), or after a bare
-# `import zitterlab.cli` when argv is empty
+# prints, as a JSON list, which modules of numpy, scipy, decimal and the
+# package are loaded after main(argv) ran (stdout discarded), or after a
+# bare `import zitterlab.cli` when argv is empty
 _LOADED = """
 import contextlib, io, json, sys
 if len(sys.argv) > 1:
@@ -1231,7 +1248,7 @@ if len(sys.argv) > 1:
 else:
     import zitterlab.cli
 print(json.dumps(sorted(m for m in sys.modules
-                        if m.split(".")[0] in ("numpy", "scipy")
+                        if m.split(".")[0] in ("numpy", "scipy", "decimal")
                         or m.startswith("zitterlab"))))
 """
 
@@ -1242,7 +1259,7 @@ def _loaded(*argv):
 
 def test_cli_import_loads_no_scipy():
     # numpy is the one runtime dependency, and the bare front end needs
-    # not even that
+    # not even that, nor decimal
     assert _loaded() == {"zitterlab", "zitterlab.cli", "zitterlab.model"}
 
 
@@ -1281,6 +1298,10 @@ def test_command_loads_only_its_layers(tmp_path, argv, layers):
     assert ("numpy" in loaded) == (argv[0] not in ("series-verify",
                                                    "potential", "roots",
                                                    "report"))
+    # decimal is for a --constants file; series and potential load it
+    # through fractions
+    assert ("decimal" in loaded) == (argv[0] in ("series-verify",
+                                                 "potential"))
 
 
 def test_model_runs_without_numpy():

@@ -375,8 +375,8 @@ def test_grid_values_cover_the_special_cases():
 
 
 def test_render_memory_is_bounded():
-    # one uint8 image (5.8 MB) and one block of float temporaries, not
-    # ~300 MB of full-image complex arrays
+    # one uint8 image (5.8 MB) and one set of slab-sized work arrays, not
+    # ~300 MB of full-image complex arrays nor any full-image temporary
     tracemalloc.start()
     try:
         render_domain_coloring(CharEq(), Region(-1.0, 3.0, -15.0, 15.0),
@@ -384,11 +384,12 @@ def test_render_memory_is_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 32e6
+    assert peak < 20e6
 
 
 def _choose_hsv_to_rgb(h, s, v):
-    # reference: the per-channel np.choose selection
+    # reference: the per-channel np.choose selection, quantised as the
+    # image is
     i = np.floor(h * 6.0)
     fr = h * 6.0 - i
     p = v * (1.0 - s)
@@ -398,22 +399,32 @@ def _choose_hsv_to_rgb(h, s, v):
     r = np.choose(i, [v, q, p, p, t, v])
     g = np.choose(i, [t, v, v, q, p, p])
     b = np.choose(i, [p, p, t, v, v, q])
-    return np.stack([r, g, b], axis=-1)
+    rgb = np.stack([r, g, b], axis=-1)
+    return np.clip(np.floor(rgb * 256.0), 0.0, 255.0).astype(np.uint8)
 
 
 def test_hsv_selection_matches_choose():
     # every sector, its edges and the hues just below them, a hue of 1.0
-    # (x % 1.0 of a tiny negative x), and the desaturated pixels of
-    # non-finite values
+    # (x % 1.0 of a tiny negative x), and the desaturated pixels: the
+    # white ones of non-finite values, whose hue and value may be
+    # anything, non-finite too.  Rows of 1,013 put each finite hue at a
+    # saturated pixel in one row at least
     edges = np.arange(7) / 6.0
     h = np.concatenate([np.linspace(0.0, 1.0, 997, endpoint=False), edges,
-                        np.nextafter(edges[1:], 0.0)])
+                        np.nextafter(edges[1:], 0.0),
+                        [np.nan, np.inf, -np.inf]])
     h = np.tile(h, (2, 1))
-    s = np.where(np.arange(h.size).reshape(h.shape) % 5 == 0, 0.0, 0.88)
     v = 0.55 + 0.40 * np.linspace(0.0, 1.0, h.size).reshape(h.shape)
-    got = rootsmod._hsv_to_rgb(h, s, v)
+    white = (np.arange(h.size).reshape(h.shape) % 5 == 0) | ~np.isfinite(h)
+    v[1, -3:] = [np.nan, np.inf, -np.inf]
+    want = _choose_hsv_to_rgb(np.where(white, 0.0, h),
+                              np.where(white, 0.0, 0.88),
+                              np.where(white, 1.0, v))
+    with np.errstate(all="raise"):
+        got = rootsmod._hsv_to_rgb(h.copy(), v.copy(), white)
     assert got.shape == h.shape + (3,)
-    assert np.array_equal(got, _choose_hsv_to_rgb(h, s, v))
+    assert np.array_equal(got, want)
+    assert (got[white] == 255).all() and (got[~white] < 255).all()
 
 
 def test_write_ppm_layout():
