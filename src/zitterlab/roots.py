@@ -635,6 +635,7 @@ def _hsv_to_rgb(h, v, white, work=None):
         work = (np.empty(h.shape), np.empty(h.shape, np.intp),
                 np.empty(h.shape, "<u4"), np.empty(h.shape, np.uint32))
     x, sector, packed, word = work
+    # byte k of the little-endian word, 8 k bits up, holds (v, p, q, t)[k]
     lanes = packed.view(np.uint8).reshape(h.shape + (4,))
     # white pixels are settled before the casts, so no NaN is cast
     h *= 6.0
