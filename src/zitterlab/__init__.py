@@ -60,6 +60,53 @@ __version__ = "0.1.0"
 __all__ = sorted(_SOURCE)
 
 
+# Here, not in a layer: every module of the package loads this one
+# first, so the records' base costs no module of its own.
+class _Record:
+    """Base of the package's records: immutable values.
+
+    A record names its fields in __slots__, in constructor order; its
+    __init__ sets them with _init and then runs its checks, if any, in
+    __post_init__.  ==, hash and repr read the fields, so two records
+    of one class with equal fields are equal and hash alike.  A slot
+    whose name starts with an underscore holds a cache, not a field.
+    Assigning or deleting any attribute raises AttributeError.
+    """
+
+    __slots__ = ()
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__
+                     if name[0] != "_")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __reduce__(self):
+        # copy and pickle rebuild a record through __init__ and its checks
+        return type(self), self._fields()
+
+    def __repr__(self) -> str:
+        return type(self).__qualname__ + "(" + ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__
+            if name[0] != "_") + ")"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 def __getattr__(name: str):
     module = _SOURCE.get(name)
     if module is None:

@@ -86,10 +86,10 @@ Numerical notes on the march:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from . import _Record
 from .geometry import _lightcone
 from .model import KinematicState, lorentz_gamma
 from .trajectory import (SeedHistory, SuperluminalError, Trajectory,
@@ -465,12 +465,12 @@ def sign_changes(s: np.ndarray) -> int:
     return int(np.count_nonzero(np.diff(np.sign(s[s != 0.0])) != 0))
 
 
-@dataclass(frozen=True)
-class GrowthRate:
-    rate: float
-    stderr: float
-    n_points: int
-    mode: str          # "direct" or "envelope"
+class GrowthRate(_Record):
+    __slots__ = ("rate", "stderr", "n_points", "mode")
+
+    def __init__(self, rate: float, stderr: float, n_points: int, mode: str):
+        # mode is "direct" or "envelope"
+        self._init(rate, stderr, n_points, mode)
 
 
 def estimate_growth_rate(traj: Trajectory, window: tuple[float, float], *,
@@ -517,10 +517,12 @@ def estimate_growth_rate(traj: Trajectory, window: tuple[float, float], *,
                       n_points=ts.size, mode=mode)
 
 
-@dataclass(frozen=True)
-class SpectralPeak:
-    frequency: float   # cycles per unit time
-    power: float
+class SpectralPeak(_Record):
+    __slots__ = ("frequency", "power")
+
+    def __init__(self, frequency: float, power: float):
+        # frequency in cycles per unit time
+        self._init(frequency, power)
 
 
 def estimate_spectrum(traj: Trajectory,

@@ -30,10 +30,9 @@ magnitude form and changes sign correctly through turning points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from . import _Record
 from .model import KinematicState, delay_closed
 from .trajectory import Trajectory, cubic_slope, cubic_value
 
@@ -68,13 +67,14 @@ def potential_denominator(state: KinematicState) -> float:
     return delay_closed(state.beta, state.beta_dot)[5]
 
 
-@dataclass(frozen=True)
-class RetardedGeometry:
+class RetardedGeometry(_Record):
     """Solved light-cone geometry at one observation time."""
 
-    r: float
-    l: float
-    t_r: float
+    __slots__ = ("r", "l", "t_r")
+
+    def __init__(self, r: float, l: float, t_r: float):
+        self._init(r, l, t_r)
+        self.__post_init__()
 
     def __post_init__(self):
         # each check is written so that NaN fails it

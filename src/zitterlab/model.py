@@ -33,7 +33,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+
+from . import _Record
 
 # CODATA 2018 defaults, SI units
 C_LIGHT = 299792458.0            # m / s (exact)
@@ -54,19 +55,20 @@ class ConstantsError(ValueError):
     """Raised for inconsistent constants or malformed config files."""
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
+class PhysicalConstants(_Record):
     """SI constants used to anchor the model scale.
 
     The elementary charge is not among them: it is the exact SI value
     E_CHARGE, against which the Sommerfeld relation checks the rest.
     """
 
-    c: float = C_LIGHT
-    hbar: float = HBAR
-    alpha: float = ALPHA
-    eps0: float = EPS0
-    m_electron: float = M_ELECTRON
+    __slots__ = CONFIG_KEYS
+
+    def __init__(self, c: float = C_LIGHT, hbar: float = HBAR,
+                 alpha: float = ALPHA, eps0: float = EPS0,
+                 m_electron: float = M_ELECTRON):
+        self._init(c, hbar, alpha, eps0, m_electron)
+        self.__post_init__()
 
     def __post_init__(self):
         for name in CONFIG_KEYS:
@@ -202,17 +204,18 @@ def _json_line(fields: dict) -> str:
                            for k, v in fields.items()) + "}"
 
 
-@dataclass(frozen=True)
-class KinematicState:
+class KinematicState(_Record):
     """One-axis kinematic sample in c = d = 1 units.
 
     t: time (d/c), x: position (d), beta: velocity/c, beta_dot: a*d/c^2.
     """
 
-    t: float = 0.0
-    x: float = 0.0
-    beta: float = 0.0
-    beta_dot: float = 0.0
+    __slots__ = ("t", "x", "beta", "beta_dot")
+
+    def __init__(self, t: float = 0.0, x: float = 0.0, beta: float = 0.0,
+                 beta_dot: float = 0.0):
+        self._init(t, x, beta, beta_dot)
+        self.__post_init__()
 
     def __post_init__(self):
         if not abs(self.beta) < 1.0:

@@ -37,9 +37,9 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 
+from . import _Record
 from .model import KinematicState, PhysicalConstants, delay_closed
 
 
@@ -55,15 +55,15 @@ def q_coeff(n: int) -> Fraction:
     return Fraction(double_fact, 2 ** n * math.factorial(n))
 
 
-@dataclass(frozen=True)
-class PotentialSample:
+class PotentialSample(_Record):
     """Energy decomposition at one kinematic state, or at each of an
     array of them (rest-energy units)."""
 
-    U: float
-    Q: float
-    gamma: float
-    y: float
+    __slots__ = ("U", "Q", "gamma", "y")
+
+    def __init__(self, U: float, Q: float, gamma: float, y: float):
+        self._init(U, Q, gamma, y)
+        self.__post_init__()
 
     def __post_init__(self):
         U, Q, y = self.U, self.Q, self.y

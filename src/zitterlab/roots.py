@@ -57,8 +57,8 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
 
+from . import _Record
 from .model import dominant_real_root
 
 # every branch root must reach it, or 4 eps |z| where a correctly
@@ -92,14 +92,15 @@ _SCALE_SWITCH = 700.0
 _RENDER_ROWS = 16
 
 
-@dataclass(frozen=True)
-class CharEq:
+class CharEq(_Record):
     """The characteristic quasi-polynomial f.
 
     f is the same for every drift state in the dilated variable (see
     the module notes); callers turn a root z into the lab-frame rate
     z / gamma of their drift.
     """
+
+    __slots__ = ()
 
     def value(self, z) -> complex:
         """f(z) at the number z; cancellation-safe near 0, inf or nan
@@ -144,14 +145,14 @@ def _expm1(z: complex) -> complex:
                    _libm(math.exp, x) * math.sin(y))
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(_Record):
     """Closed rectangle [x0, x1] x [y0, y1] in the complex plane."""
 
-    x0: float
-    x1: float
-    y0: float
-    y1: float
+    __slots__ = ("x0", "x1", "y0", "y1")
+
+    def __init__(self, x0: float, x1: float, y0: float, y1: float):
+        self._init(x0, x1, y0, y1)
+        self.__post_init__()
 
     def __post_init__(self):
         if not (self.x0 < self.x1 and self.y0 < self.y1):
@@ -171,22 +172,22 @@ class Region:
         return cls(*parts)
 
 
-@dataclass(frozen=True)
-class Root:
-    value: complex
-    residual: float
-    multiplicity: int = 1
+class Root(_Record):
+    __slots__ = ("value", "residual", "multiplicity")
+
+    def __init__(self, value: complex, residual: float, multiplicity: int = 1):
+        self._init(value, residual, multiplicity)
 
 
-@dataclass(frozen=True)
-class RootSet:
+class RootSet(_Record):
     """A certified census.  seeds_total counts the branches enumerated,
     seeds_converged those with a root in the region."""
 
-    region: Region
-    roots: tuple[Root, ...]
-    seeds_total: int
-    seeds_converged: int
+    __slots__ = ("region", "roots", "seeds_total", "seeds_converged")
+
+    def __init__(self, region: Region, roots: tuple[Root, ...],
+                 seeds_total: int, seeds_converged: int):
+        self._init(region, roots, seeds_total, seeds_converged)
 
     def total_multiplicity(self) -> int:
         return sum(r.multiplicity for r in self.roots)
@@ -423,15 +424,14 @@ def _point(eq: CharEq, z: complex) -> tuple:
 # Spectrum
 # ---------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(_Record):
     """First `count` positive imaginary parts eta_n with their roots."""
 
-    etas: tuple[float, ...]
-    roots: tuple[complex, ...]
-    slope: float
-    intercept: float
-    r_squared: float
+    __slots__ = ("etas", "roots", "slope", "intercept", "r_squared")
+
+    def __init__(self, etas: tuple[float, ...], roots: tuple[complex, ...],
+                 slope: float, intercept: float, r_squared: float):
+        self._init(etas, roots, slope, intercept, r_squared)
 
 
 def spectrum(beta: float, count: int = 10) -> Spectrum:

@@ -49,9 +49,10 @@ exact, so every coefficient is the Fraction the full-order schemes give.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import add
+
+from . import _Record
 
 Q = Fraction
 
@@ -231,19 +232,18 @@ def kin_unit_inverse(p: KinPoly, beta_cap: int | None) -> KinPoly:
     return acc * (1 / c0)
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(_Record):
     """Power series in `tag` truncated above `order`, KinPoly coefficients.
 
     `beta_order` and `kin_order` name the coefficient quotient ring (see
     the module notes); every ring operation stays inside it.
     """
 
-    coeffs: tuple[KinPoly, ...]
-    order: int
-    tag: str
-    beta_order: int | None = None
-    kin_order: int | None = None
+    __slots__ = ("coeffs", "order", "tag", "beta_order", "kin_order")
+
+    def __init__(self, coeffs: tuple[KinPoly, ...], order: int, tag: str,
+                 beta_order: int | None = None, kin_order: int | None = None):
+        self._init(coeffs, order, tag, beta_order, kin_order)
 
     @classmethod
     def build(cls, coeffs, order: int, tag: str, beta_order: int | None = None,
@@ -263,6 +263,14 @@ class TruncatedSeries:
         return TruncatedSeries.build(coeffs, self.order, tag or self.tag,
                                      self.beta_order, self.kin_order)
 
+    def _with(self, coeffs, order: int | None = None,
+              tag: str | None = None) -> "TruncatedSeries":
+        """This series with `coeffs` as they are, and its order and tag
+        unless others are given, in this quotient ring."""
+        return TruncatedSeries(coeffs, self.order if order is None else order,
+                               self.tag if tag is None else tag,
+                               self.beta_order, self.kin_order)
+
     def _cmul(self, a: KinPoly, b: KinPoly) -> KinPoly:
         """Coefficient product in this series' quotient ring."""
         return a.mul(b, self.beta_order, self.kin_order)
@@ -276,16 +284,16 @@ class TruncatedSeries:
 
     def __add__(self, other):
         self._check(other)
-        return replace(self, coeffs=tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._with(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other):
         self._check(other)
-        return replace(self, coeffs=tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._with(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def scale(self, factor) -> "TruncatedSeries":
         if not isinstance(factor, KinPoly):
             factor = KinPoly.const(factor)
-        return replace(self, coeffs=tuple(self._cmul(c, factor) for c in self.coeffs))
+        return self._with(tuple(self._cmul(c, factor) for c in self.coeffs))
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check(other)
@@ -298,7 +306,7 @@ class TruncatedSeries:
                 if b.is_zero():
                     continue
                 out[i + j] = out[i + j] + self._cmul(a, b)
-        return replace(self, coeffs=tuple(out))
+        return self._with(tuple(out))
 
     def coefficient(self, k: int) -> KinPoly:
         return self.coeffs[k]
@@ -306,22 +314,22 @@ class TruncatedSeries:
     def truncate_to(self, order: int) -> "TruncatedSeries":
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
-        return replace(self, coeffs=self.coeffs[: order + 1], order=order)
+        return self._with(self.coeffs[: order + 1], order)
 
     def shift_up(self, k: int = 1) -> "TruncatedSeries":
         """Multiply by tag^k (keeps order, drops overflowing coefficients)."""
         cs = (KinPoly(),) * k + self.coeffs[: self.order + 1 - k]
-        return replace(self, coeffs=cs)
+        return self._with(cs)
 
     def shift_down(self, k: int = 1) -> "TruncatedSeries":
         """Divide by tag^k; the low k coefficients must vanish."""
         for i in range(k):
             if not self.coeffs[i].is_zero():
                 raise ValueError(f"cannot divide by {self.tag}^{k}: coefficient {i} is nonzero")
-        return replace(self, coeffs=self.coeffs[k:], order=self.order - k)
+        return self._with(self.coeffs[k:], self.order - k)
 
     def retag(self, tag: str) -> "TruncatedSeries":
-        return replace(self, tag=tag)
+        return self._with(self.coeffs, tag=tag)
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)
@@ -336,7 +344,7 @@ class TruncatedSeries:
             for k in range(1, n + 1):
                 s = s + self._cmul(self.coeffs[k], out[n - k])
             out[n] = -self._cmul(s, inv0)
-        return replace(self, coeffs=tuple(out))
+        return self._with(tuple(out))
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
         """self(inner(w)) to order n = min(self.order, inner.order);
@@ -358,10 +366,10 @@ class TruncatedSeries:
         # inner = w h, so acc * inner at order m is acc * h at order m - 1
         # shifted up one place, where f_k takes the freed constant slot
         h = inner.truncate_to(n).shift_down(1)
-        acc = replace(h, coeffs=(self.coeffs[n],), order=0)
+        acc = h._with((self.coeffs[n],), 0)
         for k in range(n - 1, -1, -1):
             prod = acc * h.truncate_to(n - k - 1)
-            acc = replace(prod, coeffs=(self.coeffs[k],) + prod.coeffs, order=n - k)
+            acc = prod._with((self.coeffs[k],) + prod.coeffs, n - k)
         return acc
 
     def revert(self, new_tag: str) -> "TruncatedSeries":
@@ -383,8 +391,7 @@ class TruncatedSeries:
         g = w.scale(u_inv)
         for k in range(2, self.order + 1):
             ck = f.truncate_to(k).compose(g.truncate_to(k)).coeffs[k]
-            g = replace(g, coeffs=g.coeffs[:k] + (-self._cmul(ck, u_inv),)
-                        + g.coeffs[k + 1:])
+            g = g._with(g.coeffs[:k] + (-self._cmul(ck, u_inv),) + g.coeffs[k + 1:])
         if not (f.compose(g) - w).is_zero():
             raise AssertionError("series reversion failed to close")
         return g
@@ -460,8 +467,7 @@ def r_of_d_series(order: int, beta_order: int) -> TruncatedSeries:
     return d_series(order, beta_order).revert("d")
 
 
-@dataclass(frozen=True)
-class SelfForceExpansion:
+class SelfForceExpansion(_Record):
     """Self-force bracket G as an exact Laurent-style series in d.
 
     The self-force is F = (e^2 / 8 pi eps0) * G with
@@ -470,7 +476,10 @@ class SelfForceExpansion:
     G's coefficient at d^p is series.coefficient(p + 1).
     """
 
-    series: TruncatedSeries
+    __slots__ = ("series",)
+
+    def __init__(self, series: TruncatedSeries):
+        self._init(series)
 
     def coefficient(self, exps: tuple[int, ...], d_power: int) -> Fraction:
         return self.series.coefficient(d_power + 1).coefficient(exps)

@@ -23,11 +23,12 @@ acceleration is beta_dot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
 from functools import lru_cache
 
 import numpy as np
 
+from . import _Record
 from .model import dominant_real_root, lorentz_gamma
 
 
@@ -121,15 +122,16 @@ def pchip_at(x: np.ndarray, y: np.ndarray, t: np.ndarray) -> np.ndarray:
     return cubic_value([ck[j] for ck in c], x[lo:hi][j], t)
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(_Record):
     """Time-ordered kinematic samples with Hermite dense output."""
 
-    t: np.ndarray
-    x: np.ndarray
-    beta: np.ndarray
-    beta_dot: np.ndarray
-    metadata: dict = field(default_factory=dict)
+    __slots__ = ("t", "x", "beta", "beta_dot", "metadata",
+                 "_x_cubics", "_b_cubics")
+
+    def __init__(self, t: np.ndarray, x: np.ndarray, beta: np.ndarray,
+                 beta_dot: np.ndarray, metadata: dict | None = None):
+        self._init(t, x, beta, beta_dot, {} if metadata is None else metadata)
+        self.__post_init__()
 
     def __post_init__(self):
         for name in ("t", "x", "beta", "beta_dot"):
@@ -233,8 +235,10 @@ def _bump_accel_peak() -> float:
     return float(np.max(np.abs(_bump(u)[2])))
 
 
-@dataclass(frozen=True)
-class SeedHistory:
+_SEED_KINDS = ("rest_kick", "uniform_motion", "uniform_kick", "mode_kick")
+
+
+class SeedHistory(_Record):
     """Prescribed past motion on [-span, 0].
 
     kind is one of rest_kick, uniform_motion, uniform_kick, mode_kick.
@@ -251,14 +255,22 @@ class SeedHistory:
     which outrun the dominant one long before it could be measured.
     """
 
-    kind: str
-    amplitude: float
-    beta: float = 0.0
-    rate: float = 0.0
+    __slots__ = ("kind", "amplitude", "beta", "rate")
+
+    def __init__(self, kind: str, amplitude: float, beta: float = 0.0,
+                 rate: float = 0.0):
+        self._init(kind, amplitude, beta, rate)
+        self.__post_init__()
 
     def __post_init__(self):
         if not abs(self.beta) < 1.0:
             raise SuperluminalError(f"seed drift beta = {self.beta!r}")
+        if self.kind not in _SEED_KINDS:
+            raise ValueError(f"seed kind must be one of {', '.join(_SEED_KINDS)}, "
+                             f"got {self.kind!r}")
+        if not (math.isfinite(self.amplitude) and math.isfinite(self.rate)):
+            raise ValueError(f"seed amplitude {self.amplitude!r} and rate "
+                             f"{self.rate!r} must be finite")
 
     @property
     def span(self) -> float:

@@ -1248,7 +1248,8 @@ if len(sys.argv) > 1:
 else:
     import zitterlab.cli
 print(json.dumps(sorted(m for m in sys.modules
-                        if m.split(".")[0] in ("numpy", "scipy", "decimal")
+                        if m.split(".")[0] in ("numpy", "scipy", "decimal",
+                                               "dataclasses", "inspect")
                         or m.startswith("zitterlab"))))
 """
 
@@ -1259,7 +1260,7 @@ def _loaded(*argv):
 
 def test_cli_import_loads_no_scipy():
     # numpy is the one runtime dependency, and the bare front end needs
-    # not even that, nor decimal
+    # not even that, nor decimal, dataclasses or inspect
     assert _loaded() == {"zitterlab", "zitterlab.cli", "zitterlab.model"}
 
 
@@ -1302,6 +1303,11 @@ def test_command_loads_only_its_layers(tmp_path, argv, layers):
     # through fractions
     assert ("decimal" in loaded) == (argv[0] in ("series-verify",
                                                  "potential"))
+    # the records are plain classes; report.Check alone is a dataclass,
+    # and numpy imports inspect itself
+    assert ("dataclasses" in loaded) == (argv[0] == "report")
+    assert ("inspect" in loaded) == (argv[0] in ("render", "simulate",
+                                                 "report"))
 
 
 def test_model_runs_without_numpy():

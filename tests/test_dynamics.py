@@ -94,6 +94,25 @@ def test_seeds_reject_light_speed_drift(build):
         build()
 
 
+@pytest.mark.parametrize("kind, amplitude, rate, message", [
+    ("bogus", 1e-6, 0.0, "seed kind must be one of rest_kick, "
+     "uniform_motion, uniform_kick, mode_kick, got 'bogus'"),
+    ("rest_kick", math.nan, 0.0, "seed amplitude nan and rate 0.0 must "
+     "be finite"),
+    ("uniform_kick", math.inf, 0.0, "seed amplitude inf and rate 0.0 "
+     "must be finite"),
+    ("mode_kick", 1e-6, -math.inf, "seed amplitude 1e-06 and rate -inf "
+     "must be finite"),
+], ids=["unknown_kind", "nan_amplitude", "inf_amplitude", "inf_rate"])
+def test_seeds_reject_unknown_kinds_and_non_finite_numbers(kind, amplitude,
+                                                           rate, message):
+    # refused when made, before a march could record the kind or take
+    # NaN offsets
+    with pytest.raises(ValueError) as info:
+        SeedHistory(kind, amplitude, rate=rate)
+    assert str(info.value) == message
+
+
 def test_seed_describe_is_stable():
     a = SeedHistory.mode_kick(0.3, 1e-6).describe()
     b = SeedHistory.mode_kick(0.3, 1e-6).describe()

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -300,6 +302,9 @@ def test_record_contract(case):
     cls, names, args, defaults, text, hashable, errors = case
     rec = cls(*args)
     assert repr(rec) == text
+    for twin in (copy.copy(rec), copy.deepcopy(rec),
+                 pickle.loads(pickle.dumps(rec))):
+        assert type(twin) is cls and repr(twin) == text
     assert repr(cls(**dict(zip(names, args)))) == text
     for name, arg in zip(names, args):
         assert getattr(rec, name) is arg or getattr(rec, name) == arg

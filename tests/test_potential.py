@@ -1,8 +1,11 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from zitterlab.geometry import delay_closed
@@ -154,6 +157,24 @@ def test_closed_form_values():
         g / math.sqrt(1.0 + y), rel=1e-14)
     assert quantum_potential(state) == pytest.approx(
         -g * (1.0 - 1.0 / math.sqrt(1.0 + y)), rel=1e-14)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.floats(min_value=-(1 - 1e-11), max_value=1 - 1e-11))
+@example(0.9999999999)
+def test_uniform_potential_is_gamma_to_rounding(beta):
+    # U = 1/(r - l beta), and that denominator cancels as beta -> 1: for
+    # uniform motion U stays within 2 eps gamma^3 of gamma, and no
+    # better, since U is the independent route that audits gamma + Q
+    s = decompose(beta, 0.0)
+    assert s.Q == 0.0
+    assert abs(s.U - s.gamma) <= 2 * sys.float_info.epsilon * s.gamma ** 3
+
+
+def test_uniform_potential_near_light_speed():
+    # `potential --beta 0.9999999999 --betadot 0`: 2.1e-7 relative apart
+    s = decompose(0.9999999999, 0.0)
+    assert (s.U, s.gamma) == (70710.689759631219, 70710.675195108823)
 
 
 def test_rest_values():
